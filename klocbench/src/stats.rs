@@ -1,0 +1,47 @@
+//! Order statistics over samples.
+
+/// The `q`-quantile (0 ≤ q ≤ 1) of `values`, linearly interpolated
+/// between order statistics; `0.0` for no samples.
+pub fn quantile(values: &[f64], q: f64) -> f64 {
+    if values.is_empty() {
+        return 0.0;
+    }
+    let mut sorted = values.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    let pos = q.clamp(0.0, 1.0) * (sorted.len() - 1) as f64;
+    let lo = pos.floor() as usize;
+    let hi = pos.ceil() as usize;
+    sorted[lo] + (sorted[hi] - sorted[lo]) * (pos - lo as f64)
+}
+
+/// The median of `values`.
+pub fn median(values: &[f64]) -> f64 {
+    quantile(values, 0.5)
+}
+
+/// The geometric mean of positive `values`; `0.0` for no samples.
+pub fn geomean(values: &[f64]) -> f64 {
+    if values.is_empty() {
+        return 0.0;
+    }
+    (values.iter().map(|v| v.ln()).sum::<f64>() / values.len() as f64).exp()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn quantiles_interpolate() {
+        let v = [4.0, 1.0, 3.0, 2.0];
+        assert_eq!(median(&v), 2.5);
+        assert_eq!(quantile(&v, 0.0), 1.0);
+        assert_eq!(quantile(&v, 1.0), 4.0);
+        assert_eq!(median(&[]), 0.0);
+    }
+
+    #[test]
+    fn geomean_of_ratios() {
+        assert!((geomean(&[2.0, 8.0]) - 4.0).abs() < 1e-12);
+    }
+}
