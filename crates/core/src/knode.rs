@@ -8,9 +8,10 @@
 //! organizationally meaningful. Since PR 7 the tables are the dense
 //! open-addressed [`crate::members::MemberMap`]s rather than
 //! `BTreeMap`s: the member add/remove/touch path sits on every syscall,
-//! so it probes a flat slot array instead of chasing tree nodes, and
-//! ordered views are derived only where order is report-visible (see
-//! the `members` module docs).
+//! so it probes a flat slot array instead of chasing tree nodes. The
+//! distinct member frames the migration walks read are kept sorted in
+//! one [`crate::members::FrameRefs`] vector (see the `members` module
+//! docs).
 //!
 //! Aging is *lazy*: instead of a scan bumping a counter on every knode
 //! each epoch (O(knodes) per tick), a knode records the
@@ -20,7 +21,7 @@
 //! KLOCs age "as a side effect of events" rather than by scanning
 //! (§4.3).
 
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 
 use kloc_mem::{FrameId, Nanos, TierId};
 
@@ -61,18 +62,10 @@ pub struct Knode {
     /// Slab-class members: object -> backing frame (`rbtree-slab`).
     slab: MemberMap,
     /// Distinct frames backing members, refcounted (several slab
-    /// objects can share a frame). Kept incrementally so en-masse
-    /// migration collects it directly instead of deduplicating the
-    /// member tables on every call.
+    /// objects can share a frame) and kept ascending by full `FrameId`
+    /// (the report-visible migration order), so the migration walks
+    /// iterate it in place.
     frames: FrameRefs,
-    /// Cached ascending view of `frames` (the report-visible migration
-    /// order). Mutations that change the distinct frame set only mark
-    /// it stale; `collect_member_frames` re-sorts at most once per
-    /// change, so repeated policy-tick walks over an unchanged knode
-    /// sort nothing.
-    sorted_frames: RefCell<Vec<FrameId>>,
-    /// Whether `sorted_frames` no longer reflects `frames`.
-    frames_stale: Cell<bool>,
     /// Memoized outcome of a *settled* en-masse migration walk:
     /// `(target tier, ping-pong skips the walk charges, external
     /// migration epoch)`. While valid, a repeat walk toward the same
@@ -104,8 +97,6 @@ impl Knode {
             cache: MemberMap::default(),
             slab: MemberMap::default(),
             frames: FrameRefs::default(),
-            sorted_frames: RefCell::new(Vec::new()),
-            frames_stale: Cell::new(false),
             enmasse_cache: Cell::new(None),
             demote_bound: Cell::new(None),
         }
@@ -178,7 +169,8 @@ impl Knode {
 
     /// Adds a member object (`knode_add_obj` in Table 2); routed to the
     /// cache or slab table by the object's backing. Returns the table
-    /// used. O(1) amortized: one dense-table probe plus a refcount bump.
+    /// used. One dense-table probe plus a sorted refcount insert (an
+    /// append when the frame sorts last).
     pub fn add_obj(&mut self, obj: ObjectId, ty: KernelObjectType, frame: FrameId) -> MemberTree {
         let (tree, prev) = match ty.backing() {
             Backing::Page(_) => (MemberTree::Cache, self.cache.insert(obj, frame)),
@@ -190,19 +182,18 @@ impl Knode {
         }
         changed |= self.frames.add(frame);
         if changed {
-            self.frames_stale.set(true);
             self.clear_walk_caches();
         }
         tree
     }
 
-    /// Removes a member. Returns whether it was tracked. O(1) amortized.
+    /// Removes a member. Returns whether it was tracked. One dense-table
+    /// probe plus a sorted refcount drop.
     pub fn remove_obj(&mut self, obj: ObjectId) -> bool {
         let frame = self.cache.remove(obj).or_else(|| self.slab.remove(obj));
         match frame {
             Some(f) => {
                 if self.frames.unref(f) {
-                    self.frames_stale.set(true);
                     self.clear_walk_caches();
                 }
                 true
@@ -233,39 +224,13 @@ impl Knode {
         self.slab.sorted()
     }
 
-    /// Visits the deduplicated frames backing all members in unordered
-    /// (slot) order — deterministic, but only for order-insensitive
-    /// consumers such as residency counts.
-    pub fn for_each_member_frame(&self, mut f: impl FnMut(FrameId)) {
-        self.frames.for_each(|frame, _| f(frame));
-    }
-
-    /// Replaces `out` with the deduplicated frames backing all members,
-    /// ascending by full `FrameId` — the unit of en-masse migration
-    /// (paper §4.4: "kernel objects pointed to by a knode subtree are
-    /// migrated" together). The order is report-visible, so it is
-    /// derived (collect + sort) rather than maintained per touch — but
-    /// cached: the sort reruns only after the distinct frame set
-    /// changed, so per-tick walks over a quiescent knode cost one copy.
-    pub fn collect_member_frames(&self, out: &mut Vec<FrameId>) {
-        self.with_member_frames(|frames| {
-            out.clear();
-            out.extend_from_slice(frames);
-        });
-    }
-
-    /// Zero-copy variant of [`Knode::collect_member_frames`]: hands the
-    /// closure the same ascending deduplicated frame slice without
-    /// copying it out. The slice is borrowed from the knode's sort
-    /// cache, so the closure must not re-enter member mutation (the
-    /// migration walks only touch the memory system).
-    pub fn with_member_frames<R>(&self, f: impl FnOnce(&[FrameId]) -> R) -> R {
-        if self.frames_stale.get() {
-            self.frames
-                .collect_sorted(&mut self.sorted_frames.borrow_mut());
-            self.frames_stale.set(false);
-        }
-        f(&self.sorted_frames.borrow())
+    /// The deduplicated frames backing all members, ascending by full
+    /// `FrameId` — the unit of en-masse migration (paper §4.4: "kernel
+    /// objects pointed to by a knode subtree are migrated" together).
+    /// The order is report-visible; the frame set maintains it on every
+    /// member insert/remove, so walks read this slice in place.
+    pub fn member_frames(&self) -> &[FrameId] {
+        self.frames.frames()
     }
 
     /// Drops both migration-walk memoizations. Called whenever the
@@ -297,18 +262,6 @@ impl Knode {
     pub(crate) fn set_demote_bound(&self, older_than: Nanos, bound: Nanos, epoch: u64) {
         self.demote_bound.set(Some((older_than, bound, epoch)));
     }
-
-    /// Number of distinct frames backing members.
-    pub fn member_frame_count(&self) -> usize {
-        self.frames.len()
-    }
-
-    /// Deduplicated frames backing all members, collected ascending.
-    pub fn member_frames(&self) -> Vec<FrameId> {
-        let mut out = Vec::new();
-        self.collect_member_frames(&mut out);
-        out
-    }
 }
 
 #[cfg(feature = "ksan")]
@@ -320,9 +273,10 @@ impl Knode {
     }
 
     /// Recomputes the frame refcounts from both member tables and
-    /// cross-checks the incrementally maintained frame set, then audits
-    /// each dense table's internal slot bookkeeping (live counter vs
-    /// occupied slots, probe-chain reachability). Observation only.
+    /// cross-checks the incrementally maintained frame set, audits the
+    /// frame set's own order and counts, then audits each dense table's
+    /// internal slot bookkeeping (live counter vs occupied slots,
+    /// probe-chain reachability). Observation only.
     pub(crate) fn ksan_audit(&self, out: &mut Vec<kloc_mem::ksan::Violation>) {
         use std::collections::BTreeMap;
 
@@ -346,23 +300,18 @@ impl Knode {
                 format!("{refs:?}"),
             ));
         }
-        if !self.frames_stale.get() {
-            let mut fresh = Vec::new();
-            self.frames.collect_sorted(&mut fresh);
-            if *self.sorted_frames.borrow() != fresh {
-                out.push(Violation::new(
-                    "Knode.sorted_frames cache <-> Knode.frames",
-                    format!("{}", self.inode),
-                    "a cache not marked stale matches a fresh collect",
-                    format!("{fresh:?}"),
-                    format!("{:?}", self.sorted_frames.borrow()),
-                ));
-            }
+        if let Err(err) = self.frames.ksan_check() {
+            out.push(Violation::new(
+                "Knode.frames order <-> refcounts",
+                format!("{}", self.inode),
+                "frames strictly ascending, every refcount >= 1, equal lengths",
+                "sorted refcounted frame set".to_owned(),
+                err,
+            ));
         }
         for (label, check) in [
             ("rbtree-cache", self.cache.ksan_check()),
             ("rbtree-slab", self.slab.ksan_check()),
-            ("frame refs", self.frames.ksan_check()),
         ] {
             if let Err(err) = check {
                 out.push(Violation::new(
@@ -387,7 +336,7 @@ impl Knode {
     /// frame reference, desyncing the frame set from the member tables.
     #[doc(hidden)]
     pub fn ksan_break_knode_members(&mut self) {
-        self.frames.ksan_break_phantom_ref(FrameId(0xDEAD));
+        self.frames.add(FrameId(0xDEAD));
     }
 
     /// Corruption hook for sanitizer self-tests: skews the cache
@@ -397,12 +346,12 @@ impl Knode {
         self.cache.ksan_break_live_count();
     }
 
-    /// Corruption hook for sanitizer self-tests: plants a bogus frame
-    /// in the sorted-frame cache while leaving it marked clean.
+    /// Corruption hook for sanitizer self-tests: appends a frame below
+    /// every tracked one past the tail of the frame set, breaking its
+    /// ascending order.
     #[doc(hidden)]
-    pub fn ksan_break_frame_cache(&mut self) {
-        self.sorted_frames.borrow_mut().push(FrameId(0xBAD));
-        self.frames_stale.set(false);
+    pub fn ksan_break_frame_order(&mut self) {
+        self.frames.ksan_break_order(FrameId(0));
     }
 
     /// Test-only wrapper over the crate-private inuse transition so
@@ -444,7 +393,7 @@ mod tests {
         assert!(k.remove_obj(ObjectId(2)));
         assert!(!k.remove_obj(ObjectId(3)));
         assert!(k.is_empty());
-        assert_eq!(k.member_frame_count(), 0);
+        assert!(k.member_frames().is_empty());
     }
 
     #[test]
@@ -455,7 +404,6 @@ mod tests {
         k.add_obj(ObjectId(2), KernelObjectType::Dentry, FrameId(7));
         k.add_obj(ObjectId(3), KernelObjectType::PageCache, FrameId(8));
         assert_eq!(k.member_frames(), vec![FrameId(7), FrameId(8)]);
-        assert_eq!(k.member_frame_count(), 2);
         // Removing one sharer keeps the frame; removing both drops it.
         assert!(k.remove_obj(ObjectId(1)));
         assert_eq!(k.member_frames(), vec![FrameId(7), FrameId(8)]);

@@ -6,23 +6,27 @@
 //! table. A knode's member ids have the opposite shape: `ObjectId`s are
 //! global, sequential, and never reused, so a per-knode table indexed
 //! directly by object id would cost memory proportional to the global
-//! id space in every knode. The same idiom therefore appears here in
-//! its open-addressed form: a power-of-two slot array probed linearly
+//! id space in every knode. [`MemberMap`] therefore uses the same idiom
+//! in its open-addressed form: a power-of-two slot array probed linearly
 //! from a multiplicative hash, storing the full 64-bit id so a probe
 //! rejects a recycled slot by full-id compare exactly as `FrameSet`
 //! rejects stale generations. Inserts and removes are amortized O(1),
 //! each entry is one `(key, value)` pair in a single flat allocation
 //! (one cache line covers probe and payload), and an empty table
-//! allocates nothing.
+//! allocates nothing. Its ordered view is *derived on demand* (collect +
+//! sort by full id), paid only where member order is report-visible
+//! (`cache_members`/`slab_members`, audits). Unordered iteration walks
+//! slots in array order, which is a pure function of the insertion
+//! history and thus deterministic across identically-seeded runs — but
+//! it is only used where the consumer is order-insensitive (refcount
+//! tallies).
 //!
-//! Ordered views are *derived on demand* (collect + sort by full id)
-//! rather than maintained by a `BTreeMap` on every insert/remove:
-//! ordering work is paid only where order is report-visible (en-masse
-//! `kloc_migrate` evidence, `cache_members`/`slab_members`, audits).
-//! Unordered iteration walks slots in array order, which is a pure
-//! function of the insertion history and thus deterministic across
-//! identically-seeded runs — but it is only used where the consumer is
-//! order-insensitive (refcount tallies, residency counts).
+//! [`FrameRefs`], the knode's distinct member frames, is the one view
+//! every policy-tick migration walk reads in order (ascending full
+//! `FrameId` is the report-visible en-masse migration order), and its
+//! frame set changes between most walks. It is therefore kept sorted
+//! *incrementally*: one ascending frame vector plus a parallel refcount
+//! vector, so the walks iterate it in place and nothing is re-sorted.
 
 use kloc_kernel::ObjectId;
 use kloc_mem::FrameId;
@@ -44,42 +48,45 @@ fn mix(key: u64) -> u64 {
     h ^ (h >> 33)
 }
 
-/// The open-addressed u64 -> u64 core shared by [`MemberMap`] and
-/// [`FrameRefs`]. Linear probing, tombstone deletion, capacity kept a
-/// power of two with at least 1/8 of slots `EMPTY` so probes terminate.
+/// Dense member table for one knode tree: `ObjectId -> FrameId` (the
+/// `rbtree-cache` / `rbtree-slab` payload). Open-addressed: linear
+/// probing, tombstone deletion, capacity kept a power of two with at
+/// least 1/8 of slots `EMPTY` so probes terminate.
 #[derive(Debug, Clone, Default)]
-struct Dense {
-    /// `(key, value)` pairs; key is [`EMPTY`] / [`TOMBSTONE`] for
-    /// vacant slots.
+pub struct MemberMap {
+    /// `(object id, frame id)` pairs; the key is [`EMPTY`] /
+    /// [`TOMBSTONE`] for vacant slots.
     slots: Vec<(u64, u64)>,
     live: usize,
     tombs: usize,
 }
 
-impl Dense {
+impl MemberMap {
     const MIN_CAP: usize = 8;
 
+    /// Looks up the frame backing a member.
     #[inline]
-    fn get(&self, key: u64) -> Option<u64> {
+    pub fn get(&self, obj: ObjectId) -> Option<FrameId> {
         if self.live == 0 {
             return None;
         }
         let mask = self.slots.len() - 1;
-        let mut i = (mix(key) as usize) & mask; // lint: truncation-ok
+        let mut i = (mix(obj.0) as usize) & mask; // lint: truncation-ok
         loop {
             match self.slots[i].0 {
                 EMPTY => return None,
-                k if k == key => return Some(self.slots[i].1),
+                k if k == obj.0 => return Some(FrameId(self.slots[i].1)),
                 _ => i = (i + 1) & mask,
             }
         }
     }
 
-    /// Inserts or replaces; returns the previous value if the key was
-    /// present. The full key is stored, so a probe that lands on a
-    /// recycled (tombstoned, then reused) slot can never confuse two
-    /// ids that happened to hash alike.
-    fn insert(&mut self, key: u64, val: u64) -> Option<u64> {
+    /// Inserts or replaces a member; returns the previously mapped
+    /// frame if the object was already tracked. The full id is stored,
+    /// so a probe that lands on a recycled (tombstoned, then reused)
+    /// slot can never confuse two ids that happened to hash alike.
+    pub fn insert(&mut self, obj: ObjectId, frame: FrameId) -> Option<FrameId> {
+        let key = obj.0;
         debug_assert!(key < TOMBSTONE, "id collides with a table sentinel");
         self.reserve_one();
         let mask = self.slots.len() - 1;
@@ -95,7 +102,7 @@ impl Dense {
                     if self.slots[slot].0 == TOMBSTONE {
                         self.tombs -= 1;
                     }
-                    self.slots[slot] = (key, val);
+                    self.slots[slot] = (key, frame.0);
                     self.live += 1;
                     return None;
                 }
@@ -107,93 +114,30 @@ impl Dense {
                 }
                 k if k == key => {
                     let old = self.slots[i].1;
-                    self.slots[i].1 = val;
-                    return Some(old);
+                    self.slots[i].1 = frame.0;
+                    return Some(FrameId(old));
                 }
                 _ => i = (i + 1) & mask,
             }
         }
     }
 
-    /// Removes a key; returns its value if it was present. The slot
+    /// Removes a member; returns the frame it mapped to. The slot
     /// becomes a tombstone so probe chains through it stay intact.
-    fn remove(&mut self, key: u64) -> Option<u64> {
+    pub fn remove(&mut self, obj: ObjectId) -> Option<FrameId> {
         if self.live == 0 {
             return None;
         }
         let mask = self.slots.len() - 1;
-        let mut i = (mix(key) as usize) & mask; // lint: truncation-ok
+        let mut i = (mix(obj.0) as usize) & mask; // lint: truncation-ok
         loop {
             match self.slots[i].0 {
                 EMPTY => return None,
-                k if k == key => {
-                    let val = self.slots[i].1;
+                k if k == obj.0 => {
                     self.slots[i].0 = TOMBSTONE;
                     self.tombs += 1;
                     self.live -= 1;
-                    return Some(val);
-                }
-                _ => i = (i + 1) & mask,
-            }
-        }
-    }
-
-    /// Increments the value for `key`, inserting 1 when absent; returns
-    /// whether the key is newly present. One probe for the refcount
-    /// add that rides every member insert.
-    fn bump(&mut self, key: u64) -> bool {
-        debug_assert!(key < TOMBSTONE, "id collides with a table sentinel");
-        self.reserve_one();
-        let mask = self.slots.len() - 1;
-        let mut i = (mix(key) as usize) & mask; // lint: truncation-ok
-        let mut reuse = None;
-        loop {
-            match self.slots[i].0 {
-                EMPTY => {
-                    let slot = reuse.unwrap_or(i);
-                    if self.slots[slot].0 == TOMBSTONE {
-                        self.tombs -= 1;
-                    }
-                    self.slots[slot] = (key, 1);
-                    self.live += 1;
-                    return true;
-                }
-                TOMBSTONE => {
-                    if reuse.is_none() {
-                        reuse = Some(i);
-                    }
-                    i = (i + 1) & mask;
-                }
-                k if k == key => {
-                    self.slots[i].1 += 1;
-                    return false;
-                }
-                _ => i = (i + 1) & mask,
-            }
-        }
-    }
-
-    /// Decrements the value for `key`, removing it at zero; returns
-    /// whether the key left the table. Absent keys are ignored. One
-    /// probe for the refcount drop that rides every member removal.
-    fn unbump(&mut self, key: u64) -> bool {
-        if self.live == 0 {
-            return false;
-        }
-        let mask = self.slots.len() - 1;
-        let mut i = (mix(key) as usize) & mask; // lint: truncation-ok
-        loop {
-            match self.slots[i].0 {
-                EMPTY => return false,
-                k if k == key => {
-                    if self.slots[i].1 > 1 {
-                        self.slots[i].1 -= 1;
-                        return false;
-                    }
-                    self.slots[i].0 = TOMBSTONE;
-                    self.tombs += 1;
-                    self.live -= 1;
-                    return true;
+                    return Some(FrameId(self.slots[i].1));
                 }
                 _ => i = (i + 1) & mask,
             }
@@ -228,35 +172,50 @@ impl Dense {
         }
     }
 
+    /// Number of members.
     #[inline]
-    fn len(&self) -> usize {
+    pub fn len(&self) -> usize {
         self.live
     }
 
-    /// Visits every live entry in slot order (deterministic, unordered;
-    /// see the module docs for where this is allowed).
-    fn for_each(&self, mut f: impl FnMut(u64, u64)) {
+    /// Whether the table tracks no members.
+    pub fn is_empty(&self) -> bool {
+        self.live == 0
+    }
+
+    /// Visits every member in slot order (deterministic, unordered; see
+    /// the module docs for where this is allowed).
+    pub fn for_each(&self, mut f: impl FnMut(ObjectId, FrameId)) {
         for &(k, v) in &self.slots {
             if k < TOMBSTONE {
-                f(k, v);
+                f(ObjectId(k), FrameId(v));
             }
         }
+    }
+
+    /// The ordered view, derived on demand: members ascending by
+    /// `ObjectId`, matching the old `BTreeMap` iteration order.
+    pub fn sorted(&self) -> Vec<(ObjectId, FrameId)> {
+        let mut out = Vec::with_capacity(self.live);
+        self.for_each(|o, f| out.push((o, f)));
+        out.sort_unstable_by_key(|(o, _)| *o);
+        out
     }
 }
 
 #[cfg(feature = "ksan")]
-impl Dense {
+impl MemberMap {
     /// Internal-consistency audit: the live counter must equal the
-    /// occupied slot count, and every stored key must be reachable by
-    /// its own probe sequence (tombstones may sit in the chain but an
-    /// EMPTY must not). Returns an error string naming the first
-    /// discrepancy. Observation only.
-    fn ksan_check(&self) -> Result<(), String> {
+    /// occupied slot count, and every stored id must be reachable by its
+    /// own probe sequence (tombstones may sit in the chain but an EMPTY
+    /// must not). Returns an error string naming the first discrepancy.
+    /// Observation only.
+    pub(crate) fn ksan_check(&self) -> Result<(), String> {
         let mut occupied = 0usize;
         for (i, &(k, _)) in self.slots.iter().enumerate() {
             if k < TOMBSTONE {
                 occupied += 1;
-                if self.get(k).is_none() {
+                if self.get(ObjectId(k)).is_none() {
                     return Err(format!("stored id {k} at slot {i} is unreachable by probe"));
                 }
             }
@@ -270,140 +229,103 @@ impl Dense {
         Ok(())
     }
 
-    /// Corruption hook: skews the live counter without touching slots.
-    fn ksan_break_live_count(&mut self) {
+    /// Corruption hook for sanitizer self-tests: skews the live counter
+    /// without touching slots.
+    #[doc(hidden)]
+    pub fn ksan_break_live_count(&mut self) {
         self.live += 1;
     }
 }
 
-/// Dense member table for one knode tree: `ObjectId -> FrameId`
-/// (the `rbtree-cache` / `rbtree-slab` payload).
-#[derive(Debug, Clone, Default)]
-pub struct MemberMap {
-    table: Dense,
-}
-
-impl MemberMap {
-    /// Inserts or replaces a member; returns the previously mapped
-    /// frame if the object was already tracked.
-    pub fn insert(&mut self, obj: ObjectId, frame: FrameId) -> Option<FrameId> {
-        self.table.insert(obj.0, frame.0).map(FrameId)
-    }
-
-    /// Removes a member; returns the frame it mapped to.
-    pub fn remove(&mut self, obj: ObjectId) -> Option<FrameId> {
-        self.table.remove(obj.0).map(FrameId)
-    }
-
-    /// Looks up the frame backing a member.
-    pub fn get(&self, obj: ObjectId) -> Option<FrameId> {
-        self.table.get(obj.0).map(FrameId)
-    }
-
-    /// Number of members.
-    pub fn len(&self) -> usize {
-        self.table.len()
-    }
-
-    /// Whether the table tracks no members.
-    pub fn is_empty(&self) -> bool {
-        self.table.len() == 0
-    }
-
-    /// Visits every member in slot order (deterministic, unordered).
-    pub fn for_each(&self, mut f: impl FnMut(ObjectId, FrameId)) {
-        self.table.for_each(|k, v| f(ObjectId(k), FrameId(v)));
-    }
-
-    /// The ordered view, derived on demand: members ascending by
-    /// `ObjectId`, matching the old `BTreeMap` iteration order.
-    pub fn sorted(&self) -> Vec<(ObjectId, FrameId)> {
-        let mut out = Vec::with_capacity(self.table.len());
-        self.for_each(|o, f| out.push((o, f)));
-        out.sort_unstable_by_key(|(o, _)| *o);
-        out
-    }
-}
-
-#[cfg(feature = "ksan")]
-impl MemberMap {
-    pub(crate) fn ksan_check(&self) -> Result<(), String> {
-        self.table.ksan_check()
-    }
-
-    /// Corruption hook for sanitizer self-tests.
-    #[doc(hidden)]
-    pub fn ksan_break_live_count(&mut self) {
-        self.table.ksan_break_live_count();
-    }
-}
-
 /// Refcounted set of distinct frames backing a knode's members
-/// (`FrameId -> u32`; several slab objects can share one frame). Kept
-/// incrementally so en-masse migration collects it directly instead of
-/// deduplicating the member tables on every call.
+/// (several slab objects can share one frame): one vector of frames
+/// ascending by full `FrameId` plus a parallel vector of refcounts.
+/// Full-id order matters: a frame's generation bits can invert slot
+/// order. `add` appends a frame that sorts last; otherwise it and
+/// `unref` binary-search and shift the tail.
 #[derive(Debug, Clone, Default)]
 pub struct FrameRefs {
-    table: Dense,
+    frames: Vec<FrameId>,
+    counts: Vec<u32>,
 }
 
 impl FrameRefs {
     /// Adds one reference; returns whether the frame is newly tracked.
     pub fn add(&mut self, frame: FrameId) -> bool {
-        self.table.bump(frame.0)
+        if self.frames.last().is_none_or(|&last| last < frame) {
+            self.frames.push(frame);
+            self.counts.push(1);
+            return true;
+        }
+        match self.frames.binary_search(&frame) {
+            Ok(i) => {
+                self.counts[i] += 1;
+                false
+            }
+            Err(i) => {
+                self.frames.insert(i, frame);
+                self.counts.insert(i, 1);
+                true
+            }
+        }
     }
 
     /// Drops one reference; returns whether the frame left the set.
     /// Unreferenced frames are ignored (mirrors the old map behavior).
     pub fn unref(&mut self, frame: FrameId) -> bool {
-        self.table.unbump(frame.0)
+        let Ok(i) = self.frames.binary_search(&frame) else {
+            return false;
+        };
+        if self.counts[i] > 1 {
+            self.counts[i] -= 1;
+            return false;
+        }
+        self.frames.remove(i);
+        self.counts.remove(i);
+        true
     }
 
-    /// Current reference count for a frame (0 if untracked).
-    pub fn count(&self, frame: FrameId) -> u32 {
-        u32::try_from(self.table.get(frame.0).unwrap_or(0)).unwrap_or(u32::MAX)
+    /// The distinct frames, ascending by full `FrameId` — the
+    /// report-visible en-masse migration order.
+    pub fn frames(&self) -> &[FrameId] {
+        &self.frames
     }
 
-    /// Number of distinct frames.
-    pub fn len(&self) -> usize {
-        self.table.len()
-    }
-
-    /// Whether no frames are tracked.
-    pub fn is_empty(&self) -> bool {
-        self.table.len() == 0
-    }
-
-    /// Visits every (frame, refcount) in slot order (deterministic,
-    /// unordered — for tallies and residency counts only).
+    /// Visits every (frame, refcount), ascending by full `FrameId`.
     pub fn for_each(&self, mut f: impl FnMut(FrameId, u32)) {
-        self.table
-            .for_each(|k, v| f(FrameId(k), u32::try_from(v).unwrap_or(u32::MAX)));
-    }
-
-    /// Replaces `out` with the frames ascending by full `FrameId` — the
-    /// order the old `BTreeMap` iterated in, which is report-visible
-    /// (en-masse migration order). Sorting by full id matters: a frame's
-    /// generation bits can invert slot order.
-    pub fn collect_sorted(&self, out: &mut Vec<FrameId>) {
-        out.clear();
-        out.reserve(self.table.len());
-        self.table.for_each(|k, _| out.push(FrameId(k)));
-        out.sort_unstable();
+        for (&frame, &rc) in self.frames.iter().zip(&self.counts) {
+            f(frame, rc);
+        }
     }
 }
 
 #[cfg(feature = "ksan")]
 impl FrameRefs {
+    /// Internal-consistency audit: equal vector lengths, frames strictly
+    /// ascending (sorted and distinct), every refcount at least 1.
+    /// Returns an error string naming the first discrepancy.
     pub(crate) fn ksan_check(&self) -> Result<(), String> {
-        self.table.ksan_check()
+        if self.frames.len() != self.counts.len() {
+            return Err(format!(
+                "{} frames but {} refcounts",
+                self.frames.len(),
+                self.counts.len()
+            ));
+        }
+        if let Some(w) = self.frames.windows(2).find(|w| w[0] >= w[1]) {
+            return Err(format!("frame {} not below its successor {}", w[0], w[1]));
+        }
+        if let Some(i) = self.counts.iter().position(|&rc| rc == 0) {
+            return Err(format!("frame {} has refcount 0", self.frames[i]));
+        }
+        Ok(())
     }
 
-    /// Injects one phantom reference to `frame`, desyncing the frame
-    /// set from the member tables. Corruption hook for self-tests.
-    #[doc(hidden)]
-    pub fn ksan_break_phantom_ref(&mut self, frame: FrameId) {
-        self.add(frame);
+    /// Appends `frame` past the tail with refcount 1, regardless of
+    /// order. Corruption hook for self-tests.
+    pub(crate) fn ksan_break_order(&mut self, frame: FrameId) {
+        self.frames.push(frame);
+        self.counts.push(1);
     }
 }
 
@@ -464,54 +386,20 @@ mod tests {
         assert!(r.add(FrameId(7)));
         assert!(!r.add(FrameId(7)));
         assert!(r.add(FrameId(8)));
-        assert_eq!(r.count(FrameId(7)), 2);
-        assert_eq!(r.len(), 2);
+        assert_eq!(r.frames(), [FrameId(7), FrameId(8)]);
         assert!(!r.unref(FrameId(7)));
         assert!(r.unref(FrameId(7)));
         assert!(!r.unref(FrameId(7)), "already dropped");
-        let mut out = Vec::new();
-        r.collect_sorted(&mut out);
-        assert_eq!(out, vec![FrameId(8)]);
-    }
-
-    #[test]
-    fn refcount_churn_through_tombstones() {
-        let mut r = FrameRefs::default();
-        // Repeated add/unref cycles leave tombstones; counts must stay
-        // exact and the table must keep terminating probes.
-        for round in 0..200u64 {
-            let f = FrameId(round % 16);
-            assert!(r.add(f) || r.count(f) > 1);
-            if round % 3 == 0 {
-                r.unref(f);
-            }
-        }
-        let mut total = 0u64;
-        r.for_each(|_, rc| total += u64::from(rc));
-        assert_eq!(total, 200 - 67);
-    }
-
-    #[test]
-    fn collect_sorted_orders_by_full_id_not_slot() {
-        let mut r = FrameRefs::default();
-        // Same slot (low 32 bits), different generations: full-id order
-        // disagrees with insertion and slot order.
-        let gen1 = FrameId((1 << 32) | 5);
-        let gen0 = FrameId(5);
-        r.add(gen1);
-        r.add(gen0);
-        let mut out = Vec::new();
-        r.collect_sorted(&mut out);
-        assert_eq!(out, vec![gen0, gen1]);
+        assert_eq!(r.frames(), [FrameId(8)]);
     }
 
     #[test]
     fn tables_start_unallocated() {
         let m = MemberMap::default();
-        assert_eq!(m.table.slots.capacity(), 0, "empty knodes cost nothing");
+        assert_eq!(m.slots.capacity(), 0, "empty knodes cost nothing");
         assert_eq!(m.get(ObjectId(3)), None);
         let mut r = FrameRefs::default();
+        assert_eq!(r.frames.capacity(), 0);
         assert!(!r.unref(FrameId(3)));
-        assert_eq!(r.count(FrameId(3)), 0);
     }
 }

@@ -456,58 +456,60 @@ impl KlocRegistry {
         let Some(k) = self.kmap.get(inode) else {
             return (0, 0);
         };
-        let staged = k.member_frame_count() as u64;
+        let staged = k.member_frames().len() as u64;
         let demoting = to != TierId::FAST;
         let epoch = self.promotion_epoch + self.extern_demotions;
+        let max_migrations = self.config.max_migrations;
         if demoting {
             // A settled walk left nothing movable toward `to`; a repeat
             // walk charges exactly the memoized ping-pong skips and
             // moves nothing, so answer it without re-probing frames.
             if let Some((cached_to, skips, cached_epoch)) = k.enmasse_cache() {
                 if cached_to == to && cached_epoch == epoch {
+                    #[cfg(feature = "ksan")]
+                    ksan_check_memo(k, mem, "enmasse_cache", max_pages, skips, |f| {
+                        (f.tier != to && !f.pinned).then_some(f.migrations < max_migrations)
+                    });
                     self.stats.pingpong_skips += skips;
                     return (staged, 0);
                 }
             }
         }
-        let max_migrations = self.config.max_migrations;
         let mut pingpong_skips = 0;
         let mut moved = 0;
         let mut settled = true;
         let mut promoted_shared = false;
-        k.with_member_frames(|frames| {
-            for &frame in frames {
-                if moved >= max_pages {
-                    // Budget break: movable frames may remain.
-                    settled = false;
-                    break;
-                }
-                // Tier-only probe first: frames already on the target
-                // tier (the bulk of a re-walked knode) cost one column
-                // read, not the full meta materialization.
-                match mem.tier_if_live(frame) {
-                    Some(t) if t != to => {}
-                    _ => continue,
-                }
-                let Some(f) = mem.frame_meta(frame) else {
-                    continue;
-                };
-                if f.pinned {
-                    continue;
-                }
-                if demoting && f.migrations >= max_migrations {
-                    pingpong_skips += 1;
-                    continue;
-                }
-                if mem.migrate(frame, to).is_ok() {
-                    moved += 1;
-                    promoted_shared |= !demoting && frame_is_shared(f.kind);
-                } else {
-                    // The frame stays movable; the walk is not settled.
-                    settled = false;
-                }
+        for &frame in k.member_frames() {
+            if moved >= max_pages {
+                // Budget break: movable frames may remain.
+                settled = false;
+                break;
             }
-        });
+            // Tier-only probe first: frames already on the target
+            // tier (the bulk of a re-walked knode) cost one column
+            // read, not the full meta materialization.
+            match mem.tier_if_live(frame) {
+                Some(t) if t != to => {}
+                _ => continue,
+            }
+            let Some(f) = mem.frame_meta(frame) else {
+                continue;
+            };
+            if f.pinned {
+                continue;
+            }
+            if demoting && f.migrations >= max_migrations {
+                pingpong_skips += 1;
+                continue;
+            }
+            if mem.migrate(frame, to).is_ok() {
+                moved += 1;
+                promoted_shared |= !demoting && frame_is_shared(f.kind);
+            } else {
+                // The frame stays movable; the walk is not settled.
+                settled = false;
+            }
+        }
         if demoting && settled {
             k.set_enmasse_cache(to, pingpong_skips, epoch);
         } else if !demoting && moved > 0 {
@@ -553,55 +555,59 @@ impl KlocRegistry {
         };
         let now = mem.now();
         let epoch = self.promotion_epoch;
+        let max_migrations = self.config.max_migrations;
         // Candidacy only arises by time passing (touches push it later,
         // demotions remove candidates), so a completed walk's bound on
         // the next movable instant short-circuits the common re-walk of
         // an all-hot knode.
         if let Some((key, bound, cached_epoch)) = k.demote_bound() {
             if key == older_than && cached_epoch == epoch && now < bound {
+                #[cfg(feature = "ksan")]
+                ksan_check_memo(k, mem, "demote_bound", max_pages, 0, |f| {
+                    let cold = now.saturating_sub(f.last_access) >= older_than;
+                    (cold && f.tier == TierId::FAST && !f.pinned && f.migrations < max_migrations)
+                        .then_some(true)
+                });
                 return 0;
             }
         }
-        let max_migrations = self.config.max_migrations;
         let mut moved = 0;
         let mut settled = true;
         let mut next_candidacy = u64::MAX;
-        k.with_member_frames(|frames| {
-            for &frame in frames {
-                if moved >= max_pages {
-                    settled = false;
-                    break;
-                }
-                // Recency first: most members of an active knode were
-                // touched within `older_than`, so the common reject
-                // path reads one column. Folding too-recent frames into
-                // the bound regardless of tier keeps it a (conservative)
-                // lower bound on the next movable instant.
-                let Some(last) = mem.last_access_if_live(frame) else {
-                    continue;
-                };
-                if now.saturating_sub(last) < older_than {
-                    next_candidacy =
-                        next_candidacy.min(last.as_nanos().saturating_add(older_than.as_nanos()));
-                    continue;
-                }
-                // Only fast-tier frames are demotion candidates.
-                if mem.tier_if_live(frame) != Some(TierId::FAST) {
-                    continue;
-                }
-                let Some(f) = mem.frame_meta(frame) else {
-                    continue;
-                };
-                if f.pinned || f.migrations >= max_migrations {
-                    continue;
-                }
-                if mem.migrate(frame, TierId::SLOW).is_ok() {
-                    moved += 1;
-                } else {
-                    settled = false;
-                }
+        for &frame in k.member_frames() {
+            if moved >= max_pages {
+                settled = false;
+                break;
             }
-        });
+            // Recency first: most members of an active knode were
+            // touched within `older_than`, so the common reject
+            // path reads one column. Folding too-recent frames into
+            // the bound regardless of tier keeps it a (conservative)
+            // lower bound on the next movable instant.
+            let Some(last) = mem.last_access_if_live(frame) else {
+                continue;
+            };
+            if now.saturating_sub(last) < older_than {
+                next_candidacy =
+                    next_candidacy.min(last.as_nanos().saturating_add(older_than.as_nanos()));
+                continue;
+            }
+            // Only fast-tier frames are demotion candidates.
+            if mem.tier_if_live(frame) != Some(TierId::FAST) {
+                continue;
+            }
+            let Some(f) = mem.frame_meta(frame) else {
+                continue;
+            };
+            if f.pinned || f.migrations >= max_migrations {
+                continue;
+            }
+            if mem.migrate(frame, TierId::SLOW).is_ok() {
+                moved += 1;
+            } else {
+                settled = false;
+            }
+        }
         if settled {
             k.set_demote_bound(older_than, Nanos::new(next_candidacy), epoch);
         }
@@ -629,29 +635,27 @@ impl KlocRegistry {
         let now = mem.now();
         let mut moved = 0;
         let mut promoted_shared = false;
-        k.with_member_frames(|frames| {
-            for &frame in frames {
-                if moved >= max_pages {
-                    break;
-                }
-                // Frames already fast (the bulk of a hot knode) are
-                // rejected on the tier-only probe.
-                match mem.tier_if_live(frame) {
-                    Some(t) if t != TierId::FAST => {}
-                    _ => continue,
-                }
-                let Some(f) = mem.frame_meta(frame) else {
-                    continue;
-                };
-                if !f.pinned
-                    && now.saturating_sub(f.last_access) <= newer_than
-                    && mem.migrate(frame, TierId::FAST).is_ok()
-                {
-                    moved += 1;
-                    promoted_shared |= frame_is_shared(f.kind);
-                }
+        for &frame in k.member_frames() {
+            if moved >= max_pages {
+                break;
             }
-        });
+            // Frames already fast (the bulk of a hot knode) are
+            // rejected on the tier-only probe.
+            match mem.tier_if_live(frame) {
+                Some(t) if t != TierId::FAST => {}
+                _ => continue,
+            }
+            let Some(f) = mem.frame_meta(frame) else {
+                continue;
+            };
+            if !f.pinned
+                && now.saturating_sub(f.last_access) <= newer_than
+                && mem.migrate(frame, TierId::FAST).is_ok()
+            {
+                moved += 1;
+                promoted_shared |= frame_is_shared(f.kind);
+            }
+        }
         if moved > 0 {
             if promoted_shared {
                 // Packed frames are shared with other knodes: every
@@ -680,17 +684,13 @@ impl KlocRegistry {
         kloc_trace::emit(|| {
             let (mut fast, mut slow) = (0u64, 0u64);
             if let Some(k) = self.kmap.get(inode) {
-                // Residency is a pair of sums — order-insensitive, so
-                // the unordered frame-set walk is fine here.
-                k.for_each_member_frame(|frame| {
-                    if let Some(f) = mem.frame_meta(frame) {
-                        if f.tier == TierId::FAST {
-                            fast += 1;
-                        } else {
-                            slow += 1;
-                        }
+                for f in k.member_frames().iter().filter_map(|&f| mem.frame_meta(f)) {
+                    if f.tier == TierId::FAST {
+                        fast += 1;
+                    } else {
+                        slow += 1;
                     }
-                });
+                }
             }
             kloc_trace::Event::KlocMigrate {
                 t: mem.now().as_nanos(),
@@ -710,14 +710,14 @@ impl KlocRegistry {
     pub fn member_frames(&self, inode: InodeId) -> Vec<FrameId> {
         self.kmap
             .get(inode)
-            .map(Knode::member_frames)
+            .map(|k| k.member_frames().to_vec())
             .unwrap_or_default()
     }
 
     /// Number of distinct frames backing members of `inode`'s knode —
     /// O(1), no collection.
     pub fn member_frame_count(&self, inode: InodeId) -> usize {
-        self.kmap.get(inode).map_or(0, Knode::member_frame_count)
+        self.kmap.get(inode).map_or(0, |k| k.member_frames().len())
     }
 }
 
@@ -736,6 +736,46 @@ fn emit_knode_state(inode: InodeId, now: Nanos, state: &'static str) {
         ino: inode.0,
         state: state.to_owned(),
     });
+}
+
+/// KSAN oracle for the migration-walk memos: on a memo hit, re-probes
+/// `k`'s member frames read-only and panics with a violation report
+/// unless the uncached walk would move nothing and charge exactly the
+/// memoized `skips` ping-pong skips. `classify` mirrors the walk's
+/// per-frame decision: `Some(true)` = it would migrate the frame,
+/// `Some(false)` = it would charge a skip, `None` = it passes over it.
+/// Observation only: the memo's answer is still the one returned.
+#[cfg(feature = "ksan")]
+fn ksan_check_memo(
+    k: &Knode,
+    mem: &MemorySystem,
+    memo: &str,
+    max_pages: u64,
+    skips: u64,
+    classify: impl Fn(&kloc_mem::FrameMeta) -> Option<bool>,
+) {
+    let (mut movable, mut walk_skips) = (Vec::new(), 0u64);
+    // With nothing movable, the walk's budget break can only fire before
+    // the first frame.
+    if max_pages > 0 {
+        for &frame in k.member_frames() {
+            match mem.frame_meta(frame).and_then(|f| classify(&f)) {
+                Some(true) => movable.push(frame),
+                Some(false) => walk_skips += 1,
+                None => {}
+            }
+        }
+    }
+    if !movable.is_empty() || walk_skips != skips {
+        let v = kloc_mem::ksan::Violation::new(
+            format!("Knode.{memo} <-> member frames"),
+            format!("{}", k.inode()),
+            "a memo hit answers what the uncached walk would: no move, same ping-pong skips",
+            format!("movable [], skips {skips}"),
+            format!("movable {movable:?}, skips {walk_skips}"),
+        );
+        kloc_mem::ksan::enforce("walk memo oracle", &[v]);
+    }
 }
 
 #[cfg(feature = "ksan")]
@@ -909,6 +949,56 @@ mod tests {
         assert_eq!(moved, 0);
         assert_eq!(r.stats().pingpong_skips, 1);
         assert_eq!(mem.tier_of(f), TierId::FAST, "page retained in fast memory");
+    }
+
+    /// Runs `walk` twice over inode 1, whose members are one page-cache
+    /// frame per tier in `tiers`; between the walks the first frame is
+    /// promoted behind the registry's back (no `note_external_*`), so
+    /// the second walk's memo hit must trip the KSAN oracle.
+    #[cfg(feature = "ksan")]
+    fn walk_around_unannounced_promotion(
+        tiers: &[TierId],
+        walk: impl Fn(&mut KlocRegistry, &mut MemorySystem),
+    ) {
+        let mut mem = MemorySystem::two_tier(64 * PAGE_SIZE, 8);
+        let mut r = KlocRegistry::new(KlocConfig::default());
+        r.inode_created(InodeId(1), CpuId(0), Nanos::ZERO);
+        let i = info(KernelObjectType::PageCache, 1);
+        let frames: Vec<FrameId> = (0u64..)
+            .zip(tiers)
+            .map(|(n, &tier)| {
+                let f = mem.allocate(tier, PageKind::PageCache).unwrap();
+                r.object_allocated(ObjectId(n), &i, f, CpuId(0), Nanos::ZERO);
+                f
+            })
+            .collect();
+        mem.charge(Nanos::from_millis(10));
+        mem.read(frames[tiers.len() - 1], 64);
+        walk(&mut r, &mut mem);
+        if mem.tier_of(frames[0]) != TierId::FAST {
+            mem.migrate(frames[0], TierId::FAST).unwrap();
+        }
+        walk(&mut r, &mut mem);
+    }
+
+    #[cfg(feature = "ksan")]
+    #[test]
+    #[should_panic(expected = "Knode.enmasse_cache <-> member frames")]
+    fn unannounced_promotion_trips_the_enmasse_memo_oracle() {
+        walk_around_unannounced_promotion(&[TierId::FAST], |r, mem| {
+            r.migrate_knode(InodeId(1), mem, TierId::SLOW);
+        });
+    }
+
+    #[cfg(feature = "ksan")]
+    #[test]
+    #[should_panic(expected = "Knode.demote_bound <-> member frames")]
+    fn unannounced_promotion_trips_the_demote_memo_oracle() {
+        // The cold frame starts on slow memory, so only the hot one
+        // bounds the next candidacy (at ~15 ms).
+        walk_around_unannounced_promotion(&[TierId::SLOW, TierId::FAST], |r, mem| {
+            r.demote_cold_members(InodeId(1), mem, Nanos::from_millis(5), 8);
+        });
     }
 
     #[test]

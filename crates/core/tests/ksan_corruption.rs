@@ -1,6 +1,7 @@
 //! Corruption-injection tests for the KLOC-layer sanitizer: desync the
-//! kmap's activation indexes, a knode's epoch, and its frame refcounts,
-//! and assert the audit reports the specific structure pair.
+//! kmap's activation indexes, a knode's epoch, its frame refcounts and
+//! its frame order, and assert the audit reports the specific structure
+//! pair.
 //!
 //! Gated on the `ksan` feature (see `[[test]]` in Cargo.toml); run with
 //! `cargo test -p kloc-core --features ksan`.
@@ -131,24 +132,22 @@ fn member_table_live_count_skew_is_caught() {
 }
 
 #[test]
-fn stale_sorted_frame_cache_is_caught() {
+fn unsorted_frame_set_is_caught() {
     use kloc_kernel::{KernelObjectType, ObjectId};
     use kloc_mem::FrameId;
     let mut kmap = Kmap::new();
     let mut knode = Knode::new(InodeId(8), Nanos::ZERO);
     knode.add_obj(ObjectId(1), KernelObjectType::Dentry, FrameId(5));
-    // Populate the lazily derived sorted-frame view so the planted
-    // entry desyncs an otherwise-clean cache.
-    knode.member_frames();
+    knode.add_obj(ObjectId(2), KernelObjectType::PageCache, FrameId(3));
     kmap.map_knode(knode);
     assert_eq!(audited(&kmap), vec![]);
-    kmap.with_knode_mut(InodeId(8), |k, _| k.ksan_break_frame_cache());
+    kmap.with_knode_mut(InodeId(8), |k, _| k.ksan_break_frame_order());
     let out = audited(&kmap);
     assert!(
-        out.iter().any(
-            |v| v.structures == "Knode.sorted_frames cache <-> Knode.frames"
+        out.iter()
+            .any(|v| v.structures == "Knode.frames order <-> refcounts"
                 && v.object == "inode8"
-        ),
+                && v.actual.contains("not below its successor")),
         "{out:#?}"
     );
 }

@@ -62,3 +62,32 @@ fn audited_run_report_matches_unaudited_semantics() {
     let b = run(&cfg(WorkloadKind::RocksDb, PolicyKind::Kloc)).unwrap();
     assert_eq!(a, b);
 }
+
+#[test]
+fn fast_offline_window_passes_audits_and_memo_oracles() {
+    // With `kfault`, a FAST `Offline` window makes the engine drain fast
+    // frames to slow behind the registry's walks, so the walk-memo
+    // oracles see migrations they did not make (without it the plan is
+    // inert).
+    use kloc_mem::{FaultPlan, Nanos, TierFaultKind, TierId};
+    for workload in [WorkloadKind::RocksDb, WorkloadKind::Redis] {
+        let plain = run(&cfg(workload, PolicyKind::Kloc)).unwrap();
+        let horizon = (plain.setup_time + plain.elapsed).as_nanos();
+        let at = |eighths: u64| Nanos::new(horizon * eighths / 8);
+        let plan = FaultPlan::new().with_tier_fault(
+            TierId::FAST,
+            TierFaultKind::Offline,
+            at(3),
+            Some(at(5)),
+        );
+        let r = run(&RunConfig {
+            faults: Some(plan),
+            ..cfg(workload, PolicyKind::Kloc)
+        })
+        .unwrap();
+        assert_eq!(r.ops, Scale::tiny().ops, "{workload:?}");
+        if cfg!(feature = "kfault") {
+            assert_ne!(r.migrations, plain.migrations, "{workload:?}: no drain");
+        }
+    }
+}
