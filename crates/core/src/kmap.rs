@@ -269,6 +269,15 @@ impl Kmap {
         self.index_get(inode).map(|slot| self.at(slot))
     }
 
+    /// The knode in `slot`, mutably, *without* the index repair of
+    /// [`Kmap::with_knode_mut_at`]: for the registry's member walks and
+    /// wake-log drains, which touch only frame bookkeeping, never
+    /// activation state or age. `None` for a free slot.
+    #[inline]
+    pub(crate) fn knode_at_mut(&mut self, slot: u32) -> Option<&mut Knode> {
+        self.slots.get_mut(slot as usize)?.as_mut()
+    }
+
     /// LRU age of `inode`'s knode at the current epoch.
     pub fn age_of(&self, inode: InodeId) -> Option<u32> {
         self.get(inode).map(|k| k.age_at(self.epoch))

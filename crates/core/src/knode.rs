@@ -233,6 +233,19 @@ impl Knode {
         self.frames.frames()
     }
 
+    /// The member frame set with its per-entry parked bits, for the
+    /// member walks (see the park invariant at
+    /// [`crate::members::FrameRefs`]).
+    pub(crate) fn frame_refs_mut(&mut self) -> &mut FrameRefs {
+        &mut self.frames
+    }
+
+    /// Number of parked member frames.
+    #[cfg(test)]
+    pub(crate) fn parked_count(&self) -> usize {
+        self.frames.parked()
+    }
+
     /// Drops both migration-walk memoizations. Called whenever the
     /// distinct frame set changes or member frames gain fast-tier
     /// residency outside a demotion walk's own bookkeeping.
@@ -352,6 +365,18 @@ impl Knode {
     #[doc(hidden)]
     pub fn ksan_break_frame_order(&mut self) {
         self.frames.ksan_break_order(FrameId(0));
+    }
+
+    /// The parked member frames, ascending by full `FrameId`.
+    pub(crate) fn parked_frames(&self) -> impl Iterator<Item = FrameId> + '_ {
+        self.frames.parked_frames()
+    }
+
+    /// Corruption hook for sanitizer self-tests: parks `frame`'s entry
+    /// without checking or watching the frame.
+    #[doc(hidden)]
+    pub fn ksan_park_frame(&mut self, frame: FrameId) {
+        self.frames.ksan_park(frame);
     }
 
     /// Test-only wrapper over the crate-private inuse transition so

@@ -27,6 +27,9 @@
 //! frame set changes between most walks. It is therefore kept sorted
 //! *incrementally*: one ascending frame vector plus a parallel refcount
 //! vector, so the walks iterate it in place and nothing is re-sorted.
+//! Each refcount word also carries the entry's *parked* bit, which lets
+//! the member-granular walks skip frames they cannot move (see the park
+//! invariant at [`FrameRefs`]).
 
 use kloc_kernel::ObjectId;
 use kloc_mem::FrameId;
@@ -237,16 +240,56 @@ impl MemberMap {
     }
 }
 
+/// One entry's refcount word. The top bit marks the entry *parked*
+/// (see the park invariant at [`FrameRefs`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct RefWord(u32);
+
+impl RefWord {
+    const PARKED: u32 = 1 << 31;
+
+    /// The reference count, without the parked bit.
+    fn count(self) -> u32 {
+        self.0 & !Self::PARKED
+    }
+
+    /// Whether member walks skip this entry.
+    pub(crate) fn parked(self) -> bool {
+        self.0 & Self::PARKED != 0
+    }
+
+    /// Marks the entry parked; the caller has established the park
+    /// invariant.
+    pub(crate) fn park(&mut self) {
+        self.0 |= Self::PARKED;
+    }
+}
+
 /// Refcounted set of distinct frames backing a knode's members
 /// (several slab objects can share one frame): one vector of frames
-/// ascending by full `FrameId` plus a parallel vector of refcounts.
-/// Full-id order matters: a frame's generation bits can invert slot
-/// order. `add` appends a frame that sorts last; otherwise it and
+/// ascending by full `FrameId` plus a parallel vector of refcount
+/// words. Full-id order matters: a frame's generation bits can invert
+/// slot order. `add` appends a frame that sorts last; otherwise it and
 /// `unref` binary-search and shift the tail.
+///
+/// The top bit of an entry's refcount word marks it *parked*: member
+/// walks skip it without probing the memory system.
+///
+/// **The park invariant.** A parked entry whose frame is still live is
+/// slow-resident, idle beyond every member window, and watched (see
+/// `kloc_mem::MemorySystem::watch`) with its knode's kmap slot as the
+/// tag. Every member walk is then a no-op on it: demotion moves only
+/// fast-tier frames, and promotion only frames touched within its
+/// window. The invariant holds once the memory system's wake log is
+/// drained, because any touch or migration of a watched frame logs a
+/// wake and clears the watch, and draining unparks each woken entry.
+/// A dead frame stays a no-op for every walk. The registry parks only
+/// frames of single-owner kinds, so one tag names every knode that
+/// holds the frame.
 #[derive(Debug, Clone, Default)]
 pub struct FrameRefs {
     frames: Vec<FrameId>,
-    counts: Vec<u32>,
+    counts: Vec<RefWord>,
 }
 
 impl FrameRefs {
@@ -254,17 +297,17 @@ impl FrameRefs {
     pub fn add(&mut self, frame: FrameId) -> bool {
         if self.frames.last().is_none_or(|&last| last < frame) {
             self.frames.push(frame);
-            self.counts.push(1);
+            self.counts.push(RefWord(1));
             return true;
         }
         match self.frames.binary_search(&frame) {
             Ok(i) => {
-                self.counts[i] += 1;
+                self.counts[i].0 += 1;
                 false
             }
             Err(i) => {
                 self.frames.insert(i, frame);
-                self.counts.insert(i, 1);
+                self.counts.insert(i, RefWord(1));
                 true
             }
         }
@@ -276,8 +319,8 @@ impl FrameRefs {
         let Ok(i) = self.frames.binary_search(&frame) else {
             return false;
         };
-        if self.counts[i] > 1 {
-            self.counts[i] -= 1;
+        if self.counts[i].count() > 1 {
+            self.counts[i].0 -= 1;
             return false;
         }
         self.frames.remove(i);
@@ -294,8 +337,27 @@ impl FrameRefs {
     /// Visits every (frame, refcount), ascending by full `FrameId`.
     pub fn for_each(&self, mut f: impl FnMut(FrameId, u32)) {
         for (&frame, &rc) in self.frames.iter().zip(&self.counts) {
-            f(frame, rc);
+            f(frame, rc.count());
         }
+    }
+
+    /// Every (frame, refcount word) ascending by full `FrameId`, with
+    /// the words mutable so a member walk can park entries in place.
+    pub(crate) fn entries_mut(&mut self) -> impl Iterator<Item = (FrameId, &mut RefWord)> {
+        self.frames.iter().copied().zip(self.counts.iter_mut())
+    }
+
+    /// Clears `frame`'s parked bit if it is tracked.
+    pub(crate) fn unpark(&mut self, frame: FrameId) {
+        if let Ok(i) = self.frames.binary_search(&frame) {
+            self.counts[i].0 &= !RefWord::PARKED;
+        }
+    }
+
+    /// Number of parked entries.
+    #[cfg(test)]
+    pub(crate) fn parked(&self) -> usize {
+        self.counts.iter().filter(|rc| rc.parked()).count()
     }
 }
 
@@ -315,17 +377,35 @@ impl FrameRefs {
         if let Some(w) = self.frames.windows(2).find(|w| w[0] >= w[1]) {
             return Err(format!("frame {} not below its successor {}", w[0], w[1]));
         }
-        if let Some(i) = self.counts.iter().position(|&rc| rc == 0) {
+        if let Some(i) = self.counts.iter().position(|&rc| rc.count() == 0) {
             return Err(format!("frame {} has refcount 0", self.frames[i]));
         }
         Ok(())
+    }
+
+    /// Parked frames, ascending by full `FrameId` (the park-invariant
+    /// oracle re-probes them).
+    pub(crate) fn parked_frames(&self) -> impl Iterator<Item = FrameId> + '_ {
+        self.frames
+            .iter()
+            .zip(&self.counts)
+            .filter(|(_, rc)| rc.parked())
+            .map(|(&frame, _)| frame)
     }
 
     /// Appends `frame` past the tail with refcount 1, regardless of
     /// order. Corruption hook for self-tests.
     pub(crate) fn ksan_break_order(&mut self, frame: FrameId) {
         self.frames.push(frame);
-        self.counts.push(1);
+        self.counts.push(RefWord(1));
+    }
+
+    /// Parks `frame`'s entry without establishing the park invariant.
+    /// Corruption hook for self-tests.
+    pub(crate) fn ksan_park(&mut self, frame: FrameId) {
+        if let Ok(i) = self.frames.binary_search(&frame) {
+            self.counts[i].park();
+        }
     }
 }
 
@@ -391,6 +471,30 @@ mod tests {
         assert!(r.unref(FrameId(7)));
         assert!(!r.unref(FrameId(7)), "already dropped");
         assert_eq!(r.frames(), [FrameId(8)]);
+    }
+
+    #[test]
+    fn parked_bit_survives_refcount_changes() {
+        let mut r = FrameRefs::default();
+        r.add(FrameId(7));
+        r.add(FrameId(9));
+        for (frame, rc) in r.entries_mut() {
+            if frame == FrameId(7) {
+                rc.park();
+            }
+        }
+        assert_eq!(r.parked(), 1);
+        assert!(!r.add(FrameId(7)));
+        let mut counts = Vec::new();
+        r.for_each(|f, rc| counts.push((f, rc)));
+        assert_eq!(counts, vec![(FrameId(7), 2), (FrameId(9), 1)], "bit hidden");
+        assert!(!r.unref(FrameId(7)), "one reference left");
+        assert_eq!(r.parked(), 1);
+        r.unpark(FrameId(7));
+        r.unpark(FrameId(8));
+        assert_eq!(r.parked(), 0);
+        assert!(r.unref(FrameId(7)));
+        assert_eq!(r.frames(), [FrameId(9)]);
     }
 
     #[test]

@@ -15,6 +15,16 @@
 //! the knode's cached sorted view (ascending full `FrameId`, since the
 //! en-masse migration order is report-visible) — the per-touch paths
 //! never pay for that ordering, and the walks copy nothing.
+//!
+//! The member-granular walks also skip *parked* members: cold
+//! slow-tier frames that no member walk can move (see the park
+//! invariant at [`crate::members::FrameRefs`]). The demotion walk parks
+//! them and asks the memory system to watch them; each walk first
+//! drains the memory system's wake log and unparks every woken frame.
+//! A walk thus costs O(unparked members) plus the wakes since the last
+//! walk, instead of O(all members) — the wake signal comes from the
+//! memory system, so DMA stamps and foreign migrations wake members
+//! that no registry hook ever sees.
 
 use std::collections::BTreeSet;
 
@@ -93,6 +103,9 @@ pub struct KlocStats {
 #[derive(Debug)]
 pub struct KlocRegistry {
     config: KlocConfig,
+    /// `config.included` as a bitmask over `KernelObjectType`
+    /// discriminants, so the per-hook inclusion test is one AND.
+    included: u32,
     kmap: Kmap,
     percpu: PerCpuKnodeLists,
     stats: KlocStats,
@@ -116,13 +129,26 @@ pub struct KlocRegistry {
     /// [`TenantId::index`] — the shared-inode / shared-socket
     /// attribution signal of the multi-tenant model.
     shared_accesses: Vec<u64>,
+    /// The shortest demotion window that has parked a member. Every
+    /// parked frame was idle at least this long when parked, so a
+    /// promotion window below it can never want a parked frame.
+    park_window: Nanos,
+    /// Diagnostic probe: members parked so far. Not part of any report
+    /// (like [`Kmap::knodes_examined`]); tests use it to prove parking
+    /// fires.
+    parks: u64,
 }
 
 impl KlocRegistry {
     /// Creates a registry with the given configuration.
     pub fn new(config: KlocConfig) -> Self {
         let percpu = PerCpuKnodeLists::new(config.cpus.max(1), config.percpu_capacity.max(1));
+        let included = config
+            .included
+            .iter()
+            .fold(0u32, |mask, &ty| mask | type_bit(ty));
         KlocRegistry {
+            included,
             percpu,
             kmap: Kmap::new(),
             stats: KlocStats::default(),
@@ -130,6 +156,8 @@ impl KlocRegistry {
             extern_demotions: 0,
             owners: Vec::new(),
             shared_accesses: Vec::new(),
+            park_window: Nanos::new(u64::MAX),
+            parks: 0,
             config,
         }
     }
@@ -155,8 +183,15 @@ impl KlocRegistry {
     }
 
     /// Whether `ty` participates in KLOC management.
+    #[inline]
     pub fn includes(&self, ty: KernelObjectType) -> bool {
-        self.config.included.contains(&ty)
+        self.included & type_bit(ty) != 0
+    }
+
+    /// Members parked by the demotion walks so far (diagnostic; see the
+    /// field doc).
+    pub fn parks(&self) -> u64 {
+        self.parks
     }
 
     // ------------------------------------------------------------------
@@ -322,18 +357,18 @@ impl KlocRegistry {
         tenant: TenantId,
         now: Nanos,
     ) {
-        if self.config.enabled && self.includes(info.ty) {
-            if let Some(inode) = info.inode {
-                if self.knode_owner(inode) != tenant {
-                    let i = tenant.index();
-                    if i >= self.shared_accesses.len() {
-                        self.shared_accesses.resize(i + 1, 0);
-                    }
-                    self.shared_accesses[i] += 1;
-                }
-            }
+        if !self.config.enabled || !self.includes(info.ty) {
+            return;
         }
-        self.object_accessed(info, cpu, now);
+        let Some(inode) = info.inode else { return };
+        if self.knode_owner(inode) != tenant {
+            let i = tenant.index();
+            if i >= self.shared_accesses.len() {
+                self.shared_accesses.resize(i + 1, 0);
+            }
+            self.shared_accesses[i] += 1;
+        }
+        self.knode_event(cpu, inode, |k, epoch| k.touch_at(cpu, now, epoch));
     }
 
     /// Hot-path knode mutation: per-CPU list first, then a counted kmap
@@ -550,9 +585,15 @@ impl KlocRegistry {
         older_than: Nanos,
         max_pages: u64,
     ) -> u64 {
-        let Some(k) = self.kmap.get(inode) else {
+        self.unpark_woken(mem);
+        let Some(slot) = self.kmap.slot_of(inode) else {
             return 0;
         };
+        let Some(k) = self.kmap.knode_at_mut(slot) else {
+            return 0;
+        };
+        #[cfg(feature = "ksan")]
+        ksan_check_parked(k, slot, mem, self.park_window);
         let now = mem.now();
         let epoch = self.promotion_epoch;
         let max_migrations = self.config.max_migrations;
@@ -574,10 +615,18 @@ impl KlocRegistry {
         let mut moved = 0;
         let mut settled = true;
         let mut next_candidacy = u64::MAX;
-        for &frame in k.member_frames() {
+        let mut parked = 0;
+        for (frame, word) in k.frame_refs_mut().entries_mut() {
             if moved >= max_pages {
                 settled = false;
                 break;
+            }
+            // Parked members are slow-resident, so never candidates;
+            // leaving them out of the bound keeps it a lower bound,
+            // since only a promotion can make them candidates again
+            // and every promotion route invalidates the bound.
+            if word.parked() {
+                continue;
             }
             // Recency first: most members of an active knode were
             // touched within `older_than`, so the common reject
@@ -592,8 +641,18 @@ impl KlocRegistry {
                     next_candidacy.min(last.as_nanos().saturating_add(older_than.as_nanos()));
                 continue;
             }
-            // Only fast-tier frames are demotion candidates.
+            // Only fast-tier frames are demotion candidates. A cold
+            // single-owner frame elsewhere is parked until the memory
+            // system reports its next touch or migration.
             if mem.tier_if_live(frame) != Some(TierId::FAST) {
+                if mem
+                    .frame_meta(frame)
+                    .is_some_and(|f| !frame_is_shared(f.kind))
+                    && mem.watch(frame, slot)
+                {
+                    word.park();
+                    parked += 1;
+                }
                 continue;
             }
             let Some(f) = mem.frame_meta(frame) else {
@@ -611,6 +670,10 @@ impl KlocRegistry {
         if settled {
             k.set_demote_bound(older_than, Nanos::new(next_candidacy), epoch);
         }
+        if parked > 0 {
+            self.parks += parked;
+            self.park_window = self.park_window.min(older_than);
+        }
         if moved > 0 {
             self.stats.pages_demoted += moved;
             self.emit_kloc_migrate(inode, mem, "demote", "members", moved);
@@ -622,6 +685,10 @@ impl KlocRegistry {
     /// `newer_than` but reside in slow memory — per-page hotness through
     /// the knode shortcut (the paper's slow-to-fast "retrieval" path,
     /// 4-12 % of migrations, §4.4). Returns pages moved.
+    ///
+    /// # Panics
+    /// Panics if `newer_than` is not shorter than every demotion window
+    /// that parked a member: a parked member must never be hot.
     pub fn promote_hot_members(
         &mut self,
         inode: InodeId,
@@ -629,15 +696,32 @@ impl KlocRegistry {
         newer_than: Nanos,
         max_pages: u64,
     ) -> u64 {
-        let Some(k) = self.kmap.get(inode) else {
+        assert!(
+            newer_than < self.park_window,
+            "promotion window {newer_than} must be shorter than the demotion window {} \
+             that parked members",
+            self.park_window
+        );
+        self.unpark_woken(mem);
+        let Some(slot) = self.kmap.slot_of(inode) else {
             return 0;
         };
+        let Some(k) = self.kmap.knode_at_mut(slot) else {
+            return 0;
+        };
+        #[cfg(feature = "ksan")]
+        ksan_check_parked(k, slot, mem, self.park_window);
         let now = mem.now();
         let mut moved = 0;
         let mut promoted_shared = false;
-        for &frame in k.member_frames() {
+        for (frame, word) in k.frame_refs_mut().entries_mut() {
             if moved >= max_pages {
                 break;
+            }
+            // Parked members are slow-resident but idle beyond this
+            // window, so never promoted.
+            if word.parked() {
+                continue;
             }
             // Frames already fast (the bulk of a hot knode) are
             // rejected on the tier-only probe.
@@ -668,6 +752,19 @@ impl KlocRegistry {
             self.emit_kloc_migrate(inode, mem, "promote", "members", moved);
         }
         moved
+    }
+
+    /// Drains the memory system's wake log, unparking every woken
+    /// member: each entry names a watched frame that was touched or
+    /// migrated, tagged with the kmap slot of the knode that parked it.
+    /// A slot recycled since is harmless — its knode either does not
+    /// hold the frame or parked it under the same tag.
+    fn unpark_woken(&mut self, mem: &mut MemorySystem) {
+        for (frame, slot) in mem.drain_wakes() {
+            if let Some(k) = self.kmap.knode_at_mut(slot) {
+                k.frame_refs_mut().unpark(frame);
+            }
+        }
     }
 
     /// Emits a `kloc_migrate` decision event carrying the epoch evidence
@@ -719,6 +816,11 @@ impl KlocRegistry {
     pub fn member_frame_count(&self, inode: InodeId) -> usize {
         self.kmap.get(inode).map_or(0, |k| k.member_frames().len())
     }
+}
+
+/// `ty`'s bit in [`KlocRegistry::included`].
+fn type_bit(ty: KernelObjectType) -> u32 {
+    1 << ty as u32
 }
 
 /// Whether frames of this kind pack objects of several inodes (slab
@@ -775,6 +877,37 @@ fn ksan_check_memo(
             format!("movable {movable:?}, skips {walk_skips}"),
         );
         kloc_mem::ksan::enforce("walk memo oracle", &[v]);
+    }
+}
+
+/// KSAN oracle for parked members, run by each member walk right after
+/// it drains the wake log: re-probes `k`'s parked entries read-only and
+/// panics with a violation report unless every live one is
+/// slow-resident, idle at least `park_window`, and watched under the
+/// knode's kmap `slot` — the park invariant that makes skipping it a
+/// no-op.
+#[cfg(feature = "ksan")]
+fn ksan_check_parked(k: &Knode, slot: u32, mem: &MemorySystem, park_window: Nanos) {
+    let now = mem.now();
+    let broken: Vec<String> = k
+        .parked_frames()
+        .filter_map(|frame| {
+            let f = mem.frame_meta(frame)?;
+            let tag = mem.watch_tag(frame);
+            let idle = now.saturating_sub(f.last_access);
+            (f.tier == TierId::FAST || idle < park_window || tag != Some(slot))
+                .then(|| format!("{frame}: {} idle {idle} watch {tag:?}", f.tier))
+        })
+        .collect();
+    if !broken.is_empty() {
+        let v = kloc_mem::ksan::Violation::new(
+            "Knode.parked <-> member frames",
+            format!("{}", k.inode()),
+            "a parked live member is slow-resident, idle beyond every member window, and watched with its knode's slot",
+            format!("not fast, idle >= {park_window}, watch Some({slot})"),
+            broken.join("; "),
+        );
+        kloc_mem::ksan::enforce("park invariant oracle", &[v]);
     }
 }
 
@@ -999,6 +1132,77 @@ mod tests {
         walk_around_unannounced_promotion(&[TierId::SLOW, TierId::FAST], |r, mem| {
             r.demote_cold_members(InodeId(1), mem, Nanos::from_millis(5), 8);
         });
+    }
+
+    /// Inode 1 with one page-cache member per tier in `tiers`, all last
+    /// touched at time 0, then 20 ms of idle time.
+    fn idle_members(tiers: &[TierId]) -> (KlocRegistry, MemorySystem, Vec<FrameId>) {
+        let mut mem = MemorySystem::two_tier(64 * PAGE_SIZE, 8);
+        let mut r = KlocRegistry::new(KlocConfig::default());
+        r.inode_created(InodeId(1), CpuId(0), Nanos::ZERO);
+        let i = info(KernelObjectType::PageCache, 1);
+        let frames = (0u64..)
+            .zip(tiers)
+            .map(|(n, &tier)| {
+                let f = mem.allocate(tier, PageKind::PageCache).unwrap();
+                r.object_allocated(ObjectId(n), &i, f, CpuId(0), Nanos::ZERO);
+                f
+            })
+            .collect();
+        mem.charge(Nanos::from_millis(20));
+        (r, mem, frames)
+    }
+
+    #[test]
+    fn cold_slow_members_park_until_the_memory_system_wakes_them() {
+        let (mut r, mut mem, frames) = idle_members(&[TierId::SLOW, TierId::SLOW, TierId::FAST]);
+        let slot = r.kmap().slot_of(InodeId(1)).unwrap();
+        let idle = Nanos::from_millis(15);
+        assert_eq!(r.demote_cold_members(InodeId(1), &mut mem, idle, 8), 1);
+        assert_eq!(r.parks(), 2, "both cold slow members parked");
+        assert_eq!(mem.watch_tag(frames[0]), Some(slot));
+        assert_eq!(mem.watch_tag(frames[2]), None, "demoted, not parked");
+        assert_eq!(r.kmap().get(InodeId(1)).unwrap().parked_count(), 2);
+        // A touch wakes frame 0; the next walk unparks and promotes it.
+        mem.read(frames[0], 64);
+        assert_eq!(mem.watch_tag(frames[0]), None);
+        let hot = Nanos::from_millis(2);
+        assert_eq!(r.promote_hot_members(InodeId(1), &mut mem, hot, 8), 1);
+        assert_eq!(mem.tier_of(frames[0]), TierId::FAST);
+        assert_eq!(r.kmap().get(InodeId(1)).unwrap().parked_count(), 1);
+        // A foreign migration wakes frame 1 too.
+        mem.migrate(frames[1], TierId::FAST).unwrap();
+        r.promote_hot_members(InodeId(1), &mut mem, hot, 8);
+        assert_eq!(r.kmap().get(InodeId(1)).unwrap().parked_count(), 0);
+        // En-masse walks never skip parked members: frames 1 and 2
+        // (demoted by the first walk) park, frame 0 demotes.
+        mem.migrate(frames[1], TierId::SLOW).unwrap();
+        mem.charge(Nanos::from_millis(20));
+        assert_eq!(r.demote_cold_members(InodeId(1), &mut mem, idle, 8), 1);
+        assert_eq!(r.parks(), 4);
+        assert_eq!(r.migrate_knode(InodeId(1), &mut mem, TierId::FAST), 3);
+    }
+
+    #[test]
+    fn shared_kinds_never_park() {
+        let mut mem = MemorySystem::two_tier(64 * PAGE_SIZE, 8);
+        let mut r = KlocRegistry::new(KlocConfig::default());
+        r.inode_created(InodeId(1), CpuId(0), Nanos::ZERO);
+        let f = mem.allocate(TierId::SLOW, PageKind::KernelVma).unwrap();
+        let i = info(KernelObjectType::Dentry, 1);
+        r.object_allocated(ObjectId(1), &i, f, CpuId(0), Nanos::ZERO);
+        mem.charge(Nanos::from_millis(20));
+        r.demote_cold_members(InodeId(1), &mut mem, Nanos::from_millis(15), 8);
+        assert_eq!(r.parks(), 0);
+        assert_eq!(mem.watch_tag(f), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "must be shorter than the demotion window")]
+    fn promotion_window_must_stay_below_the_park_window() {
+        let (mut r, mut mem, _) = idle_members(&[TierId::SLOW]);
+        r.demote_cold_members(InodeId(1), &mut mem, Nanos::from_millis(15), 8);
+        r.promote_hot_members(InodeId(1), &mut mem, Nanos::from_millis(15), 8);
     }
 
     #[test]

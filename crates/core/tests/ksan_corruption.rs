@@ -1,7 +1,8 @@
 //! Corruption-injection tests for the KLOC-layer sanitizer: desync the
 //! kmap's activation indexes, a knode's epoch, its frame refcounts and
 //! its frame order, and assert the audit reports the specific structure
-//! pair.
+//! pair; park a member that breaks the park invariant and assert the
+//! member walk's oracle catches it.
 //!
 //! Gated on the `ksan` feature (see `[[test]]` in Cargo.toml); run with
 //! `cargo test -p kloc-core --features ksan`.
@@ -188,4 +189,30 @@ fn percpu_entries_are_validated_against_kmap() {
             .any(|v| v.structures == "PerCpuKnodeLists <-> Kmap.index"),
         "{out:#?}"
     );
+}
+
+#[test]
+#[should_panic(expected = "Knode.parked <-> member frames")]
+fn parked_hot_fast_member_trips_the_park_oracle() {
+    use kloc_core::{KlocConfig, KlocRegistry};
+    use kloc_kernel::hooks::CpuId;
+    use kloc_kernel::{KernelObjectType, ObjectId, ObjectInfo};
+    use kloc_mem::{MemorySystem, PageKind, TierId, PAGE_SIZE};
+
+    let mut mem = MemorySystem::two_tier(64 * PAGE_SIZE, 8);
+    let mut reg = KlocRegistry::new(KlocConfig::default());
+    reg.inode_created(InodeId(1), CpuId(0), Nanos::ZERO);
+    let frame = mem.allocate(TierId::FAST, PageKind::PageCache).unwrap();
+    let info = ObjectInfo {
+        ty: KernelObjectType::PageCache,
+        size: KernelObjectType::PageCache.size(),
+        inode: Some(InodeId(1)),
+    };
+    reg.object_allocated(ObjectId(1), &info, frame, CpuId(0), Nanos::ZERO);
+    mem.read(frame, 64);
+    // Parked although hot, fast-resident and unwatched: skipping it
+    // would no longer be a no-op, and the next member walk must say so.
+    reg.ksan_kmap_mut()
+        .with_knode_mut(InodeId(1), |k, _| k.ksan_park_frame(frame));
+    reg.promote_hot_members(InodeId(1), &mut mem, Nanos::from_millis(2), 8);
 }

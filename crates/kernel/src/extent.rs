@@ -7,6 +7,10 @@
 //!
 //! Like [`crate::pagecache::PageCache`], this is a pure data structure —
 //! the kernel facade allocates the extent objects and records them here.
+//!
+//! The tree remembers how many spans from offset 0 are covered without
+//! a gap, so a growing write examines only the spans beyond that prefix:
+//! O(new spans) per write instead of O(file size).
 
 use std::collections::BTreeMap;
 
@@ -17,6 +21,9 @@ use crate::obj::ObjectId;
 pub struct ExtentTree {
     span: u64,
     extents: BTreeMap<u64, ObjectId>,
+    /// Spans `0..covered` are all present: the contiguous covered
+    /// prefix, which `missing_spans` never re-examines.
+    covered: u64,
 }
 
 impl ExtentTree {
@@ -27,6 +34,7 @@ impl ExtentTree {
         ExtentTree {
             span: span.max(1),
             extents: BTreeMap::new(),
+            covered: 0,
         }
     }
 
@@ -46,13 +54,14 @@ impl ExtentTree {
     }
 
     /// Extent start offsets needed to cover a file grown from `old_size`
-    /// to `new_size` bytes, i.e. the spans not yet covered.
+    /// to `new_size` bytes, i.e. the spans not yet covered, ascending.
+    /// Only spans past the covered prefix are examined.
     pub fn missing_spans(&self, new_size: u64) -> Vec<u64> {
         if new_size == 0 {
             return Vec::new();
         }
         let last = (new_size - 1) / self.span;
-        (0..=last)
+        (self.covered..=last)
             .map(|i| i * self.span)
             .filter(|start| !self.extents.contains_key(start))
             .collect()
@@ -66,6 +75,13 @@ impl ExtentTree {
         debug_assert_eq!(start % self.span, 0, "extent start must be span-aligned");
         let prev = self.extents.insert(start, obj);
         assert!(prev.is_none(), "span at {start} already covered");
+        if start == self.covered * self.span {
+            // Closing the gap at the prefix's end may join spans that
+            // were inserted out of order beyond it.
+            while self.extents.contains_key(&(self.covered * self.span)) {
+                self.covered += 1;
+            }
+        }
     }
 
     /// The extent object covering byte `offset`, if any. Lookups cost one
@@ -79,6 +95,7 @@ impl ExtentTree {
     pub fn drain(&mut self) -> Vec<ObjectId> {
         let objs = self.extents.values().copied().collect();
         self.extents.clear();
+        self.covered = 0;
         objs
     }
 }

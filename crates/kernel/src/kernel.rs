@@ -63,6 +63,10 @@ pub struct Kernel {
     prefetched: FrameSet,
     /// What has actually reached the disk (crash-recovery model).
     durable: DurableStore,
+    /// Complete records in `durable.journal`, counted as
+    /// [`Kernel::commit_journal`] pushes them, so `fsync` reads its
+    /// promise off this instead of recounting the whole journal.
+    complete_records: usize,
     /// What successful `fsync` calls have promised is durable.
     promise: Promise,
     stats: KernelStats,
@@ -95,6 +99,7 @@ impl Kernel {
             dirty_list: VecDeque::new(),
             prefetched: FrameSet::new(),
             durable: DurableStore::default(),
+            complete_records: 0,
             promise: Promise::default(),
             stats: KernelStats::default(),
             net_stats: NetStats::default(),
@@ -451,7 +456,7 @@ impl Kernel {
         // more = a torn record) and the machine dies.
         let commit_idx = self.durable.journal.len() as u64;
         if let Some(after) = ctx.mem.fault_crash_at_commit(commit_idx) {
-            self.durable.journal.push(JournalRecord {
+            self.push_journal_record(JournalRecord {
                 updates,
                 blocks_total,
                 blocks_written: after.min(blocks_total),
@@ -470,7 +475,7 @@ impl Kernel {
             spec.blocks as u64 * kloc_mem::PAGE_SIZE,
             IoPattern::Sequential,
         );
-        self.durable.journal.push(JournalRecord {
+        self.push_journal_record(JournalRecord {
             updates,
             blocks_total,
             blocks_written: blocks_total,
@@ -488,6 +493,13 @@ impl Kernel {
             self.free_object(ctx, b)?;
         }
         Ok(())
+    }
+
+    /// Appends a record to the durable journal, counting it when every
+    /// block reached the disk (a torn crash record never counts).
+    fn push_journal_record(&mut self, record: JournalRecord) {
+        self.complete_records += usize::from(record.is_complete());
+        self.durable.journal.push(record);
     }
 
     // ------------------------------------------------------------------
@@ -1067,12 +1079,7 @@ impl Kernel {
             let slot = self.promise.pages.entry(key).or_insert(0);
             *slot = (*slot).max(version);
         }
-        self.promise.committed_records = self
-            .durable
-            .journal
-            .iter()
-            .filter(|r| r.is_complete())
-            .count();
+        self.promise.committed_records = self.complete_records;
         Ok(())
     }
 
@@ -2076,6 +2083,31 @@ mod tests {
         assert_eq!(k.stats().ty(KernelObjectType::JournalBlock).live(), 0);
         // Device went idle.
         assert!(k.disk().busy_until() <= ctx.mem.now());
+    }
+
+    #[test]
+    fn fsync_promise_counts_complete_records() {
+        let (mut mem, mut hooks, mut k) = setup();
+        let mut ctx = Ctx::new(&mut mem, &mut hooks);
+        let recount = |k: &Kernel| {
+            k.durable()
+                .journal
+                .iter()
+                .filter(|r| r.is_complete())
+                .count()
+        };
+        let fd = k.create(&mut ctx, "/f").unwrap();
+        for n in 1..=20u64 {
+            k.write(&mut ctx, fd, (n - 1) * 4096, 4096).unwrap();
+            if n % 3 == 0 {
+                // Commits without an fsync leave the promise behind.
+                k.commit_journal(&mut ctx).unwrap();
+            } else {
+                k.fsync(&mut ctx, fd).unwrap();
+                assert_eq!(k.promise().committed_records, recount(&k), "write {n}");
+            }
+        }
+        assert!(k.durable().journal.len() >= 20);
     }
 
     #[test]

@@ -52,6 +52,38 @@ fn faithful_recovery_of_torn_commit_passes_check() {
 }
 
 #[test]
+fn fsync_after_torn_commit_promises_only_complete_records() {
+    let (mut mem, mut hooks, mut k) = machine();
+    mem.set_fault_plan(FaultPlan::new().with_crash(CrashPoint::Commit {
+        index: 3,
+        after_blocks: 1,
+    }));
+    let mut ctx = Ctx::new(&mut mem, &mut hooks);
+    let recount = |k: &Kernel| {
+        k.durable()
+            .journal
+            .iter()
+            .filter(|r| r.is_complete())
+            .count()
+    };
+    let fd = k.create(&mut ctx, "/a").unwrap();
+    for n in 0..3u64 {
+        k.write(&mut ctx, fd, n * PAGE_SIZE, PAGE_SIZE).unwrap();
+        k.fsync(&mut ctx, fd).unwrap();
+        assert_eq!(k.promise().committed_records, recount(&k));
+    }
+    k.create(&mut ctx, "/b").unwrap();
+    assert_eq!(k.commit_journal(&mut ctx), Err(KernelError::Crashed));
+    assert!(!k.durable().journal[3].is_complete(), "commit 3 tore");
+    // The kernel model keeps running past a commit crash; a later fsync
+    // must promise the complete records and never the torn one.
+    k.write(&mut ctx, fd, 3 * PAGE_SIZE, PAGE_SIZE).unwrap();
+    k.fsync(&mut ctx, fd).unwrap();
+    assert_eq!(k.promise().committed_records, recount(&k));
+    assert_eq!(k.promise().committed_records, k.durable().journal.len() - 1);
+}
+
+#[test]
 fn checker_detects_lost_fsynced_page() {
     let k = crash_mid_commit();
     let r = recover_breaking(k.durable(), BreakMode::LosePromisedPage);

@@ -1,13 +1,15 @@
 //! Randomized model tests for the kernel's core data structures: the
 //! page-cache radix tree against a `BTreeMap` model, the LRU lists
-//! against a recency model, and the packed allocator against byte
-//! accounting.
+//! against a recency model, the packed allocator against byte
+//! accounting, and the extent tree's covered-prefix growth against the
+//! full-scan definition of a missing span.
 //!
 //! Sequences come from the in-tree seeded `SplitMix64` PRNG (fixed
 //! seeds, so failures reproduce exactly).
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
+use kloc_kernel::extent::ExtentTree;
 use kloc_kernel::hooks::{Ctx, NullHooks};
 use kloc_kernel::lru::{List, PageLru};
 use kloc_kernel::pagecache::PageCache;
@@ -289,5 +291,75 @@ fn packed_allocator_conserves_frames() {
         }
         assert_eq!(alloc.live_frames(), 0);
         assert_eq!(ctx.mem.live_frames(), 0);
+    }
+}
+
+// ---------------------------------------------------------------------
+// Extent tree vs full-scan definition
+// ---------------------------------------------------------------------
+
+/// The definition `missing_spans` had before it learned the covered
+/// prefix: every span start from 0 through the last byte, minus the
+/// covered ones.
+fn full_scan_missing(span: u64, covered: &BTreeSet<u64>, new_size: u64) -> Vec<u64> {
+    if new_size == 0 {
+        return Vec::new();
+    }
+    (0..=(new_size - 1) / span)
+        .map(|i| i * span)
+        .filter(|start| !covered.contains(start))
+        .collect()
+}
+
+/// Random grows (the kernel's write path: insert exactly the missing
+/// spans), out-of-order single `insert`s anywhere through the pub API,
+/// and drains: `missing_spans` always equals the full-scan definition,
+/// and lookups and the extent count agree with the model.
+#[test]
+fn extent_tree_matches_full_scan() {
+    for case in 0..128u64 {
+        let mut rng = SplitMix64::seed_from_u64(0xE7E7_0000 + case);
+        let span = [1u64, 512, 4096, 1 << 20][rng.gen_below(4) as usize];
+        let mut tree = ExtentTree::new(span);
+        let mut model: BTreeSet<u64> = BTreeSet::new();
+        let mut next_obj = 0u64;
+        for step in 0..rng.gen_range(1..200) {
+            let size = rng.gen_below(48 * span);
+            let want = full_scan_missing(span, &model, size);
+            assert_eq!(
+                tree.missing_spans(size),
+                want,
+                "case {case} step {step}: size {size}"
+            );
+            match rng.gen_below(10) {
+                // Grow: cover everything up to `size`.
+                0..=4 => {
+                    for start in want {
+                        next_obj += 1;
+                        tree.insert(start, ObjectId(next_obj));
+                        model.insert(start);
+                    }
+                }
+                // One span anywhere, often past a gap.
+                5..=8 => {
+                    let start = rng.gen_below(64) * span;
+                    if model.insert(start) {
+                        next_obj += 1;
+                        tree.insert(start, ObjectId(next_obj));
+                    }
+                }
+                _ => {
+                    assert_eq!(tree.drain().len(), model.len());
+                    model.clear();
+                }
+            }
+            assert_eq!(tree.len(), model.len());
+            let probe = rng.gen_below(64 * span);
+            assert_eq!(
+                tree.lookup(probe).is_some(),
+                model.contains(&(probe / span * span)),
+                "case {case} step {step}: lookup {probe}"
+            );
+        }
     }
 }

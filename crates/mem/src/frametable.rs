@@ -15,6 +15,14 @@
 //! column no longer matches). Free slots are reused through
 //! [`ShardedFreeLists`], whose stamp ordering reproduces the exact
 //! global LIFO of the old single free list at any shard count.
+//!
+//! A frame can be *watched* on behalf of a client that wants to hear
+//! about its next change instead of re-probing it (the KLOC registry
+//! parks cold knode members this way). The watch bit is the top bit of
+//! the access-count word, which [`FrameTable::touch`] already reads and
+//! writes, so the per-touch path loads nothing extra. When a touch or a
+//! migration hits a watched frame, the table appends `(id, tag)` to a
+//! wake log and clears the bit; the client drains the log.
 
 use crate::clock::Nanos;
 use crate::frame::{Frame, FrameId, PageKind};
@@ -27,6 +35,10 @@ const SLOT_MASK: u64 = (1 << SLOT_BITS) - 1;
 
 /// Flag bit: frame is pinned (non-migratable).
 const FLAG_PINNED: u8 = 1 << 0;
+
+/// Top bit of an access-count word: the frame is watched. Counts never
+/// approach 2^63, so the bit is free; [`Frame::accesses`] never shows it.
+const WATCHED: u64 = 1 << 63;
 
 /// The subset of a frame record migration policies filter on. Returned
 /// by [`FrameTable::meta`] so candidate walks read five columns instead
@@ -65,8 +77,16 @@ pub struct FrameTable {
     allocated_at: Vec<Nanos>,
     /// Last-access-time column.
     last_access: Vec<Nanos>,
-    /// Access-count column.
+    /// Access-count column; the top bit is the [`WATCHED`] bit.
     accesses: Vec<u64>,
+    /// Watch-tag column: the tag the last [`FrameTable::watch`] left on
+    /// the slot. Meaningful only while the watch bit is set, and grown
+    /// only by `watch`, so runs that never watch a frame never pay for
+    /// it.
+    watch_tags: Vec<u32>,
+    /// Wake log: `(frame, tag)` for every watched frame a touch or a
+    /// migration hit since the last [`FrameTable::drain_wakes`].
+    wakes: Vec<(FrameId, u32)>,
     /// Owning-tenant column. Frames are born owned by
     /// [`TenantId::DEFAULT`]; the kernel restamps them when an
     /// allocation is attributable to a specific tenant.
@@ -101,6 +121,8 @@ impl FrameTable {
             allocated_at: Vec::new(),
             last_access: Vec::new(),
             accesses: Vec::new(),
+            watch_tags: Vec::new(),
+            wakes: Vec::new(),
             tenants: Vec::new(),
             generations: Vec::new(),
             free: ShardedFreeLists::new(cfg),
@@ -158,6 +180,9 @@ impl FrameTable {
     pub fn insert(&mut self, frame: Frame) -> FrameId {
         let id = frame.id();
         assert_eq!(id, self.next_id(), "frame built for a stale id");
+        // A fresh count never carries the watch bit, so a reused slot
+        // starts unwatched.
+        debug_assert_eq!(frame.accesses() & WATCHED, 0);
         let mut flags = 0u8;
         if frame.pinned() {
             flags |= FLAG_PINNED;
@@ -288,8 +313,9 @@ impl FrameTable {
     }
 
     /// Records an access: bumps the access count and last-access time,
-    /// returning the columns the cost model needs. This is the whole
-    /// per-touch hot path — four column reads, two column writes.
+    /// returning the columns the cost model needs, and wakes the frame
+    /// if it is watched. This is the whole per-touch hot path — four
+    /// column reads, two column writes.
     #[inline]
     pub fn touch(&mut self, id: FrameId, now: Nanos) -> Option<(TierId, PageKind)> {
         let slot = slot_of(id);
@@ -297,12 +323,16 @@ impl FrameTable {
             return None;
         }
         self.last_access[slot] = now;
-        self.accesses[slot] += 1;
+        let count = self.accesses[slot] + 1;
+        self.accesses[slot] = count;
+        if count & WATCHED != 0 {
+            self.wake(id, slot);
+        }
         Some((self.tiers[slot], self.kinds[slot]))
     }
 
-    /// Moves a live frame to `tier` and bumps its migration counter.
-    /// Returns `false` for stale ids.
+    /// Moves a live frame to `tier` and bumps its migration counter,
+    /// waking the frame if it is watched. Returns `false` for stale ids.
     #[inline]
     pub fn record_migration(&mut self, id: FrameId, tier: TierId) -> bool {
         let slot = slot_of(id);
@@ -311,7 +341,49 @@ impl FrameTable {
         }
         self.tiers[slot] = tier;
         self.migrations[slot] = self.migrations[slot].saturating_add(1);
+        if self.accesses[slot] & WATCHED != 0 {
+            self.wake(id, slot);
+        }
         true
+    }
+
+    /// Logs the wake of watched frame `id` and clears its watch bit.
+    #[cold]
+    fn wake(&mut self, id: FrameId, slot: usize) {
+        self.accesses[slot] &= !WATCHED;
+        self.wakes.push((id, self.watch_tags[slot]));
+    }
+
+    /// Watches a live frame under `tag`: its next touch or migration
+    /// appends `(id, tag)` to the wake log and clears the watch. A
+    /// second watch before then replaces the tag. Returns `false` for
+    /// stale ids.
+    pub fn watch(&mut self, id: FrameId, tag: u32) -> bool {
+        let slot = slot_of(id);
+        if self.ids.get(slot) != Some(&id) {
+            return false;
+        }
+        if slot >= self.watch_tags.len() {
+            self.watch_tags.resize(slot + 1, 0);
+        }
+        self.accesses[slot] |= WATCHED;
+        self.watch_tags[slot] = tag;
+        true
+    }
+
+    /// The tag a live frame is watched under; `None` for stale or
+    /// unwatched frames.
+    pub fn watch_tag(&self, id: FrameId) -> Option<u32> {
+        let slot = slot_of(id);
+        if self.ids.get(slot) != Some(&id) || self.accesses[slot] & WATCHED == 0 {
+            return None;
+        }
+        Some(self.watch_tags[slot])
+    }
+
+    /// Empties the wake log, yielding `(frame, tag)` in wake order.
+    pub fn drain_wakes(&mut self) -> std::vec::Drain<'_, (FrameId, u32)> {
+        self.wakes.drain(..)
     }
 
     /// Whether `id` names a live frame.
@@ -338,7 +410,7 @@ impl FrameTable {
             pinned: self.flags[slot] & FLAG_PINNED != 0,
             allocated_at: self.allocated_at[slot],
             last_access: self.last_access[slot],
-            accesses: self.accesses[slot],
+            accesses: self.accesses[slot] & !WATCHED,
             migrations: self.migrations[slot],
         }
     }
@@ -631,6 +703,62 @@ mod tests {
         assert_eq!(f.tier(), TierId::SLOW);
         assert_eq!(f.migrations(), 1);
         assert!(!t.record_migration(FrameId(99), TierId::FAST));
+    }
+
+    #[test]
+    fn touch_wakes_a_watched_frame_once() {
+        let (mut t, ids) = table_with(2);
+        assert!(t.watch(ids[0], 7));
+        assert_eq!(t.watch_tag(ids[0]), Some(7));
+        assert_eq!(t.watch_tag(ids[1]), None, "unwatched");
+        t.touch(ids[1], Nanos::new(5)).unwrap();
+        assert_eq!(t.drain_wakes().count(), 0, "unwatched touches log nothing");
+        t.touch(ids[0], Nanos::new(10)).unwrap();
+        assert_eq!(t.watch_tag(ids[0]), None, "the wake clears the bit");
+        t.touch(ids[0], Nanos::new(11)).unwrap();
+        assert_eq!(t.drain_wakes().collect::<Vec<_>>(), vec![(ids[0], 7)]);
+        assert_eq!(t.drain_wakes().count(), 0, "drained");
+        assert_eq!(t.get(ids[0]).unwrap().accesses(), 2);
+    }
+
+    #[test]
+    fn migration_wakes_a_watched_frame_once() {
+        let (mut t, ids) = table_with(1);
+        t.watch(ids[0], 3);
+        // A re-watch replaces the tag.
+        t.watch(ids[0], 4);
+        assert!(t.record_migration(ids[0], TierId::SLOW));
+        assert!(t.record_migration(ids[0], TierId::FAST));
+        assert_eq!(t.watch_tag(ids[0]), None);
+        assert_eq!(t.drain_wakes().collect::<Vec<_>>(), vec![(ids[0], 4)]);
+        assert!(!t.watch(FrameId(99), 1), "stale ids cannot be watched");
+    }
+
+    #[test]
+    fn reused_slot_starts_unwatched() {
+        let (mut t, ids) = table_with(1);
+        t.watch(ids[0], 9);
+        t.remove(ids[0]).unwrap();
+        let id = t.next_id();
+        t.insert(Frame::new(id, TierId::FAST, PageKind::AppData, Nanos::ZERO));
+        assert_eq!(id.0 & SLOT_MASK, ids[0].0 & SLOT_MASK, "slot recycled");
+        assert_eq!(t.watch_tag(id), None);
+        assert_eq!(t.watch_tag(ids[0]), None, "stale id");
+        t.touch(id, Nanos::new(1)).unwrap();
+        t.record_migration(id, TierId::SLOW);
+        assert_eq!(t.drain_wakes().count(), 0);
+    }
+
+    #[test]
+    fn accesses_never_show_the_watch_bit() {
+        let (mut t, ids) = table_with(1);
+        t.touch(ids[0], Nanos::new(1)).unwrap();
+        t.watch(ids[0], 1);
+        assert_eq!(t.get(ids[0]).unwrap().accesses(), 1);
+        assert_eq!(t.iter().next().unwrap().accesses(), 1);
+        t.touch(ids[0], Nanos::new(2)).unwrap();
+        t.watch(ids[0], 1);
+        assert_eq!(t.remove(ids[0]).unwrap().accesses(), 2);
     }
 
     #[test]

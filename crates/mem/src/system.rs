@@ -568,6 +568,24 @@ impl MemorySystem {
         self.frames.last_access_of_live(frame)
     }
 
+    /// Watches a live frame under `tag`: its next access or migration
+    /// appends `(frame, tag)` to the wake log ([`MemorySystem::drain_wakes`])
+    /// and clears the watch. Returns `false` for stale ids.
+    pub fn watch(&mut self, frame: FrameId, tag: u32) -> bool {
+        self.frames.watch(frame, tag)
+    }
+
+    /// The tag a live frame is watched under; `None` for stale or
+    /// unwatched frames.
+    pub fn watch_tag(&self, frame: FrameId) -> Option<u32> {
+        self.frames.watch_tag(frame)
+    }
+
+    /// Empties the wake log, yielding `(frame, tag)` in wake order.
+    pub fn drain_wakes(&mut self) -> std::vec::Drain<'_, (FrameId, u32)> {
+        self.frames.drain_wakes()
+    }
+
     /// Tenant a frame is attributed to, or `None` if it has been freed.
     #[inline]
     pub fn frame_tenant(&self, frame: FrameId) -> Option<TenantId> {

@@ -64,7 +64,9 @@ pub struct KlocPolicy {
     /// object tracking approach"); disable for the paper's baseline
     /// inode-granularity design.
     member_granular: bool,
-    /// Demote individual member pages untouched for this long.
+    /// Demote individual member pages untouched for this long. Cold
+    /// slow-tier members seen by this walk are parked, so it must stay
+    /// longer than `member_hot` (the registry asserts this).
     member_idle: Nanos,
     /// Promote individual slow member pages touched within this window.
     member_hot: Nanos,

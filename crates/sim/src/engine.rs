@@ -362,6 +362,18 @@ pub fn run(config: &RunConfig) -> Result<RunReport, KernelError> {
 /// # Errors
 /// Propagates kernel errors.
 pub fn run_with(config: &RunConfig, mut policy: Box<dyn Policy>) -> Result<RunReport, KernelError> {
+    run_borrowing(config, policy.as_mut())
+}
+
+/// [`run_with`] on a borrowed policy, which the caller can inspect after
+/// the run (diagnostic counters that no report carries).
+///
+/// # Errors
+/// Propagates kernel errors.
+pub fn run_borrowing(
+    config: &RunConfig,
+    policy: &mut dyn Policy,
+) -> Result<RunReport, KernelError> {
     if kloc_trace::session_active() {
         // Install a per-run recorder on this worker thread. The runner
         // collects it with `kloc_trace::run_take()` after the run and
@@ -449,7 +461,7 @@ pub fn run_with(config: &RunConfig, mut policy: Box<dyn Policy>) -> Result<RunRe
     });
     {
         let _phase = kloc_trace::scope("setup");
-        let mut ctx = Ctx::new(&mut mem, policy.as_mut());
+        let mut ctx = Ctx::new(&mut mem, &mut *policy);
         ctx.socket = task_socket;
         workload.setup(&mut kernel, &mut ctx)?;
     }
@@ -458,7 +470,7 @@ pub fn run_with(config: &RunConfig, mut policy: Box<dyn Policy>) -> Result<RunRe
     #[cfg(feature = "ksan")]
     let mut ksan = KsanState::new();
     #[cfg(feature = "ksan")]
-    ksan.audit("after setup", &mem, &kernel, policy.as_ref());
+    ksan.audit("after setup", &mem, &kernel, &*policy);
     let access_baseline: Vec<u64> = (0..mem.tier_count())
         .map(|i| {
             let t = mem.stats().tier(kloc_mem::TierId(i as u8));
@@ -502,7 +514,7 @@ pub fn run_with(config: &RunConfig, mut policy: Box<dyn Policy>) -> Result<RunRe
             }
         }
         {
-            let mut ctx = Ctx::new(&mut mem, policy.as_mut());
+            let mut ctx = Ctx::new(&mut mem, &mut *policy);
             ctx.socket = task_socket;
             workload.step(&mut kernel, &mut ctx)?;
         }
@@ -517,7 +529,7 @@ pub fn run_with(config: &RunConfig, mut policy: Box<dyn Policy>) -> Result<RunRe
                 .spec(ev.tenant)
                 .map(|s| (s.pc_budget, s.fast_budget_frames));
             let applied = {
-                let mut ctx = Ctx::new(&mut mem, policy.as_mut());
+                let mut ctx = Ctx::new(&mut mem, &mut *policy);
                 ctx.socket = task_socket;
                 kernel.resize_tenant_budget(&mut ctx, ev.tenant, ev.pc_budget, ev.fast_budget_frames)?
             };
@@ -561,10 +573,10 @@ pub fn run_with(config: &RunConfig, mut policy: Box<dyn Policy>) -> Result<RunRe
             next_tick = mem.now() + tick_interval;
         }
         #[cfg(feature = "ksan")]
-        ksan.step(&mem, &kernel, policy.as_ref());
+        ksan.step(&mem, &kernel, &*policy);
     }
     #[cfg(feature = "ksan")]
-    ksan.audit("end of measured phase", &mem, &kernel, policy.as_ref());
+    ksan.audit("end of measured phase", &mem, &kernel, &*policy);
     drop(measured_scope);
     let elapsed = mem.now() - t0;
     kloc_trace::flush(mem.now().as_nanos());
@@ -615,7 +627,7 @@ pub fn run_with(config: &RunConfig, mut policy: Box<dyn Policy>) -> Result<RunRe
     });
     {
         let _phase = kloc_trace::scope("teardown");
-        let mut ctx = Ctx::new(&mut mem, policy.as_mut());
+        let mut ctx = Ctx::new(&mut mem, &mut *policy);
         ctx.socket = task_socket;
         workload.teardown(&mut kernel, &mut ctx)?;
     }

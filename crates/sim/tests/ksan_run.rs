@@ -91,3 +91,20 @@ fn fast_offline_window_passes_audits_and_memo_oracles() {
         }
     }
 }
+
+#[test]
+fn small_run_parks_members_under_the_park_oracle() {
+    // Parking needs members that stay cold on the slow tier across
+    // ticks, which tiny runs are too short to produce; every member
+    // walk of this run re-checks the park invariant.
+    use kloc_sim::engine::run_borrowing;
+    let config = RunConfig {
+        scale: Scale::small(),
+        ..cfg(WorkloadKind::RocksDb, PolicyKind::Kloc)
+    };
+    let mut policy = PolicyKind::Kloc.build();
+    let r = run_borrowing(&config, policy.as_mut()).unwrap();
+    assert_eq!(r.ops, Scale::small().ops);
+    let parks = policy.registry().map_or(0, |reg| reg.parks());
+    assert!(parks > 0, "no member parked");
+}
