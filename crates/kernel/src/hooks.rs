@@ -49,32 +49,61 @@ pub struct PageRequest {
 
 /// Tier preference order for a new page. The kernel tries tiers in order
 /// and takes the first with room.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// Every page placement builds one, so the list is stored inline (up to
+/// [`Placement::MAX_TIERS`] entries) and the type is `Copy`: choosing a
+/// placement never touches the heap. It derefs to the `&[TierId]` that
+/// [`MemorySystem::allocate_preferring`] takes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Placement {
-    /// Tiers to try, in order.
-    pub preference: Vec<TierId>,
+    tiers: [TierId; Placement::MAX_TIERS],
+    len: u8,
 }
 
 impl Placement {
+    /// Most tiers one placement can list.
+    pub const MAX_TIERS: usize = 8;
+
+    /// Tries `tiers` in the given order.
+    ///
+    /// # Panics
+    /// Panics if `tiers` lists more than [`Placement::MAX_TIERS`] tiers.
+    pub fn new(tiers: &[TierId]) -> Self {
+        assert!(
+            tiers.len() <= Placement::MAX_TIERS,
+            "a placement lists at most {} tiers",
+            Placement::MAX_TIERS
+        );
+        let mut inline = [TierId::FAST; Placement::MAX_TIERS];
+        inline[..tiers.len()].copy_from_slice(tiers);
+        Placement {
+            tiers: inline,
+            // lint: truncation-ok — bounded by MAX_TIERS above.
+            len: tiers.len() as u8,
+        }
+    }
+
     /// Prefer the fast tier, spill to slow.
     pub fn fast_then_slow() -> Self {
-        Placement {
-            preference: vec![TierId::FAST, TierId::SLOW],
-        }
+        Placement::new(&[TierId::FAST, TierId::SLOW])
     }
 
     /// Slow tier only.
     pub fn slow_only() -> Self {
-        Placement {
-            preference: vec![TierId::SLOW],
-        }
+        Placement::new(&[TierId::SLOW])
     }
 
     /// A single specific tier.
     pub fn only(tier: TierId) -> Self {
-        Placement {
-            preference: vec![tier],
-        }
+        Placement::new(&[tier])
+    }
+}
+
+impl std::ops::Deref for Placement {
+    type Target = [TierId];
+
+    fn deref(&self) -> &[TierId] {
+        &self.tiers[..usize::from(self.len)]
     }
 }
 
@@ -263,7 +292,7 @@ impl NullHooks {
 
 impl KernelHooks for NullHooks {
     fn place_page(&mut self, _req: &PageRequest, _mem: &MemorySystem) -> Placement {
-        self.placement.clone()
+        self.placement
     }
 }
 
@@ -274,10 +303,11 @@ mod tests {
     #[test]
     fn placement_constructors() {
         assert_eq!(
-            Placement::fast_then_slow().preference,
-            vec![TierId::FAST, TierId::SLOW]
+            Placement::fast_then_slow()[..],
+            [TierId::FAST, TierId::SLOW]
         );
-        assert_eq!(Placement::only(TierId(3)).preference, vec![TierId(3)]);
+        assert_eq!(Placement::only(TierId(3))[..], [TierId(3)]);
+        assert_eq!(Placement::slow_only()[..], [TierId::SLOW]);
     }
 
     #[test]

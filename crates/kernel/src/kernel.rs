@@ -24,7 +24,7 @@ use crate::error::KernelError;
 use crate::extent::ExtentTree;
 use crate::hooks::{Ctx, PageRequest};
 use crate::journal::{Journal, MetaUpdate};
-use crate::lru::{List, ShardedPageLru};
+use crate::lru::{List, PageLru};
 use crate::net::{NetStats, Packet, RxQueue};
 use crate::obj::{Backing, KernelObjectType, ObjectId, ObjectInfo, ObjectTable};
 use crate::pagecache::PageCache;
@@ -48,9 +48,8 @@ pub struct Kernel {
     disk: Disk,
     block: BlockLayer,
     readahead: Readahead,
-    /// LRU of page-cache frames, for the cache-budget shrinker
-    /// (sharded; shard count from [`KernelParams::shards`]).
-    cache_lru: ShardedPageLru,
+    /// LRU of page-cache frames, for the cache-budget shrinker.
+    cache_lru: PageLru,
     /// frame -> (inode, page index) for cached file pages.
     cache_index: CacheIndex,
     /// Live file page-cache pages (budget accounting).
@@ -92,8 +91,8 @@ impl Kernel {
             disk: Disk::nvme(),
             block: BlockLayer::new(),
             readahead: Readahead::new(params.readahead_max),
-            cache_lru: ShardedPageLru::new(params.shards),
-            cache_index: CacheIndex::new(params.shards),
+            cache_lru: PageLru::new(),
+            cache_index: CacheIndex::default(),
             cache_pages: 0,
             dirty_pages: 0,
             dirty_list: VecDeque::new(),
@@ -143,7 +142,9 @@ impl Kernel {
     /// (including the shared-kernel default tenant) are scavengers:
     /// anything that never declared a class yields first.
     fn qos_of(&self, id: TenantId) -> QosClass {
-        self.tenants.spec(id).map_or(QosClass::BestEffort, |s| s.qos)
+        self.tenants
+            .spec(id)
+            .map_or(QosClass::BestEffort, |s| s.qos)
     }
 
     /// The QoS class that pays reclaim next — the most-scavenger class
@@ -158,9 +159,13 @@ impl Kernel {
                 seen[self.qos_of(id) as usize] = true;
             }
         }
-        let floor = [QosClass::BestEffort, QosClass::Burstable, QosClass::Guaranteed]
-            .into_iter()
-            .find(|q| seen[*q as usize]);
+        let floor = [
+            QosClass::BestEffort,
+            QosClass::Burstable,
+            QosClass::Guaranteed,
+        ]
+        .into_iter()
+        .find(|q| seen[*q as usize]);
         (floor, seen.iter().filter(|s| **s).count() > 1)
     }
 
@@ -182,7 +187,10 @@ impl Kernel {
         pc_budget: Option<u64>,
         fast_budget_frames: Option<u64>,
     ) -> Result<bool, KernelError> {
-        if !self.tenants.resize_budget(id, pc_budget, fast_budget_frames) {
+        if !self
+            .tenants
+            .resize_budget(id, pc_budget, fast_budget_frames)
+        {
             return Ok(false);
         }
         if let Some(cap) = pc_budget {
@@ -321,7 +329,7 @@ impl Kernel {
                     tenant: ctx.tenant,
                 };
                 let placement = ctx.hooks.place_page(&req, ctx.mem);
-                let frame = ctx.mem.allocate_preferring(&placement.preference, kind)?;
+                let frame = ctx.mem.allocate_preferring(&placement, kind)?;
                 // Page-backed kernel frames are owned by the allocating
                 // tenant; slab frames stay on TenantId::DEFAULT because
                 // a packed slab page can host objects of many tenants.
@@ -994,20 +1002,15 @@ impl Kernel {
                         .read_sync(ctx.mem.now(), kloc_mem::PAGE_SIZE, IoPattern::Random);
                 ctx.mem.charge(stall);
                 let frame = self.insert_cache_page(ctx, ino, idx, false, false)?;
-                if self.params.batch_accesses {
-                    // Fill + read back-to-back with no hook in between:
-                    // one batched charge, identical cost sum.
-                    ctx.mem.access_batch(
-                        Some(ctx.socket),
-                        &[
-                            kloc_mem::AccessOp::write(frame, kloc_mem::PAGE_SIZE),
-                            kloc_mem::AccessOp::read(frame, bytes),
-                        ],
-                    );
-                } else {
-                    ctx.mem.write_from(ctx.socket, frame, kloc_mem::PAGE_SIZE); // fill
-                    ctx.mem.read_from(ctx.socket, frame, bytes);
-                }
+                // Fill + read back-to-back with no hook in between: one
+                // batched charge, identical cost sum.
+                ctx.mem.access_batch(
+                    Some(ctx.socket),
+                    &[
+                        kloc_mem::AccessOp::write(frame, kloc_mem::PAGE_SIZE),
+                        kloc_mem::AccessOp::read(frame, bytes),
+                    ],
+                );
             }
         }
         Ok(())
@@ -1130,7 +1133,6 @@ impl Kernel {
         let mut flushed = 0usize;
         let mut dma = Vec::new();
         for chunk in idxs.chunks(self.params.pages_per_bio.max(1)) {
-            let mut pages_in_bio = 0;
             dma.clear();
             for &idx in chunk {
                 let page = {
@@ -1145,11 +1147,7 @@ impl Kernel {
                 // where dirty pages stranded in slow memory hurt. No KLOC
                 // hook fires between the pages of one bio, so the reads
                 // of a chunk form one batchable run.
-                if self.params.batch_accesses {
-                    dma.push(kloc_mem::AccessOp::read(page.frame, kloc_mem::PAGE_SIZE));
-                } else {
-                    ctx.mem.read(page.frame, kloc_mem::PAGE_SIZE);
-                }
+                dma.push(kloc_mem::AccessOp::read(page.frame, kloc_mem::PAGE_SIZE));
                 let inode = self.vfs.inode_mut(ino).ok_or(KernelError::BadInode(ino))?;
                 inode.cache.mark_clean(idx);
                 // Submitted pages are durable at this version (the
@@ -1157,14 +1155,12 @@ impl Kernel {
                 // commits can tear).
                 self.durable.record_page(ino, idx, page.version);
                 self.dirty_pages -= 1;
-                pages_in_bio += 1;
             }
+            let pages_in_bio = dma.len();
             if pages_in_bio == 0 {
                 continue;
             }
-            if !dma.is_empty() {
-                ctx.mem.access_batch(None, &dma);
-            }
+            ctx.mem.access_batch(None, &dma);
             let bio = self.alloc_object(ctx, KernelObjectType::Bio, Some(ino), false)?;
             self.access_object(ctx, bio, KernelObjectType::Bio.size(), true)?;
             let req = self.alloc_object(ctx, KernelObjectType::BlkMqRequest, Some(ino), false)?;
@@ -1722,7 +1718,7 @@ impl Kernel {
             tenant: ctx.tenant,
         };
         let placement = ctx.hooks.place_page(&req, ctx.mem);
-        let frame = ctx.mem.allocate_preferring(&placement.preference, kind)?;
+        let frame = ctx.mem.allocate_preferring(&placement, kind)?;
         if ctx.tenant != TenantId::DEFAULT {
             ctx.mem.set_frame_tenant(frame, ctx.tenant)?;
         }
@@ -1902,70 +1898,37 @@ impl Kernel {
             self.cache_lru.remove(frame);
         }
     }
-
-    /// Corruption hook for sanitizer self-tests: relocates one cached
-    /// frame onto the wrong LRU shard.
-    #[doc(hidden)]
-    pub fn ksan_break_lru_homing(&mut self) {
-        self.cache_lru.ksan_break_homing();
-    }
 }
 
 /// frame -> (inode, page index) reverse map for cached file pages,
-/// direct-mapped by [`FrameId::slot`] and sharded by the slot's low bits
-/// (shard = `slot & mask`, intra-shard index = `slot >> shard_bits` — the
-/// same homing as every other sharded hot-path structure). Entries store
-/// the full frame id so a slot recycled by the frame table (fresh
-/// generation) misses instead of aliasing; the kernel removes entries on
-/// page free, so stale occupants only arise transiently and are
-/// overwritten on insert.
-#[derive(Debug)]
+/// direct-mapped by [`FrameId::slot`]. Entries store the full frame id
+/// so a slot recycled by the frame table (fresh generation) misses
+/// instead of aliasing; the kernel removes entries on page free, so
+/// stale occupants only arise transiently and are overwritten on insert.
+#[derive(Debug, Default)]
 struct CacheIndex {
-    shard_bits: u32,
-    mask: u32,
-    shards: Vec<Vec<Option<(FrameId, InodeId, u64)>>>,
+    slots: Vec<Option<(FrameId, InodeId, u64)>>,
 }
 
 impl CacheIndex {
-    fn new(shards: u32) -> Self {
-        let count = shards.max(1).next_power_of_two();
-        CacheIndex {
-            shard_bits: count.trailing_zeros(),
-            mask: count - 1,
-            shards: (0..count).map(|_| Vec::new()).collect(),
-        }
-    }
-
-    #[inline]
-    fn place(&self, frame: FrameId) -> (usize, usize) {
-        let slot = frame.slot();
-        (
-            (slot & self.mask) as usize,
-            (slot >> self.shard_bits) as usize,
-        )
-    }
-
     fn get(&self, frame: FrameId) -> Option<(InodeId, u64)> {
-        let (shard, i) = self.place(frame);
-        match self.shards[shard].get(i) {
+        match self.slots.get(frame.slot() as usize) {
             Some(&Some((f, ino, idx))) if f == frame => Some((ino, idx)),
             _ => None,
         }
     }
 
     fn insert(&mut self, frame: FrameId, ino: InodeId, idx: u64) {
-        let (shard, i) = self.place(frame);
-        let slots = &mut self.shards[shard];
-        if i >= slots.len() {
-            slots.resize(i + 1, None);
+        let i = frame.slot() as usize;
+        if i >= self.slots.len() {
+            self.slots.resize(i + 1, None);
         }
-        slots[i] = Some((frame, ino, idx));
+        self.slots[i] = Some((frame, ino, idx));
     }
 
     /// Removes `frame`'s entry; returns whether it was present.
     fn remove(&mut self, frame: FrameId) -> bool {
-        let (shard, i) = self.place(frame);
-        match self.shards[shard].get_mut(i) {
+        match self.slots.get_mut(frame.slot() as usize) {
             Some(slot @ &mut Some((f, _, _))) if f == frame => {
                 *slot = None;
                 true
@@ -1974,16 +1937,10 @@ impl CacheIndex {
         }
     }
 
-    /// Iterates entries in global slot order (ascending `FrameId::slot`),
-    /// independent of the shard count.
+    /// Iterates entries in ascending slot order.
     #[cfg(feature = "ksan")]
     fn iter(&self) -> impl Iterator<Item = (FrameId, InodeId, u64)> + '_ {
-        let depth = self.shards.iter().map(Vec::len).max().unwrap_or(0);
-        (0..depth).flat_map(move |i| {
-            self.shards
-                .iter()
-                .filter_map(move |slots| slots.get(i).copied().flatten())
-        })
+        self.slots.iter().filter_map(|e| *e)
     }
 }
 

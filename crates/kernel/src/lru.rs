@@ -40,17 +40,6 @@ pub struct ScanOutcome {
     pub promoted: usize,
 }
 
-/// Outcome of examining one page at the inactive head (the stepwise form
-/// of [`PageLru::scan_inactive`], used by [`ShardedPageLru`] to merge
-/// shards in global recency order).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ScanStep {
-    /// Unreferenced page removed from the list — now owned by the caller.
-    Evict(FrameId),
-    /// Referenced page rescued to the active MRU end.
-    Rescued(FrameId),
-}
-
 const NIL: u32 = u32::MAX;
 
 #[derive(Debug, Clone)]
@@ -60,11 +49,6 @@ struct Node {
     next: u32,
     list: List,
     referenced: bool,
-    /// Recency stamp, assigned from a monotone counter on every tail
-    /// link (insert, promotion, rescue, aging). Within one list, stamps
-    /// ascend head→tail; across the shards of a [`ShardedPageLru`] they
-    /// define the single global recency order.
-    stamp: u64,
 }
 
 /// Head/tail/length of one intrusive list. Head is the oldest
@@ -99,16 +83,6 @@ pub struct PageLru {
     tracked: usize,
     active: Ends,
     inactive: Ends,
-    /// Stamp counter for the standalone (un-sharded) entry points; the
-    /// `_stamped` variants draw from a caller-owned counter instead so a
-    /// [`ShardedPageLru`] can share one counter across its shards.
-    own_stamp: u64,
-}
-
-#[inline]
-fn next_stamp(stamp: &mut u64) -> u64 {
-    *stamp += 1;
-    *stamp
 }
 
 impl PageLru {
@@ -156,16 +130,14 @@ impl PageLru {
         }
     }
 
-    /// Links `node` at the tail (most-recent end) of `list`, stamping it
-    /// with a fresh recency stamp.
-    fn link_tail(&mut self, node: u32, list: List, stamp: u64) {
+    /// Links `node` at the tail (most-recent end) of `list`.
+    fn link_tail(&mut self, node: u32, list: List) {
         let old_tail = self.ends(list).tail;
         {
             let n = &mut self.nodes[node as usize];
             n.list = list;
             n.prev = old_tail;
             n.next = NIL;
-            n.stamp = stamp;
         }
         if old_tail != NIL {
             self.nodes[old_tail as usize].next = node;
@@ -208,7 +180,6 @@ impl PageLru {
             next: NIL,
             list,
             referenced,
-            stamp: 0,
         };
         match self.free.pop() {
             Some(i) => {
@@ -222,7 +193,7 @@ impl PageLru {
         }
     }
 
-    fn push(&mut self, frame: FrameId, list: List, referenced: bool, stamp: u64) {
+    fn push(&mut self, frame: FrameId, list: List, referenced: bool) {
         let i = frame.slot() as usize;
         if i >= self.index.len() {
             self.index.resize(i + 1, NIL);
@@ -238,7 +209,7 @@ impl PageLru {
             }
         }
         let node = self.alloc_node(frame, list, referenced);
-        self.link_tail(node, list, stamp);
+        self.link_tail(node, list);
         self.index[i] = node;
         self.tracked += 1;
     }
@@ -248,36 +219,14 @@ impl PageLru {
     /// # Panics
     /// Panics if the frame is already tracked.
     pub fn insert(&mut self, frame: FrameId, list: List) {
-        let mut s = self.own_stamp;
-        self.insert_stamped(frame, list, &mut s);
-        self.own_stamp = s;
-    }
-
-    /// [`PageLru::insert`] drawing its recency stamp from a caller-owned
-    /// counter (shared across the shards of a [`ShardedPageLru`]).
-    ///
-    /// # Panics
-    /// Panics if the frame is already tracked.
-    pub fn insert_stamped(&mut self, frame: FrameId, list: List, stamp: &mut u64) {
         assert!(!self.contains(frame), "{frame} already on an LRU list");
-        let s = next_stamp(stamp);
-        self.push(frame, list, false, s);
+        self.push(frame, list, false);
     }
 
     /// Records a reference to `frame`. First touch sets the referenced
     /// bit; a second touch on the inactive list promotes to active
     /// (Linux's two-touch promotion). Unknown frames are ignored.
     pub fn mark_accessed(&mut self, frame: FrameId) {
-        let mut s = self.own_stamp;
-        self.mark_accessed_stamped(frame, &mut s);
-        self.own_stamp = s;
-    }
-
-    /// [`PageLru::mark_accessed`] drawing from a caller-owned stamp
-    /// counter. A stamp is consumed only when the touch promotes (the
-    /// only case that relinks), so counter consumption is identical at
-    /// any shard count.
-    pub fn mark_accessed_stamped(&mut self, frame: FrameId, stamp: &mut u64) {
         let node = self.node_of(frame);
         if node == NIL {
             return;
@@ -286,8 +235,7 @@ impl PageLru {
         if n.referenced && n.list == List::Inactive {
             n.referenced = false;
             self.unlink(node);
-            let s = next_stamp(stamp);
-            self.link_tail(node, List::Active, s);
+            self.link_tail(node, List::Active);
         } else {
             n.referenced = true;
         }
@@ -312,88 +260,45 @@ impl PageLru {
     /// pages are removed and returned as eviction candidates.
     pub fn scan_inactive(&mut self, n: usize) -> ScanOutcome {
         let mut out = ScanOutcome::default();
-        let mut s = self.own_stamp;
-        for _ in 0..n {
-            match self.scan_one_inactive(&mut s) {
-                Some(ScanStep::Evict(frame)) => {
-                    out.scanned += 1;
-                    out.evict.push(frame);
-                }
-                Some(ScanStep::Rescued(_)) => {
-                    out.scanned += 1;
-                    out.promoted += 1;
-                }
-                None => break,
+        while out.scanned < n {
+            let node = self.inactive.head;
+            if node == NIL {
+                break;
+            }
+            out.scanned += 1;
+            self.unlink(node);
+            let entry = &mut self.nodes[node as usize];
+            if entry.referenced {
+                // Rescue: rotate to the active MRU end, reference cleared.
+                entry.referenced = false;
+                self.link_tail(node, List::Active);
+                out.promoted += 1;
+            } else {
+                let frame = entry.frame;
+                self.index[frame.slot() as usize] = NIL;
+                self.tracked -= 1;
+                self.free.push(node);
+                out.evict.push(frame);
             }
         }
-        self.own_stamp = s;
         out
-    }
-
-    /// Examines the single oldest inactive page: referenced pages are
-    /// rescued to the active MRU end (consuming a stamp), unreferenced
-    /// pages are removed and handed to the caller. `None` when the
-    /// inactive list is empty.
-    pub fn scan_one_inactive(&mut self, stamp: &mut u64) -> Option<ScanStep> {
-        let node = self.inactive.head;
-        if node == NIL {
-            return None;
-        }
-        self.unlink(node);
-        let (frame, referenced) = {
-            let n = &self.nodes[node as usize];
-            (n.frame, n.referenced)
-        };
-        if referenced {
-            // Rescue: rotate to the active MRU end, reference cleared.
-            self.nodes[node as usize].referenced = false;
-            let s = next_stamp(stamp);
-            self.link_tail(node, List::Active, s);
-            Some(ScanStep::Rescued(frame))
-        } else {
-            self.index[frame.slot() as usize] = NIL;
-            self.tracked -= 1;
-            self.free.push(node);
-            Some(ScanStep::Evict(frame))
-        }
     }
 
     /// Ages up to `n` pages from the active tail to the inactive list
     /// (clearing their referenced bit).
     pub fn age_active(&mut self, n: usize) -> usize {
         let mut moved = 0;
-        let mut s = self.own_stamp;
-        while moved < n && self.age_one_active(&mut s).is_some() {
+        while moved < n {
+            let node = self.active.head;
+            if node == NIL {
+                break;
+            }
+            self.unlink(node);
+            self.nodes[node as usize].referenced = false;
+            self.link_tail(node, List::Inactive);
             moved += 1;
         }
-        self.own_stamp = s;
         moved
-    }
-
-    /// Moves the single oldest active page to the inactive MRU end
-    /// (clearing its referenced bit). `None` when the active list is
-    /// empty.
-    pub fn age_one_active(&mut self, stamp: &mut u64) -> Option<FrameId> {
-        let node = self.active.head;
-        if node == NIL {
-            return None;
-        }
-        self.unlink(node);
-        self.nodes[node as usize].referenced = false;
-        let s = next_stamp(stamp);
-        self.link_tail(node, List::Inactive, s);
-        Some(self.nodes[node as usize].frame)
-    }
-
-    /// Recency stamp of the oldest page on `list`, if any. Across the
-    /// shards of a [`ShardedPageLru`] the minimum head stamp identifies
-    /// the globally oldest page.
-    pub fn head_stamp(&self, list: List) -> Option<u64> {
-        let ends = match list {
-            List::Active => &self.active,
-            List::Inactive => &self.inactive,
-        };
-        (ends.head != NIL).then(|| self.nodes[ends.head as usize].stamp)
     }
 
     fn iter_list(&self, ends: &Ends) -> impl Iterator<Item = FrameId> + '_ {
@@ -427,21 +332,10 @@ impl PageLru {
             (&self.inactive, List::Inactive, "inactive"),
         ] {
             let mut prev = NIL;
-            let mut prev_stamp = 0u64;
             let mut cursor = ends.head;
             let mut len = 0usize;
             while cursor != NIL {
                 let n = &self.nodes[cursor as usize];
-                if len > 0 && n.stamp <= prev_stamp {
-                    out.push(Violation::new(
-                        "PageLru list links <-> Node.stamp",
-                        format!("frame {}", n.frame),
-                        "recency stamps ascend head to tail",
-                        format!("> {prev_stamp}"),
-                        format!("stamp = {}", n.stamp),
-                    ));
-                }
-                prev_stamp = n.stamp;
                 if n.list != list {
                     out.push(Violation::new(
                         "PageLru list links <-> Node.list",
@@ -536,239 +430,6 @@ impl PageLru {
         if i < self.index.len() {
             self.index[i] = NIL;
         }
-    }
-}
-
-/// Sharded two-list page LRU: `S` independent [`PageLru`] shards (frames
-/// home to shard `slot & mask`) sharing ONE recency-stamp counter.
-///
-/// Sharding splits the structure (per-CPU-style contention relief, the
-/// aurora_os pattern) without perturbing observable behavior: every tail
-/// link draws from the shared counter in simulation-event order, so the
-/// union of all shards carries exactly the stamp sequence a single list
-/// would, and [`ShardedPageLru::scan_inactive`]/[`ShardedPageLru::age_active`]
-/// merge shards by minimum head stamp — reproducing the single-list
-/// processing order byte-for-byte at any shard count.
-#[derive(Debug, Clone)]
-pub struct ShardedPageLru {
-    shards: Vec<PageLru>,
-    mask: u32,
-    stamp: u64,
-}
-
-impl Default for ShardedPageLru {
-    fn default() -> Self {
-        ShardedPageLru::new(1)
-    }
-}
-
-impl ShardedPageLru {
-    /// Creates a sharded LRU with `shards` shards (rounded up to a power
-    /// of two, minimum 1).
-    pub fn new(shards: u32) -> Self {
-        let count = shards.max(1).next_power_of_two() as usize;
-        ShardedPageLru {
-            shards: (0..count).map(|_| PageLru::new()).collect(),
-            // lint: truncation-ok — count is at most u32::MAX + 1 here
-            // and came from a u32.
-            mask: (count - 1) as u32,
-            stamp: 0,
-        }
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    #[inline]
-    fn shard_of(&self, frame: FrameId) -> usize {
-        (frame.slot() & self.mask) as usize
-    }
-
-    /// Pages on the active lists (all shards).
-    pub fn active_len(&self) -> usize {
-        self.shards.iter().map(PageLru::active_len).sum()
-    }
-
-    /// Pages on the inactive lists (all shards).
-    pub fn inactive_len(&self) -> usize {
-        self.shards.iter().map(PageLru::inactive_len).sum()
-    }
-
-    /// Total tracked pages.
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(PageLru::len).sum()
-    }
-
-    /// Whether no pages are tracked.
-    pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(PageLru::is_empty)
-    }
-
-    /// Whether `frame` is tracked.
-    pub fn contains(&self, frame: FrameId) -> bool {
-        self.shards[self.shard_of(frame)].contains(frame)
-    }
-
-    /// Adds a new page to its home shard (most-recent end).
-    ///
-    /// # Panics
-    /// Panics if the frame is already tracked.
-    pub fn insert(&mut self, frame: FrameId, list: List) {
-        let shard = self.shard_of(frame);
-        self.shards[shard].insert_stamped(frame, list, &mut self.stamp);
-    }
-
-    /// Records a reference to `frame` (two-touch promotion; unknown
-    /// frames ignored).
-    pub fn mark_accessed(&mut self, frame: FrameId) {
-        let shard = self.shard_of(frame);
-        self.shards[shard].mark_accessed_stamped(frame, &mut self.stamp);
-    }
-
-    /// Stops tracking `frame`. Returns whether it was tracked.
-    pub fn remove(&mut self, frame: FrameId) -> bool {
-        let shard = self.shard_of(frame);
-        self.shards[shard].remove(frame)
-    }
-
-    /// Shard index holding the globally oldest page on `list`, by
-    /// minimum head stamp. Ties are impossible: stamps are unique.
-    fn oldest_shard(&self, list: List) -> Option<usize> {
-        self.shards
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| s.head_stamp(list).map(|st| (st, i)))
-            .min()
-            .map(|(_, i)| i)
-    }
-
-    /// Scans up to `n` pages across all shards in global oldest-first
-    /// order (identical to a single list's scan at any shard count).
-    pub fn scan_inactive(&mut self, n: usize) -> ScanOutcome {
-        let mut out = ScanOutcome::default();
-        for _ in 0..n {
-            let Some(shard) = self.oldest_shard(List::Inactive) else {
-                break;
-            };
-            match self.shards[shard].scan_one_inactive(&mut self.stamp) {
-                Some(ScanStep::Evict(frame)) => {
-                    out.scanned += 1;
-                    out.evict.push(frame);
-                }
-                Some(ScanStep::Rescued(_)) => {
-                    out.scanned += 1;
-                    out.promoted += 1;
-                }
-                None => unreachable!("oldest_shard saw a head"),
-            }
-        }
-        out
-    }
-
-    /// Ages up to `n` pages, oldest active first across all shards.
-    pub fn age_active(&mut self, n: usize) -> usize {
-        let mut moved = 0;
-        while moved < n {
-            let Some(shard) = self.oldest_shard(List::Active) else {
-                break;
-            };
-            self.shards[shard]
-                .age_one_active(&mut self.stamp)
-                .expect("oldest_shard saw a head"); // lint: unwrap-ok
-            moved += 1;
-        }
-        moved
-    }
-
-    /// Iterates inactive frames in global oldest-first order (merged by
-    /// stamp). Allocates a merged snapshot; for reports, not hot paths.
-    pub fn inactive_iter(&self) -> impl Iterator<Item = FrameId> + '_ {
-        self.merged(List::Inactive).into_iter()
-    }
-
-    /// Iterates active frames in global oldest-first order.
-    pub fn active_iter(&self) -> impl Iterator<Item = FrameId> + '_ {
-        self.merged(List::Active).into_iter()
-    }
-
-    fn merged(&self, list: List) -> Vec<FrameId> {
-        let mut stamped: Vec<(u64, FrameId)> = Vec::new();
-        for shard in &self.shards {
-            let mut cursor = match list {
-                List::Active => shard.active.head,
-                List::Inactive => shard.inactive.head,
-            };
-            while cursor != NIL {
-                let n = &shard.nodes[cursor as usize];
-                stamped.push((n.stamp, n.frame));
-                cursor = n.next;
-            }
-        }
-        stamped.sort_unstable();
-        stamped.into_iter().map(|(_, f)| f).collect()
-    }
-}
-
-#[cfg(feature = "ksan")]
-impl ShardedPageLru {
-    /// Audits every shard, plus the cross-shard invariants: frames home
-    /// to `slot & mask`, and no shard's stamps exceed the shared counter.
-    pub fn ksan_audit(&self, out: &mut Vec<kloc_mem::ksan::Violation>) {
-        use kloc_mem::ksan::Violation;
-        for (i, shard) in self.shards.iter().enumerate() {
-            shard.ksan_audit(out);
-            for frame in shard.active_iter().chain(shard.inactive_iter()) {
-                let home = (frame.slot() & self.mask) as usize;
-                if home != i {
-                    out.push(Violation::new(
-                        "ShardedPageLru homing <-> FrameId.slot",
-                        format!("frame {frame}"),
-                        "every frame lives on its home shard (slot & mask)",
-                        format!("shard {home}"),
-                        format!("found on shard {i}"),
-                    ));
-                }
-                let stamp = shard.nodes[shard.node_of(frame) as usize].stamp;
-                if stamp > self.stamp {
-                    out.push(Violation::new(
-                        "ShardedPageLru.stamp <-> shard stamps",
-                        format!("frame {frame}"),
-                        "no node outruns the shared stamp counter",
-                        format!("<= {}", self.stamp),
-                        format!("stamp = {stamp}"),
-                    ));
-                }
-            }
-        }
-    }
-
-    /// Corruption hook: relocates one tracked frame onto the wrong shard
-    /// (no-op with fewer than two shards or no tracked pages).
-    #[doc(hidden)]
-    pub fn ksan_break_homing(&mut self) {
-        if self.shards.len() < 2 {
-            return;
-        }
-        let Some((shard, frame, list)) = self.shards.iter().enumerate().find_map(|(i, s)| {
-            s.inactive_iter()
-                .next()
-                .map(|f| (i, f, List::Inactive))
-                .or_else(|| s.active_iter().next().map(|f| (i, f, List::Active)))
-        }) else {
-            return;
-        };
-        self.shards[shard].remove(frame);
-        let wrong = (shard + 1) % self.shards.len();
-        self.shards[wrong].insert_stamped(frame, list, &mut self.stamp);
-    }
-
-    /// Corruption hook: forwards to one shard's index-drop hook.
-    #[doc(hidden)]
-    pub fn ksan_break_index(&mut self, frame: FrameId) {
-        let shard = self.shard_of(frame);
-        self.shards[shard].ksan_break_index(frame);
     }
 }
 
@@ -929,81 +590,5 @@ mod tests {
         let out = lru.scan_inactive(2);
         assert_eq!(out.evict, vec![FrameId(1)]);
         assert_eq!(out.promoted, 1);
-    }
-
-    /// Deterministic op mix driven by a tiny LCG: inserts, touches,
-    /// removals, scans, and aging over a churning slot space.
-    fn churn(apply: &mut dyn FnMut(u8, FrameId) -> Vec<FrameId>) -> Vec<Vec<FrameId>> {
-        let mut rng = 0x2545F4914F6CDD1Du64;
-        let mut outcomes = Vec::new();
-        for step in 0u64..600 {
-            rng = rng
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let slot = (rng >> 33) % 96;
-            let generation = step / 96;
-            let frame = FrameId((generation << 32) | slot);
-            let op = ((rng >> 20) % 8) as u8;
-            outcomes.push(apply(op, frame));
-        }
-        outcomes
-    }
-
-    fn drive(lru: &mut ShardedPageLru) -> Vec<Vec<FrameId>> {
-        churn(&mut |op, frame| match op {
-            0 | 1 => {
-                if !lru.contains(frame) {
-                    lru.insert(frame, List::Inactive);
-                }
-                vec![]
-            }
-            2..=4 => {
-                lru.mark_accessed(frame);
-                vec![]
-            }
-            5 => {
-                lru.remove(frame);
-                vec![]
-            }
-            6 => lru.scan_inactive(3).evict,
-            _ => {
-                lru.age_active(2);
-                lru.active_iter().chain(lru.inactive_iter()).collect()
-            }
-        })
-    }
-
-    #[test]
-    fn sharded_matches_single_list_at_any_shard_count() {
-        let baseline = drive(&mut ShardedPageLru::new(1));
-        for shards in [2u32, 4, 8] {
-            let got = drive(&mut ShardedPageLru::new(shards));
-            assert_eq!(baseline, got, "shard count {shards} diverged");
-        }
-    }
-
-    #[test]
-    fn sharded_counts_and_membership() {
-        let mut lru = ShardedPageLru::new(4);
-        assert_eq!(lru.shard_count(), 4);
-        for i in 0..10 {
-            lru.insert(FrameId(i), List::Inactive);
-        }
-        assert_eq!(lru.len(), 10);
-        assert_eq!(lru.inactive_len(), 10);
-        assert!(lru.contains(FrameId(3)));
-        assert!(lru.remove(FrameId(3)));
-        assert!(!lru.contains(FrameId(3)));
-        assert_eq!(lru.len(), 9);
-        // Scan returns globally oldest first despite 4-way sharding.
-        let out = lru.scan_inactive(3);
-        assert_eq!(out.evict, vec![FrameId(0), FrameId(1), FrameId(2)]);
-    }
-
-    #[test]
-    fn shard_count_rounds_to_power_of_two() {
-        assert_eq!(ShardedPageLru::new(0).shard_count(), 1);
-        assert_eq!(ShardedPageLru::new(3).shard_count(), 4);
-        assert_eq!(ShardedPageLru::new(8).shard_count(), 8);
     }
 }

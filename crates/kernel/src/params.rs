@@ -68,19 +68,13 @@ pub struct KernelParams {
     /// this hypothesis needs to be tested in future studies" — the THP
     /// ablation tests it).
     pub thp_app: bool,
-    /// Shard count for the sharded hot-path structures (page-cache LRU,
-    /// cache reverse map, frame free lists). Rounded up to a power of
-    /// two. Sharding is structural only: reports are byte-identical at
-    /// any value (the shards share one recency-stamp order).
+    /// Inert compatibility field: nothing reads it. The page-cache LRU,
+    /// cache reverse map and frame free list were once split into this
+    /// many shards; each is now a single structure. The field stays only
+    /// so the `klocbench` replay, which passes it to
+    /// [`kloc_mem::MemorySystem::set_shards`], keeps compiling.
     #[cfg_attr(feature = "serde", serde(default = "default_shards"))]
     pub shards: u32,
-    /// Charge runs of accesses with no intervening KLOC hook through
-    /// [`kloc_mem::MemorySystem::access_batch`] (one clock advance, one
-    /// trace charge per run) instead of one call per page. Structural
-    /// only: the batched cost is the exact sum of the per-access costs,
-    /// so reports and traces are byte-identical either way.
-    #[cfg_attr(feature = "serde", serde(default = "default_batch_accesses"))]
-    pub batch_accesses: bool,
     /// Tier drain: maximum frames live-migrated off an offlining tier
     /// per engine tick (DESIGN.md §13). Clamped to at least 1 at the
     /// drain site — a zero budget would stall the drain forever.
@@ -111,11 +105,6 @@ pub struct KernelParams {
 #[cfg(feature = "serde")]
 fn default_shards() -> u32 {
     4
-}
-
-#[cfg(feature = "serde")]
-fn default_batch_accesses() -> bool {
-    true
 }
 
 #[cfg(feature = "serde")]
@@ -164,7 +153,6 @@ impl Default for KernelParams {
             io_retry_cap: Nanos::from_micros(400),
             thp_app: false,
             shards: 4,
-            batch_accesses: true,
             drain_budget_frames: 128,
             drain_retry_base: Nanos::from_micros(20),
             drain_retry_cap: Nanos::from_micros(160),

@@ -228,9 +228,7 @@ impl PackedAllocator {
             tenant: kloc_mem::TenantId::DEFAULT,
         };
         let placement = ctx.hooks.place_page(&req, ctx.mem);
-        let frame = ctx
-            .mem
-            .allocate_preferring(&placement.preference, self.kind)?;
+        let frame = ctx.mem.allocate_preferring(&placement, self.kind)?;
         self.frames_allocated += 1;
         // lint: truncation-ok — cache indexes are small (shards + types)
         self.frames.insert(frame, size, ci as u32);

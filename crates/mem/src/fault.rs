@@ -305,9 +305,8 @@ impl FaultState {
     pub fn offline_tiers(&self, now: Nanos) -> Vec<TierId> {
         let mut out: Vec<TierId> = Vec::new();
         for w in &self.tiers {
-            let active = w.kind == TierFaultKind::Offline
-                && w.at <= now
-                && w.until.is_none_or(|u| now < u);
+            let active =
+                w.kind == TierFaultKind::Offline && w.at <= now && w.until.is_none_or(|u| now < u);
             if active && !out.contains(&w.tier) {
                 out.push(w.tier);
             }

@@ -1,4 +1,4 @@
-//! Struct-of-arrays frame table with sharded free lists.
+//! Struct-of-arrays frame table with a LIFO free list.
 //!
 //! Every simulated memory access looks up its frame record, which makes
 //! the frame table the single hottest data structure in the simulator.
@@ -12,9 +12,8 @@
 //! [`FrameId`]s stay unique for the lifetime of the table: an id packs
 //! `generation << 32 | slot`, and the generation increments each time a
 //! slot is reused, so a stale id for a reused slot misses (the identity
-//! column no longer matches). Free slots are reused through
-//! [`ShardedFreeLists`], whose stamp ordering reproduces the exact
-//! global LIFO of the old single free list at any shard count.
+//! column no longer matches). Free slots are reused from one LIFO stack:
+//! the most recently freed slot is the next one handed out.
 //!
 //! A frame can be *watched* on behalf of a client that wants to hear
 //! about its next change instead of re-probing it (the KLOC registry
@@ -26,7 +25,6 @@
 
 use crate::clock::Nanos;
 use crate::frame::{Frame, FrameId, PageKind};
-use crate::shard::{ShardConfig, ShardedFreeLists};
 use crate::tenant::TenantId;
 use crate::tier::TierId;
 
@@ -93,8 +91,8 @@ pub struct FrameTable {
     tenants: Vec<TenantId>,
     /// Generation of the *next* id handed out for each slot.
     generations: Vec<u32>,
-    /// Free slots, allocated in exact global-LIFO order.
-    free: ShardedFreeLists,
+    /// Free slots as a LIFO stack (top = most recently freed).
+    free: Vec<u32>,
     live: usize,
 }
 
@@ -105,13 +103,8 @@ impl Default for FrameTable {
 }
 
 impl FrameTable {
-    /// Creates an empty table with the default shard config.
+    /// Creates an empty table.
     pub fn new() -> Self {
-        FrameTable::with_shards(ShardConfig::default())
-    }
-
-    /// Creates an empty table whose free lists use `cfg`.
-    pub fn with_shards(cfg: ShardConfig) -> Self {
         FrameTable {
             ids: Vec::new(),
             tiers: Vec::new(),
@@ -125,20 +118,9 @@ impl FrameTable {
             wakes: Vec::new(),
             tenants: Vec::new(),
             generations: Vec::new(),
-            free: ShardedFreeLists::new(cfg),
+            free: Vec::new(),
             live: 0,
         }
-    }
-
-    /// Re-shards the free lists in place (observation-equivalent; see
-    /// [`ShardedFreeLists::reshard`]).
-    pub fn reshard(&mut self, cfg: ShardConfig) {
-        self.free.reshard(cfg);
-    }
-
-    /// The free lists' current shard config.
-    pub fn shard_config(&self) -> ShardConfig {
-        self.free.config()
     }
 
     /// Number of live frames.
@@ -161,8 +143,8 @@ impl FrameTable {
     /// The caller builds the [`Frame`] around the id and passes it to
     /// [`FrameTable::insert`].
     pub fn next_id(&self) -> FrameId {
-        match self.free.peek() {
-            Some(slot) => pack(self.generations[slot as usize], slot),
+        match self.free.last() {
+            Some(&slot) => pack(self.generations[slot as usize], slot),
             None => {
                 let slot = self.ids.len() as u32;
                 pack(0, slot)
@@ -420,11 +402,9 @@ impl FrameTable {
 impl FrameTable {
     /// Cross-checks the table's internal invariants: every SoA column
     /// the same length, the live counter against the occupied slots, the
-    /// sharded free lists against the empty slots (disjoint entries that
-    /// partition the slot space with the live frames, local + pool
-    /// occupancy summing to the global accounting, stamps ordered within
-    /// each shard), and every identity entry against the slot holding
-    /// it. Observation only.
+    /// free list against the empty slots (distinct entries, each naming
+    /// an empty slot, free + live partitioning the slot space), and every
+    /// identity entry against the slot holding it. Observation only.
     pub fn ksan_audit(&self, out: &mut Vec<crate::ksan::Violation>) {
         use crate::ksan::Violation;
         let slots = self.ids.len();
@@ -474,43 +454,19 @@ impl FrameTable {
                 format!("{} free + {} live", self.free.len(), self.live),
             ));
         }
-        let (local, pool) = self.free.occupancy();
-        let held: usize = local.iter().sum::<usize>() + pool;
-        if held != self.free.len() {
-            out.push(Violation::new(
-                "ShardedFreeLists occupancy",
-                "free lists",
-                "shard local + pool entry counts sum to the free total",
-                format!("{} free", self.free.len()),
-                format!("{} local + {pool} pool", local.iter().sum::<usize>()),
-            ));
-        }
         let mut seen = vec![false; slots];
-        let mut last_stamp = vec![0u64; local.len()];
-        for (shard, stamp, slot) in self.free.entries() {
-            if let Some(shard) = shard {
-                if stamp <= last_stamp[shard] {
-                    out.push(Violation::new(
-                        "ShardedFreeLists stamps",
-                        format!("shard {shard}"),
-                        "stamps strictly increase within a local list",
-                        format!("> {}", last_stamp[shard]),
-                        format!("{stamp}"),
-                    ));
-                }
-                last_stamp[shard] = stamp;
-            }
+        for &slot in &self.free {
             match seen.get_mut(slot as usize) {
                 Some(flag) if !*flag => *flag = true,
                 Some(_) => out.push(Violation::new(
-                    "ShardedFreeLists disjointness",
+                    "FrameTable.free distinctness",
                     format!("slot {slot}"),
-                    "a free slot appears in exactly one list",
+                    "a free slot appears on the free list once",
                     "one entry".to_owned(),
                     "duplicate entries".to_owned(),
                 )),
                 None => out.push(Violation::new(
-                    "ShardedFreeLists <-> FrameTable.ids",
+                    "FrameTable.free <-> FrameTable.ids",
                     format!("slot {slot}"),
                     "free-list entries name real slots",
                     format!("slot < {slots}"),
@@ -523,7 +479,7 @@ impl FrameTable {
                 .is_some_and(|id| !is_free_sentinel(*id, slot))
             {
                 out.push(Violation::new(
-                    "ShardedFreeLists <-> FrameTable.ids",
+                    "FrameTable.free <-> FrameTable.ids",
                     format!("slot {slot}"),
                     "free-list entries name empty slots",
                     "free sentinel".to_owned(),
@@ -553,18 +509,20 @@ impl FrameTable {
         self.live += 1;
     }
 
-    /// Corruption hook for sanitizer self-tests: duplicates a free-list
-    /// entry across lists, breaking shard disjointness.
+    /// Corruption hook for sanitizer self-tests: pushes the top free-list
+    /// entry a second time, so one slot could be handed out twice.
     #[doc(hidden)]
-    pub fn ksan_break_shard_duplicate(&mut self) {
-        self.free.ksan_break_duplicate();
+    pub fn ksan_break_free_duplicate(&mut self) {
+        if let Some(&slot) = self.free.last() {
+            self.free.push(slot);
+        }
     }
 
-    /// Corruption hook for sanitizer self-tests: drops a free-list entry
-    /// without fixing the accounting.
+    /// Corruption hook for sanitizer self-tests: drops the top free-list
+    /// entry, leaking its slot from the free + live accounting.
     #[doc(hidden)]
-    pub fn ksan_break_shard_accounting(&mut self) {
-        self.free.ksan_break_accounting();
+    pub fn ksan_break_free_accounting(&mut self) {
+        self.free.pop();
     }
 
     /// Corruption hook for sanitizer self-tests: grows one SoA column
@@ -780,33 +738,88 @@ mod tests {
     }
 
     #[test]
+    fn alloc_order_matches_global_lifo_model() {
+        // Reference model: one global LIFO stack of freed slots. A seeded
+        // interleaving of allocations and frees from anywhere in the live
+        // set must mint exactly the slots the model predicts.
+        let mut t = FrameTable::new();
+        let mut model: Vec<u32> = Vec::new();
+        let mut live: Vec<FrameId> = Vec::new();
+        let mut rng = crate::rng::SplitMix64::seed_from_u64(0x11F0);
+        for _ in 0..2000 {
+            if live.is_empty() || rng.gen_below(3) != 0 {
+                let id = t.next_id();
+                let expect = model.pop().unwrap_or(t.slot_capacity() as u32);
+                assert_eq!(slot_of(id), expect as usize, "LIFO slot reuse");
+                t.insert(Frame::new(id, TierId::FAST, PageKind::AppData, Nanos::ZERO));
+                live.push(id);
+            } else {
+                let victim = live.swap_remove(rng.gen_below(live.len() as u64) as usize);
+                t.remove(victim).unwrap();
+                model.push(slot_of(victim) as u32);
+            }
+            assert_eq!(t.len(), live.len());
+            assert_eq!(t.slot_capacity(), live.len() + model.len());
+        }
+        while let Some(slot) = model.pop() {
+            let id = t.next_id();
+            assert_eq!(slot_of(id), slot as usize);
+            t.insert(Frame::new(id, TierId::FAST, PageKind::AppData, Nanos::ZERO));
+        }
+        assert_eq!(slot_of(t.next_id()), t.slot_capacity(), "free list drained");
+    }
+
+    #[test]
     fn alloc_order_is_identical_at_any_shard_count() {
-        // The shard-count determinism oracle at frame-table granularity:
-        // the id sequence under churn is byte-identical for any S.
-        let run = |shards: u32| -> Vec<FrameId> {
-            let mut t = FrameTable::with_shards(ShardConfig::with_shards(shards));
+        // `ShardConfig` survives only as an inert compatibility knob: the
+        // id sequence a memory system mints under churn is the bare frame
+        // table's, whatever shard count is passed to `set_shards`.
+        use crate::system::{MemorySystem, ShardConfig};
+        fn churn(
+            mut alloc: impl FnMut() -> FrameId,
+            mut free: impl FnMut(FrameId),
+        ) -> Vec<FrameId> {
             let mut live: Vec<FrameId> = Vec::new();
             let mut minted = Vec::new();
             for round in 0u64..120 {
                 for _ in 0..(round % 5) + 1 {
-                    let id = t.next_id();
-                    t.insert(Frame::new(id, TierId::FAST, PageKind::AppData, Nanos::ZERO));
+                    let id = alloc();
                     live.push(id);
                     minted.push(id);
                 }
                 // Deterministic churn: free from the middle.
                 for _ in 0..(round % 3) {
                     if live.len() > 2 {
-                        let id = live.remove(live.len() / 2);
-                        t.remove(id).unwrap();
+                        free(live.remove(live.len() / 2));
                     }
                 }
             }
             minted
-        };
-        let baseline = run(1);
-        for shards in [2, 4, 8] {
-            assert_eq!(run(shards), baseline, "shards={shards}");
+        }
+        let table = std::cell::RefCell::new(FrameTable::new());
+        let baseline = churn(
+            || {
+                let mut t = table.borrow_mut();
+                let id = t.next_id();
+                t.insert(Frame::new(id, TierId::FAST, PageKind::AppData, Nanos::ZERO))
+            },
+            |id| {
+                table.borrow_mut().remove(id).unwrap();
+            },
+        );
+        for shards in [1, 2, 4, 8] {
+            let mem = std::cell::RefCell::new(MemorySystem::two_tier(16 << 20, 8));
+            mem.borrow_mut()
+                .set_shards(ShardConfig::with_shards(shards));
+            let got = churn(
+                || {
+                    mem.borrow_mut()
+                        .allocate(TierId::FAST, PageKind::AppData)
+                        .unwrap()
+                },
+                |id| mem.borrow_mut().free(id).unwrap(),
+            );
+            assert_eq!(got, baseline, "shards={shards}");
         }
     }
 }

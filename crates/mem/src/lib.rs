@@ -49,7 +49,6 @@ pub mod ksan;
 pub mod l4cache;
 pub mod migrate;
 pub mod rng;
-pub mod shard;
 pub mod stats;
 pub mod system;
 pub mod tenant;
@@ -62,8 +61,7 @@ pub use frame::{FrameId, FrameSet, PageKind, PAGE_SIZE};
 pub use frametable::{FrameMeta, FrameTable};
 pub use migrate::{MigrationCost, MigrationStats};
 pub use rng::SplitMix64;
-pub use shard::{ShardConfig, ShardedFreeLists};
 pub use stats::{MemStats, TierStats};
-pub use system::{AccessOp, DrainStats, MemorySystem};
+pub use system::{AccessOp, DrainStats, MemorySystem, ShardConfig};
 pub use tenant::TenantId;
 pub use tier::{TierId, TierKind, TierSpec};

@@ -77,6 +77,21 @@ impl AccessOp {
     }
 }
 
+/// Inert compatibility item. The frame table once split its free list
+/// into shards sized by this config; it now keeps one LIFO stack, so the
+/// config carries nothing. It stays only so the `klocbench` replay, which
+/// mirrors the engine's old setup call
+/// `mem.set_shards(ShardConfig::with_shards(n))`, keeps compiling.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ShardConfig;
+
+impl ShardConfig {
+    /// Inert: ignores `shards` (see [`ShardConfig`]).
+    pub fn with_shards(_shards: u32) -> Self {
+        ShardConfig
+    }
+}
+
 /// A complete tiered memory system: tiers + frames + clock + migration.
 ///
 /// See the [crate-level documentation](crate) for an example.
@@ -238,18 +253,10 @@ impl MemorySystem {
         self.cpu_parallelism = threads.max(1);
     }
 
-    /// Re-shards the frame table's free lists. Allocation order — and
-    /// therefore every report — is independent of the shard count (see
-    /// [`crate::shard`]); this only changes how the free slots are
-    /// partitioned.
-    pub fn set_shards(&mut self, cfg: crate::shard::ShardConfig) {
-        self.frames.reshard(cfg);
-    }
-
-    /// The frame table's current shard config.
-    pub fn shard_config(&self) -> crate::shard::ShardConfig {
-        self.frames.shard_config()
-    }
+    /// Inert: the frame table keeps one free list, so there is nothing
+    /// to shard. Kept so callers written against the sharded free lists
+    /// (the `klocbench` replay) still compile; see [`ShardConfig`].
+    pub fn set_shards(&mut self, _cfg: ShardConfig) {}
 
     /// Charges per-thread CPU or I/O-stall time (computation that touches
     /// no simulated memory: think time, syscall entry, disk waits). With
@@ -1151,18 +1158,18 @@ impl MemorySystem {
         self.frames.ksan_break_live_count();
     }
 
-    /// Corruption hook for sanitizer self-tests: duplicates a free-list
-    /// entry across the frame table's shards.
+    /// Corruption hook for sanitizer self-tests: duplicates the frame
+    /// table's top free-list entry.
     #[doc(hidden)]
-    pub fn ksan_break_shard_duplicate(&mut self) {
-        self.frames.ksan_break_shard_duplicate();
+    pub fn ksan_break_free_duplicate(&mut self) {
+        self.frames.ksan_break_free_duplicate();
     }
 
-    /// Corruption hook for sanitizer self-tests: drops a free-list entry
-    /// without fixing the shard accounting.
+    /// Corruption hook for sanitizer self-tests: drops the frame table's
+    /// top free-list entry without fixing the accounting.
     #[doc(hidden)]
-    pub fn ksan_break_shard_accounting(&mut self) {
-        self.frames.ksan_break_shard_accounting();
+    pub fn ksan_break_free_accounting(&mut self) {
+        self.frames.ksan_break_free_accounting();
     }
 
     /// Corruption hook for sanitizer self-tests: grows one frame-table
@@ -1427,7 +1434,10 @@ mod tests {
         // The drained frames stay readable from their new home.
         assert!(m.read(a, 64) > Nanos::ZERO);
         // Nothing left to drain: further passes are no-ops.
-        assert_eq!(m.drain_offline(128, Nanos::new(1_000), Nanos::new(8_000)), 0);
+        assert_eq!(
+            m.drain_offline(128, Nanos::new(1_000), Nanos::new(8_000)),
+            0
+        );
         assert_eq!(m.drain_stats().passes, 1);
     }
 

@@ -47,7 +47,7 @@ fn frame_table_live_count_desync_is_caught() {
 }
 
 /// A system with free-list population: allocate then free some frames so
-/// the sharded free lists hold entries.
+/// the free list holds entries.
 fn churned() -> MemorySystem {
     let mut mem = MemorySystem::two_tier(16 * PAGE_SIZE, 8);
     let ids: Vec<_> = (0..8)
@@ -65,27 +65,27 @@ fn churned_system_audits_clean() {
 }
 
 #[test]
-fn shard_free_list_duplicate_is_caught() {
+fn free_list_duplicate_is_caught() {
     let mut mem = churned();
-    mem.ksan_break_shard_duplicate();
+    mem.ksan_break_free_duplicate();
     let out = audited(&mem);
     assert!(
         out.iter()
-            .any(|v| v.structures == "ShardedFreeLists disjointness"),
+            .any(|v| v.structures == "FrameTable.free distinctness"),
         "{out:#?}"
     );
 }
 
 #[test]
-fn shard_accounting_desync_is_caught() {
+fn free_list_accounting_desync_is_caught() {
     let mut mem = churned();
-    mem.ksan_break_shard_accounting();
+    mem.ksan_break_free_accounting();
     let out = audited(&mem);
-    // The free total still matches the slot space (the counter was not
-    // touched), but the lists no longer hold what the counter claims.
+    // The dropped slot is neither live nor free: the partition breaks.
     assert!(
         out.iter()
-            .any(|v| v.structures == "ShardedFreeLists occupancy"),
+            .any(|v| v.structures == "FrameTable.free <-> FrameTable.ids"
+                && v.invariant == "free + live partition the slot space"),
         "{out:#?}"
     );
 }

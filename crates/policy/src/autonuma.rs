@@ -48,9 +48,7 @@ impl NumaCore {
     fn placement(&self) -> Placement {
         let home = self.home_tier();
         let other = TierId(1 - self.task_socket.min(1));
-        Placement {
-            preference: vec![home, other],
-        }
+        Placement::new(&[home, other])
     }
 
     /// Migrates up to `batch` tracked app pages toward the task socket.
@@ -348,9 +346,9 @@ mod tests {
             cpu: CpuId(0),
             tenant: TenantId::DEFAULT,
         };
-        assert_eq!(p.place_page(&req, &mem).preference[0], TierId(0));
+        assert_eq!(p.place_page(&req, &mem)[0], TierId(0));
         p.set_task_socket(1);
-        assert_eq!(p.place_page(&req, &mem).preference[0], TierId(1));
+        assert_eq!(p.place_page(&req, &mem)[0], TierId(1));
     }
 
     #[test]

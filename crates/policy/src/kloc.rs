@@ -161,9 +161,13 @@ impl KlocPolicy {
         if seen.iter().filter(|s| **s).count() < 2 {
             return None;
         }
-        [QosClass::BestEffort, QosClass::Burstable, QosClass::Guaranteed]
-            .into_iter()
-            .find(|q| seen[*q as usize])
+        [
+            QosClass::BestEffort,
+            QosClass::Burstable,
+            QosClass::Guaranteed,
+        ]
+        .into_iter()
+        .find(|q| seen[*q as usize])
     }
 
     /// The KLOC registry.
@@ -606,12 +610,12 @@ mod tests {
         let mut p = KlocPolicy::new();
         p.on_inode_create(InodeId(1), CpuId(0), TenantId::DEFAULT, &mut mem);
         let pl = p.place_page(&req(KernelObjectType::PageCache, Some(InodeId(1))), &mem);
-        assert_eq!(pl.preference[0], TierId::FAST, "active knode: fast first");
+        assert_eq!(pl[0], TierId::FAST, "active knode: fast first");
         p.on_inode_close(InodeId(1), &mut mem);
         let pl = p.place_page(&req(KernelObjectType::PageCache, Some(InodeId(1))), &mem);
         assert_eq!(
-            pl.preference,
-            vec![TierId::SLOW],
+            pl[..],
+            [TierId::SLOW],
             "inactive knode under pressure: straight to slow"
         );
     }
@@ -624,7 +628,7 @@ mod tests {
         p.on_inode_create(InodeId(1), CpuId(0), TenantId::DEFAULT, &mut mem);
         p.on_inode_close(InodeId(1), &mut mem);
         let pl = p.place_page(&req(KernelObjectType::PageCache, Some(InodeId(1))), &mem);
-        assert_eq!(pl.preference[0], TierId::FAST);
+        assert_eq!(pl[0], TierId::FAST);
     }
 
     #[test]
@@ -712,7 +716,7 @@ mod tests {
         p.on_inode_close(InodeId(1), &mut mem);
         // Inactive inode, but SkBuff is excluded -> fast placement.
         let pl = p.place_page(&req(KernelObjectType::SkBuff, Some(InodeId(1))), &mem);
-        assert_eq!(pl.preference[0], TierId::FAST);
+        assert_eq!(pl[0], TierId::FAST);
     }
 
     #[test]
@@ -728,11 +732,11 @@ mod tests {
         p.on_inode_create(InodeId(1), CpuId(0), TenantId::DEFAULT, &mut mem);
         for _ in 0..2 {
             let pl = p.place_page(&req(KernelObjectType::PageCache, Some(InodeId(1))), &mem);
-            assert_eq!(pl.preference[0], TierId::FAST);
+            assert_eq!(pl[0], TierId::FAST);
             mem.allocate(TierId::FAST, PageKind::PageCache).unwrap();
         }
         let pl = p.place_page(&req(KernelObjectType::PageCache, Some(InodeId(1))), &mem);
-        assert_eq!(pl.preference, vec![TierId::SLOW], "budget reached");
+        assert_eq!(pl[..], [TierId::SLOW], "budget reached");
         // App pages are not subject to the kernel-object budget.
         let app = PageRequest {
             kind: PageKind::AppData,
@@ -742,7 +746,7 @@ mod tests {
             cpu: CpuId(0),
             tenant: TenantId::DEFAULT,
         };
-        assert_eq!(p.place_page(&app, &mem).preference[0], TierId::FAST);
+        assert_eq!(p.place_page(&app, &mem)[0], TierId::FAST);
     }
 
     #[test]
@@ -776,18 +780,17 @@ mod tests {
         };
         for _ in 0..2 {
             let pl = p.place_page(&by(1), &mem);
-            assert_eq!(pl.preference[0], TierId::FAST, "under budget");
+            assert_eq!(pl[0], TierId::FAST, "under budget");
             let f = mem.allocate(TierId::FAST, PageKind::PageCache).unwrap();
             mem.set_frame_tenant(f, TenantId(1)).unwrap();
         }
         assert_eq!(mem.tenant_fast_kernel(TenantId(1)), 2);
         let pl = p.place_page(&by(1), &mem);
-        assert_eq!(pl.preference, vec![TierId::SLOW], "tenant 1 at its cap");
+        assert_eq!(pl[..], [TierId::SLOW], "tenant 1 at its cap");
         // Neighbours are unaffected by tenant 1's cap.
-        assert_eq!(p.place_page(&by(2), &mem).preference[0], TierId::FAST);
+        assert_eq!(p.place_page(&by(2), &mem)[0], TierId::FAST);
         assert_eq!(
-            p.place_page(&req(KernelObjectType::PageCache, Some(InodeId(1))), &mem)
-                .preference[0],
+            p.place_page(&req(KernelObjectType::PageCache, Some(InodeId(1))), &mem)[0],
             TierId::FAST,
             "the shared kernel (tenant 0) is never capped"
         );

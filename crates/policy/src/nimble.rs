@@ -193,9 +193,9 @@ mod tests {
             &mem,
         );
         let slab = p.place_page(&req(PageKind::Slab, Some(KernelObjectType::Dentry)), &mem);
-        assert_eq!(app.preference[0], TierId::FAST);
-        assert_eq!(pc.preference, vec![TierId::SLOW]);
-        assert_eq!(slab.preference, vec![TierId::SLOW]);
+        assert_eq!(app[0], TierId::FAST);
+        assert_eq!(pc[..], [TierId::SLOW]);
+        assert_eq!(slab[..], [TierId::SLOW]);
     }
 
     #[test]
@@ -206,7 +206,7 @@ mod tests {
             &req(PageKind::PageCache, Some(KernelObjectType::PageCache)),
             &mem,
         );
-        assert_eq!(pc.preference[0], TierId::FAST);
+        assert_eq!(pc[0], TierId::FAST);
     }
 
     #[test]

@@ -104,7 +104,7 @@ mod tests {
     fn all_slow_never_uses_fast() {
         let mem = MemorySystem::two_tier(1 << 20, 8);
         let mut p = AllSlow::new();
-        assert_eq!(p.place_page(&req(), &mem).preference, vec![TierId::SLOW]);
+        assert_eq!(p.place_page(&req(), &mem)[..], [TierId::SLOW]);
     }
 
     #[test]
@@ -112,17 +112,11 @@ mod tests {
         let mut mem = MemorySystem::two_tier(2 * 4096, 8);
         let mut p = Naive::new();
         let pl = p.place_page(&req(), &mem);
-        assert_eq!(pl.preference[0], TierId::FAST);
+        assert_eq!(pl[0], TierId::FAST);
         // Fill fast; further allocations spill.
-        let a = mem
-            .allocate_preferring(&pl.preference, PageKind::AppData)
-            .unwrap();
-        let _b = mem
-            .allocate_preferring(&pl.preference, PageKind::AppData)
-            .unwrap();
-        let c = mem
-            .allocate_preferring(&pl.preference, PageKind::AppData)
-            .unwrap();
+        let a = mem.allocate_preferring(&pl, PageKind::AppData).unwrap();
+        let _b = mem.allocate_preferring(&pl, PageKind::AppData).unwrap();
+        let c = mem.allocate_preferring(&pl, PageKind::AppData).unwrap();
         assert_eq!(mem.tier_of(a), TierId::FAST);
         assert_eq!(mem.tier_of(c), TierId::SLOW);
         // Tick does nothing.

@@ -14,7 +14,7 @@
 //!
 //! ```text
 //! perfbench [--mode sweep|run] [--scale tiny|small|large|huge] [--jobs N]
-//!           [--reps N] [--shards N] [--out PATH] [--check]
+//!           [--reps N] [--out PATH] [--check]
 //! ```
 //!
 //! Defaults: `--mode sweep`, `--scale small` (sweep) or the
@@ -45,7 +45,7 @@ use kloc_workloads::{Scale, WorkloadKind};
 fn usage() -> ExitCode {
     eprintln!(
         "usage: perfbench [--mode sweep|run] [--scale tiny|small|large|huge] \
-         [--jobs N] [--reps N] [--shards N] [--out PATH] [--check]"
+         [--jobs N] [--reps N] [--out PATH] [--check]"
     );
     ExitCode::FAILURE
 }
@@ -275,10 +275,6 @@ fn parse_args() -> Result<Args, ()> {
             },
             "--reps" => match args.get(i + 1).and_then(|s| s.parse::<usize>().ok()) {
                 Some(n) if n >= 1 => parsed.reps = n,
-                _ => return Err(()),
-            },
-            "--shards" => match args.get(i + 1).and_then(|s| s.parse::<u32>().ok()) {
-                Some(n) if n >= 1 => engine::set_default_shards(n),
                 _ => return Err(()),
             },
             "--out" => match args.get(i + 1) {

@@ -1,7 +1,7 @@
 //! `repro` — regenerate the paper's tables and figures.
 //!
 //! ```text
-//! repro <experiment> [--scale tiny|small|large|huge] [--seed N] [--jobs N] [--shards N] [--trace FILE]
+//! repro <experiment> [--scale tiny|small|large|huge] [--seed N] [--jobs N] [--trace FILE]
 //!
 //! experiments:
 //!   fig2a fig2b fig2c fig2d   motivation study
@@ -22,10 +22,6 @@
 //! hardware thread; `--jobs 1` forces serial execution). Results are
 //! identical at any job count — runs are independent and deterministic.
 //!
-//! `--shards N` sets the shard count of the sharded hot-path structures
-//! (frame free lists, page-cache LRU, cache reverse map). Like `--jobs`,
-//! it is observably inert: reports are byte-identical at any value.
-//!
 //! `--trace FILE` (builds with `--features trace` only) collects a
 //! `kloc-trace` JSONL document covering every run the invocation
 //! executes and writes it to FILE; analyze it with the `ktrace` binary.
@@ -35,7 +31,7 @@
 //! crashsweep [--crash-points N]` runs the journal crash-recovery
 //! sweep (fails if the consistency checker finds any violation),
 //! `repro chaos` runs the QoS graceful-degradation soak (fails on any
-//! SLO breach; its report is byte-identical at any `--jobs`/`--shards`
+//! SLO breach; its report is byte-identical at any `--jobs`
 //! setting), and `repro run --fault-seed N` injects a seeded
 //! disk/tier/migration fault plan into the single run.
 
@@ -50,7 +46,7 @@ use kloc_workloads::{Scale, WorkloadKind};
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: repro <fig2a|fig2b|fig2c|fig2d|fig4|fig5a|fig5b|fig5c|fig6|table6|percpu|prefetch|thp|granularity|tenants|all> [--scale tiny|small|large|huge] [--seed N] [--jobs N] [--shards N] [--trace FILE]\n       repro run --workload <rocksdb|redis|filebench|cassandra|spark|tenants|tenants-nobudget> --policy <naive|nimble|nimble++|kloc-nomigration|kloc|all-fast|all-slow|autonuma|autonuma-kloc> [--fault-seed N] [options]\n       repro crashsweep [--crash-points N] [options]    (kfault builds)\n       repro chaos [options]                             (kfault builds)"
+        "usage: repro <fig2a|fig2b|fig2c|fig2d|fig4|fig5a|fig5b|fig5c|fig6|table6|percpu|prefetch|thp|granularity|tenants|all> [--scale tiny|small|large|huge] [--seed N] [--jobs N] [--trace FILE]\n       repro run --workload <rocksdb|redis|filebench|cassandra|spark|tenants|tenants-nobudget> --policy <naive|nimble|nimble++|kloc-nomigration|kloc|all-fast|all-slow|autonuma|autonuma-kloc> [--fault-seed N] [options]\n       repro crashsweep [--crash-points N] [options]    (kfault builds)\n       repro chaos [options]                             (kfault builds)"
     );
     ExitCode::FAILURE
 }
@@ -67,12 +63,6 @@ fn main() -> ExitCode {
             Some("small") => scale = Scale::small(),
             Some("large") => scale = Scale::large(),
             Some("huge") => scale = Scale::huge(),
-            _ => return usage(),
-        }
-    }
-    if let Some(pos) = args.iter().position(|a| a == "--shards") {
-        match args.get(pos + 1).and_then(|s| s.parse::<u32>().ok()) {
-            Some(shards) if shards >= 1 => kloc_sim::engine::set_default_shards(shards),
             _ => return usage(),
         }
     }
@@ -237,11 +227,16 @@ fn run(
     if which == "chaos" {
         #[cfg(feature = "kfault")]
         {
-            eprintln!("[chaos soak at scale {} (drain + faults + resize)...]", scale.label);
+            eprintln!(
+                "[chaos soak at scale {} (drain + faults + resize)...]",
+                scale.label
+            );
             let report = kloc_sim::chaos::run(scale)?;
             print!("{}", report.render());
             if report.breaches() > 0 {
-                return Err(format!("chaos soak found {} SLO breach(es)", report.breaches()).into());
+                return Err(
+                    format!("chaos soak found {} SLO breach(es)", report.breaches()).into(),
+                );
             }
             return Ok(());
         }

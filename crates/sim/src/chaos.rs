@@ -23,15 +23,13 @@
 //! journal must still satisfy the crash-recovery checker.
 //!
 //! Everything runs on the virtual clock in one thread, so the rendered
-//! report is byte-identical at any `--jobs` or `--shards` setting — CI
-//! diffs it across both axes.
+//! report is byte-identical at any `--jobs` setting — CI diffs it
+//! across job counts.
 
 use kloc_kernel::hooks::Ctx;
 use kloc_kernel::recovery::{check, recover};
 use kloc_kernel::{Kernel, KernelError, KernelParams, QosClass, TenantStats};
-use kloc_mem::{
-    DiskOp, DrainStats, FaultPlan, MemorySystem, Nanos, TierFaultKind, TierId,
-};
+use kloc_mem::{DiskOp, DrainStats, FaultPlan, MemorySystem, Nanos, TierFaultKind, TierId};
 use kloc_policy::PolicyKind;
 use kloc_workloads::{MultiTenant, Scale, WorkloadKind};
 
@@ -112,7 +110,13 @@ impl ChaosReport {
         let mut t = Table::new(
             format!("chaos soak at scale {} (degradation by phase)", self.scale),
             &[
-                "tenant", "qos", "phase", "inserted", "self-evict", "x-suffered", "preempted",
+                "tenant",
+                "qos",
+                "phase",
+                "inserted",
+                "self-evict",
+                "x-suffered",
+                "preempted",
                 "resident",
             ],
         );
@@ -196,15 +200,10 @@ fn drive(
     if let Some(plan) = plan {
         mem.set_fault_plan(plan);
     }
-    let mut params = KernelParams {
+    let params = KernelParams {
         page_cache_budget: scale.page_cache_frames,
         ..KernelParams::default()
     };
-    let shards = crate::engine::default_shards();
-    if shards != 0 {
-        params.shards = shards;
-    }
-    mem.set_shards(kloc_mem::ShardConfig::with_shards(params.shards));
     let mut kernel = Kernel::new(params);
     let mut workload = WorkloadKind::Tenants { budgeted: true }.build(scale);
     let specs = workload.tenant_specs();
@@ -249,7 +248,12 @@ fn drive(
                 .map(|s| (s.pc_budget, s.fast_budget_frames));
             let applied = {
                 let mut ctx = Ctx::new(&mut mem, policy.as_mut());
-                kernel.resize_tenant_budget(&mut ctx, ev.tenant, ev.pc_budget, ev.fast_budget_frames)?
+                kernel.resize_tenant_budget(
+                    &mut ctx,
+                    ev.tenant,
+                    ev.pc_budget,
+                    ev.fast_budget_frames,
+                )?
             };
             if applied {
                 let (old_pc, old_fast) = before.unwrap_or((None, None));
@@ -381,7 +385,11 @@ fn run_inner(scale: &Scale) -> Result<ChaosReport, KernelError> {
     let mut rows = Vec::new();
     for (ti, spec) in specs.iter().enumerate() {
         for (pi, phase) in PHASES.iter().enumerate() {
-            let prev = if pi == 0 { &zero } else { &chaos.samples[pi - 1] };
+            let prev = if pi == 0 {
+                &zero
+            } else {
+                &chaos.samples[pi - 1]
+            };
             let cur = &chaos.samples[pi];
             rows.push(PhaseRow {
                 phase,

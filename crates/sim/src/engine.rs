@@ -67,27 +67,6 @@ impl Platform {
     }
 }
 
-/// Process-wide default shard count (0 = use [`KernelParams::default`]).
-/// Applied only to runs without an explicit `kernel_params` override, so
-/// tests pinning a shard count are unaffected. Set once at CLI startup
-/// (`repro --shards`, `perfbench --shards`); sharding is observably
-/// inert, so this cannot perturb reports — it exists to measure that.
-static DEFAULT_SHARDS: std::sync::atomic::AtomicU32 = std::sync::atomic::AtomicU32::new(0);
-
-/// Overrides the shard count used for runs without explicit kernel
-/// parameters. `0` restores the built-in default.
-pub fn set_default_shards(shards: u32) {
-    DEFAULT_SHARDS.store(shards, std::sync::atomic::Ordering::Relaxed);
-}
-
-/// The process-wide default shard count (0 = built-in default). Lets
-/// the non-engine harnesses (chaos soak) honor `repro --shards` so
-/// their reports can be byte-compared across shard counts too.
-#[cfg(feature = "kfault")]
-pub(crate) fn default_shards() -> u32 {
-    DEFAULT_SHARDS.load(std::sync::atomic::Ordering::Relaxed)
-}
-
 /// One scheduled mid-run budget reconfiguration — the engine-level
 /// `sys_kloc_memsize` schedule (DESIGN.md §13). Applied during the
 /// measured phase at the first op boundary where the virtual clock has
@@ -396,27 +375,13 @@ pub fn run_borrowing(
         mem.set_fault_plan(plan.clone());
     }
 
-    let mut params = config.kernel_params.clone().unwrap_or_else(|| {
-        let mut p = KernelParams {
+    let params = config
+        .kernel_params
+        .clone()
+        .unwrap_or_else(|| KernelParams {
             page_cache_budget: config.scale.page_cache_frames,
             ..KernelParams::default()
-        };
-        let shards = DEFAULT_SHARDS.load(std::sync::atomic::Ordering::Relaxed);
-        if shards != 0 {
-            p.shards = shards;
-        }
-        p
-    });
-    // `KLOC_BATCH=0` forces the per-access charge path — an A/B switch
-    // for verifying that batching is report-inert (the sim crate is the
-    // deterministic boundary, so env reads live here, not in the model
-    // crates).
-    if std::env::var("KLOC_BATCH").as_deref() == Ok("0") {
-        params.batch_accesses = false;
-    }
-    // One shard count drives every sharded hot-path structure (frame
-    // free lists, page-cache LRU, cache reverse map).
-    mem.set_shards(kloc_mem::ShardConfig::with_shards(params.shards));
+        });
     let mut kernel = Kernel::new(params);
     let mut workload = config.workload.build(&config.scale);
 
@@ -531,7 +496,12 @@ pub fn run_borrowing(
             let applied = {
                 let mut ctx = Ctx::new(&mut mem, &mut *policy);
                 ctx.socket = task_socket;
-                kernel.resize_tenant_budget(&mut ctx, ev.tenant, ev.pc_budget, ev.fast_budget_frames)?
+                kernel.resize_tenant_budget(
+                    &mut ctx,
+                    ev.tenant,
+                    ev.pc_budget,
+                    ev.fast_budget_frames,
+                )?
             };
             if applied {
                 let (old_pc, old_fast) = before.unwrap_or((None, None));

@@ -380,7 +380,10 @@ pub fn render_degradation(events: &[Event]) -> String {
     }
     for ((qos, action), (events, pages)) in &preempts {
         let label = format!("{qos}/{action}");
-        let _ = writeln!(out, "  {label:<22} {events:>6} preemption(s), {pages} page(s)");
+        let _ = writeln!(
+            out,
+            "  {label:<22} {events:>6} preemption(s), {pages} page(s)"
+        );
     }
     if !resizes.is_empty() {
         let _ = writeln!(out, "  budget resizes:");

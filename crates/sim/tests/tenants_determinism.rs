@@ -1,8 +1,9 @@
 //! Determinism contract of the multi-tenant runs: the per-tenant
 //! breakdown (and the whole report it rides in) is byte-identical at any
-//! runner worker count and any shard count, with budgets on or off. The
-//! tenant bookkeeping (owner stamping, self-eviction FIFOs, cross-
-//! eviction attribution) must not observe scheduling or sharding.
+//! runner worker count and any value of the inert `KernelParams::shards`
+//! compatibility field, with budgets on or off. The tenant bookkeeping
+//! (owner stamping, self-eviction FIFOs, cross-eviction attribution)
+//! must not observe scheduling or that field.
 //!
 //! The trace-bytes half of this contract lives in `trace_run.rs`, which
 //! owns the process-global trace session mutex.

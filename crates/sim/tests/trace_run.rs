@@ -121,52 +121,15 @@ fn trace_bytes_independent_of_worker_count() {
 }
 
 #[test]
-fn trace_bytes_independent_of_shard_count() {
+fn tenant_trace_bytes_independent_of_workers() {
     let _session = SESSION.lock().unwrap();
-    use kloc_kernel::KernelParams;
-    let scale = Scale::tiny();
-    let sharded_cell = |workload, policy, shards| {
-        let mut c = cell(workload, policy);
-        c.kernel_params = Some(KernelParams {
-            page_cache_budget: scale.page_cache_frames,
-            shards,
-            ..KernelParams::default()
-        });
-        c
-    };
-    let matrix = |shards| {
+    let matrix = || {
         vec![
-            sharded_cell(WorkloadKind::RocksDb, PolicyKind::Kloc, shards),
-            sharded_cell(WorkloadKind::Filebench, PolicyKind::Nimble, shards),
-            sharded_cell(WorkloadKind::Redis, PolicyKind::Naive, shards),
+            cell(WorkloadKind::Tenants { budgeted: false }, PolicyKind::Kloc),
+            cell(WorkloadKind::Tenants { budgeted: true }, PolicyKind::Kloc),
         ]
     };
-    let baseline = collect(&Runner::serial(), matrix(1));
-    assert!(!baseline.is_empty());
-    for shards in [2, 4, 8] {
-        let got = collect(&Runner::serial(), matrix(shards));
-        assert_same_trace(&got, &baseline, &format!("--shards {shards}"));
-    }
-}
-
-#[test]
-fn tenant_trace_bytes_independent_of_workers_and_shards() {
-    let _session = SESSION.lock().unwrap();
-    use kloc_kernel::KernelParams;
-    let scale = Scale::tiny();
-    let tenant_cell = |budgeted, shards| {
-        let mut c = cell(WorkloadKind::Tenants { budgeted }, PolicyKind::Kloc);
-        if let Some(shards) = shards {
-            c.kernel_params = Some(KernelParams {
-                page_cache_budget: scale.page_cache_frames,
-                shards,
-                ..KernelParams::default()
-            });
-        }
-        c
-    };
-    let matrix = |shards| vec![tenant_cell(false, shards), tenant_cell(true, shards)];
-    let baseline = collect(&Runner::new(1), matrix(None));
+    let baseline = collect(&Runner::new(1), matrix());
     assert!(!baseline.is_empty());
     // Budgets-off runs cross tenant boundaries, so the stream must carry
     // tenant_evict events; budgets-on runs must carry none (budgeted
@@ -192,17 +155,8 @@ fn tenant_trace_bytes_independent_of_workers_and_shards() {
         "budgets-on run must emit no tenant_evict events"
     );
     for jobs in [2usize, 8] {
-        let got = collect(&Runner::new(jobs), matrix(None));
+        let got = collect(&Runner::new(jobs), matrix());
         assert_same_trace(&got, &baseline, &format!("tenants --jobs {jobs}"));
-    }
-    let sharded_baseline = collect(&Runner::serial(), matrix(Some(1)));
-    for shards in [2u32, 4, 8] {
-        let got = collect(&Runner::serial(), matrix(Some(shards)));
-        assert_same_trace(
-            &got,
-            &sharded_baseline,
-            &format!("tenants --shards {shards}"),
-        );
     }
 }
 

@@ -46,7 +46,7 @@ impl Scale {
     /// 1024x spatial shrink, four times the dataset, fast tier, cache
     /// budget, and ops of [`Scale::large`] — preserving the 5:1
     /// data:fast-memory ratio while pushing the simulator's own data
-    /// structures (frame table, LRU shards, radix nodes) well past the
+    /// structures (frame table, page LRU, radix nodes) well past the
     /// Large footprint.
     pub fn huge() -> Self {
         Scale {

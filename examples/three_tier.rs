@@ -55,14 +55,12 @@ impl KernelHooks for Waterfall {
     fn place_page(&mut self, req: &PageRequest, _mem: &MemorySystem) -> Placement {
         let all: Vec<TierId> = (0..self.tiers).map(TierId).collect();
         if req.kind == PageKind::AppData {
-            return Placement { preference: all };
+            return Placement::new(&all);
         }
         match req.inode.and_then(|i| self.registry.is_active(i)) {
             // Inactive knodes start in the middle of the hierarchy.
-            Some(false) => Placement {
-                preference: all[1..].to_vec(),
-            },
-            _ => Placement { preference: all },
+            Some(false) => Placement::new(&all[1..]),
+            _ => Placement::new(&all),
         }
     }
 
