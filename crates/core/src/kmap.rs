@@ -18,16 +18,28 @@
 //!
 //! * a global **epoch** counter — advancing it is the whole of an aging
 //!   pass; knode ages derive lazily from it ([`Knode::age_at`]);
-//! * an ordered **inactive index** keyed by `(inactive-since epoch,
-//!   inode)`, updated O(log n) on activate/deactivate/touch, so cold-set
-//!   selection is a range scan over candidates only;
-//! * an **active index** so scans of in-use knodes skip the (typically
-//!   much larger) inactive population;
-//! * a **cold index** of knodes past the policy's age threshold, in
-//!   inode order — knodes enter when their stamp crosses the watermark
+//! * an **active bitset** over inode numbers, so scans of in-use knodes
+//!   skip the (typically much larger) inactive population; ascending
+//!   bit order is inode order;
+//! * a **cold bitset** of inactive knodes past the policy's age
+//!   threshold — knodes enter when their stamp crosses the watermark
 //!   (at most once per cold spell) and leave on touch/reactivation, so
-//!   the per-tick demotion batch is read off the front in O(batch)
-//!   instead of re-scanning and re-sorting every cold knode each tick.
+//!   the per-tick demotion batch is read off the lowest set bits in
+//!   inode order instead of re-scanning and re-sorting every cold knode
+//!   each tick;
+//! * an **inactive heap**: a min-heap of `(inactive-since epoch, inode)`
+//!   for inactive knodes not yet cold, from which the cold query pops
+//!   the knodes whose stamps crossed the watermark. Entries are
+//!   validated lazily: an activation change only flips a bit and leaves
+//!   the knode's old heap entry in place, and a pop counts an entry only
+//!   if its knode is still mapped, inactive, not cold, and at that
+//!   stamp. When stale entries outnumber live ones (plus a small slack)
+//!   the heap is rebuilt from its own live entries, so it stays O(live
+//!   entries) without ever scanning the knode population.
+//!
+//! Every activation change therefore costs one bit flip plus at most
+//! one O(log n) heap push — no tree node is allocated, freed or
+//! rebalanced on the open/close/touch paths.
 //!
 //! All knode mutation funnels through [`Kmap::with_knode_mut`] /
 //! [`Kmap::with_knode_mut_at`], which repair the indexes when a mutation
@@ -35,7 +47,8 @@
 //! `&mut Knode` ever escapes the kmap.
 
 use std::cell::Cell;
-use std::collections::BTreeSet;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use kloc_mem::Nanos;
 
@@ -45,6 +58,77 @@ use crate::knode::Knode;
 
 /// Sentinel in the dense inode index marking an unmapped inode.
 const NO_SLOT: u32 = u32::MAX;
+
+/// Stale inactive-heap entries tolerated beyond the live count before
+/// a rebuild; keeps tiny heaps from rebuilding on every change.
+const HEAP_SLACK: usize = 64;
+
+/// A set of inodes as a dense bitset over inode numbers (sequential VFS
+/// handles), with its population count. Ascending bit order is inode
+/// order.
+#[derive(Debug, Clone, Default)]
+struct InodeBits {
+    words: Vec<u64>,
+    len: usize,
+}
+
+impl InodeBits {
+    #[inline]
+    fn locate(inode: InodeId) -> (usize, u64) {
+        // lint: truncation-ok — inode numbers index the dense tables
+        ((inode.0 / 64) as usize, 1 << (inode.0 % 64))
+    }
+
+    /// Adds `inode` (a no-op if present).
+    #[inline]
+    fn insert(&mut self, inode: InodeId) {
+        let (w, bit) = Self::locate(inode);
+        if w >= self.words.len() {
+            self.words.resize(w + 1, 0);
+        }
+        self.len += usize::from(self.words[w] & bit == 0);
+        self.words[w] |= bit;
+    }
+
+    /// Drops `inode` (a no-op if absent).
+    #[inline]
+    fn remove(&mut self, inode: InodeId) {
+        let (w, bit) = Self::locate(inode);
+        if let Some(word) = self.words.get_mut(w) {
+            self.len -= usize::from(*word & bit != 0);
+            *word &= !bit;
+        }
+    }
+
+    #[inline]
+    fn contains(&self, inode: InodeId) -> bool {
+        let (w, bit) = Self::locate(inode);
+        self.words.get(w).is_some_and(|word| word & bit != 0)
+    }
+
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    /// The members in inode order.
+    fn iter(&self) -> impl Iterator<Item = InodeId> + '_ {
+        let words = if self.len == 0 {
+            &[][..]
+        } else {
+            &self.words[..]
+        };
+        (0u64..).zip(words).flat_map(|(w, &word)| {
+            let mut rest = word;
+            std::iter::from_fn(move || {
+                (rest != 0).then(|| {
+                    let bit = u64::from(rest.trailing_zeros());
+                    rest &= rest - 1;
+                    InodeId(w * 64 + bit)
+                })
+            })
+        })
+    }
+}
 
 /// The global knode registry.
 #[derive(Debug, Clone, Default)]
@@ -63,24 +147,26 @@ pub struct Kmap {
     mapped: usize,
     /// Global aging epoch; one unit of knode age per advance.
     epoch: u64,
-    /// Inactive knodes ordered by how long they have been inactive:
-    /// `(inactive_stamp, inode)`, oldest first.
-    inactive_idx: BTreeSet<(u64, InodeId)>,
-    /// In-use knodes, in inode order.
-    active_idx: BTreeSet<InodeId>,
-    /// The age threshold the cold index below is maintained for —
+    /// Min-heap of `(inactive_stamp, inode)` for inactive knodes that
+    /// are not cold, validated lazily (see the module docs).
+    inactive_idx: BinaryHeap<Reverse<(u64, InodeId)>>,
+    /// Inactive knodes that are not cold — the heap's live entries.
+    /// Every other heap entry is stale.
+    heap_live: usize,
+    /// In-use knodes.
+    active_idx: InodeBits,
+    /// The age threshold the cold bitset below is maintained for —
     /// registered by the first [`Kmap::cold_inodes_with_members`] call.
     cold_threshold: Option<u32>,
     /// Stamps at or below this are cold (`epoch - cold_threshold` as of
     /// the last cold query).
     cold_watermark: u64,
-    /// Inactive knodes whose stamp is at or below the watermark, in
-    /// inode order. Maintained incrementally: a knode enters when its
-    /// stamp crosses the watermark (at most once per cold spell) and
-    /// leaves on touch/reactivation/unmap, so the per-tick cold query
-    /// reads its batch straight off the front instead of re-scanning
-    /// and re-sorting every cold knode each time.
-    cold_idx: BTreeSet<InodeId>,
+    /// Inactive knodes whose stamp is at or below the watermark.
+    /// Maintained incrementally: a knode enters when its stamp crosses
+    /// the watermark (at most once per cold spell) and leaves on
+    /// touch/reactivation/unmap, so the per-tick cold query reads its
+    /// batch straight off the lowest set bits.
+    cold_idx: InodeBits,
     /// Accesses that had to traverse the kmap tree (misses of the
     /// per-CPU fast path); feeds the §4.3 ablation.
     tree_accesses: u64,
@@ -186,23 +272,65 @@ impl Kmap {
             .expect("index entry has knode") // lint: unwrap-ok — the index only stores occupied slots
     }
 
-    /// Adds `inode` to the cold index if its stamp is already past the
-    /// watermark (knodes usually cross it later, via the query's
-    /// incremental pull).
+    /// Whether an inactive knode at `stamp` belongs in the cold bitset
+    /// rather than the inactive heap.
     #[inline]
-    fn cold_enter(&mut self, stamp: u64, inode: InodeId) {
-        if self.cold_threshold.is_some() && stamp <= self.cold_watermark {
+    fn is_cold(&self, stamp: u64) -> bool {
+        self.cold_threshold.is_some() && stamp <= self.cold_watermark
+    }
+
+    /// Files a newly inactive (or restamped) knode: straight into the
+    /// cold bitset if its stamp is already past the watermark (knodes
+    /// usually cross it later, via the cold query's heap pops), else
+    /// onto the inactive heap.
+    #[inline]
+    fn enter_inactive(&mut self, stamp: u64, inode: InodeId) {
+        if self.is_cold(stamp) {
             self.cold_idx.insert(inode);
+        } else {
+            self.inactive_idx.push(Reverse((stamp, inode)));
+            self.heap_live += 1;
         }
     }
 
-    /// Drops `inode` from the cold index if its (previous) stamp had it
-    /// there.
+    /// Unfiles a knode leaving the inactive state (or its old stamp):
+    /// clears its cold bit, or lets its heap entry go stale.
     #[inline]
-    fn cold_leave(&mut self, stamp: u64, inode: InodeId) {
-        if self.cold_threshold.is_some() && stamp <= self.cold_watermark {
-            self.cold_idx.remove(&inode);
+    fn leave_inactive(&mut self, stamp: u64, inode: InodeId) {
+        if self.is_cold(stamp) {
+            self.cold_idx.remove(inode);
+        } else {
+            self.heap_live -= 1;
         }
+    }
+
+    /// Whether heap entry `(stamp, inode)` is live: its knode is still
+    /// mapped, inactive, at that stamp, and not yet cold. A knode can
+    /// hold two entries at one stamp (closed, reopened and closed again
+    /// within an epoch); the cold check counts only the first popped.
+    fn heap_entry_live(&self, stamp: u64, inode: InodeId) -> bool {
+        self.index_get(inode).is_some_and(|slot| {
+            let k = self.at(slot);
+            !k.inuse() && k.inactive_stamp() == stamp
+        }) && !self.cold_idx.contains(inode)
+    }
+
+    /// Rebuilds the inactive heap from its live entries once stale ones
+    /// outnumber them by more than [`HEAP_SLACK`]. Each stale entry was
+    /// left by one activation change since the last rebuild, and more
+    /// than half the heap is stale, so the O(n log n) rebuild amortizes
+    /// to O(log n) per change. Called only between index repairs, when
+    /// every live entry's knode is filed.
+    fn bound_heap(&mut self) {
+        if self.inactive_idx.len() <= 2 * self.heap_live + HEAP_SLACK {
+            return;
+        }
+        let mut entries = std::mem::take(&mut self.inactive_idx).into_vec();
+        entries.retain(|&Reverse((stamp, inode))| self.heap_entry_live(stamp, inode));
+        entries.sort_unstable();
+        entries.dedup();
+        debug_assert_eq!(entries.len(), self.heap_live);
+        self.inactive_idx = BinaryHeap::from(entries);
     }
 
     /// Registers a knode (`map_knode` / `add_to_kmap` in Table 2) and
@@ -233,8 +361,7 @@ impl Kmap {
         if active {
             self.active_idx.insert(inode);
         } else {
-            self.inactive_idx.insert((stamp, inode));
-            self.cold_enter(stamp, inode);
+            self.enter_inactive(stamp, inode);
         }
         slot
     }
@@ -247,11 +374,10 @@ impl Kmap {
             .expect("index entry has knode"); // lint: unwrap-ok — the index only stores occupied slots
         self.free.push(slot);
         if knode.inuse() {
-            self.active_idx.remove(&inode);
+            self.active_idx.remove(inode);
         } else {
-            let stamp = knode.inactive_stamp();
-            self.inactive_idx.remove(&(stamp, inode));
-            self.cold_leave(stamp, inode);
+            self.leave_inactive(knode.inactive_stamp(), inode);
+            self.bound_heap();
         }
         Some(knode)
     }
@@ -317,19 +443,17 @@ impl Kmap {
         let is_stamp = knode.inactive_stamp();
         if was_active != is_active {
             if was_active {
-                self.active_idx.remove(&inode);
-                self.inactive_idx.insert((is_stamp, inode));
-                self.cold_enter(is_stamp, inode);
+                self.active_idx.remove(inode);
+                self.enter_inactive(is_stamp, inode);
             } else {
-                self.inactive_idx.remove(&(was_stamp, inode));
-                self.cold_leave(was_stamp, inode);
+                self.leave_inactive(was_stamp, inode);
                 self.active_idx.insert(inode);
+                self.bound_heap();
             }
         } else if !is_active && was_stamp != is_stamp {
-            self.inactive_idx.remove(&(was_stamp, inode));
-            self.cold_leave(was_stamp, inode);
-            self.inactive_idx.insert((is_stamp, inode));
-            self.cold_enter(is_stamp, inode);
+            self.leave_inactive(was_stamp, inode);
+            self.enter_inactive(is_stamp, inode);
+            self.bound_heap();
         }
         Some(r)
     }
@@ -354,10 +478,11 @@ impl Kmap {
         })
     }
 
-    /// Iterates the in-use knodes in inode order, via the active index —
-    /// cost is O(#active), independent of the inactive population.
+    /// Iterates the in-use knodes in inode order, via the active bitset —
+    /// cost is O(#active) knode reads plus one word per 64 inode
+    /// numbers, independent of the inactive population.
     pub fn active_knodes(&self) -> impl Iterator<Item = &Knode> + '_ {
-        self.active_idx.iter().map(|&inode| {
+        self.active_idx.iter().map(|inode| {
             self.note_examined(1);
             let slot = self.slot_of(inode).expect("active index entry has knode"); // lint: unwrap-ok — the active index tracks live knodes
             self.at(slot)
@@ -367,12 +492,13 @@ impl Kmap {
     /// Appends to `out` the first `max` inodes, in inode order, of
     /// inactive knodes with age >= `min_age` that still track members.
     ///
-    /// Served from the incrementally maintained cold index: the call
-    /// pulls in knodes whose stamps crossed the cold cutoff since the
-    /// last query (each crosses at most once per cold spell), then
-    /// reads the batch off the front — O(batch), independent of how
-    /// many knodes are cold. Inode order is exactly what sorting the
-    /// full candidate range and truncating to `max` used to produce.
+    /// Served from the incrementally maintained cold bitset: the call
+    /// pops the knodes whose stamps crossed the cold cutoff since the
+    /// last query off the inactive heap (each crosses at most once per
+    /// cold spell), then reads the batch off the lowest set bits —
+    /// O(batch) knode reads, independent of how many knodes are cold.
+    /// Inode order is exactly what sorting the full candidate range and
+    /// truncating to `max` used to produce.
     pub fn cold_inodes_with_members(&mut self, min_age: u32, max: usize, out: &mut Vec<InodeId>) {
         // A knode is cold iff its stamp <= epoch - min_age; nothing
         // qualifies while fewer than min_age epochs have elapsed.
@@ -380,27 +506,37 @@ impl Kmap {
             return;
         };
         if self.cold_threshold != Some(min_age) {
-            // First query (or a new threshold): build the index with one
-            // range scan; it stays incremental from here on.
+            // First query (or a new threshold): return every cold knode
+            // to the heap, then pop against the new watermark below; the
+            // bitset stays incremental from here on.
+            let cold: Vec<InodeId> = self.cold_idx.iter().collect();
+            for inode in cold {
+                let knode = self.get(inode).expect("cold bit names a mapped knode"); // lint: unwrap-ok — the cold bitset tracks live knodes
+                self.inactive_idx
+                    .push(Reverse((knode.inactive_stamp(), inode)));
+            }
+            self.heap_live += self.cold_idx.len();
+            self.cold_idx = InodeBits::default();
             self.cold_threshold = Some(min_age);
-            self.cold_idx.clear();
-            for &(_, inode) in self.inactive_idx.range(..=(max_stamp, InodeId(u64::MAX))) {
-                self.cold_idx.insert(inode);
-            }
-        } else if max_stamp > self.cold_watermark {
-            let lo = std::ops::Bound::Excluded((self.cold_watermark, InodeId(u64::MAX)));
-            let hi = std::ops::Bound::Included((max_stamp, InodeId(u64::MAX)));
-            for &(_, inode) in self.inactive_idx.range((lo, hi)) {
-                self.cold_idx.insert(inode);
-            }
         }
         self.cold_watermark = max_stamp;
-        for &inode in &self.cold_idx {
+        while let Some(&Reverse((stamp, inode))) = self.inactive_idx.peek() {
+            if stamp > max_stamp {
+                break;
+            }
+            self.inactive_idx.pop();
+            if self.heap_entry_live(stamp, inode) {
+                self.cold_idx.insert(inode);
+                self.heap_live -= 1;
+            }
+        }
+        self.bound_heap();
+        for inode in self.cold_idx.iter() {
             if out.len() == max {
                 break;
             }
             self.note_examined(1);
-            let slot = self.slot_of(inode).expect("index entry has knode"); // lint: unwrap-ok — the cold index tracks live knodes
+            let slot = self.slot_of(inode).expect("index entry has knode"); // lint: unwrap-ok — the cold bitset tracks live knodes
             if self.at(slot).member_count() > 0 {
                 out.push(inode);
             }
@@ -435,15 +571,13 @@ impl Kmap {
     }
 
     /// Inodes of all currently inactive knodes, oldest activity first.
+    /// A filtered scan of every knode: for tests and diagnostics, never
+    /// the tick path.
     pub fn inactive_knodes(&self) -> Vec<InodeId> {
         let mut v: Vec<(Nanos, InodeId)> = self
-            .inactive_idx
             .iter()
-            .map(|&(_, inode)| {
-                self.note_examined(1);
-                let slot = self.slot_of(inode).expect("index entry has knode"); // lint: unwrap-ok — the inactive index tracks live knodes
-                (self.at(slot).last_active(), inode)
-            })
+            .filter(|k| !k.inuse())
+            .map(|k| (k.last_active(), k.inode()))
             .collect();
         v.sort_unstable();
         v.into_iter().map(|(_, inode)| inode).collect()
@@ -454,12 +588,20 @@ impl Kmap {
 impl Kmap {
     /// Audits the kmap: the inode index against the slot storage, the
     /// free list, the global epoch against every knode's synced epoch,
-    /// exact two-way membership of the activation indexes, and each
-    /// knode's internal frame refcounts. Observation only — in
-    /// particular the `examined` scan probe is never touched, so a run
-    /// audited by ksan reports the same counters as an unaudited one.
+    /// the activation indexes against every knode (the active bitset
+    /// holds exactly the in-use knodes, the cold bitset exactly the
+    /// inactive ones at or below the watermark, and every other inactive
+    /// knode has a heap entry at its current stamp), the heap's live
+    /// count and bound, and each knode's internal frame refcounts.
+    /// Observation only — in particular the `examined` scan probe is
+    /// never touched, so a run audited by ksan reports the same counters
+    /// as an unaudited one.
     pub fn ksan_audit(&self, out: &mut Vec<kloc_mem::ksan::Violation>) {
+        use std::collections::BTreeSet;
+
         use kloc_mem::ksan::Violation;
+        let heap: BTreeSet<(u64, InodeId)> = self.inactive_idx.iter().map(|e| e.0).collect();
+        let mut above_watermark = 0usize;
         let occupied = self.slots.iter().filter(|s| s.is_some()).count();
         if occupied != self.mapped {
             out.push(Violation::new(
@@ -518,99 +660,147 @@ impl Kmap {
                     format!("synced_epoch = {}", knode.synced_epoch()),
                 ));
             }
-            let in_active = self.active_idx.contains(&inode);
-            let in_inactive = self.inactive_idx.contains(&(knode.inactive_stamp(), inode));
-            if knode.inuse() && (!in_active || in_inactive) {
+            let stamp = knode.inactive_stamp();
+            let in_active = self.active_idx.contains(inode);
+            let in_cold = self.cold_idx.contains(inode);
+            if knode.inuse() && (!in_active || in_cold) {
                 out.push(Violation::new(
                     "Knode.inuse <-> Kmap activation indexes",
                     format!("{inode}"),
-                    "an in-use knode sits in the active index only",
-                    "active index".to_owned(),
-                    format!("active: {in_active}, inactive: {in_inactive}"),
+                    "an in-use knode sits in the active bitset only",
+                    "active bit".to_owned(),
+                    format!("active: {in_active}, cold: {in_cold}"),
                 ));
             }
-            if !knode.inuse() && (in_active || !in_inactive) {
+            if knode.inuse() {
+                knode.ksan_audit(out);
+                continue;
+            }
+            if in_active {
                 out.push(Violation::new(
                     "Knode.inuse <-> Kmap activation indexes",
                     format!("{inode}"),
-                    "an inactive knode sits in the inactive index, keyed by its stamp",
-                    format!("inactive index entry ({}, {inode})", knode.inactive_stamp()),
-                    format!("active: {in_active}, inactive: {in_inactive}"),
+                    "an inactive knode has no active bit",
+                    "no active bit".to_owned(),
+                    "active bit set".to_owned(),
                 ));
+            }
+            let should_cold = self.is_cold(stamp);
+            if should_cold != in_cold {
+                out.push(Violation::new(
+                    "Kmap.cold_idx <-> Kmap.inactive_idx",
+                    format!("{inode}"),
+                    "the cold bitset holds exactly the inactive knodes at or below the watermark",
+                    format!(
+                        "stamp {stamp} vs watermark {}: cold = {should_cold}",
+                        self.cold_watermark
+                    ),
+                    format!("cold = {in_cold}"),
+                ));
+            }
+            if !should_cold && !heap.contains(&(stamp, inode)) {
+                out.push(Violation::new(
+                    "Knode.inuse <-> Kmap activation indexes",
+                    format!("{inode}"),
+                    "an inactive knode above the watermark has an inactive-heap entry at its stamp",
+                    format!("inactive heap entry ({stamp}, {inode})"),
+                    "no entry".to_owned(),
+                ));
+            }
+            if !should_cold {
+                above_watermark += 1;
             }
             knode.ksan_audit(out);
         }
-        // Two-way membership of the cold index against the inactive
-        // index and the registered watermark.
-        if self.cold_threshold.is_some() {
-            for &(stamp, inode) in &self.inactive_idx {
-                let should = stamp <= self.cold_watermark;
-                let has = self.cold_idx.contains(&inode);
-                if should != has {
+        // Every set bit names a mapped knode in the matching state (the
+        // per-knode checks above cover the converse).
+        for (name, bits, want_inuse) in [
+            ("Kmap.active_idx <-> Kmap.index", &self.active_idx, true),
+            ("Kmap.cold_idx <-> Kmap.index", &self.cold_idx, false),
+        ] {
+            for inode in bits.iter() {
+                if self.get(inode).map(Knode::inuse) != Some(want_inuse) {
                     out.push(Violation::new(
-                        "Kmap.cold_idx <-> Kmap.inactive_idx",
+                        name,
                         format!("{inode}"),
-                        "the cold index holds exactly the inactive knodes at or past the watermark",
-                        format!(
-                            "stamp {stamp} vs watermark {}: cold = {should}",
-                            self.cold_watermark
-                        ),
-                        format!("cold = {has}"),
+                        "every set bit names a mapped knode in that state",
+                        format!("mapped knode with inuse = {want_inuse}"),
+                        "missing or in the other state".to_owned(),
                     ));
                 }
             }
-            for &inode in &self.cold_idx {
-                let inactive = self
-                    .index_get(inode)
-                    .map(|s| !self.at(s).inuse())
-                    .unwrap_or(false);
-                if !inactive {
-                    out.push(Violation::new(
-                        "Kmap.cold_idx <-> Kmap.index",
-                        format!("{inode}"),
-                        "every cold index entry names a mapped, inactive knode",
-                        "mapped inactive knode".to_owned(),
-                        "missing or active".to_owned(),
-                    ));
-                }
+            let counted = bits
+                .words
+                .iter()
+                .map(|w| w.count_ones() as usize)
+                .sum::<usize>();
+            if counted != bits.len() {
+                out.push(Violation::new(
+                    name,
+                    "kmap",
+                    "a bitset's population count matches its set bits",
+                    format!("{counted} set bits"),
+                    format!("len = {}", bits.len()),
+                ));
             }
         }
-        // Exact membership: with every knode accounted for above, equal
-        // sizes rule out entries pointing at unmapped inodes.
-        if self.active_idx.len() + self.inactive_idx.len() != self.mapped {
+        if above_watermark != self.heap_live {
+            out.push(Violation::new(
+                "Kmap.heap_live <-> Kmap.inactive_idx",
+                "kmap",
+                "the live heap-entry count equals the inactive knodes above the watermark",
+                format!("{above_watermark} knodes"),
+                format!("heap_live = {}", self.heap_live),
+            ));
+        }
+        // Exact membership: active bits, cold bits and distinct live heap
+        // entries partition the mapped knodes.
+        let heap_live_entries = heap
+            .iter()
+            .filter(|&&(stamp, inode)| self.heap_entry_live(stamp, inode))
+            .count();
+        if self.active_idx.len() + self.cold_idx.len() + heap_live_entries != self.mapped {
             out.push(Violation::new(
                 "Kmap activation indexes <-> Kmap.index",
                 "kmap",
                 "the activation indexes partition the mapped knodes",
-                format!("{} mapped knodes", self.index.len()),
+                format!("{} mapped knodes", self.mapped),
                 format!(
-                    "{} active + {} inactive",
+                    "{} active + {} cold + {heap_live_entries} live heap entries",
                     self.active_idx.len(),
-                    self.inactive_idx.len()
+                    self.cold_idx.len(),
                 ),
+            ));
+        }
+        if self.inactive_idx.len() > 2 * self.heap_live + HEAP_SLACK {
+            out.push(Violation::new(
+                "Kmap.inactive_idx <-> Kmap.heap_live",
+                "kmap",
+                "stale heap entries never outnumber live ones by more than the slack",
+                format!("<= {} entries", 2 * self.heap_live + HEAP_SLACK),
+                format!("{} entries", self.inactive_idx.len()),
             ));
         }
     }
 
     /// Corruption hook for sanitizer self-tests: drops the oldest
-    /// inactive-index entry while its knode stays inactive.
+    /// inactive-heap entry while its knode stays inactive.
     #[doc(hidden)]
     pub fn ksan_break_inactive_index(&mut self) {
-        if let Some(&entry) = self.inactive_idx.iter().next() {
-            self.inactive_idx.remove(&entry);
-        }
+        self.inactive_idx.pop();
     }
 
-    /// Corruption hook for sanitizer self-tests: drops the first cold
-    /// index entry (or plants a phantom one when the index is empty),
-    /// desyncing it from the inactive index.
+    /// Corruption hook for sanitizer self-tests: clears the lowest cold
+    /// bit (or plants a phantom one past the mapped inodes when the
+    /// bitset is empty), desyncing it from the knodes' stamps.
     #[doc(hidden)]
     pub fn ksan_break_cold_index(&mut self) {
-        if let Some(&inode) = self.cold_idx.iter().next() {
-            self.cold_idx.remove(&inode);
+        let lowest = self.cold_idx.iter().next();
+        if let Some(inode) = lowest {
+            self.cold_idx.remove(inode);
         } else {
             self.cold_threshold.get_or_insert(1);
-            self.cold_idx.insert(InodeId(u64::MAX - 1));
+            self.cold_idx.insert(InodeId(self.index.len() as u64));
         }
     }
 

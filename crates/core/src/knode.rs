@@ -10,8 +10,8 @@
 //! `BTreeMap`s: the member add/remove/touch path sits on every syscall,
 //! so it probes a flat slot array instead of chasing tree nodes. The
 //! distinct member frames the migration walks read are kept sorted in
-//! one [`crate::members::FrameRefs`] vector (see the `members` module
-//! docs).
+//! one chunked [`crate::members::FrameRefs`] set (see the `members`
+//! module docs).
 //!
 //! Aging is *lazy*: instead of a scan bumping a counter on every knode
 //! each epoch (O(knodes) per tick), a knode records the
@@ -23,7 +23,7 @@
 
 use std::cell::Cell;
 
-use kloc_mem::{FrameId, Nanos, TierId};
+use kloc_mem::{FrameId, Nanos, TenantId, TierId};
 
 use kloc_kernel::hooks::CpuId;
 use kloc_kernel::vfs::InodeId;
@@ -47,6 +47,9 @@ pub struct Knode {
     inode: InodeId,
     /// Whether the inode is currently open/active.
     inuse: bool,
+    /// The tenant that created the inode, for shared-access
+    /// attribution ([`TenantId::DEFAULT`] in single-tenant runs).
+    owner: TenantId,
     /// Age accrued up to `synced_epoch` (materialized on activation
     /// transitions; zero after any touch).
     age_base: u32,
@@ -90,6 +93,7 @@ impl Knode {
         Knode {
             inode,
             inuse: true,
+            owner: TenantId::DEFAULT,
             age_base: 0,
             synced_epoch: 0,
             last_cpu: CpuId(0),
@@ -110,6 +114,16 @@ impl Knode {
     /// Whether the inode is active (open).
     pub fn inuse(&self) -> bool {
         self.inuse
+    }
+
+    /// The tenant that owns this knode.
+    pub(crate) fn owner(&self) -> TenantId {
+        self.owner
+    }
+
+    /// Sets the owning tenant (at creation).
+    pub(crate) fn set_owner(&mut self, tenant: TenantId) {
+        self.owner = tenant;
     }
 
     /// LRU age as of `epoch`: epochs spent inactive since the last
@@ -187,10 +201,14 @@ impl Knode {
         tree
     }
 
-    /// Removes a member. Returns whether it was tracked. One dense-table
-    /// probe plus a sorted refcount drop.
-    pub fn remove_obj(&mut self, obj: ObjectId) -> bool {
-        let frame = self.cache.remove(obj).or_else(|| self.slab.remove(obj));
+    /// Removes a member of type `ty`, routed to its table by backing as
+    /// in [`Knode::add_obj`]. Returns whether it was tracked. One
+    /// dense-table probe plus a sorted refcount drop.
+    pub fn remove_obj(&mut self, obj: ObjectId, ty: KernelObjectType) -> bool {
+        let frame = match ty.backing() {
+            Backing::Page(_) => self.cache.remove(obj),
+            Backing::Slab => self.slab.remove(obj),
+        };
         match frame {
             Some(f) => {
                 if self.frames.unref(f) {
@@ -228,9 +246,14 @@ impl Knode {
     /// `FrameId` — the unit of en-masse migration (paper §4.4: "kernel
     /// objects pointed to by a knode subtree are migrated" together).
     /// The order is report-visible; the frame set maintains it on every
-    /// member insert/remove, so walks read this slice in place.
-    pub fn member_frames(&self) -> &[FrameId] {
-        self.frames.frames()
+    /// member insert/remove, so walks iterate it in place.
+    pub fn member_frames(&self) -> impl Iterator<Item = FrameId> + '_ {
+        self.frames.iter()
+    }
+
+    /// Number of distinct member frames.
+    pub fn member_frame_count(&self) -> usize {
+        self.frames.len()
     }
 
     /// The member frame set with its per-entry parked bits, for the
@@ -317,7 +340,7 @@ impl Knode {
             out.push(Violation::new(
                 "Knode.frames order <-> refcounts",
                 format!("{}", self.inode),
-                "frames strictly ascending, every refcount >= 1, equal lengths",
+                "frames strictly ascending, every refcount >= 1, chunks non-empty with exact maxes",
                 "sorted refcounted frame set".to_owned(),
                 err,
             ));
@@ -367,6 +390,14 @@ impl Knode {
         self.frames.ksan_break_order(FrameId(0));
     }
 
+    /// Corruption hook for sanitizer self-tests: raises the frame set's
+    /// first recorded chunk max past the chunk's last frame, so the
+    /// chunk search would misroute frames.
+    #[doc(hidden)]
+    pub fn ksan_break_frame_maxes(&mut self) {
+        self.frames.ksan_break_maxes();
+    }
+
     /// The parked member frames, ascending by full `FrameId`.
     pub(crate) fn parked_frames(&self) -> impl Iterator<Item = FrameId> + '_ {
         self.frames.parked_frames()
@@ -376,7 +407,7 @@ impl Knode {
     /// without checking or watching the frame.
     #[doc(hidden)]
     pub fn ksan_park_frame(&mut self, frame: FrameId) {
-        self.frames.ksan_park(frame);
+        self.frames.set_parked(frame, true);
     }
 
     /// Test-only wrapper over the crate-private inuse transition so
@@ -397,6 +428,10 @@ mod tests {
         Knode::new(InodeId(1), Nanos::ZERO)
     }
 
+    fn frames(k: &Knode) -> Vec<FrameId> {
+        k.member_frames().collect()
+    }
+
     #[test]
     fn members_route_by_backing() {
         let mut k = knode();
@@ -414,11 +449,16 @@ mod tests {
         let mut k = knode();
         k.add_obj(ObjectId(1), KernelObjectType::PageCache, FrameId(10));
         k.add_obj(ObjectId(2), KernelObjectType::Extent, FrameId(11));
-        assert!(k.remove_obj(ObjectId(1)));
-        assert!(k.remove_obj(ObjectId(2)));
-        assert!(!k.remove_obj(ObjectId(3)));
+        assert!(k.remove_obj(ObjectId(1), KernelObjectType::PageCache));
+        assert!(k.remove_obj(ObjectId(2), KernelObjectType::Extent));
+        assert!(!k.remove_obj(ObjectId(3), KernelObjectType::PageCache));
+        // Routing by backing: a slab-class type never probes the cache
+        // table, so it cannot remove a page-backed member.
+        k.add_obj(ObjectId(4), KernelObjectType::PageCache, FrameId(12));
+        assert!(!k.remove_obj(ObjectId(4), KernelObjectType::Dentry));
+        assert!(k.remove_obj(ObjectId(4), KernelObjectType::PageCache));
         assert!(k.is_empty());
-        assert!(k.member_frames().is_empty());
+        assert_eq!(k.member_frames().count(), 0);
     }
 
     #[test]
@@ -428,12 +468,13 @@ mod tests {
         k.add_obj(ObjectId(1), KernelObjectType::Dentry, FrameId(7));
         k.add_obj(ObjectId(2), KernelObjectType::Dentry, FrameId(7));
         k.add_obj(ObjectId(3), KernelObjectType::PageCache, FrameId(8));
-        assert_eq!(k.member_frames(), vec![FrameId(7), FrameId(8)]);
+        assert_eq!(frames(&k), vec![FrameId(7), FrameId(8)]);
         // Removing one sharer keeps the frame; removing both drops it.
-        assert!(k.remove_obj(ObjectId(1)));
-        assert_eq!(k.member_frames(), vec![FrameId(7), FrameId(8)]);
-        assert!(k.remove_obj(ObjectId(2)));
-        assert_eq!(k.member_frames(), vec![FrameId(8)]);
+        assert!(k.remove_obj(ObjectId(1), KernelObjectType::Dentry));
+        assert_eq!(frames(&k), vec![FrameId(7), FrameId(8)]);
+        assert!(k.remove_obj(ObjectId(2), KernelObjectType::Dentry));
+        assert_eq!(frames(&k), vec![FrameId(8)]);
+        assert_eq!(k.member_frame_count(), 1);
     }
 
     #[test]
@@ -442,7 +483,7 @@ mod tests {
         k.add_obj(ObjectId(1), KernelObjectType::PageCache, FrameId(7));
         // Same object re-added on a different frame: old ref released.
         k.add_obj(ObjectId(1), KernelObjectType::PageCache, FrameId(9));
-        assert_eq!(k.member_frames(), vec![FrameId(9)]);
+        assert_eq!(frames(&k), vec![FrameId(9)]);
         assert_eq!(k.member_count(), 1);
     }
 
@@ -461,7 +502,7 @@ mod tests {
         let ids: Vec<u64> = k.cache_members().iter().map(|(o, _)| o.0).collect();
         assert_eq!(ids, vec![2, 5, 9]);
         assert_eq!(
-            k.member_frames(),
+            frames(&k),
             vec![FrameId(4), FrameId(5), FrameId((1 << 32) | 4)]
         );
     }

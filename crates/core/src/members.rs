@@ -25,11 +25,15 @@
 //! every policy-tick migration walk reads in order (ascending full
 //! `FrameId` is the report-visible en-masse migration order), and its
 //! frame set changes between most walks. It is therefore kept sorted
-//! *incrementally*: one ascending frame vector plus a parallel refcount
-//! vector, so the walks iterate it in place and nothing is re-sorted.
-//! Each refcount word also carries the entry's *parked* bit, which lets
-//! the member-granular walks skip frames they cannot move (see the park
-//! invariant at [`FrameRefs`]).
+//! *incrementally*, as a chunked sorted set: sorted runs of at most
+//! [`FrameRefs::CHUNK`] 12-byte `(frame, refcount)` entries plus the
+//! chunk maxes that route a frame to its chunk. The walks iterate the
+//! chunks in place and nothing is re-sorted; an insert or remove shifts
+//! at most one chunk, where one flat sorted vector shifted its whole
+//! tail (≈ 730 MB of memmove per Huge RocksDB run, the largest knodes
+//! holding 15 k frames). Each refcount word also carries the entry's
+//! *parked* bit, which lets the member-granular walks skip frames they
+//! cannot move (see the park invariant at [`FrameRefs`]).
 
 use kloc_kernel::ObjectId;
 use kloc_mem::FrameId;
@@ -265,12 +269,50 @@ impl RefWord {
     }
 }
 
+/// One frame-set entry: the frame id split into two 32-bit halves so
+/// the entry packs into 12 bytes with its refcount word, the footprint
+/// of the parallel frame/refcount vectors it replaces.
+#[derive(Debug, Clone, Copy)]
+struct Entry {
+    lo: u32,
+    hi: u32,
+    word: RefWord,
+}
+
+impl Entry {
+    fn new(frame: FrameId) -> Self {
+        Entry {
+            lo: frame.slot(),
+            hi: (frame.0 >> 32) as u32, // lint: truncation-ok — the high half of the id
+            word: RefWord(1),
+        }
+    }
+
+    #[inline]
+    fn frame(&self) -> FrameId {
+        FrameId((u64::from(self.hi) << 32) | u64::from(self.lo))
+    }
+}
+
+/// A sorted run of at most [`FrameRefs::CHUNK`] entries.
+type Chunk = Vec<Entry>;
+
 /// Refcounted set of distinct frames backing a knode's members
-/// (several slab objects can share one frame): one vector of frames
-/// ascending by full `FrameId` plus a parallel vector of refcount
-/// words. Full-id order matters: a frame's generation bits can invert
-/// slot order. `add` appends a frame that sorts last; otherwise it and
-/// `unref` binary-search and shift the tail.
+/// (several slab objects can share one frame), ascending by full
+/// `FrameId`. Full-id order matters: a frame's generation bits can
+/// invert slot order.
+///
+/// The entries live in sorted chunks of at most [`FrameRefs::CHUNK`],
+/// concatenated in order, so an insert or a remove shifts at most one
+/// chunk instead of the whole tail. `maxes` holds the last frame of
+/// every chunk but the final one; a binary search over it picks the
+/// chunk a frame belongs in (the final chunk takes everything above the
+/// last max). A full chunk splits in half before an insert would grow
+/// it past capacity — or, for an append past the last frame, a new
+/// final chunk starts, so append-only sets fill their chunks. A chunk
+/// emptied by removals is dropped. A set that fits one chunk — almost
+/// every knode — holds two allocations (the chunk list and the chunk)
+/// and no `maxes`.
 ///
 /// The top bit of an entry's refcount word marks it *parked*: member
 /// walks skip it without probing the memory system.
@@ -288,97 +330,238 @@ impl RefWord {
 /// holds the frame.
 #[derive(Debug, Clone, Default)]
 pub struct FrameRefs {
-    frames: Vec<FrameId>,
-    counts: Vec<RefWord>,
+    chunks: Vec<Chunk>,
+    maxes: Vec<FrameId>,
 }
 
 impl FrameRefs {
+    /// Capacity of one chunk: an insert or remove shifts at most this
+    /// many 12-byte entries.
+    pub const CHUNK: usize = 128;
+
+    /// The chunk `frame` belongs in: the first whose max is at least
+    /// `frame`, else the final one. Requires a non-empty set.
+    #[inline]
+    fn chunk_of(&self, frame: FrameId) -> usize {
+        self.maxes.partition_point(|&max| max < frame)
+    }
+
+    /// Where `frame` sits (`Ok`) or would be inserted (`Err`), as
+    /// `(chunk, position)`; `None` for an empty set.
+    #[inline]
+    fn find(&self, frame: FrameId) -> Option<(usize, Result<usize, usize>)> {
+        if self.chunks.is_empty() {
+            return None;
+        }
+        let c = self.chunk_of(frame);
+        Some((c, self.chunks[c].binary_search_by_key(&frame, Entry::frame)))
+    }
+
     /// Adds one reference; returns whether the frame is newly tracked.
     pub fn add(&mut self, frame: FrameId) -> bool {
-        if self.frames.last().is_none_or(|&last| last < frame) {
-            self.frames.push(frame);
-            self.counts.push(RefWord(1));
+        // Fast path: a frame past the last one (fresh frames mostly are)
+        // appends to a final chunk with room.
+        if let Some(last) = self.chunks.last_mut() {
+            if last.len() < Self::CHUNK && last.last().is_some_and(|e| e.frame() < frame) {
+                last.push(Entry::new(frame));
+                return true;
+            }
+        }
+        let Some((c, at)) = self.find(frame) else {
+            // Exact capacity: a one-chunk set allocates no spare slots.
+            self.chunks = vec![vec![Entry::new(frame)]];
             return true;
-        }
-        match self.frames.binary_search(&frame) {
+        };
+        let i = match at {
             Ok(i) => {
-                self.counts[i].0 += 1;
-                false
+                self.chunks[c][i].word.0 += 1;
+                return false;
             }
-            Err(i) => {
-                self.frames.insert(i, frame);
-                self.counts.insert(i, RefWord(1));
-                true
+            Err(i) => i,
+        };
+        if self.chunks[c].len() < Self::CHUNK {
+            self.chunks[c].insert(i, Entry::new(frame));
+        } else if i == Self::CHUNK {
+            // Past the last frame of a full final chunk (only the final
+            // chunk can take a frame above its own max): start the next.
+            self.maxes.push(self.chunks[c][i - 1].frame());
+            self.chunks.push(vec![Entry::new(frame)]);
+        } else {
+            // Split in half, then insert into the half that owns `i`; a
+            // frame at the boundary opens the right half, so the left
+            // half's max is final.
+            let half = Self::CHUNK / 2;
+            let right = self.chunks[c].split_off(half);
+            self.maxes.insert(c, self.chunks[c][half - 1].frame());
+            self.chunks.insert(c + 1, right);
+            if i < half {
+                self.chunks[c].insert(i, Entry::new(frame));
+            } else {
+                self.chunks[c + 1].insert(i - half, Entry::new(frame));
             }
         }
+        true
     }
 
     /// Drops one reference; returns whether the frame left the set.
     /// Unreferenced frames are ignored (mirrors the old map behavior).
     pub fn unref(&mut self, frame: FrameId) -> bool {
-        let Ok(i) = self.frames.binary_search(&frame) else {
+        let Some((c, Ok(i))) = self.find(frame) else {
             return false;
         };
-        if self.counts[i].count() > 1 {
-            self.counts[i].0 -= 1;
+        let chunk = &mut self.chunks[c];
+        if chunk[i].word.count() > 1 {
+            chunk[i].word.0 -= 1;
             return false;
         }
-        self.frames.remove(i);
-        self.counts.remove(i);
+        chunk.remove(i);
+        let last = chunk.last().map(Entry::frame);
+        match (last, c < self.maxes.len()) {
+            // Keep the recorded max exact: the removed entry may have
+            // been it.
+            (Some(max), true) => self.maxes[c] = max,
+            (Some(_), false) => {}
+            (None, true) => {
+                self.chunks.remove(c);
+                self.maxes.remove(c);
+            }
+            // The final chunk emptied: its predecessor becomes final
+            // and sheds its recorded max.
+            (None, false) => {
+                self.chunks.pop();
+                self.maxes.pop();
+            }
+        }
         true
+    }
+
+    /// Number of distinct frames. O(chunks).
+    pub fn len(&self) -> usize {
+        self.chunks.iter().map(Vec::len).sum()
+    }
+
+    /// Whether no frame is tracked.
+    pub fn is_empty(&self) -> bool {
+        self.chunks.is_empty()
     }
 
     /// The distinct frames, ascending by full `FrameId` — the
     /// report-visible en-masse migration order.
-    pub fn frames(&self) -> &[FrameId] {
-        &self.frames
+    pub fn iter(&self) -> impl Iterator<Item = FrameId> + '_ {
+        self.chunks.iter().flatten().map(Entry::frame)
     }
 
     /// Visits every (frame, refcount), ascending by full `FrameId`.
     pub fn for_each(&self, mut f: impl FnMut(FrameId, u32)) {
-        for (&frame, &rc) in self.frames.iter().zip(&self.counts) {
-            f(frame, rc.count());
+        for e in self.chunks.iter().flatten() {
+            f(e.frame(), e.word.count());
         }
     }
 
     /// Every (frame, refcount word) ascending by full `FrameId`, with
     /// the words mutable so a member walk can park entries in place.
     pub(crate) fn entries_mut(&mut self) -> impl Iterator<Item = (FrameId, &mut RefWord)> {
-        self.frames.iter().copied().zip(self.counts.iter_mut())
+        self.chunks
+            .iter_mut()
+            .flatten()
+            .map(|e| (e.frame(), &mut e.word))
     }
 
     /// Clears `frame`'s parked bit if it is tracked.
     pub(crate) fn unpark(&mut self, frame: FrameId) {
-        if let Ok(i) = self.frames.binary_search(&frame) {
-            self.counts[i].0 &= !RefWord::PARKED;
-        }
+        self.set_parked(frame, false);
     }
 
     /// Number of parked entries.
     #[cfg(test)]
     pub(crate) fn parked(&self) -> usize {
-        self.counts.iter().filter(|rc| rc.parked()).count()
+        self.chunks
+            .iter()
+            .flatten()
+            .filter(|e| e.word.parked())
+            .count()
+    }
+}
+
+/// Inspection and staging hooks for the seeded model tests, which
+/// drive sets across chunk splits and emptied chunks.
+#[doc(hidden)]
+impl FrameRefs {
+    /// Entries per chunk, in order.
+    pub fn chunk_lens(&self) -> Vec<usize> {
+        self.chunks.iter().map(Vec::len).collect()
+    }
+
+    /// The recorded max of every chunk but the final one.
+    pub fn chunk_maxes(&self) -> &[FrameId] {
+        &self.maxes
+    }
+
+    /// Sets or clears `frame`'s parked bit if it is tracked, without
+    /// establishing the park invariant.
+    pub fn set_parked(&mut self, frame: FrameId, parked: bool) {
+        if let Some((c, Ok(i))) = self.find(frame) {
+            let word = &mut self.chunks[c][i].word;
+            if parked {
+                word.park();
+            } else {
+                word.0 &= !RefWord::PARKED;
+            }
+        }
+    }
+
+    /// Every (frame, parked bit), ascending by full `FrameId`.
+    pub fn parked_bits(&self) -> Vec<(FrameId, bool)> {
+        self.chunks
+            .iter()
+            .flatten()
+            .map(|e| (e.frame(), e.word.parked()))
+            .collect()
     }
 }
 
 #[cfg(feature = "ksan")]
 impl FrameRefs {
-    /// Internal-consistency audit: equal vector lengths, frames strictly
-    /// ascending (sorted and distinct), every refcount at least 1.
+    /// Internal-consistency audit: every chunk non-empty and within
+    /// capacity, one recorded max per chunk but the final one, each
+    /// equal to its chunk's last frame, frames strictly ascending across
+    /// the whole set (sorted and distinct), every refcount at least 1.
     /// Returns an error string naming the first discrepancy.
     pub(crate) fn ksan_check(&self) -> Result<(), String> {
-        if self.frames.len() != self.counts.len() {
+        if let Some(c) = self
+            .chunks
+            .iter()
+            .position(|ch| ch.is_empty() || ch.len() > Self::CHUNK)
+        {
             return Err(format!(
-                "{} frames but {} refcounts",
-                self.frames.len(),
-                self.counts.len()
+                "chunk {c} holds {} entries (want 1..={})",
+                self.chunks[c].len(),
+                Self::CHUNK
             ));
         }
-        if let Some(w) = self.frames.windows(2).find(|w| w[0] >= w[1]) {
-            return Err(format!("frame {} not below its successor {}", w[0], w[1]));
+        if self.maxes.len() + 1 != self.chunks.len().max(1) {
+            return Err(format!(
+                "{} chunks but {} recorded maxes",
+                self.chunks.len(),
+                self.maxes.len()
+            ));
         }
-        if let Some(i) = self.counts.iter().position(|&rc| rc.count() == 0) {
-            return Err(format!("frame {} has refcount 0", self.frames[i]));
+        for (c, (&max, chunk)) in self.maxes.iter().zip(&self.chunks).enumerate() {
+            let last = chunk.last().map(Entry::frame);
+            if last != Some(max) {
+                return Err(format!("chunk {c} ends at {last:?} but its max is {max}"));
+            }
+        }
+        let mut prev: Option<FrameId> = None;
+        for e in self.chunks.iter().flatten() {
+            let frame = e.frame();
+            if let Some(p) = prev.filter(|&p| p >= frame) {
+                return Err(format!("frame {p} not below its successor {frame}"));
+            }
+            if e.word.count() == 0 {
+                return Err(format!("frame {frame} has refcount 0"));
+            }
+            prev = Some(frame);
         }
         Ok(())
     }
@@ -386,25 +569,27 @@ impl FrameRefs {
     /// Parked frames, ascending by full `FrameId` (the park-invariant
     /// oracle re-probes them).
     pub(crate) fn parked_frames(&self) -> impl Iterator<Item = FrameId> + '_ {
-        self.frames
+        self.chunks
             .iter()
-            .zip(&self.counts)
-            .filter(|(_, rc)| rc.parked())
-            .map(|(&frame, _)| frame)
+            .flatten()
+            .filter(|e| e.word.parked())
+            .map(Entry::frame)
     }
 
-    /// Appends `frame` past the tail with refcount 1, regardless of
-    /// order. Corruption hook for self-tests.
-    pub(crate) fn ksan_break_order(&mut self, frame: FrameId) {
-        self.frames.push(frame);
-        self.counts.push(RefWord(1));
-    }
-
-    /// Parks `frame`'s entry without establishing the park invariant.
+    /// Raises the first recorded chunk max past its chunk's last frame.
     /// Corruption hook for self-tests.
-    pub(crate) fn ksan_park(&mut self, frame: FrameId) {
-        if let Ok(i) = self.frames.binary_search(&frame) {
-            self.counts[i].park();
+    pub(crate) fn ksan_break_maxes(&mut self) {
+        if let Some(max) = self.maxes.first_mut() {
+            max.0 += 1;
+        }
+    }
+
+    /// Appends `frame` past the tail of the final chunk with refcount
+    /// 1, regardless of order. Corruption hook for self-tests.
+    pub(crate) fn ksan_break_order(&mut self, frame: FrameId) {
+        match self.chunks.last_mut() {
+            Some(chunk) => chunk.push(Entry::new(frame)),
+            None => self.chunks.push(vec![Entry::new(frame)]),
         }
     }
 }
@@ -466,11 +651,11 @@ mod tests {
         assert!(r.add(FrameId(7)));
         assert!(!r.add(FrameId(7)));
         assert!(r.add(FrameId(8)));
-        assert_eq!(r.frames(), [FrameId(7), FrameId(8)]);
+        assert_eq!(r.iter().collect::<Vec<_>>(), [FrameId(7), FrameId(8)]);
         assert!(!r.unref(FrameId(7)));
         assert!(r.unref(FrameId(7)));
         assert!(!r.unref(FrameId(7)), "already dropped");
-        assert_eq!(r.frames(), [FrameId(8)]);
+        assert_eq!(r.iter().collect::<Vec<_>>(), [FrameId(8)]);
     }
 
     #[test]
@@ -494,7 +679,7 @@ mod tests {
         r.unpark(FrameId(8));
         assert_eq!(r.parked(), 0);
         assert!(r.unref(FrameId(7)));
-        assert_eq!(r.frames(), [FrameId(9)]);
+        assert_eq!(r.iter().collect::<Vec<_>>(), [FrameId(9)]);
     }
 
     #[test]
@@ -503,7 +688,7 @@ mod tests {
         assert_eq!(m.slots.capacity(), 0, "empty knodes cost nothing");
         assert_eq!(m.get(ObjectId(3)), None);
         let mut r = FrameRefs::default();
-        assert_eq!(r.frames.capacity(), 0);
+        assert_eq!(r.chunks.capacity(), 0);
         assert!(!r.unref(FrameId(3)));
     }
 }

@@ -11,10 +11,9 @@
 //! Bookkeeping is event-driven, as the paper claims for the real
 //! implementation (§4.3): [`KlocRegistry::age_epoch`] advances two
 //! counters instead of walking every knode. The migration paths walk
-//! each knode's incrementally refcounted member-frame set in place via
-//! the knode's cached sorted view (ascending full `FrameId`, since the
-//! en-masse migration order is report-visible) — the per-touch paths
-//! never pay for that ordering, and the walks copy nothing.
+//! each knode's incrementally refcounted member-frame set in place, in
+//! ascending full `FrameId` order (the en-masse migration order is
+//! report-visible), and copy nothing.
 //!
 //! The member-granular walks also skip *parked* members: cold
 //! slow-tier frames that no member walk can move (see the park
@@ -120,10 +119,6 @@ pub struct KlocRegistry {
     /// change can alter. (The registry's own demotions never touch
     /// frames a settled walk could still move, so they don't key it.)
     extern_demotions: u64,
-    /// Knode owner tenants, dense by inode id (inode ids are sequential
-    /// and never reused). Kept outside [`KlocStats`] so single-tenant
-    /// reports are unchanged.
-    owners: Vec<TenantId>,
     /// Per-tenant count of knode accesses that crossed a tenant
     /// boundary (accessor != knode owner), dense by the *accessor's*
     /// [`TenantId::index`] — the shared-inode / shared-socket
@@ -154,7 +149,6 @@ impl KlocRegistry {
             stats: KlocStats::default(),
             promotion_epoch: 0,
             extern_demotions: 0,
-            owners: Vec::new(),
             shared_accesses: Vec::new(),
             park_window: Nanos::new(u64::MAX),
             parks: 0,
@@ -201,10 +195,19 @@ impl KlocRegistry {
     /// Inode created: allocate its knode (the paper binds knode lifetime
     /// to inode lifetime, §4.2.2).
     pub fn inode_created(&mut self, inode: InodeId, cpu: CpuId, now: Nanos) {
+        self.inode_created_by(inode, cpu, TenantId::DEFAULT, now);
+    }
+
+    /// [`KlocRegistry::inode_created`] with an explicit owner tenant:
+    /// the creating tenant becomes the knode's owner for shared-access
+    /// attribution. The tenant-less variant owns to
+    /// [`TenantId::DEFAULT`].
+    pub fn inode_created_by(&mut self, inode: InodeId, cpu: CpuId, tenant: TenantId, now: Nanos) {
         if !self.config.enabled {
             return;
         }
         let mut k = Knode::new(inode, now);
+        k.set_owner(tenant);
         k.touch_at(cpu, now, self.kmap.epoch());
         let slot = self.kmap.map_knode(k);
         if self.config.use_percpu {
@@ -214,28 +217,10 @@ impl KlocRegistry {
         emit_knode_state(inode, now, "created");
     }
 
-    /// [`KlocRegistry::inode_created`] with an explicit owner tenant:
-    /// the creating tenant becomes the knode's owner for shared-access
-    /// attribution. The tenant-less variant owns to
-    /// [`TenantId::DEFAULT`].
-    pub fn inode_created_by(&mut self, inode: InodeId, cpu: CpuId, tenant: TenantId, now: Nanos) {
-        if self.config.enabled && tenant != TenantId::DEFAULT {
-            let i = inode.0 as usize;
-            if i >= self.owners.len() {
-                self.owners.resize(i + 1, TenantId::DEFAULT);
-            }
-            self.owners[i] = tenant;
-        }
-        self.inode_created(inode, cpu, now);
-    }
-
     /// The owner tenant of `inode`'s knode ([`TenantId::DEFAULT`] when
-    /// it was created without one).
+    /// it was created without one or no longer exists).
     pub fn knode_owner(&self, inode: InodeId) -> TenantId {
-        self.owners
-            .get(inode.0 as usize)
-            .copied()
-            .unwrap_or_default()
+        self.kmap.get(inode).map_or(TenantId::DEFAULT, Knode::owner)
     }
 
     /// Knode accesses by `tenant` that touched another tenant's knode
@@ -330,7 +315,7 @@ impl KlocRegistry {
         let Some(inode) = info.inode else { return };
         if self
             .kmap
-            .with_knode_mut(inode, |k, _| k.remove_obj(obj))
+            .with_knode_mut(inode, |k, _| k.remove_obj(obj, info.ty))
             .unwrap_or(false)
         {
             self.stats.objects_untracked += 1;
@@ -348,8 +333,9 @@ impl KlocRegistry {
     }
 
     /// [`KlocRegistry::object_accessed`] with the accessing tenant: when
-    /// the accessor differs from the knode's owner, the access is
-    /// counted as shared (cross-tenant) against the accessor.
+    /// the knode exists and the accessor differs from its owner, the
+    /// access is counted as shared (cross-tenant) against the accessor.
+    /// The owner is read inside the same knode lookup as the touch.
     pub fn object_accessed_by(
         &mut self,
         info: &ObjectInfo,
@@ -361,14 +347,18 @@ impl KlocRegistry {
             return;
         }
         let Some(inode) = info.inode else { return };
-        if self.knode_owner(inode) != tenant {
+        let mut owner = tenant;
+        self.knode_event(cpu, inode, |k, epoch| {
+            owner = k.owner();
+            k.touch_at(cpu, now, epoch);
+        });
+        if owner != tenant {
             let i = tenant.index();
             if i >= self.shared_accesses.len() {
                 self.shared_accesses.resize(i + 1, 0);
             }
             self.shared_accesses[i] += 1;
         }
-        self.knode_event(cpu, inode, |k, epoch| k.touch_at(cpu, now, epoch));
     }
 
     /// Hot-path knode mutation: per-CPU list first, then a counted kmap
@@ -491,7 +481,7 @@ impl KlocRegistry {
         let Some(k) = self.kmap.get(inode) else {
             return (0, 0);
         };
-        let staged = k.member_frames().len() as u64;
+        let staged = k.member_frame_count() as u64;
         let demoting = to != TierId::FAST;
         let epoch = self.promotion_epoch + self.extern_demotions;
         let max_migrations = self.config.max_migrations;
@@ -514,7 +504,7 @@ impl KlocRegistry {
         let mut moved = 0;
         let mut settled = true;
         let mut promoted_shared = false;
-        for &frame in k.member_frames() {
+        for frame in k.member_frames() {
             if moved >= max_pages {
                 // Budget break: movable frames may remain.
                 settled = false;
@@ -781,7 +771,7 @@ impl KlocRegistry {
         kloc_trace::emit(|| {
             let (mut fast, mut slow) = (0u64, 0u64);
             if let Some(k) = self.kmap.get(inode) {
-                for f in k.member_frames().iter().filter_map(|&f| mem.frame_meta(f)) {
+                for f in k.member_frames().filter_map(|f| mem.frame_meta(f)) {
                     if f.tier == TierId::FAST {
                         fast += 1;
                     } else {
@@ -807,14 +797,14 @@ impl KlocRegistry {
     pub fn member_frames(&self, inode: InodeId) -> Vec<FrameId> {
         self.kmap
             .get(inode)
-            .map(|k| k.member_frames().to_vec())
+            .map(|k| k.member_frames().collect())
             .unwrap_or_default()
     }
 
     /// Number of distinct frames backing members of `inode`'s knode —
     /// O(1), no collection.
     pub fn member_frame_count(&self, inode: InodeId) -> usize {
-        self.kmap.get(inode).map_or(0, |k| k.member_frames().len())
+        self.kmap.get(inode).map_or(0, Knode::member_frame_count)
     }
 }
 
@@ -860,7 +850,7 @@ fn ksan_check_memo(
     // With nothing movable, the walk's budget break can only fire before
     // the first frame.
     if max_pages > 0 {
-        for &frame in k.member_frames() {
+        for frame in k.member_frames() {
             match mem.frame_meta(frame).and_then(|f| classify(&f)) {
                 Some(true) => movable.push(frame),
                 Some(false) => walk_skips += 1,
@@ -1228,6 +1218,33 @@ mod tests {
             with * 2 < without,
             "fast path must cut tree accesses >50%: {with} vs {without}"
         );
+    }
+
+    #[test]
+    fn shared_accesses_count_only_live_knodes() {
+        let mut r = KlocRegistry::new(KlocConfig::default());
+        let (owner, guest) = (TenantId(1), TenantId(2));
+        r.inode_created_by(InodeId(1), CpuId(0), owner, Nanos::ZERO);
+        let i = info(KernelObjectType::PageCache, 1);
+        r.object_accessed_by(&i, CpuId(0), guest, Nanos::ZERO);
+        r.object_accessed_by(&i, CpuId(0), owner, Nanos::ZERO);
+        assert_eq!(r.knode_owner(InodeId(1)), owner);
+        assert_eq!(r.shared_accesses_of(guest), 1);
+        assert_eq!(r.shared_accesses_of(owner), 0);
+        // Once the knode is destroyed, an access (a late event for the
+        // dead inode) touches no knode and counts as shared for nobody.
+        r.inode_destroyed(InodeId(1), Nanos::ZERO);
+        assert_eq!(r.knode_owner(InodeId(1)), TenantId::DEFAULT);
+        for tenant in [guest, owner, TenantId::DEFAULT] {
+            r.object_accessed_by(&i, CpuId(0), tenant, Nanos::ZERO);
+        }
+        assert_eq!(r.shared_accesses_of(guest), 1);
+        assert_eq!(r.shared_accesses_of(owner), 0);
+        assert_eq!(r.shared_accesses_of(TenantId::DEFAULT), 0);
+        // Nor does an access to an inode that never had a knode.
+        let never = info(KernelObjectType::PageCache, 9);
+        r.object_accessed_by(&never, CpuId(0), guest, Nanos::ZERO);
+        assert_eq!(r.shared_accesses_of(guest), 1);
     }
 
     #[test]

@@ -307,3 +307,166 @@ fn long_idle_stretches_match() {
         assert_equivalent(&mut r, &m, 7, round as usize);
     }
 }
+
+/// Brute-force recomputations of the kmap's indexed views, straight off
+/// every knode.
+fn brute_active(r: &KlocRegistry) -> Vec<InodeId> {
+    r.kmap()
+        .iter()
+        .filter(|k| k.inuse())
+        .map(|k| k.inode())
+        .collect()
+}
+
+fn brute_cold(r: &KlocRegistry, min_age: u32) -> Vec<InodeId> {
+    let epoch = r.kmap().epoch();
+    r.kmap()
+        .iter()
+        .filter(|k| !k.inuse() && k.age_at(epoch) >= min_age && k.member_count() > 0)
+        .map(|k| k.inode())
+        .collect()
+}
+
+fn brute_inactive(r: &KlocRegistry) -> Vec<InodeId> {
+    let mut v: Vec<(Nanos, InodeId)> = r
+        .kmap()
+        .iter()
+        .filter(|k| !k.inuse())
+        .map(|k| (k.last_active(), k.inode()))
+        .collect();
+    v.sort_unstable();
+    v.into_iter().map(|(_, i)| i).collect()
+}
+
+/// With the sanitizer compiled in, the kmap audit (bitsets against the
+/// knodes, live heap entries, heap bound) must stay clean throughout.
+fn audit_clean(r: &KlocRegistry, ctx: &str) {
+    #[cfg(feature = "ksan")]
+    {
+        let mut out = Vec::new();
+        r.ksan_audit(&mut out);
+        assert!(out.is_empty(), "{ctx}: {out:#?}");
+    }
+    let _ = (r, ctx);
+}
+
+/// Drives open/close churn — including close/reopen/close bursts inside
+/// one epoch, which leave stale and duplicate heap entries — member
+/// adds and frees, aging, destroys and cold queries whose age threshold
+/// changes now and then, and checks every indexed view against its
+/// brute-force recomputation after each step.
+#[test]
+fn kmap_indexes_match_brute_force() {
+    for seed in [3u64, 0xB175, 0xC01D] {
+        let mut rng = SplitMix64::seed_from_u64(seed);
+        let mut r = KlocRegistry::new(KlocConfig::default());
+        let mut live: Vec<InodeId> = Vec::new();
+        let mut objects: Vec<(InodeId, ObjectId)> = Vec::new();
+        let mut next_inode = 1u64;
+        let mut next_obj = 0u64;
+        let mut threshold = 2u32;
+        for step in 0..1500usize {
+            let ctx = format!("seed {seed} step {step}");
+            let now = Nanos::from_micros(step as u64);
+            let cpu = CpuId(rng.gen_below(4) as u16);
+            let pick = |rng: &mut SplitMix64, live: &[InodeId]| {
+                live[rng.gen_below(live.len() as u64) as usize]
+            };
+            match rng.gen_below(100) {
+                _ if live.len() < 8 => {
+                    r.inode_created(InodeId(next_inode), cpu, now);
+                    live.push(InodeId(next_inode));
+                    next_inode += 1;
+                }
+                0..=19 => r.inode_opened(pick(&mut rng, &live), cpu, now),
+                20..=44 => r.inode_closed(pick(&mut rng, &live), now),
+                // Close, reopen and close again within one epoch.
+                45..=54 => {
+                    let inode = pick(&mut rng, &live);
+                    r.inode_closed(inode, now);
+                    r.inode_opened(inode, cpu, now);
+                    r.inode_closed(inode, now);
+                }
+                55..=64 => {
+                    let inode = pick(&mut rng, &live);
+                    let obj = ObjectId(next_obj);
+                    next_obj += 1;
+                    r.object_allocated(obj, &info(inode), FrameId(next_obj), cpu, now);
+                    objects.push((inode, obj));
+                }
+                65..=69 if !objects.is_empty() => {
+                    let i = rng.gen_below(objects.len() as u64) as usize;
+                    let (inode, obj) = objects.swap_remove(i);
+                    r.object_freed(obj, &info(inode));
+                }
+                70..=77 => r.object_accessed(&info(pick(&mut rng, &live)), cpu, now),
+                78..=81 => {
+                    let i = rng.gen_below(live.len() as u64) as usize;
+                    let inode = live.swap_remove(i);
+                    r.inode_destroyed(inode, now);
+                    objects.retain(|&(ino, _)| ino != inode);
+                }
+                82..=93 => r.age_epoch(),
+                _ => {
+                    if rng.gen_below(8) == 0 {
+                        threshold = [0, 1, 2, 5][rng.gen_below(4) as usize];
+                    }
+                    let want = brute_cold(&r, threshold);
+                    let mut batch = Vec::new();
+                    r.cold_member_candidates(threshold, 3, &mut batch);
+                    assert_eq!(batch, want[..want.len().min(3)], "{ctx}: cold batch");
+                    let mut all = Vec::new();
+                    r.cold_member_candidates(threshold, usize::MAX, &mut all);
+                    assert_eq!(all, want, "{ctx}: cold set at {threshold}");
+                }
+            }
+            let active: Vec<InodeId> = r.kmap().active_knodes().map(|k| k.inode()).collect();
+            assert_eq!(active, brute_active(&r), "{ctx}: active knodes");
+            assert_eq!(
+                r.kmap().inactive_knodes(),
+                brute_inactive(&r),
+                "{ctx}: inactive knodes"
+            );
+            audit_clean(&r, &ctx);
+        }
+    }
+}
+
+/// A run that never issues a cold query (no threshold registered, as
+/// under KLOCs-nomigration) still keeps the inactive heap bounded: the
+/// sanitizer's bound check stays clean through heavy churn, and the
+/// first cold query afterwards matches brute force.
+#[test]
+fn churn_without_cold_queries_keeps_the_heap_bounded() {
+    let mut r = KlocRegistry::new(KlocConfig::default());
+    for ino in 1..=40u64 {
+        r.inode_created(InodeId(ino), CpuId(0), Nanos::ZERO);
+        r.object_allocated(
+            ObjectId(ino),
+            &info(InodeId(ino)),
+            FrameId(ino),
+            CpuId(0),
+            Nanos::ZERO,
+        );
+    }
+    let mut rng = SplitMix64::seed_from_u64(0x5EED);
+    for step in 0..20_000u64 {
+        let inode = InodeId(rng.gen_range(1..41));
+        let now = Nanos::from_micros(step);
+        if rng.gen_below(2) == 0 {
+            r.inode_closed(inode, now);
+        } else {
+            r.inode_opened(inode, CpuId(0), now);
+        }
+        if step % 97 == 0 {
+            r.age_epoch();
+        }
+        if step % 1000 == 0 {
+            audit_clean(&r, &format!("step {step}"));
+        }
+    }
+    audit_clean(&r, "end");
+    let mut cold = Vec::new();
+    r.cold_member_candidates(1, usize::MAX, &mut cold);
+    assert_eq!(cold, brute_cold(&r, 1));
+}

@@ -87,7 +87,7 @@ fn knode_frame_refcount_desync_is_caught() {
     // by mapping a knode whose refcounts were skewed pre-registration.
     let mut skewed = Knode::new(InodeId(6), Nanos::ZERO);
     skewed.add_obj(ObjectId(3), KernelObjectType::Dentry, FrameId(4));
-    skewed.remove_obj(ObjectId(3));
+    skewed.remove_obj(ObjectId(3), KernelObjectType::Dentry);
     skewed.add_obj(ObjectId(3), KernelObjectType::Dentry, FrameId(4));
     kmap.map_knode(skewed);
     assert_eq!(audited(&kmap), vec![], "refcount churn stays consistent");
@@ -149,6 +149,62 @@ fn unsorted_frame_set_is_caught() {
             .any(|v| v.structures == "Knode.frames order <-> refcounts"
                 && v.object == "inode8"
                 && v.actual.contains("not below its successor")),
+        "{out:#?}"
+    );
+}
+
+#[test]
+fn multi_chunk_frame_set_audits_clean_and_a_bad_max_is_caught() {
+    use kloc_core::members::FrameRefs;
+    use kloc_kernel::{KernelObjectType, ObjectId};
+    use kloc_mem::FrameId;
+    let mut kmap = Kmap::new();
+    let mut knode = Knode::new(InodeId(9), Nanos::ZERO);
+    // Descending inserts across several chunk splits.
+    let n = 3 * FrameRefs::CHUNK as u64;
+    for i in (0..n).rev() {
+        knode.add_obj(ObjectId(i), KernelObjectType::PageCache, FrameId(i * 3));
+    }
+    kmap.map_knode(knode);
+    assert_eq!(audited(&kmap), vec![]);
+    kmap.with_knode_mut(InodeId(9), |k, _| k.ksan_break_frame_maxes());
+    let out = audited(&kmap);
+    assert!(
+        out.iter()
+            .any(|v| v.structures == "Knode.frames order <-> refcounts"
+                && v.object == "inode9"
+                && v.actual.contains("but its max is")),
+        "{out:#?}"
+    );
+}
+
+#[test]
+fn stale_heap_entries_audit_clean_and_a_lost_cold_bit_is_caught() {
+    // Close/reopen churn leaves stale inactive-heap entries behind; the
+    // audit accepts them. Dropping a cold bit is still caught.
+    let mut kmap = kmap_with(&[1, 2, 3], &[]);
+    // Ends inactive: odd rounds close.
+    for round in 0..50 {
+        for ino in 1..=3 {
+            kmap.with_knode_mut(InodeId(ino), |k, ep| {
+                k.ksan_set_inuse_at(round % 2 == 0, ep)
+            });
+        }
+        kmap.advance_epoch();
+    }
+    assert_eq!(audited(&kmap), vec![]);
+    let mut cold = Vec::new();
+    kmap.cold_inodes_with_members(1, 8, &mut cold);
+    assert!(
+        cold.is_empty(),
+        "cold but memberless knodes are not candidates"
+    );
+    assert_eq!(audited(&kmap), vec![]);
+    kmap.ksan_break_cold_index();
+    let out = audited(&kmap);
+    assert!(
+        out.iter()
+            .any(|v| v.structures == "Kmap.cold_idx <-> Kmap.inactive_idx" && v.object == "inode1"),
         "{out:#?}"
     );
 }

@@ -97,7 +97,8 @@ fn soa_column_length_desync_is_caught() {
     let out = audited(&mem);
     assert!(
         out.iter()
-            .any(|v| v.structures == "FrameTable SoA columns" && v.object.contains("accesses")),
+            .any(|v| v.structures == "FrameTable records <-> cold columns"
+                && v.object.contains("allocated_at")),
         "{out:#?}"
     );
 }

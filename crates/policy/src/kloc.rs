@@ -438,9 +438,8 @@ impl KernelHooks for KlocPolicy {
         // arenas stay knode-managed: their mixed contents would defeat
         // binary page hotness.
         if self.migrate {
-            if let Ok(f) = mem.frame(frame) {
-                let kind = f.kind();
-                if kind.relocatable() && kind != PageKind::KernelVma {
+            if let Some(f) = mem.frame_meta(frame) {
+                if f.kind.relocatable() && f.kind != PageKind::KernelVma {
                     self.app.on_alloc(frame);
                 }
             }
