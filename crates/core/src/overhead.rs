@@ -22,7 +22,6 @@ pub const BYTES_PER_MIGRATE_ENTRY: u64 = 16;
 
 /// Breakdown of KLOC metadata memory.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct OverheadReport {
     /// Member-tree pointers (`rb-cache` + `rb-slab`).
     pub member_pointers: u64,

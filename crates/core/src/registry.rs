@@ -76,7 +76,6 @@ impl Default for KlocConfig {
 
 /// Counters describing KLOC activity.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct KlocStats {
     /// Knodes created.
     pub knodes_created: u64,

@@ -8,7 +8,6 @@
 
 /// Dispatch statistics of the block layer.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BlockStats {
     /// Bios constructed.
     pub bios: u64,
@@ -20,7 +19,6 @@ pub struct BlockStats {
 
 /// The block layer.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BlockLayer {
     stats: BlockStats,
 }

@@ -10,7 +10,6 @@ use kloc_mem::Nanos;
 
 /// Whether an I/O is sequential or random, selecting the bandwidth used.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum IoPattern {
     /// Sequential access (journal, writeback streams).
     Sequential,
@@ -20,7 +19,6 @@ pub enum IoPattern {
 
 /// Cumulative disk activity.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DiskStats {
     /// Read operations completed.
     pub reads: u64,
@@ -43,7 +41,6 @@ pub struct DiskStats {
 
 /// The storage device.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Disk {
     seq_bw_bps: u64,
     rand_bw_bps: u64,

@@ -76,7 +76,6 @@ impl RxQueue {
 
 /// Network stack statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct NetStats {
     /// Packets sent (egress).
     pub tx_packets: u64,

@@ -16,7 +16,6 @@ use crate::vfs::InodeId;
 
 /// Identifier of a live kernel object. Never reused within a [`crate::Kernel`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ObjectId(pub u64);
 
 impl fmt::Display for ObjectId {
@@ -27,7 +26,6 @@ impl fmt::Display for ObjectId {
 
 /// How a kernel object's memory is obtained (paper §3.3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Backing {
     /// Small object from a slab cache: fast, physically addressed,
     /// **not relocatable**.
@@ -38,7 +36,6 @@ pub enum Backing {
 
 /// The kernel object types tiered by KLOCs (paper Table 1 + §4.2.3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[non_exhaustive]
 pub enum KernelObjectType {
     /// Per-file/per-socket inode (`inode_struct`).
@@ -184,7 +181,6 @@ impl fmt::Display for KernelObjectType {
 /// Coarse categories for the footprint breakdown (paper Fig. 2a bars:
 /// application, page cache, journal, other FS slab, network).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum ObjectCategory {
     /// Buffer-cache pages.
     PageCache,
@@ -220,7 +216,6 @@ impl fmt::Display for ObjectCategory {
 
 /// Immutable description of a live kernel object.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ObjectInfo {
     /// Object type.
     pub ty: KernelObjectType,
@@ -233,7 +228,6 @@ pub struct ObjectInfo {
 
 /// A live kernel object: its description plus where it lives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct KObject {
     /// Object id.
     pub id: ObjectId,

@@ -10,7 +10,6 @@ use kloc_mem::Nanos;
 
 /// Tunable cost and sizing parameters of the kernel model.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct KernelParams {
     /// Fixed syscall entry/exit CPU cost.
     pub syscall_base: Nanos,
@@ -73,58 +72,27 @@ pub struct KernelParams {
     /// many shards; each is now a single structure. The field stays only
     /// so the `klocbench` replay, which passes it to
     /// [`kloc_mem::MemorySystem::set_shards`], keeps compiling.
-    #[cfg_attr(feature = "serde", serde(default = "default_shards"))]
     pub shards: u32,
     /// Tier drain: maximum frames live-migrated off an offlining tier
     /// per engine tick (DESIGN.md §13). Clamped to at least 1 at the
     /// drain site — a zero budget would stall the drain forever.
-    #[cfg_attr(feature = "serde", serde(default = "default_drain_budget_frames"))]
     pub drain_budget_frames: u64,
     /// Tier drain: backoff before the first retry of a faulted drain
     /// migration; doubles per attempt. Clamped to at least 1 ns.
-    #[cfg_attr(feature = "serde", serde(default = "default_drain_retry_base"))]
     pub drain_retry_base: Nanos,
     /// Tier drain: ceiling on the per-attempt drain retry backoff.
     /// Clamped to at least the base.
-    #[cfg_attr(feature = "serde", serde(default = "default_drain_retry_cap"))]
     pub drain_retry_cap: Nanos,
     /// Budget resize: maximum pages self-evicted immediately when a
     /// `sys_kloc_memsize`-style shrink lands; the remainder is enforced
     /// gradually at insert time rather than stalling the run. Clamped
     /// to at least 1.
-    #[cfg_attr(feature = "serde", serde(default = "default_resize_evict_step"))]
     pub resize_evict_step: u64,
     /// Always use QoS-ordered reclaim and divert-to-slow (BestEffort
     /// preempted first, Guaranteed last), not just while a tier fault
     /// window is open. Off by default: single-tenant runs and the §12
     /// isolation experiment rely on plain self-then-LRU reclaim.
-    #[cfg_attr(feature = "serde", serde(default))]
     pub qos_reclaim: bool,
-}
-
-#[cfg(feature = "serde")]
-fn default_shards() -> u32 {
-    4
-}
-
-#[cfg(feature = "serde")]
-fn default_drain_budget_frames() -> u64 {
-    128
-}
-
-#[cfg(feature = "serde")]
-fn default_drain_retry_base() -> Nanos {
-    Nanos::from_micros(20)
-}
-
-#[cfg(feature = "serde")]
-fn default_drain_retry_cap() -> Nanos {
-    Nanos::from_micros(160)
-}
-
-#[cfg(feature = "serde")]
-fn default_resize_evict_step() -> u64 {
-    64
 }
 
 impl Default for KernelParams {

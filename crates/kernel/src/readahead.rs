@@ -20,7 +20,6 @@ struct RaState {
 
 /// Readahead statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ReadaheadStats {
     /// Pages prefetched.
     pub issued: u64,

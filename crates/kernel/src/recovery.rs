@@ -15,8 +15,8 @@
 //!
 //! The bookkeeping is maintained unconditionally (it is a handful of
 //! BTreeMap inserts on writeback/commit paths and charges no virtual
-//! time), so the recovery path is testable without the `kfault` feature;
-//! only crash *injection* is feature-gated.
+//! time), so the recovery path is testable without any fault plan; only
+//! crash *injection* needs one installed.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -283,7 +283,6 @@ pub fn check(
 /// Ways [`recover_breaking`] corrupts the recovery process, for checker
 /// self-tests (the `ksan_break_*` pattern: prove each violation class
 /// is actually detected).
-#[cfg(feature = "kfault")]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BreakMode {
     /// Drop one fsync-promised page from the recovered data.
@@ -298,7 +297,6 @@ pub enum BreakMode {
 /// Mirrors `ksan_break_*` — the store is never corrupted (the checker
 /// replays the same store, so store corruption would be invisible);
 /// instead the *recovery process* misbehaves in a controlled way.
-#[cfg(feature = "kfault")]
 #[doc(hidden)]
 pub fn recover_breaking(durable: &DurableStore, mode: BreakMode) -> RecoveredState {
     let mut state = RecoveredState {

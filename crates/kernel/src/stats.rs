@@ -13,7 +13,6 @@ use crate::obj::{KernelObjectType, ObjectCategory};
 
 /// Counters for one kernel object type.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TypeStats {
     /// Objects ever allocated.
     pub allocated: u64,
@@ -49,7 +48,6 @@ impl TypeStats {
 
 /// Syscall classes counted by the kernel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[non_exhaustive]
 pub enum Syscall {
     /// `create`
@@ -80,7 +78,6 @@ pub enum Syscall {
 
 /// All kernel-side counters.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct KernelStats {
     /// Per-object-type counters.
     pub types: BTreeMap<KernelObjectType, TypeStats>,

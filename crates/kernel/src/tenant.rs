@@ -33,7 +33,6 @@ use crate::vfs::InodeId;
 /// The class is descriptive metadata carried into reports; enforcement
 /// comes from the numeric budgets on [`TenantSpec`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum QosClass {
     /// Latency-critical: budgets sized to hold the whole hot set.
     Guaranteed,
@@ -55,7 +54,6 @@ impl std::fmt::Display for QosClass {
 
 /// A registered tenant: identity plus its resource envelope.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TenantSpec {
     /// Tenant identity ([`TenantId::DEFAULT`] is the shared kernel).
     pub id: TenantId,
@@ -76,7 +74,6 @@ pub struct TenantSpec {
 
 /// Per-tenant counters, all monotonic except [`TenantStats::pc_resident`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TenantStats {
     /// Page-cache pages ever inserted for inodes this tenant owns.
     pub pc_inserted: u64,
@@ -99,7 +96,6 @@ pub struct TenantStats {
     /// preempted by QoS-ordered reclaim (lower classes pay first while
     /// a tier fault is active, DESIGN.md §13) or self-evicted to honor
     /// a mid-run budget shrink. Stays 0 outside degraded operation.
-    #[cfg_attr(feature = "serde", serde(default))]
     pub preempted: u64,
 }
 

@@ -19,7 +19,6 @@ use crate::pagecache::PageCache;
 
 /// Identifier of an inode (file or socket). Never reused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct InodeId(pub u64);
 
 impl fmt::Display for InodeId {
@@ -30,7 +29,6 @@ impl fmt::Display for InodeId {
 
 /// A file descriptor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Fd(pub u64);
 
 impl fmt::Display for Fd {
@@ -41,7 +39,6 @@ impl fmt::Display for Fd {
 
 /// What an inode names.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum InodeKind {
     /// A regular file on the filesystem.
     RegularFile,

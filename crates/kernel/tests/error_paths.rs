@@ -88,12 +88,11 @@ impl KernelHooks for FastOnly {
     }
 }
 
-/// TierOffline propagation through the syscall facade (kfault builds):
+/// TierOffline propagation through the syscall facade (kfault plans):
 /// an `Offline` fault window must surface as the degradation cause —
 /// never masked as plain capacity pressure — on every allocating
 /// syscall path, spill placements must degrade to the slow tier instead
 /// of erroring, and allocations must recover once the window closes.
-#[cfg(feature = "kfault")]
 mod tier_offline {
     use super::*;
     use kloc_mem::{FaultPlan, MemError, Nanos, TierFaultKind};

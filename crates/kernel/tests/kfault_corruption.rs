@@ -2,8 +2,6 @@
 //! actually detects each violation class it claims to (the same
 //! self-test pattern as the `ksan_break_*` hooks), and exercises the
 //! blk-mq retry path end to end against the real kernel.
-//!
-//! Gated on the `kfault` feature (see `Cargo.toml`).
 
 use kloc_kernel::hooks::{Ctx, NullHooks};
 use kloc_kernel::recovery::{recover_breaking, BreakMode};

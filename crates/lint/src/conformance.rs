@@ -1,8 +1,8 @@
 //! KL006 — feature-shim conformance.
 //!
-//! The trace/ksan/kfault noop shims promise the exact API of their real
-//! halves so the 2^3 feature matrix never has to be built to catch
-//! drift. This pass collects every public `fn` that lives under a
+//! The `trace` noop shims promise the exact API of their real recorder
+//! halves so both polarities of the feature never have to be built to
+//! catch drift. This pass collects every public `fn` that lives under a
 //! `feature = "X"` cfg (directly, via an enclosing `mod`/`impl`, or via
 //! an out-of-line `#[cfg(feature = "X")] mod name;` declaration that
 //! confers the cfg on `name.rs`), pairs positive and negative

@@ -71,9 +71,9 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         id: "KL006",
         title: "feature-shim conformance",
-        rationale: "The trace/ksan/kfault noop shims must expose exactly the API of their real \
-                    halves, or some feature combination stops compiling — and nobody builds the \
-                    full 2^3 matrix locally. The analyzer pairs every public fn under \
+        rationale: "The `trace` noop shims must expose exactly the API of their real recorder \
+                    halves, or the build with the other polarity stops compiling — and nobody \
+                    builds both locally. The analyzer pairs every public fn under \
                     cfg(feature = \"X\") with its cfg(not(feature = \"X\")) counterpart (including \
                     across files, via the cfg on the `mod` declaration) and compares signatures. \
                     `--fix` rewrites a drifted noop signature from the real half.",

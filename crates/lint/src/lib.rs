@@ -38,6 +38,12 @@
 //! `mod tests`). KL009 applies only to `crates/kernel` and
 //! `crates/mem` non-test code.
 //!
+//! The workspace has two cargo features, `trace` and `ksan` (faults are
+//! selected at run time by installing a plan). KL006 keeps the `trace`
+//! recorder and its noop shims in sync; KL007 keeps both features
+//! declared and forwarded through every manifest, and flags any `cfg`
+//! left naming a feature that no longer exists.
+//!
 //! # Justification comments
 //!
 //! A violation that is provably harmless is silenced with a

@@ -138,41 +138,48 @@ fn kl007_flags_undeclared_feature_with_insertion_fix() {
 }
 
 /// Deleting a parameter from a real noop shim in a scratch copy of
-/// `crates/mem/src/system.rs` must trip KL006 with spans at both
-/// halves (the noop line, and the real line in the note).
+/// `crates/trace/src/lib.rs` must trip KL006 with spans at both halves
+/// (the noop line, and the real line in `recorder.rs` in the note).
 #[test]
 fn scratch_copy_shim_param_deletion_trips_kl006() {
     let root = workspace_root();
-    let path = root.join("crates/mem/src/system.rs");
-    let source = std::fs::read_to_string(&path).expect("system.rs readable");
-    let noop = "pub fn set_fault_plan(&mut self, _plan: FaultPlan) {}";
+    let read = |rel: &str| std::fs::read_to_string(root.join(rel)).expect("trace source readable");
+    let manifest = read("crates/trace/Cargo.toml");
+    let lib = read("crates/trace/src/lib.rs");
+    let recorder = read("crates/trace/src/recorder.rs");
+    let noop = "pub fn charge(_ns: u64) {}";
     assert!(
-        source.contains(noop),
-        "expected real noop shim in system.rs"
+        lib.contains(noop),
+        "expected real noop shim in trace lib.rs"
     );
-    let mutated = source.replace(noop, "pub fn set_fault_plan(&mut self) {}");
+    let mutated = lib.replace(noop, "pub fn charge() {}");
+    let lint_trace = |lib: &str| {
+        lint_crate(
+            "crates/trace/Cargo.toml",
+            &manifest,
+            &[
+                ("crates/trace/src/lib.rs", lib),
+                ("crates/trace/src/recorder.rs", &recorder),
+            ],
+        )
+    };
 
-    let diags = lint_source("crates/mem/src/system.rs", &mutated, true);
+    let diags = lint_trace(&mutated);
     let kl006: Vec<&Diagnostic> = diags.iter().filter(|d| d.rule == "KL006").collect();
     assert_eq!(kl006.len(), 1, "{diags:#?}");
-    assert_eq!(
-        kl006[0].line,
-        line_at(&mutated, "pub fn set_fault_plan(&mut self) {}")
-    );
-    let real_line = line_at(
-        &mutated,
-        "pub fn set_fault_plan(&mut self, plan: FaultPlan)",
-    );
+    assert_eq!(kl006[0].file, "crates/trace/src/lib.rs");
+    assert_eq!(kl006[0].line, line_at(&mutated, "pub fn charge() {}"));
+    let real_line = line_at(&recorder, "pub fn charge(ns: u64)");
     assert!(
         kl006[0]
             .notes
             .iter()
-            .any(|n| n.contains(&format!("crates/mem/src/system.rs:{real_line}"))),
+            .any(|n| n.contains(&format!("crates/trace/src/recorder.rs:{real_line}"))),
         "{:?}",
         kl006[0].notes
     );
     // And the untouched original lints clean.
-    let clean = lint_source("crates/mem/src/system.rs", &source, true);
+    let clean = lint_trace(&lib);
     assert!(clean.is_empty(), "{clean:#?}");
 }
 

@@ -12,7 +12,6 @@ use crate::tier::{TierId, TierSpec};
 
 /// Capacity accountant for one tier.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TierAllocator {
     id: TierId,
     spec: TierSpec,

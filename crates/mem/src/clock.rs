@@ -18,7 +18,6 @@ use std::ops::{Add, AddAssign, Div, Mul, Sub};
 /// assert!(t < Nanos::from_millis(1));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Nanos(u64);
 
 impl Nanos {
@@ -155,7 +154,6 @@ impl fmt::Display for Nanos {
 /// assert_eq!(clock.now(), Nanos::from_micros(5));
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Clock {
     now: Nanos,
 }

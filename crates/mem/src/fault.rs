@@ -9,13 +9,12 @@
 //! generated from a seed via the in-tree [`SplitMix64`], the same RNG
 //! the workloads use.
 //!
-//! The plan **types** always compile so configs can carry them, but the
-//! injection hooks inside [`crate::MemorySystem`] and the kernel exist
-//! only behind the workspace `kfault` feature; without it the hooks are
-//! inline no-ops and a scheduled plan is ignored. With the feature on
-//! but no faults scheduled, no hook ever fires, no RNG is drawn, and no
-//! virtual time is charged — faultless runs stay byte-identical to the
-//! committed goldens.
+//! Faults are selected at run time: a run is faulty exactly when a
+//! non-empty plan is installed with [`crate::MemorySystem::set_fault_plan`].
+//! Without one, each injection hook inside [`crate::MemorySystem`] is a
+//! single inline `None` test in front of a `#[cold]` body: no hook ever
+//! fires, no RNG is drawn, and no virtual time is charged — faultless
+//! runs stay byte-identical to the committed goldens.
 
 use crate::clock::Nanos;
 use crate::rng::SplitMix64;
@@ -235,9 +234,9 @@ impl FaultPlan {
 }
 
 /// Runtime consumption state over a [`FaultPlan`]. Owned by the
-/// [`crate::MemorySystem`] (next to the clock) when the `kfault`
-/// feature is on; every query is answered from the plan plus the
-/// current virtual time, so fault firing order is deterministic.
+/// [`crate::MemorySystem`] (next to the clock) while a plan is
+/// installed; every query is answered from the plan plus the current
+/// virtual time, so fault firing order is deterministic.
 #[derive(Debug, Clone)]
 pub struct FaultState {
     disk: Vec<DiskFault>,

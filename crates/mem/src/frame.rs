@@ -22,7 +22,6 @@ pub const PAGE_SIZE: u64 = 4096;
 /// `generation << 32 | slot` of the backing [`crate::FrameTable`], so a
 /// recycled slot mints a fresh id and stale ids miss.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FrameId(pub u64);
 
 impl FrameId {
@@ -130,7 +129,6 @@ impl FrameSet {
 /// (Fig. 2a/2b) separates memory footprint, and the granularity at which
 /// placement policies decide.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[non_exhaustive]
 pub enum PageKind {
     /// Anonymous application data (heap, stacks).
@@ -198,7 +196,6 @@ impl fmt::Display for PageKind {
 /// Stored column-wise in the [`crate::FrameTable`] (struct-of-arrays);
 /// lookups materialize this view by value, so it is `Copy`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Frame {
     pub(crate) id: FrameId,
     pub(crate) tier: TierId,

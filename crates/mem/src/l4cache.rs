@@ -15,7 +15,6 @@ use crate::tier::TierSpec;
 
 /// One socket's hardware-managed DRAM cache over PMEM.
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct L4Cache {
     dram: TierSpec,
     pmem: TierSpec,

@@ -13,7 +13,6 @@ use crate::tier::{TierId, TierSpec};
 
 /// Cost model for page migration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MigrationCost {
     /// Fixed per-page remap cost (unmap + TLB shootdown + remap).
     pub remap: Nanos,
@@ -82,7 +81,6 @@ impl Default for MigrationCost {
 
 /// Counters for migration activity (paper Fig. 5b plots these).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MigrationStats {
     /// Pages moved from a faster tier to a slower tier (demotions).
     pub demotions: u64,

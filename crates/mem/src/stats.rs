@@ -12,7 +12,6 @@ use crate::tier::TierId;
 
 /// Counters for one tier.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TierStats {
     /// Cumulative frames ever allocated on this tier.
     pub frames_allocated: u64,
@@ -67,7 +66,6 @@ impl TierStats {
 
 /// Per-kind lifetime accumulators (paper Fig. 2d).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LifetimeStats {
     /// Sum of observed lifetimes (allocation to free).
     pub total: Nanos,
@@ -93,7 +91,6 @@ impl LifetimeStats {
 
 /// All substrate-level counters.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MemStats {
     /// Per-tier counters, indexed by tier id.
     pub tiers: Vec<TierStats>,

@@ -9,9 +9,7 @@
 use crate::allocator::TierAllocator;
 use crate::clock::{Clock, Nanos};
 use crate::error::MemError;
-use crate::fault::{DiskOp, FaultPlan};
-#[cfg(feature = "kfault")]
-use crate::fault::{FaultState, TierFaultKind};
+use crate::fault::{DiskOp, FaultPlan, FaultState, TierFaultKind};
 use crate::frame::{Frame, FrameId, PageKind};
 use crate::frametable::FrameTable;
 use crate::l4cache::L4Cache;
@@ -26,15 +24,13 @@ pub const REMOTE_ACCESS_PENALTY: Nanos = Nanos::new(60);
 
 /// Retry budget per frame inside one drain pass; mirrors the blk-mq
 /// layer's default `io_max_retries`.
-#[cfg(feature = "kfault")]
 const DRAIN_MAX_RETRIES: u32 = 5;
 
 /// Counters for the tier-drain path: when a kfault `Offline` window
 /// opens, [`MemorySystem::drain_offline`] live-migrates resident
 /// relocatable frames off the tier instead of leaving them stranded on
-/// a degraded device. All zeros without the `kfault` feature.
+/// a degraded device. All zeros unless a fault plan is installed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DrainStats {
     /// Frames successfully migrated off offlining tiers.
     pub drained: u64,
@@ -123,9 +119,10 @@ pub struct MemorySystem {
     /// overlap across threads (charged divided by this factor).
     cpu_parallelism: u64,
     /// Scheduled fault injection (kfault). `None` when no plan is
-    /// installed, so faultless runs never consult it.
-    #[cfg(feature = "kfault")]
-    fault: Option<FaultState>,
+    /// installed: every hook tests this first, inline, and only a
+    /// faulty run reaches the cold bodies. Boxed so a faultless system
+    /// carries one pointer, not the plan's vectors.
+    fault: Option<Box<FaultState>>,
 }
 
 impl MemorySystem {
@@ -156,7 +153,6 @@ impl MemorySystem {
             drain_stats: DrainStats::default(),
             tenant_fast_kernel: Vec::new(),
             cpu_parallelism: 1,
-            #[cfg(feature = "kfault")]
             fault: None,
         }
     }
@@ -278,7 +274,7 @@ impl MemorySystem {
         &self.migration_stats
     }
 
-    /// Tier-drain counters (all zeros without `kfault`).
+    /// Tier-drain counters (all zeros unless a fault plan is installed).
     pub fn drain_stats(&self) -> &DrainStats {
         &self.drain_stats
     }
@@ -288,31 +284,26 @@ impl MemorySystem {
         self.l4.get(tier.index()).and_then(|c| c.as_ref())
     }
 
-    /// Installs a [`FaultPlan`] (kfault). Without the `kfault` feature
-    /// this is an inline no-op and the plan is ignored, so call sites
-    /// need no `cfg`; with it, subsequent allocations, migrations, disk
-    /// I/O, and journal commits consult the plan against the virtual
-    /// clock. An empty plan installs nothing.
-    #[cfg(feature = "kfault")]
+    /// Installs a [`FaultPlan`] (kfault): subsequent allocations,
+    /// migrations, disk I/O, and journal commits consult the plan
+    /// against the virtual clock. An empty plan installs nothing, so the
+    /// run stays on the fault-free path.
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
-        self.fault = if plan.is_empty() {
-            None
-        } else {
-            Some(FaultState::new(plan))
-        };
+        self.fault = (!plan.is_empty()).then(|| Box::new(FaultState::new(plan)));
     }
-
-    /// No-op shim: fault injection is compiled out.
-    #[cfg(not(feature = "kfault"))]
-    #[inline(always)]
-    pub fn set_fault_plan(&mut self, _plan: FaultPlan) {}
 
     /// Consumes one scheduled disk fault of class `op` due at the
     /// current virtual time, emitting a `fault` trace event. The
     /// kernel's blk-mq layer calls this per I/O submission and retries
     /// with backoff when it returns `true`.
-    #[cfg(feature = "kfault")]
+    #[inline]
     pub fn fault_take_disk(&mut self, op: DiskOp) -> bool {
+        self.fault.is_some() && self.take_disk_fault(op)
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn take_disk_fault(&mut self, op: DiskOp) -> bool {
         let now = self.clock.now();
         let fired = self.fault.as_mut().is_some_and(|s| s.take_disk(op, now));
         if fired {
@@ -325,18 +316,17 @@ impl MemorySystem {
         fired
     }
 
-    /// No-op shim: fault injection is compiled out.
-    #[cfg(not(feature = "kfault"))]
-    #[inline(always)]
-    pub fn fault_take_disk(&mut self, _op: DiskOp) -> bool {
-        false
-    }
-
     /// Consumes a time-scheduled crash due at the current virtual time.
     /// The kernel checks this at syscall entry and aborts the run with
     /// `KernelError::Crashed` when it fires.
-    #[cfg(feature = "kfault")]
+    #[inline]
     pub fn fault_crash_due(&mut self) -> bool {
+        self.fault.is_some() && self.take_crash_due()
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn take_crash_due(&mut self) -> bool {
         let now = self.clock.now();
         let fired = self.fault.as_mut().is_some_and(|s| s.take_crash_at(now));
         if fired {
@@ -349,17 +339,9 @@ impl MemorySystem {
         fired
     }
 
-    /// No-op shim: fault injection is compiled out.
-    #[cfg(not(feature = "kfault"))]
-    #[inline(always)]
-    pub fn fault_crash_due(&mut self) -> bool {
-        false
-    }
-
     /// Consumes a crash scheduled at journal commit ordinal `index`,
     /// returning how many of the commit's journal blocks become durable
     /// before the machine dies (`0` = crash at the commit boundary).
-    #[cfg(feature = "kfault")]
     pub fn fault_crash_at_commit(&mut self, index: u64) -> Option<u32> {
         let now = self.clock.now();
         let blocks = self.fault.as_mut()?.take_crash_commit(index)?;
@@ -371,19 +353,21 @@ impl MemorySystem {
         Some(blocks)
     }
 
-    /// No-op shim: fault injection is compiled out.
-    #[cfg(not(feature = "kfault"))]
-    #[inline(always)]
-    pub fn fault_crash_at_commit(&mut self, _index: u64) -> Option<u32> {
-        None
-    }
-
     /// Rejects placement on `tier` while a fault window covers it:
     /// `Exhaust` behaves as capacity pressure ([`MemError::TierFull`]),
     /// `Offline` as a lost device ([`MemError::TierOffline`]). Emits one
     /// `fault` trace event per window, on its first application.
-    #[cfg(feature = "kfault")]
+    #[inline]
     fn fault_check_tier(&mut self, tier: TierId) -> Result<(), MemError> {
+        if self.fault.is_none() {
+            return Ok(());
+        }
+        self.tier_fault(tier)
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn tier_fault(&mut self, tier: TierId) -> Result<(), MemError> {
         let now = self.clock.now();
         let Some(s) = self.fault.as_mut() else {
             return Ok(());
@@ -406,36 +390,29 @@ impl MemorySystem {
         }
     }
 
-    /// No-op shim: fault injection is compiled out.
-    #[cfg(not(feature = "kfault"))]
-    #[inline(always)]
-    fn fault_check_tier(&mut self, _tier: TierId) -> Result<(), MemError> {
-        Ok(())
-    }
-
     /// Consumes one scheduled migration fault due at the current
     /// virtual time, counting it in [`MigrationStats::failed`].
-    #[cfg(feature = "kfault")]
+    #[inline]
     fn fault_check_migrate(&mut self, frame: FrameId) -> Result<(), MemError> {
-        let now = self.clock.now();
-        if let Some(s) = self.fault.as_mut() {
-            if s.take_migration(now) {
-                self.migration_stats.failed += 1;
-                kloc_trace::emit(|| kloc_trace::Event::Fault {
-                    t: now.as_nanos(),
-                    kind: "migrate".to_string(),
-                    info: frame.to_string(),
-                });
-                return Err(MemError::MigrationFault(frame));
-            }
+        if self.fault.is_none() {
+            return Ok(());
         }
-        Ok(())
+        self.migration_fault(frame)
     }
 
-    /// No-op shim: fault injection is compiled out.
-    #[cfg(not(feature = "kfault"))]
-    #[inline(always)]
-    fn fault_check_migrate(&mut self, _frame: FrameId) -> Result<(), MemError> {
+    #[cold]
+    #[inline(never)]
+    fn migration_fault(&mut self, frame: FrameId) -> Result<(), MemError> {
+        let now = self.clock.now();
+        if self.fault.as_mut().is_some_and(|s| s.take_migration(now)) {
+            self.migration_stats.failed += 1;
+            kloc_trace::emit(|| kloc_trace::Event::Fault {
+                t: now.as_nanos(),
+                kind: "migrate".to_string(),
+                info: frame.to_string(),
+            });
+            return Err(MemError::MigrationFault(frame));
+        }
         Ok(())
     }
 
@@ -923,18 +900,10 @@ impl MemorySystem {
     /// at the current virtual time. The kernel and policy consult this
     /// to switch reclaim and placement into QoS-ordered degraded mode
     /// (DESIGN.md §13); read-only, never consumes fault state.
-    #[cfg(feature = "kfault")]
     pub fn tier_fault_active(&self) -> bool {
         self.fault
             .as_ref()
             .is_some_and(|s| s.tier_fault_active(self.clock.now()))
-    }
-
-    /// No-op shim: fault injection is compiled out.
-    #[cfg(not(feature = "kfault"))]
-    #[inline(always)]
-    pub fn tier_fault_active(&self) -> bool {
-        false
     }
 
     /// Live-migrates resident frames off tiers covered by an active
@@ -959,8 +928,22 @@ impl MemorySystem {
     /// Returns the number of frames moved and emits one `drain` trace
     /// event per tier that did any work (moved a frame or absorbed a
     /// retry), so a faultless run's trace stays byte-identical.
-    #[cfg(feature = "kfault")]
+    #[inline]
     pub fn drain_offline(
+        &mut self,
+        budget_frames: u64,
+        backoff_base: Nanos,
+        backoff_cap: Nanos,
+    ) -> u64 {
+        if self.fault.is_none() {
+            return 0;
+        }
+        self.drain_offline_tiers(budget_frames, backoff_base, backoff_cap)
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn drain_offline_tiers(
         &mut self,
         budget_frames: u64,
         backoff_base: Nanos,
@@ -1059,18 +1042,6 @@ impl MemorySystem {
             self.drain_stats.passes += 1;
         }
         total_moved
-    }
-
-    /// No-op shim: fault injection is compiled out.
-    #[cfg(not(feature = "kfault"))]
-    #[inline(always)]
-    pub fn drain_offline(
-        &mut self,
-        _budget_frames: u64,
-        _backoff_base: Nanos,
-        _backoff_cap: Nanos,
-    ) -> u64 {
-        0
     }
 }
 
@@ -1346,7 +1317,6 @@ mod tests {
         assert_eq!(m.socket_of(TierId(1)), 1);
     }
 
-    #[cfg(feature = "kfault")]
     #[test]
     fn tier_exhaust_fault_diverts_to_slow() {
         use crate::fault::TierFaultKind;
@@ -1368,7 +1338,6 @@ mod tests {
         assert_eq!(m.tier_of(id), TierId::SLOW);
     }
 
-    #[cfg(feature = "kfault")]
     #[test]
     fn offline_tier_rejects_allocation_and_inbound_migration() {
         use crate::fault::TierFaultKind;
@@ -1396,7 +1365,6 @@ mod tests {
         assert!(m.migrate(f, TierId::FAST).is_ok());
     }
 
-    #[cfg(feature = "kfault")]
     #[test]
     fn migration_fault_counts_and_leaves_frame_in_place() {
         let mut m = small();
@@ -1410,7 +1378,6 @@ mod tests {
         assert!(m.migrate(f, TierId::SLOW).is_ok());
     }
 
-    #[cfg(feature = "kfault")]
     #[test]
     fn drain_offline_moves_relocatable_frames_and_skips_pinned() {
         use crate::fault::TierFaultKind;
@@ -1441,7 +1408,6 @@ mod tests {
         assert_eq!(m.drain_stats().passes, 1);
     }
 
-    #[cfg(feature = "kfault")]
     #[test]
     fn drain_retries_migration_faults_with_charged_backoff() {
         use crate::fault::TierFaultKind;
@@ -1470,7 +1436,6 @@ mod tests {
         );
     }
 
-    #[cfg(feature = "kfault")]
     #[test]
     fn drain_budget_clamps_to_one_and_bounds_a_pass() {
         use crate::fault::TierFaultKind;
@@ -1492,7 +1457,6 @@ mod tests {
         assert_eq!(m.tier_of(b), TierId::SLOW);
     }
 
-    #[cfg(feature = "kfault")]
     #[test]
     fn drain_without_offline_window_is_inert() {
         use crate::fault::TierFaultKind;
@@ -1513,7 +1477,6 @@ mod tests {
         assert!(m.tier_fault_active(), "exhaust still reads as a fault");
     }
 
-    #[cfg(feature = "kfault")]
     #[test]
     fn all_tiers_offline_surfaces_tier_offline_not_oom() {
         use crate::fault::TierFaultKind;
@@ -1532,7 +1495,6 @@ mod tests {
         assert_eq!(m.drain_offline(128, Nanos::ZERO, Nanos::ZERO), 0);
     }
 
-    #[cfg(feature = "kfault")]
     #[test]
     fn disk_and_crash_hooks_consume_plan() {
         use crate::fault::CrashPoint;
@@ -1555,8 +1517,7 @@ mod tests {
 
     #[test]
     fn empty_fault_plan_is_inert() {
-        // Compiles with or without the kfault feature: the shim (or an
-        // empty plan) must never perturb behavior.
+        // An empty plan installs nothing and must never perturb behavior.
         let mut m = small();
         m.set_fault_plan(FaultPlan::new());
         assert!(!m.fault_take_disk(DiskOp::Fsync));

@@ -15,7 +15,6 @@
 /// single-tenant runs and of shared kernel infrastructure (slab arenas,
 /// journal metadata) that no single tenant owns.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TenantId(pub u16);
 
 impl TenantId {

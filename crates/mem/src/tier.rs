@@ -14,7 +14,6 @@ use crate::clock::Nanos;
 /// Tier ids are dense indices assigned in topology order; the conventional
 /// two-tier topology uses [`TierId::FAST`] and [`TierId::SLOW`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TierId(pub u8);
 
 impl TierId {
@@ -37,7 +36,6 @@ impl fmt::Display for TierId {
 
 /// Technology class of a tier, used for reporting and topology queries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[non_exhaustive]
 pub enum TierKind {
     /// Conventional DRAM (or the fast, unthrottled socket).
@@ -76,7 +74,6 @@ impl fmt::Display for TierKind {
 /// assert!(slow.read_latency > fast.read_latency);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TierSpec {
     /// Technology class.
     pub kind: TierKind,

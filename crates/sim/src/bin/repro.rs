@@ -13,8 +13,8 @@
 //!   thp granularity           future-work extensions (5, 4.4)
 //!   tenants                   tenant isolation (budgets off vs on)
 //!   run --workload W --policy P   one run (trace-friendly)
-//!   crashsweep                journal crash-recovery sweep (kfault builds)
-//!   chaos                     QoS graceful-degradation soak (kfault builds)
+//!   crashsweep                journal crash-recovery sweep
+//!   chaos                     QoS graceful-degradation soak
 //!   all                       everything above (except `run`/`crashsweep`/`chaos`/`tenants`)
 //! ```
 //!
@@ -27,13 +27,16 @@
 //! executes and writes it to FILE; analyze it with the `ktrace` binary.
 //! Trace bytes are byte-identical at any `--jobs` count.
 //!
-//! kfault builds (`--features kfault`) add three things: `repro
-//! crashsweep [--crash-points N]` runs the journal crash-recovery
-//! sweep (fails if the consistency checker finds any violation),
-//! `repro chaos` runs the QoS graceful-degradation soak (fails on any
-//! SLO breach; its report is byte-identical at any `--jobs`
-//! setting), and `repro run --fault-seed N` injects a seeded
-//! disk/tier/migration fault plan into the single run.
+//! Faults are selected at run time, in every build: `repro crashsweep
+//! [--crash-points N]` runs the journal crash-recovery sweep (fails if
+//! the consistency checker finds any violation), `repro chaos` runs the
+//! QoS graceful-degradation soak (fails on any SLO breach; its report
+//! is byte-identical at any `--jobs` setting), and `repro run
+//! --fault-seed N` injects a seeded disk/tier/migration fault plan into
+//! the single run.
+//!
+//! Every experiment rejects a flag it does not accept (usage, exit 1),
+//! so a misspelled `--fault-seed` cannot quietly yield a fault-free run.
 
 use std::process::ExitCode;
 
@@ -46,9 +49,54 @@ use kloc_workloads::{Scale, WorkloadKind};
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: repro <fig2a|fig2b|fig2c|fig2d|fig4|fig5a|fig5b|fig5c|fig6|table6|percpu|prefetch|thp|granularity|tenants|all> [--scale tiny|small|large|huge] [--seed N] [--jobs N] [--trace FILE]\n       repro run --workload <rocksdb|redis|filebench|cassandra|spark|tenants|tenants-nobudget> --policy <naive|nimble|nimble++|kloc-nomigration|kloc|all-fast|all-slow|autonuma|autonuma-kloc> [--fault-seed N] [options]\n       repro crashsweep [--crash-points N] [options]    (kfault builds)\n       repro chaos [options]                             (kfault builds)"
+        "usage: repro <fig2a|fig2b|fig2c|fig2d|fig4|fig5a|fig5b|fig5c|fig6|table6|percpu|prefetch|thp|granularity|tenants|all> [--scale tiny|small|large|huge] [--seed N] [--jobs N] [--trace FILE]\n       repro run --workload <rocksdb|redis|filebench|cassandra|spark|tenants|tenants-nobudget> --policy <naive|nimble|nimble++|kloc-nomigration|kloc|all-fast|all-slow|autonuma|autonuma-kloc> [--fault-seed N] [options]\n       repro crashsweep [--crash-points N] [options]\n       repro chaos [options]"
     );
     ExitCode::FAILURE
+}
+
+/// Every experiment name `repro` accepts as its first argument.
+const EXPERIMENTS: &[&str] = &[
+    "fig2a",
+    "fig2b",
+    "fig2c",
+    "fig2d",
+    "fig4",
+    "fig5a",
+    "fig5b",
+    "fig5c",
+    "fig6",
+    "table6",
+    "percpu",
+    "prefetch",
+    "thp",
+    "granularity",
+    "tenants",
+    "run",
+    "crashsweep",
+    "chaos",
+    "all",
+];
+
+/// Flags every experiment accepts; each takes one value.
+const COMMON_FLAGS: &[&str] = &["--scale", "--seed", "--jobs", "--trace"];
+
+/// Rejects anything after the experiment name that is not a `--flag
+/// value` pair `which` accepts. Values are checked by each flag's own
+/// parser.
+fn check_flags(which: &str, rest: &[String]) -> Result<(), String> {
+    let own: &[&str] = match which {
+        "run" => &["--workload", "--policy", "--fault-seed"],
+        "crashsweep" => &["--crash-points"],
+        _ => &[],
+    };
+    let mut args = rest.iter();
+    while let Some(flag) = args.next() {
+        if !COMMON_FLAGS.contains(&flag.as_str()) && !own.contains(&flag.as_str()) {
+            return Err(format!("`repro {which}` does not accept `{flag}`"));
+        }
+        args.next();
+    }
+    Ok(())
 }
 
 fn main() -> ExitCode {
@@ -56,6 +104,14 @@ fn main() -> ExitCode {
     let Some(which) = args.first().cloned() else {
         return usage();
     };
+    if !EXPERIMENTS.contains(&which.as_str()) {
+        eprintln!("error: unknown experiment: {which}");
+        return usage();
+    }
+    if let Err(e) = check_flags(&which, &args[1..]) {
+        eprintln!("error: {e}");
+        return usage();
+    }
     let mut scale = Scale::large();
     if let Some(pos) = args.iter().position(|a| a == "--scale") {
         match args.get(pos + 1).map(String::as_str) {
@@ -151,12 +207,6 @@ fn single_run_config(args: &[String], scale: &Scale) -> Result<RunConfig, String
             .get(pos + 1)
             .and_then(|s| s.parse::<u64>().ok())
             .ok_or("--fault-seed needs a number")?;
-        if cfg!(not(feature = "kfault")) {
-            return Err(
-                "--fault-seed needs a kfault-enabled build (cargo ... --features kfault)"
-                    .to_owned(),
-            );
-        }
         // The horizon only has to land the plan's faults inside the run;
         // tiny/small/large runs all exceed one virtual microsecond per op.
         faults = Some(FaultPlan::seeded(seed, Nanos::from_micros(scale.ops)));
@@ -225,61 +275,49 @@ fn run(
         return Ok(());
     }
     if which == "chaos" {
-        #[cfg(feature = "kfault")]
-        {
-            eprintln!(
-                "[chaos soak at scale {} (drain + faults + resize)...]",
-                scale.label
-            );
-            let report = kloc_sim::chaos::run(scale)?;
-            print!("{}", report.render());
-            if report.breaches() > 0 {
-                return Err(
-                    format!("chaos soak found {} SLO breach(es)", report.breaches()).into(),
-                );
-            }
-            return Ok(());
+        eprintln!(
+            "[chaos soak at scale {} (drain + faults + resize)...]",
+            scale.label
+        );
+        let report = kloc_sim::chaos::run(scale)?;
+        print!("{}", report.render());
+        if report.breaches() > 0 {
+            return Err(format!("chaos soak found {} SLO breach(es)", report.breaches()).into());
         }
-        #[cfg(not(feature = "kfault"))]
-        return Err("chaos needs a kfault-enabled build (cargo ... --features kfault)".into());
+        return Ok(());
     }
     if which == "crashsweep" {
-        #[cfg(feature = "kfault")]
-        {
-            let mid_points = match args.iter().position(|a| a == "--crash-points") {
-                Some(pos) => args
-                    .get(pos + 1)
-                    .and_then(|s| s.parse::<u32>().ok())
-                    .ok_or("--crash-points needs a number")?,
-                None => 2,
-            };
-            eprintln!(
-                "[crashsweep at scale {} ({mid_points} mid-commit points per commit)...]",
-                scale.label
-            );
-            let mut violations = 0;
-            for w in [WorkloadKind::Filebench, WorkloadKind::RocksDb] {
-                let summary = kloc_sim::crashsweep::sweep(w, PolicyKind::Kloc, scale, mid_points)?;
-                print!("{}", summary.render());
-                violations += summary.violations();
-                // Crashes planted inside an active tier-drain window:
-                // the drain is journal-free, so recovery must stay clean.
-                let drains = kloc_sim::crashsweep::sweep_drain_window(
-                    w,
-                    PolicyKind::Kloc,
-                    scale,
-                    mid_points.max(1),
-                )?;
-                print!("{}", drains.render());
-                violations += drains.violations();
-            }
-            if violations > 0 {
-                return Err(format!("crash-recovery checker found {violations} violations").into());
-            }
-            return Ok(());
+        let mid_points = match args.iter().position(|a| a == "--crash-points") {
+            Some(pos) => args
+                .get(pos + 1)
+                .and_then(|s| s.parse::<u32>().ok())
+                .ok_or("--crash-points needs a number")?,
+            None => 2,
+        };
+        eprintln!(
+            "[crashsweep at scale {} ({mid_points} mid-commit points per commit)...]",
+            scale.label
+        );
+        let mut violations = 0;
+        for w in [WorkloadKind::Filebench, WorkloadKind::RocksDb] {
+            let summary = kloc_sim::crashsweep::sweep(w, PolicyKind::Kloc, scale, mid_points)?;
+            print!("{}", summary.render());
+            violations += summary.violations();
+            // Crashes planted inside an active tier-drain window:
+            // the drain is journal-free, so recovery must stay clean.
+            let drains = kloc_sim::crashsweep::sweep_drain_window(
+                w,
+                PolicyKind::Kloc,
+                scale,
+                mid_points.max(1),
+            )?;
+            print!("{}", drains.render());
+            violations += drains.violations();
         }
-        #[cfg(not(feature = "kfault"))]
-        return Err("crashsweep needs a kfault-enabled build (cargo ... --features kfault)".into());
+        if violations > 0 {
+            return Err(format!("crash-recovery checker found {violations} violations").into());
+        }
+        return Ok(());
     }
     let all = which == "all";
     let small_pair = |s: &Scale| {
@@ -411,26 +449,5 @@ fn run(
         }
     }
 
-    if !all
-        && !matches!(
-            which,
-            "fig2a"
-                | "fig2b"
-                | "fig2c"
-                | "fig2d"
-                | "fig4"
-                | "fig5a"
-                | "fig5b"
-                | "fig5c"
-                | "fig6"
-                | "table6"
-                | "percpu"
-                | "prefetch"
-                | "thp"
-                | "granularity"
-        )
-    {
-        return Err(format!("unknown experiment: {which}").into());
-    }
     Ok(())
 }

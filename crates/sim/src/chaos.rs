@@ -1,4 +1,4 @@
-//! QoS-aware graceful-degradation soak (`repro chaos`, kfault only).
+//! QoS-aware graceful-degradation soak (`repro chaos`).
 //!
 //! Composes every degradation mechanism this codebase models into one
 //! deterministic scenario and checks the QoS contract held end to end

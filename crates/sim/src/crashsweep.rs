@@ -1,4 +1,4 @@
-//! Journal crash-recovery sweep (`repro crashsweep`, kfault only).
+//! Journal crash-recovery sweep (`repro crashsweep`).
 //!
 //! Replays one workload many times, crashing deterministically at every
 //! journal commit the fault-free run performs — at the commit boundary

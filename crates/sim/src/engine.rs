@@ -98,8 +98,7 @@ pub struct RunConfig {
     /// Kernel parameter override (None = derived from the scale).
     pub kernel_params: Option<KernelParams>,
     /// Fault plan injected into the run (kfault). `None` (or an empty
-    /// plan) leaves the run fault-free; without the `kfault` feature the
-    /// plan is ignored entirely.
+    /// plan) leaves the run fault-free.
     pub faults: Option<FaultPlan>,
     /// Mid-run budget resizes, applied in (time, tenant) order during
     /// the measured phase. Empty for steady-state runs.
@@ -125,7 +124,6 @@ impl RunConfig {
 /// single-tenant runs). Counters are snapshotted with the rest of the
 /// report, before teardown.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TenantReport {
     /// Tenant id (`TenantId.0`).
     pub id: u16,
@@ -147,7 +145,6 @@ pub struct TenantReport {
 
 /// Everything measured in one run.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RunReport {
     /// Workload label.
     pub workload: String,
@@ -533,7 +530,8 @@ pub fn run_borrowing(
             let _tick = kloc_trace::scope("policy_tick");
             // Tier drain rides the tick cadence: while an offlining
             // window is open, migrate resident frames off the tier
-            // within the per-tick budget (no-op shim without kfault).
+            // within the per-tick budget (returns at once without a
+            // fault plan).
             let (db, rb, rc) = {
                 let p = kernel.params();
                 (p.drain_budget_frames, p.drain_retry_base, p.drain_retry_cap)

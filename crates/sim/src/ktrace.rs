@@ -266,7 +266,7 @@ pub fn render_rollup(events: &[Event]) -> String {
 /// Renders the fault-injection rollup (kfault runs): injected faults
 /// by class, blk-mq retries with a backoff histogram, and crash
 /// recoveries with replay totals. Empty for fault-free traces, so the
-/// rollup of an ordinary run is unchanged by kfault builds.
+/// rollup of an ordinary run carries no fault section.
 pub fn render_faults(events: &[Event]) -> String {
     let mut out = String::new();
     let mut faults: BTreeMap<&str, u64> = BTreeMap::new();

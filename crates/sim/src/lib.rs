@@ -26,9 +26,7 @@
 
 #![warn(missing_docs)]
 
-#[cfg(feature = "kfault")]
 pub mod chaos;
-#[cfg(feature = "kfault")]
 pub mod crashsweep;
 pub mod engine;
 pub mod experiments;

@@ -1,7 +1,6 @@
 //! kfault integration: the crash-recovery sweep is clean end-to-end,
-//! faultless runs are unaffected by the compiled-in machinery, and
-//! seeded fault plans are deterministic and visible in the report.
-//! Compiled only with `--features kfault` (see Cargo.toml).
+//! faultless runs are unaffected by the fault machinery, and seeded
+//! fault plans are deterministic and visible in the report.
 
 use kloc_mem::{FaultPlan, Nanos};
 use kloc_policy::PolicyKind;

@@ -65,10 +65,9 @@ fn audited_run_report_matches_unaudited_semantics() {
 
 #[test]
 fn fast_offline_window_passes_audits_and_memo_oracles() {
-    // With `kfault`, a FAST `Offline` window makes the engine drain fast
-    // frames to slow behind the registry's walks, so the walk-memo
-    // oracles see migrations they did not make (without it the plan is
-    // inert).
+    // A FAST `Offline` window makes the engine drain fast frames to
+    // slow behind the registry's walks, so the walk-memo oracles see
+    // migrations they did not make.
     use kloc_mem::{FaultPlan, Nanos, TierFaultKind, TierId};
     for workload in [WorkloadKind::RocksDb, WorkloadKind::Redis] {
         let plain = run(&cfg(workload, PolicyKind::Kloc)).unwrap();
@@ -86,9 +85,7 @@ fn fast_offline_window_passes_audits_and_memo_oracles() {
         })
         .unwrap();
         assert_eq!(r.ops, Scale::tiny().ops, "{workload:?}");
-        if cfg!(feature = "kfault") {
-            assert_ne!(r.migrations, plain.migrations, "{workload:?}: no drain");
-        }
+        assert_ne!(r.migrations, plain.migrations, "{workload:?}: no drain");
     }
 }
 

@@ -199,7 +199,7 @@ pub enum Event {
         /// New bandwidth multiplier in thousandths (1000 = nominal).
         milli: u64,
     },
-    /// An injected fault fired (`kfault` feature).
+    /// An injected fault fired (kfault plan).
     Fault {
         /// Virtual nanoseconds since run start.
         t: u64,
@@ -231,7 +231,7 @@ pub enum Event {
         pages: u64,
     },
     /// One tier-drain pass live-migrated resident frames off an
-    /// offlining tier (`kfault` feature).
+    /// offlining tier (kfault plan).
     Drain {
         /// Virtual nanoseconds since run start (end of the pass).
         t: u64,

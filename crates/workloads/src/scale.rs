@@ -9,7 +9,6 @@
 
 /// Sizing knobs shared by all workloads.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Scale {
     /// Display label ("Small", "Large", ...).
     pub label: String,
