@@ -1192,18 +1192,17 @@ impl Kernel {
     /// (writing back dirty ones first), oldest-first, charging LRU scan
     /// costs.
     ///
-    /// While QoS-ordered reclaim is active
-    /// ([`KernelParams::qos_reclaim`], or any tier fault window open)
-    /// and more than one QoS class holds cached pages, reclaim preempts
-    /// the most-scavenger class first: candidates owned by a stricter
-    /// class are rescued back to the active list untouched, so a
-    /// Guaranteed tenant's hot set survives as long as any lower class
-    /// still holds pages (DESIGN.md §13). The `guard` bound holds
-    /// either way — degraded reclaim may leave the cache over budget
-    /// for a pass rather than touch protected pages.
+    /// While any tier fault window is open and more than one QoS class
+    /// holds cached pages, reclaim preempts the most-scavenger class
+    /// first: candidates owned by a stricter class are rescued back to
+    /// the active list untouched, so a Guaranteed tenant's hot set
+    /// survives as long as any lower class still holds pages (DESIGN.md
+    /// §13). The `guard` bound holds either way — degraded reclaim may
+    /// leave the cache over budget for a pass rather than touch
+    /// protected pages.
     fn shrink_cache(&mut self, ctx: &mut Ctx<'_>) -> Result<(), KernelError> {
         let _attrib = kloc_trace::scope("reclaim");
-        let qos_gate = self.params.qos_reclaim || ctx.mem.tier_fault_active();
+        let qos_gate = ctx.mem.tier_fault_active();
         let mut guard = 0;
         while self.cache_pages > self.params.page_cache_budget && guard < 64 {
             guard += 1;

@@ -88,11 +88,6 @@ pub struct KernelParams {
     /// gradually at insert time rather than stalling the run. Clamped
     /// to at least 1.
     pub resize_evict_step: u64,
-    /// Always use QoS-ordered reclaim and divert-to-slow (BestEffort
-    /// preempted first, Guaranteed last), not just while a tier fault
-    /// window is open. Off by default: single-tenant runs and the §12
-    /// isolation experiment rely on plain self-then-LRU reclaim.
-    pub qos_reclaim: bool,
 }
 
 impl Default for KernelParams {
@@ -125,7 +120,6 @@ impl Default for KernelParams {
             drain_retry_base: Nanos::from_micros(20),
             drain_retry_cap: Nanos::from_micros(160),
             resize_evict_step: 64,
-            qos_reclaim: false,
         }
     }
 }
@@ -184,6 +178,5 @@ mod tests {
         assert!(p.drain_retry_cap >= p.drain_retry_base);
         assert!(p.drain_budget_frames >= 1);
         assert!(p.resize_evict_step >= 1);
-        assert!(!p.qos_reclaim, "QoS reclaim is fault-gated by default");
     }
 }

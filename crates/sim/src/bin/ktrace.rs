@@ -23,23 +23,43 @@ fn usage() -> ExitCode {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(cmd) = args.first().map(String::as_str) else {
+    let Some((cmd, rest)) = args.split_first() else {
         return usage();
     };
+    let cmd = cmd.as_str();
+    if !["summary", "timeline", "attrib", "rollup", "schema"].contains(&cmd) {
+        eprintln!("error: unknown command: {cmd}");
+        return usage();
+    }
     if cmd == "schema" {
+        if !rest.is_empty() {
+            eprintln!("error: `ktrace schema` takes no arguments");
+            return usage();
+        }
         print!("{}", ktrace::render_schema());
         return ExitCode::SUCCESS;
     }
-    let Some(path) = args.get(1) else {
+    let Some((path, flags)) = rest.split_first() else {
         return usage();
     };
-    let mut ino = None;
-    if let Some(pos) = args.iter().position(|a| a == "--ino") {
-        match args.get(pos + 1).and_then(|s| s.parse::<u64>().ok()) {
-            Some(n) => ino = Some(n),
-            None => return usage(),
+    // Only `timeline` takes a flag, and only after TRACE.
+    let ino = match flags {
+        [] => None,
+        [flag, n] if cmd == "timeline" && flag == "--ino" => match n.parse::<u64>() {
+            Ok(n) => Some(n),
+            Err(_) => {
+                eprintln!("error: --ino needs an inode number, got `{n}`");
+                return usage();
+            }
+        },
+        _ => {
+            eprintln!(
+                "error: `ktrace {cmd}` does not accept `{}`",
+                flags.join(" ")
+            );
+            return usage();
         }
-    }
+    };
     let text = match std::fs::read_to_string(path) {
         Ok(t) => t,
         Err(e) => {
@@ -58,8 +78,7 @@ fn main() -> ExitCode {
         "summary" => ktrace::render_summary(&events),
         "timeline" => ktrace::render_timeline(&events, ino),
         "attrib" => ktrace::render_attrib(&events),
-        "rollup" => ktrace::render_rollup(&events),
-        _ => return usage(),
+        _ => ktrace::render_rollup(&events),
     };
     print!("{out}");
     ExitCode::SUCCESS

@@ -30,6 +30,7 @@ fn matrix() -> Vec<RunConfig> {
                 PolicyKind::AllSlow,
                 PolicyKind::Naive,
                 PolicyKind::Nimble,
+                PolicyKind::NimblePlusPlus,
                 PolicyKind::Kloc,
             ] {
                 configs.push(RunConfig {
@@ -67,5 +68,43 @@ fn runner_matches_serial() {
             assert_eq!(s.migrations, p.migrations, "run {i}: migration counters");
             assert_eq!(s, p, "run {i}: full report ({jobs} jobs)");
         }
+    }
+}
+
+/// The Huge-scale hot path: the two most knode-heavy workloads against
+/// the policies whose per-tick bookkeeping differs (scan-based Nimble
+/// vs event-driven KLOCs). Filebench opens a file per operation, so it
+/// exercises knode creation, aging and cold-set selection hardest.
+#[test]
+#[ignore = "Huge scale is slow in a debug build: run with --release -- --ignored"]
+fn huge_matrix_reports_are_repeatable() {
+    let scale = Scale::huge();
+    let mut configs = Vec::new();
+    for w in [WorkloadKind::Filebench, WorkloadKind::RocksDb] {
+        for p in [
+            PolicyKind::Nimble,
+            PolicyKind::NimblePlusPlus,
+            PolicyKind::KlocNoMigration,
+            PolicyKind::Kloc,
+        ] {
+            configs.push(RunConfig {
+                workload: w,
+                policy: p,
+                scale: scale.clone(),
+                platform: Platform::TwoTier {
+                    fast_bytes: scale.fast_bytes,
+                    bw_ratio: 8,
+                },
+                kernel_params: None,
+                faults: None,
+                budgets: Vec::new(),
+            });
+        }
+    }
+    let serial = Runner::serial().run_all(configs.clone()).expect("serial");
+    let parallel = Runner::new(2).run_all(configs).expect("parallel");
+    assert_eq!(serial.len(), parallel.len());
+    for (i, (s, p)) in serial.iter().zip(&parallel).enumerate() {
+        assert_eq!(s, p, "cell {i}: full report");
     }
 }
