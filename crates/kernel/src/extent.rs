@@ -91,6 +91,12 @@ impl ExtentTree {
         self.extents.get(&start).copied()
     }
 
+    /// Extent objects in offset order.
+    #[cfg(feature = "ksan")]
+    pub fn objects(&self) -> impl Iterator<Item = ObjectId> + '_ {
+        self.extents.values().copied()
+    }
+
     /// Removes and returns all extent objects (file truncate/unlink).
     pub fn drain(&mut self) -> Vec<ObjectId> {
         let objs = self.extents.values().copied().collect();

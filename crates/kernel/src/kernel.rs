@@ -29,7 +29,7 @@ use crate::net::{NetStats, Packet, RxQueue};
 use crate::obj::{Backing, KernelObjectType, ObjectId, ObjectInfo, ObjectTable};
 use crate::pagecache::PageCache;
 use crate::params::KernelParams;
-use crate::readahead::Readahead;
+use crate::readahead::{Readahead, ReadaheadState};
 use crate::recovery::{DurableStore, JournalRecord, Promise};
 use crate::slab::PackedAllocator;
 use crate::stats::{KernelStats, Syscall};
@@ -400,13 +400,17 @@ impl Kernel {
         bytes: u64,
         write: bool,
     ) -> Result<(), KernelError> {
-        let kobj = *self.objects.get(obj).ok_or(KernelError::BadObject(obj))?;
+        let kobj = self.objects.get(obj).ok_or(KernelError::BadObject(obj))?;
         if write {
             ctx.mem.write_from(ctx.socket, kobj.frame, bytes);
         } else {
             ctx.mem.read_from(ctx.socket, kobj.frame, bytes);
         }
-        self.cache_lru.mark_accessed(kobj.frame);
+        // Only page-cache frames are ever on the LRU; for any other
+        // object the probe would find nothing.
+        if kobj.info.ty == KernelObjectType::PageCache {
+            self.cache_lru.mark_accessed(kobj.frame);
+        }
         ctx.hooks
             .on_object_access(obj, &kobj.info, kobj.frame, ctx.cpu, ctx.tenant, ctx.mem);
         Ok(())
@@ -420,7 +424,7 @@ impl Kernel {
         obj: ObjectId,
         inode: InodeId,
     ) -> Result<(), KernelError> {
-        let kobj = *self
+        let kobj = self
             .objects
             .set_inode(obj, inode)
             .ok_or(KernelError::BadObject(obj))?;
@@ -550,6 +554,7 @@ impl Kernel {
             rx: RxQueue::new(),
             created_at: ctx.mem.now(),
             last_activity: ctx.mem.now(),
+            readahead: ReadaheadState::default(),
         };
         self.vfs.insert_inode(inode);
         self.vfs.bind_path(path, ino);
@@ -752,10 +757,9 @@ impl Kernel {
                     self.dirty_list.push_back((ino, idx));
                 }
                 if let Some(kobj) = self.objects.get(page.obj) {
-                    let info = kobj.info;
-                    let frame = kobj.frame;
-                    ctx.hooks
-                        .on_object_access(page.obj, &info, frame, ctx.cpu, ctx.tenant, ctx.mem);
+                    ctx.hooks.on_object_access(
+                        page.obj, &kobj.info, kobj.frame, ctx.cpu, ctx.tenant, ctx.mem,
+                    );
                 }
             }
             None => {
@@ -942,7 +946,8 @@ impl Kernel {
             self.read_cache_page(ctx, ino, idx, bytes)?;
 
             // Adaptive readahead.
-            let window = self.readahead.on_read(ino, idx);
+            let inode = self.vfs.inode_mut(ino).ok_or(KernelError::BadInode(ino))?;
+            let window = self.readahead.on_read(&mut inode.readahead, idx);
             if window > 0 {
                 self.prefetch(ctx, ino, idx + 1, window, size)?;
             }
@@ -986,10 +991,9 @@ impl Kernel {
                 self.cache_lru.mark_accessed(page.frame);
                 self.note_prefetch_hit(page.frame);
                 if let Some(kobj) = self.objects.get(page.obj) {
-                    let info = kobj.info;
-                    let frame = kobj.frame;
-                    ctx.hooks
-                        .on_object_access(page.obj, &info, frame, ctx.cpu, ctx.tenant, ctx.mem);
+                    ctx.hooks.on_object_access(
+                        page.obj, &kobj.info, kobj.frame, ctx.cpu, ctx.tenant, ctx.mem,
+                    );
                 }
             }
             None => {
@@ -1325,10 +1329,13 @@ impl Kernel {
         let (open_count, nlink, kind) = {
             let inode = self.vfs.inode_mut(ino).ok_or(KernelError::BadInode(ino))?;
             inode.open_count -= 1;
+            if inode.open_count == 0 {
+                // A reopened file starts a fresh readahead stream.
+                inode.readahead = ReadaheadState::default();
+            }
             (inode.open_count, inode.nlink, inode.kind)
         };
         if open_count == 0 {
-            self.readahead.forget(ino);
             if nlink == 0 || kind == InodeKind::Socket {
                 self.destroy_inode(ctx, ino)?;
             } else {
@@ -1396,7 +1403,6 @@ impl Kernel {
             self.free_object(ctx, s)?;
         }
         self.free_object(ctx, inode.inode_obj)?;
-        self.readahead.forget(ino);
         Ok(())
     }
 
@@ -1434,6 +1440,7 @@ impl Kernel {
             rx: RxQueue::new(),
             created_at: ctx.mem.now(),
             last_activity: ctx.mem.now(),
+            readahead: ReadaheadState::default(),
         };
         self.vfs.insert_inode(inode);
         self.vfs.bind_path(path, ino);
@@ -1521,6 +1528,7 @@ impl Kernel {
             rx: RxQueue::new(),
             created_at: ctx.mem.now(),
             last_activity: ctx.mem.now(),
+            readahead: ReadaheadState::default(),
         };
         self.vfs.insert_inode(inode);
         let file_obj = self.alloc_object(ctx, KernelObjectType::FileHandle, Some(ino), false)?;
@@ -1749,7 +1757,8 @@ impl Kernel {
 #[cfg(feature = "ksan")]
 impl Kernel {
     /// Audits the kernel's cross-structure invariants: the VFS tables,
-    /// both packed allocators, and — the tentpole — three-way agreement
+    /// both packed allocators, the object table against the objects
+    /// live inodes own, and — the tentpole — three-way agreement
     /// between the per-inode page caches, the frame -> (inode, index)
     /// reverse map, the page-cache LRU, and frame liveness in `mem`.
     /// Observation only.
@@ -1762,6 +1771,7 @@ impl Kernel {
         self.vfs.ksan_audit(out);
         self.slab.ksan_audit(mem, out);
         self.kvma.ksan_audit(mem, out);
+        self.ksan_audit_objects(out);
 
         let mut cached = 0u64;
         let mut dirty = 0u64;
@@ -1875,6 +1885,68 @@ impl Kernel {
                     "no such cached page".to_owned(),
                 ));
             }
+        }
+    }
+
+    /// The object table's live counter against its occupied slots, and
+    /// every object a live inode owns (inode, dentry, cached pages,
+    /// radix nodes, extents) against the table: live, of the expected
+    /// type, associated with that inode, and — for cached pages — on
+    /// the frame the page cache recorded.
+    fn ksan_audit_objects(&self, out: &mut Vec<kloc_mem::ksan::Violation>) {
+        use kloc_mem::ksan::Violation;
+        let occupied = self.objects.iter().count();
+        if occupied != self.objects.len() {
+            out.push(Violation::new(
+                "ObjectTable.live <-> ObjectTable.slots",
+                "object table",
+                "the live counter equals the occupied slots",
+                format!("{occupied} occupied"),
+                format!("len = {}", self.objects.len()),
+            ));
+        }
+        for inode in self.vfs.inodes() {
+            use KernelObjectType as T;
+            let mut owned = vec![(inode.inode_obj, T::Inode, None)];
+            owned.extend(inode.dentry_obj.map(|o| (o, T::Dentry, None)));
+            let pages = inode.cache.iter();
+            owned.extend(pages.map(|(_, p)| (p.obj, T::PageCache, Some(p.frame))));
+            owned.extend(inode.cache.nodes().map(|o| (o, T::RadixNode, None)));
+            owned.extend(inode.extents.objects().map(|o| (o, T::Extent, None)));
+            for (obj, ty, frame) in owned {
+                let found = self.objects.get(obj);
+                let ok = found.is_some_and(|k| {
+                    k.info.ty == ty
+                        && k.info.inode == Some(inode.id)
+                        && frame.is_none_or(|f| f == k.frame)
+                });
+                if !ok {
+                    let on = frame.map_or(String::new(), |f| format!(" on {f}"));
+                    out.push(Violation::new(
+                        "Inode <-> ObjectTable",
+                        format!("{} {ty} {obj}", inode.id),
+                        "every object a live inode owns is live in the table with its type, inode and frame",
+                        format!("live {ty} of {}{on}", inode.id),
+                        found.map_or("freed".to_owned(), |k| {
+                            format!("{} of {:?} on {}", k.info.ty, k.info.inode, k.frame)
+                        }),
+                    ));
+                }
+            }
+        }
+    }
+
+    /// Corruption hook for sanitizer self-tests: kills the object-table
+    /// slot of the first cached page while the page stays cached and
+    /// the table's live counter still counts it.
+    #[doc(hidden)]
+    pub fn ksan_break_object_table(&mut self) {
+        let obj = self
+            .vfs
+            .inodes()
+            .find_map(|inode| inode.cache.iter().next().map(|(_, p)| p.obj));
+        if let Some(obj) = obj {
+            self.objects.ksan_clear_slot(obj);
         }
     }
 
@@ -2141,6 +2213,49 @@ mod tests {
             k.readahead().stats().useful > 0,
             "prefetched pages get used"
         );
+        k.close(&mut ctx, fd).unwrap();
+    }
+
+    #[test]
+    fn last_close_resets_the_readahead_stream() {
+        let (mut mem, mut hooks, mut k) = setup();
+        let mut ctx = Ctx::new(&mut mem, &mut hooks);
+        let fd = k.create(&mut ctx, "/f").unwrap();
+        k.write(&mut ctx, fd, 0, 64 * 4096).unwrap();
+        k.fsync(&mut ctx, fd).unwrap();
+        k.close(&mut ctx, fd).unwrap();
+        let ino = k.vfs().lookup_path("/f").unwrap();
+        let fd = k.open(&mut ctx, "/f").unwrap();
+        for idx in 0..64 {
+            k.drop_cache_page(&mut ctx, ino, idx).unwrap();
+        }
+        let issued = |k: &Kernel| k.readahead().stats().issued;
+        // Pages 0..4 in order: the window grows 1, 2, 4, 8 and
+        // prefetches pages 1..12.
+        for idx in 0..4 {
+            k.read(&mut ctx, fd, idx * 4096, 4096).unwrap();
+        }
+        assert_eq!(issued(&k), 11);
+        // Closing a handle that is not the last keeps the stream: page 4
+        // continues it, the window doubles to 16 and prefetches 12..21.
+        let fd2 = k.open(&mut ctx, "/f").unwrap();
+        k.close(&mut ctx, fd).unwrap();
+        let before = issued(&k);
+        k.read(&mut ctx, fd2, 4 * 4096, 4096).unwrap();
+        assert_eq!(issued(&k) - before, 9);
+        // The last close resets it: after a reopen, page 5 is a jump
+        // from a fresh stream, so the window collapses and nothing is
+        // prefetched (a kept stream would prefetch pages 21..38).
+        k.close(&mut ctx, fd2).unwrap();
+        let fd = k.open(&mut ctx, "/f").unwrap();
+        let before = issued(&k);
+        k.read(&mut ctx, fd, 5 * 4096, 4096).unwrap();
+        assert_eq!(issued(&k) - before, 0);
+        // Growth restarts from a one-page window: page 21 jumps again,
+        // then page 22 continues with a window of one.
+        k.read(&mut ctx, fd, 21 * 4096, 4096).unwrap();
+        k.read(&mut ctx, fd, 22 * 4096, 4096).unwrap();
+        assert_eq!(issued(&k) - before, 1, "page 22 prefetches page 23 only");
         k.close(&mut ctx, fd).unwrap();
     }
 

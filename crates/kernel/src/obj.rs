@@ -243,13 +243,44 @@ pub struct KObject {
 ///
 /// Ids are assigned sequentially and never reused, so the table is a
 /// plain id-indexed vector: lookup on the object-access hot path is one
-/// bounds-checked array read, no hashing. Dead slots stay `None`; the
-/// simulator's live population is bounded, so slot memory is dominated
-/// by the live high-water mark plus already-freed prefix.
+/// bounds-checked array read, no hashing. The price is one slot per
+/// object *ever* allocated, not per live object: dead slots are never
+/// reclaimed (a Huge RocksDB run ends with about 199 k slots, a Large
+/// tenants run with about 278 k). Each slot is therefore kept to 32 bytes:
+/// the id is the slot index and the size follows from the type, so
+/// neither is stored.
 #[derive(Debug, Default, Clone)]
 pub struct ObjectTable {
-    slots: Vec<Option<KObject>>,
+    slots: Vec<Slot>,
     live: usize,
+}
+
+/// Raw inode id of a slot whose object has no inode.
+const NO_INODE: u64 = u64::MAX;
+
+/// One [`ObjectTable`] entry; `ty` is `None` once the object is freed.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    frame: FrameId,
+    allocated_at: Nanos,
+    inode: u64,
+    ty: Option<KernelObjectType>,
+}
+
+impl Slot {
+    fn object(&self, id: ObjectId) -> Option<KObject> {
+        let ty = self.ty?;
+        Some(KObject {
+            id,
+            info: ObjectInfo {
+                ty,
+                size: ty.size(),
+                inode: (self.inode != NO_INODE).then_some(InodeId(self.inode)),
+            },
+            frame: self.frame,
+            allocated_at: self.allocated_at,
+        })
+    }
 }
 
 impl ObjectTable {
@@ -258,39 +289,42 @@ impl ObjectTable {
         ObjectTable::default()
     }
 
-    /// Registers a new object and returns its id.
+    /// Registers a new object and returns its id. `info.size` must be
+    /// `info.ty.size()`: the table derives it from the type.
     pub fn insert(&mut self, info: ObjectInfo, frame: FrameId, now: Nanos) -> ObjectId {
+        debug_assert_eq!(info.size, info.ty.size(), "object size follows its type");
         let id = ObjectId(self.slots.len() as u64);
-        self.slots.push(Some(KObject {
-            id,
-            info,
+        self.slots.push(Slot {
             frame,
             allocated_at: now,
-        }));
+            inode: info.inode.map_or(NO_INODE, |i| i.0),
+            ty: Some(info.ty),
+        });
         self.live += 1;
         id
     }
 
     /// Removes an object, returning its record.
     pub fn remove(&mut self, id: ObjectId) -> Option<KObject> {
-        let obj = self.slots.get_mut(id.0 as usize)?.take();
-        if obj.is_some() {
-            self.live -= 1;
-        }
-        obj
+        let slot = self.slots.get_mut(id.0 as usize)?;
+        let obj = slot.object(id)?;
+        slot.ty = None;
+        self.live -= 1;
+        Some(obj)
     }
 
     /// Re-associates an object with an inode (late socket demux on the
     /// ingress path, paper §4.2.3). Returns the updated record.
-    pub fn set_inode(&mut self, id: ObjectId, inode: InodeId) -> Option<&KObject> {
-        let obj = self.slots.get_mut(id.0 as usize)?.as_mut()?;
-        obj.info.inode = Some(inode);
-        Some(obj)
+    pub fn set_inode(&mut self, id: ObjectId, inode: InodeId) -> Option<KObject> {
+        let slot = self.slots.get_mut(id.0 as usize)?;
+        slot.ty?;
+        slot.inode = inode.0;
+        slot.object(id)
     }
 
     /// Looks up an object.
-    pub fn get(&self, id: ObjectId) -> Option<&KObject> {
-        self.slots.get(id.0 as usize)?.as_ref()
+    pub fn get(&self, id: ObjectId) -> Option<KObject> {
+        self.slots.get(id.0 as usize)?.object(id)
     }
 
     /// Number of live objects.
@@ -304,8 +338,23 @@ impl ObjectTable {
     }
 
     /// Iterates over all live objects in id order.
-    pub fn iter(&self) -> impl Iterator<Item = &KObject> {
-        self.slots.iter().flatten()
+    pub fn iter(&self) -> impl Iterator<Item = KObject> + '_ {
+        self.slots
+            .iter()
+            .enumerate()
+            .filter_map(|(i, s)| s.object(ObjectId(i as u64)))
+    }
+}
+
+#[cfg(feature = "ksan")]
+impl ObjectTable {
+    /// Corruption hook for sanitizer self-tests: kills `id`'s slot
+    /// without updating the live counter.
+    #[doc(hidden)]
+    pub fn ksan_clear_slot(&mut self, id: ObjectId) {
+        if let Some(slot) = self.slots.get_mut(id.0 as usize) {
+            slot.ty = None;
+        }
     }
 }
 
@@ -351,22 +400,53 @@ mod tests {
     }
 
     #[test]
+    fn object_table_slot_fits_half_a_cache_line() {
+        assert!(std::mem::size_of::<Slot>() <= 32);
+    }
+
+    #[test]
     fn object_table_round_trip() {
         let mut t = ObjectTable::new();
-        let info = ObjectInfo {
+        let dentry = ObjectInfo {
             ty: KernelObjectType::Dentry,
             size: KernelObjectType::Dentry.size(),
             inode: Some(InodeId(7)),
         };
-        let id = t.insert(info, FrameId(3), Nanos::ZERO);
-        assert_eq!(t.len(), 1);
-        let obj = t.get(id).unwrap();
+        let bio = ObjectInfo {
+            ty: KernelObjectType::Bio,
+            size: KernelObjectType::Bio.size(),
+            inode: None,
+        };
+        let a = t.insert(dentry, FrameId(3), Nanos::new(5));
+        let b = t.insert(bio, FrameId(4), Nanos::new(6));
+        assert_eq!(t.len(), 2);
+        let obj = t.get(a).unwrap();
+        assert_eq!(obj.id, a);
+        assert_eq!(obj.info, dentry);
         assert_eq!(obj.frame, FrameId(3));
-        assert_eq!(obj.info.inode, Some(InodeId(7)));
-        let removed = t.remove(id).unwrap();
-        assert_eq!(removed.id, id);
+        assert_eq!(obj.allocated_at, Nanos::new(5));
+        assert_eq!(t.get(b).unwrap().info, bio);
+
+        // Late association keeps everything but the inode.
+        let moved = t.set_inode(b, InodeId(9)).unwrap();
+        assert_eq!(moved.info.inode, Some(InodeId(9)));
+        assert_eq!(moved.info.ty, KernelObjectType::Bio);
+        assert_eq!(moved.frame, FrameId(4));
+        assert_eq!(t.get(b), Some(moved));
+
+        let ids: Vec<ObjectId> = t.iter().map(|o| o.id).collect();
+        assert_eq!(ids, vec![a, b]);
+        let removed = t.remove(a).unwrap();
+        assert_eq!(removed.id, a);
+        assert_eq!(removed.info, dentry);
+        assert_eq!(t.len(), 1);
+        assert!(t.get(a).is_none());
+        assert!(t.remove(a).is_none());
+        assert!(t.set_inode(a, InodeId(1)).is_none(), "dead slots stay dead");
+        assert_eq!(t.iter().map(|o| o.id).collect::<Vec<_>>(), vec![b]);
+        t.remove(b).unwrap();
         assert!(t.is_empty());
-        assert!(t.remove(id).is_none());
+        assert!(t.get(ObjectId(99)).is_none());
     }
 
     #[test]

@@ -287,6 +287,12 @@ impl PageCache {
             })
     }
 
+    /// Radix-node objects, in index order.
+    #[cfg(feature = "ksan")]
+    pub fn nodes(&self) -> impl Iterator<Item = ObjectId> + '_ {
+        self.chunks.iter().flatten().map(|c| c.node_obj)
+    }
+
     /// Indices of all dirty pages, in order. Clean chunks are skipped
     /// via their dirty counters.
     pub fn dirty_indices(&self) -> Vec<u64> {

@@ -8,12 +8,11 @@
 //! pages are allocated with `readahead = true` in their
 //! [`crate::hooks::PageRequest`] and flow through the same KLOC hooks.
 
-use std::collections::HashMap;
-
-use crate::vfs::InodeId;
-
-#[derive(Debug, Clone, Copy, Default)]
-struct RaState {
+/// One file's readahead stream: where a sequential read would continue
+/// and the current window. It lives on the file's [`crate::vfs::Inode`]
+/// and is reset when the last handle closes.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ReadaheadState {
     next_expected: u64,
     window: u64,
 }
@@ -27,11 +26,11 @@ pub struct ReadaheadStats {
     pub useful: u64,
 }
 
-/// Per-inode adaptive readahead state.
+/// Adaptive readahead policy: the window cap and the kernel-wide
+/// statistics. Per-file streams are [`ReadaheadState`]s.
 #[derive(Debug, Clone, Default)]
 pub struct Readahead {
     max_window: u64,
-    files: HashMap<InodeId, RaState>,
     stats: ReadaheadStats,
 }
 
@@ -49,13 +48,13 @@ impl Readahead {
         &self.stats
     }
 
-    /// Observes a read of page `idx` on `inode`; returns how many pages
-    /// beyond `idx` to prefetch (0 when the pattern is random).
-    pub fn on_read(&mut self, inode: InodeId, idx: u64) -> u64 {
+    /// Observes a read of page `idx` on the file whose stream is `st`;
+    /// returns how many pages beyond `idx` to prefetch (0 when the
+    /// pattern is random).
+    pub fn on_read(&self, st: &mut ReadaheadState, idx: u64) -> u64 {
         if self.max_window == 0 {
             return 0; // readahead disabled
         }
-        let st = self.files.entry(inode).or_default();
         if idx == st.next_expected && st.next_expected != 0 || (idx == 0 && st.window == 0) {
             // Sequential continuation (or a fresh file starting at 0):
             // grow the window.
@@ -77,11 +76,6 @@ impl Readahead {
     pub fn record_useful(&mut self) {
         self.stats.useful += 1;
     }
-
-    /// Drops per-file state (file closed/unlinked).
-    pub fn forget(&mut self, inode: InodeId) {
-        self.files.remove(&inode);
-    }
 }
 
 #[cfg(test)]
@@ -90,40 +84,53 @@ mod tests {
 
     #[test]
     fn sequential_stream_grows_window() {
-        let mut ra = Readahead::new(32);
-        let w0 = ra.on_read(InodeId(1), 0);
+        let ra = Readahead::new(32);
+        let mut st = ReadaheadState::default();
+        let w0 = ra.on_read(&mut st, 0);
         assert_eq!(w0, 1);
-        let w1 = ra.on_read(InodeId(1), 1);
+        let w1 = ra.on_read(&mut st, 1);
         assert_eq!(w1, 2);
-        let w2 = ra.on_read(InodeId(1), 2);
+        let w2 = ra.on_read(&mut st, 2);
         assert_eq!(w2, 4);
         // Window saturates at max.
         let mut w = w2;
         for i in 3..20 {
-            w = ra.on_read(InodeId(1), i);
+            w = ra.on_read(&mut st, i);
         }
         assert_eq!(w, 32);
     }
 
     #[test]
     fn random_access_collapses_window() {
-        let mut ra = Readahead::new(32);
-        ra.on_read(InodeId(1), 0);
-        ra.on_read(InodeId(1), 1);
-        let w = ra.on_read(InodeId(1), 100);
+        let ra = Readahead::new(32);
+        let mut st = ReadaheadState::default();
+        ra.on_read(&mut st, 0);
+        ra.on_read(&mut st, 1);
+        let w = ra.on_read(&mut st, 100);
         assert_eq!(w, 0, "random jump disables prefetch");
         // Resuming sequentially from the new position restarts growth.
-        let w = ra.on_read(InodeId(1), 101);
+        let w = ra.on_read(&mut st, 101);
         assert_eq!(w, 1);
     }
 
     #[test]
     fn files_are_independent() {
-        let mut ra = Readahead::new(8);
-        ra.on_read(InodeId(1), 0);
-        ra.on_read(InodeId(1), 1);
-        let w_other = ra.on_read(InodeId(2), 0);
+        let ra = Readahead::new(8);
+        let (mut a, mut b) = (ReadaheadState::default(), ReadaheadState::default());
+        ra.on_read(&mut a, 0);
+        ra.on_read(&mut a, 1);
+        let w_other = ra.on_read(&mut b, 0);
         assert_eq!(w_other, 1, "second file starts fresh");
+    }
+
+    #[test]
+    fn disabled_readahead_never_prefetches() {
+        let ra = Readahead::new(0);
+        let mut st = ReadaheadState::default();
+        for i in 0..4 {
+            assert_eq!(ra.on_read(&mut st, i), 0);
+        }
+        assert_eq!(st, ReadaheadState::default(), "no stream is tracked");
     }
 
     #[test]
@@ -133,18 +140,5 @@ mod tests {
         ra.record_useful();
         assert_eq!(ra.stats().issued, 4);
         assert_eq!(ra.stats().useful, 1);
-    }
-
-    #[test]
-    fn forget_resets_state() {
-        let mut ra = Readahead::new(8);
-        ra.on_read(InodeId(1), 0);
-        ra.on_read(InodeId(1), 1);
-        ra.forget(InodeId(1));
-        assert_eq!(
-            ra.on_read(InodeId(1), 2),
-            0,
-            "state gone; jump to 2 is random"
-        );
     }
 }

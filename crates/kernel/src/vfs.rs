@@ -9,6 +9,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use kloc_mem::{Nanos, TenantId};
 
@@ -16,6 +17,7 @@ use crate::extent::ExtentTree;
 use crate::net::RxQueue;
 use crate::obj::ObjectId;
 use crate::pagecache::PageCache;
+use crate::readahead::ReadaheadState;
 
 /// Identifier of an inode (file or socket). Never reused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -81,6 +83,8 @@ pub struct Inode {
     pub created_at: Nanos,
     /// Last syscall activity on this inode.
     pub last_activity: Nanos,
+    /// Adaptive readahead stream of the open file, reset at last close.
+    pub readahead: ReadaheadState,
 }
 
 impl Inode {
@@ -109,7 +113,7 @@ pub struct OpenFile {
 pub struct Vfs {
     inodes: Vec<Option<Inode>>,
     live_inodes: usize,
-    paths: HashMap<String, InodeId>,
+    paths: HashMap<String, InodeId, BuildHasherDefault<PathHasher>>,
     fds: Vec<Option<OpenFile>>,
     live_fds: usize,
     next_inode: u64,
@@ -219,6 +223,46 @@ impl Vfs {
     }
 }
 
+/// Fx-style hasher for the path map: per 8-byte word, rotate, xor the
+/// word in, multiply. Path lookup runs on every `open`, `create` and
+/// `unlink`; SipHash's flood resistance buys nothing for simulated paths.
+/// The map is iterated only by the KSAN audit, which sorts, so the hash
+/// cannot reach any output.
+#[derive(Default)]
+struct PathHasher(u64);
+
+impl PathHasher {
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0xf135_7aea_2e62_a9c5);
+    }
+}
+
+impl Hasher for PathHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        let mut chunks = bytes.chunks_exact(8);
+        for c in &mut chunks {
+            self.add(u64::from_le_bytes(c.try_into().expect("8-byte chunk"))); // lint: unwrap-ok — chunks_exact yields 8 bytes
+        }
+        let mut tail = [0u8; 8];
+        tail[..chunks.remainder().len()].copy_from_slice(chunks.remainder());
+        self.add(u64::from_le_bytes(tail));
+    }
+
+    #[inline]
+    fn write_u8(&mut self, i: u8) {
+        self.add(u64::from(i));
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        // The multiply leaves the low bits weakest; the table indexes by
+        // low bits, so rotate the strong high bits down.
+        self.0.rotate_left(26)
+    }
+}
+
 #[cfg(feature = "ksan")]
 impl Vfs {
     /// Cross-checks the VFS tables: the live counters against the inode
@@ -299,6 +343,7 @@ mod tests {
             rx: RxQueue::new(),
             created_at: Nanos::ZERO,
             last_activity: Nanos::ZERO,
+            readahead: ReadaheadState::default(),
         }
     }
 

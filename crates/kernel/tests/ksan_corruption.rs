@@ -76,6 +76,28 @@ fn cache_lru_desync_is_caught() {
 }
 
 #[test]
+fn object_table_desync_is_caught() {
+    let (mem, _hooks, mut kernel) = populated();
+    kernel.ksan_break_object_table();
+    let out = audited(&kernel, &mem);
+    assert!(
+        out.iter()
+            .any(|v| v.structures == "ObjectTable.live <-> ObjectTable.slots"),
+        "{out:#?}"
+    );
+    assert!(
+        out.iter().any(|v| v.structures == "Inode <-> ObjectTable"
+            && v.object.contains("page-cache")
+            && v.actual == "freed"),
+        "{out:#?}"
+    );
+    assert!(
+        out.iter().all(|v| v.structures.contains("ObjectTable")),
+        "only the object-table pairs should fire: {out:#?}"
+    );
+}
+
+#[test]
 fn lru_index_desync_is_caught() {
     let mut lru = PageLru::new();
     for i in 0..4 {

@@ -73,6 +73,58 @@ impl AccessOp {
     }
 }
 
+/// Direct-mapped memo of `TierSpec::{read,write}_cost`, keyed by the
+/// full `(tier, write, bytes)`: both are pure functions of that key and
+/// a tier's spec never changes after construction, so a hit returns the
+/// exact cost without the bandwidth term's division. Each `(tier,
+/// write)` pair owns [`SPEC_COST_SLOTS`] slots, so only byte counts
+/// compete for a slot and a hit is a compare of `bytes`. Every slot
+/// always holds a true `(bytes, cost)` pair: it starts at zero bytes.
+#[derive(Debug)]
+struct SpecCostMemo {
+    slots: Vec<SpecCost>,
+}
+
+/// Slots per `(tier, write)` pair. The object and page sizes the
+/// workloads access (40 B to 4 KiB, 18 distinct) each get their own.
+const SPEC_COST_SLOTS: usize = 1 << SPEC_COST_BITS;
+const SPEC_COST_BITS: u32 = 5;
+
+#[derive(Debug, Clone, Copy)]
+struct SpecCost {
+    bytes: u64,
+    cost: Nanos,
+}
+
+impl SpecCostMemo {
+    fn new(tiers: &[TierAllocator]) -> Self {
+        let mut slots = Vec::with_capacity(tiers.len() * 2 * SPEC_COST_SLOTS);
+        for t in tiers {
+            for cost in [t.spec().read_cost(0), t.spec().write_cost(0)] {
+                slots.extend([SpecCost { bytes: 0, cost }; SPEC_COST_SLOTS]);
+            }
+        }
+        SpecCostMemo { slots }
+    }
+
+    #[inline]
+    fn cost(&mut self, spec: &TierSpec, tier_idx: usize, write: bool, bytes: u64) -> Nanos {
+        // Fibonacci hashing: the product's top bits pick the slot,
+        // spreading sizes that share their low bits.
+        let h = (bytes.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - SPEC_COST_BITS)) as usize;
+        let slot = &mut self.slots[(tier_idx * 2 + usize::from(write)) * SPEC_COST_SLOTS + h];
+        if slot.bytes != bytes {
+            let cost = if write {
+                spec.write_cost(bytes)
+            } else {
+                spec.read_cost(bytes)
+            };
+            *slot = SpecCost { bytes, cost };
+        }
+        slot.cost
+    }
+}
+
 /// Inert compatibility item. The frame table once split its free list
 /// into shards sized by this config; it now keeps one LIFO stack, so the
 /// config carries nothing. It stays only so the `klocbench` replay, which
@@ -101,6 +153,9 @@ pub struct MemorySystem {
     l4: Vec<Option<L4Cache>>,
     /// Per-tier contention multiplier (x1000; 1000 = no contention).
     contention_milli: Vec<u64>,
+    /// Memo of the tier-spec term of [`MemorySystem::access_cost`] on
+    /// tiers without an L4 cache.
+    spec_costs: SpecCostMemo,
     frames: FrameTable,
     clock: Clock,
     stats: MemStats,
@@ -144,6 +199,7 @@ impl MemorySystem {
             tier_socket: vec![0; n],
             l4: (0..n).map(|_| None).collect(),
             contention_milli: vec![1000; n],
+            spec_costs: SpecCostMemo::new(&tiers),
             stats: MemStats::new(n),
             tiers,
             frames: FrameTable::new(),
@@ -766,11 +822,7 @@ impl MemorySystem {
             l4.access(frame, bytes, write)
         } else {
             let spec = self.tiers[tier_idx].spec();
-            if write {
-                spec.write_cost(bytes)
-            } else {
-                spec.read_cost(bytes)
-            }
+            self.spec_costs.cost(spec, tier_idx, write, bytes)
         };
 
         // Transparent huge pages: larger TLB reach shaves part of the
@@ -1592,6 +1644,23 @@ mod tests {
                 "{} last_access",
                 op.frame
             );
+        }
+    }
+
+    #[test]
+    fn spec_cost_memo_matches_the_spec() {
+        let sys = MemorySystem::two_tier(1 << 30, 8);
+        let mut memo = SpecCostMemo::new(&sys.tiers);
+        // Every byte count up to 5000 in steps of 7 fills each slot
+        // many times over; the second pass runs on the warmed memo.
+        for _ in 0..2 {
+            for bytes in (0..5000).step_by(7).chain([1 << 20, 1 << 40, u64::MAX]) {
+                for (t, tier) in sys.tiers.iter().enumerate() {
+                    let spec = tier.spec();
+                    assert_eq!(memo.cost(spec, t, false, bytes), spec.read_cost(bytes));
+                    assert_eq!(memo.cost(spec, t, true, bytes), spec.write_cost(bytes));
+                }
+            }
         }
     }
 

@@ -81,19 +81,25 @@ const EXPERIMENTS: &[&str] = &[
 const COMMON_FLAGS: &[&str] = &["--scale", "--seed", "--jobs", "--trace"];
 
 /// Rejects anything after the experiment name that is not a `--flag
-/// value` pair `which` accepts. Values are checked by each flag's own
-/// parser.
+/// value` pair `which` accepts, and any flag given twice (each flag is
+/// read once, so a repeat would be silently ignored). Values are
+/// checked by each flag's own parser.
 fn check_flags(which: &str, rest: &[String]) -> Result<(), String> {
     let own: &[&str] = match which {
         "run" => &["--workload", "--policy", "--fault-seed"],
         "crashsweep" => &["--crash-points"],
         _ => &[],
     };
+    let mut seen: Vec<&str> = Vec::new();
     let mut args = rest.iter();
     while let Some(flag) = args.next() {
         if !COMMON_FLAGS.contains(&flag.as_str()) && !own.contains(&flag.as_str()) {
             return Err(format!("`repro {which}` does not accept `{flag}`"));
         }
+        if seen.contains(&flag.as_str()) {
+            return Err(format!("`{flag}` given more than once"));
+        }
+        seen.push(flag);
         args.next();
     }
     Ok(())

@@ -68,3 +68,28 @@ fn misspelled_flags_are_rejected_with_usage() {
         assert!(stderr.contains("usage: repro"), "{args:?}: {stderr}");
     }
 }
+
+#[test]
+fn repeated_flags_are_rejected_with_usage() {
+    for args in [
+        &[
+            "run",
+            "--workload",
+            "rocksdb",
+            "--policy",
+            "kloc",
+            "--scale",
+            "tiny",
+            "--scale",
+            "huge",
+        ][..],
+        &["fig4", "--scale", "tiny", "--jobs", "1", "--jobs", "2"][..],
+    ] {
+        let out = repro(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?} must exit 1");
+        assert!(out.stdout.is_empty(), "{args:?} must not run");
+        assert!(stderr.contains("more than once"), "{args:?}: {stderr}");
+        assert!(stderr.contains("usage: repro"), "{args:?}: {stderr}");
+    }
+}

@@ -41,10 +41,16 @@ const COMPACT_EVERY_FLUSHES: u64 = 4;
 /// Per-op application think time (key comparison, skiplist walk).
 const THINK: Nanos = Nanos::new(600);
 
-#[derive(Debug, Clone)]
+/// A key-range slot: the file number of its current SSTable, which
+/// lives at [`sst_path`]`(slot, file)`. File numbers are never reused,
+/// so the number alone names the file.
+#[derive(Debug, Clone, Copy)]
 struct Slot {
-    path: String,
-    generation: u64,
+    file: u64,
+}
+
+fn sst_path(slot: usize, file: u64) -> String {
+    format!("/db/sst{slot}_{file}")
 }
 
 /// The RocksDB workload.
@@ -63,7 +69,8 @@ pub struct RocksDb {
     slots: Vec<Slot>,
     /// Multiplier decorrelating slot index from key order.
     perm: u64,
-    table_cache: VecDeque<(String, Fd)>,
+    /// Open SSTables, most recently used first, keyed by file number.
+    table_cache: VecDeque<(u64, Fd)>,
     /// Bounded open-file set (RocksDB's max_open_files), scaled so cold
     /// SSTables actually close at every scale.
     table_cache_cap: usize,
@@ -130,12 +137,6 @@ impl RocksDb {
         ((range.min(n - 1) * self.perm) % n) as usize
     }
 
-    fn new_path(&mut self, slot: usize) -> String {
-        let p = format!("/db/sst{slot}_{}", self.next_file);
-        self.next_file += 1;
-        p
-    }
-
     /// Writes a fresh SSTable for `slot` and closes it. Like real
     /// RocksDB, flushes run on background threads: the foreground thread
     /// does not wait for the device (writeback drains asynchronously).
@@ -147,45 +148,45 @@ impl RocksDb {
         merge_old: bool,
     ) -> Result<(), KernelError> {
         // Merge: read the slot's current file first.
-        if merge_old {
-            let old = self.slots[slot].path.clone();
-            let fd = k.open(ctx, &old)?;
+        let old = merge_old.then(|| self.slots[slot].file);
+        if let Some(old) = old {
+            let fd = k.open(ctx, &sst_path(slot, old))?;
             k.read(ctx, fd, 0, SSTABLE_PAGES * PAGE_SIZE)?;
             k.close(ctx, fd)?;
         }
-        let path = self.new_path(slot);
-        let fd = k.create(ctx, &path)?;
+        let file = self.next_file;
+        self.next_file += 1;
+        let fd = k.create(ctx, &sst_path(slot, file))?;
         k.write(ctx, fd, 0, SSTABLE_PAGES * PAGE_SIZE)?;
         k.close(ctx, fd)?;
-        if merge_old {
-            let old = std::mem::replace(&mut self.slots[slot].path, path);
-            self.drop_from_table_cache(k, ctx, &old)?;
-            k.unlink(ctx, &old)?;
-            self.slots[slot].generation += 1;
-        } else {
-            self.slots.push(Slot {
-                path,
-                generation: 0,
-            });
+        match old {
+            Some(old) => {
+                self.slots[slot].file = file;
+                self.drop_from_table_cache(k, ctx, old)?;
+                k.unlink(ctx, &sst_path(slot, old))?;
+            }
+            None => self.slots.push(Slot { file }),
         }
         Ok(())
     }
 
-    /// Table-cache lookup: reuse an open fd or open (evicting LRU).
+    /// Table-cache lookup of `slot`'s current SSTable: reuse an open fd
+    /// or open (evicting LRU).
     fn cached_open(
         &mut self,
         k: &mut Kernel,
         ctx: &mut Ctx<'_>,
-        path: &str,
+        slot: usize,
     ) -> Result<Fd, KernelError> {
-        if let Some(pos) = self.table_cache.iter().position(|(p, _)| p == path) {
+        let file = self.slots[slot].file;
+        if let Some(pos) = self.table_cache.iter().position(|&(f, _)| f == file) {
             let entry = self.table_cache.remove(pos).expect("position valid"); // lint: unwrap-ok — position() just found the entry
             let fd = entry.1;
             self.table_cache.push_front(entry);
             return Ok(fd);
         }
-        let fd = k.open(ctx, path)?;
-        self.table_cache.push_front((path.to_owned(), fd));
+        let fd = k.open(ctx, &sst_path(slot, file))?;
+        self.table_cache.push_front((file, fd));
         if self.table_cache.len() > self.table_cache_cap {
             if let Some((_, old)) = self.table_cache.pop_back() {
                 k.close(ctx, old)?;
@@ -198,9 +199,9 @@ impl RocksDb {
         &mut self,
         k: &mut Kernel,
         ctx: &mut Ctx<'_>,
-        path: &str,
+        file: u64,
     ) -> Result<(), KernelError> {
-        if let Some(pos) = self.table_cache.iter().position(|(p, _)| p == path) {
+        if let Some(pos) = self.table_cache.iter().position(|&(f, _)| f == file) {
             let (_, fd) = self.table_cache.remove(pos).expect("position valid"); // lint: unwrap-ok — position() just found the entry
             k.close(ctx, fd)?;
         }
@@ -262,8 +263,7 @@ impl RocksDb {
             return Ok(());
         }
         let slot = self.slot_of(key);
-        let path = self.slots[slot].path.clone();
-        let fd = self.cached_open(k, ctx, &path)?;
+        let fd = self.cached_open(k, ctx, slot)?;
         // Index block + one data block.
         k.read(ctx, fd, 0, 4096)?;
         let data_page = 1 + key % (SSTABLE_PAGES - 1);
@@ -375,6 +375,37 @@ mod tests {
     }
 
     #[test]
+    fn table_cache_holds_exactly_the_open_sstables() {
+        let mut mem = MemorySystem::two_tier(u64::MAX, 8);
+        let mut hooks = NullHooks::fast_first();
+        let mut k = Kernel::new(KernelParams::default());
+        let mut w = RocksDb::new(&Scale::tiny());
+        let mut ctx = Ctx::new(&mut mem, &mut hooks);
+        w.setup(&mut k, &mut ctx).unwrap();
+        let mut hits = 0;
+        while !w.is_done() {
+            w.step(&mut k, &mut ctx).unwrap();
+            // Every open fd is a table-cache entry or the WAL.
+            assert_eq!(k.vfs().open_fds(), w.table_cache.len() + 1);
+            for &(file, _) in &w.table_cache {
+                let slot = w
+                    .slots
+                    .iter()
+                    .position(|s| s.file == file)
+                    .unwrap_or_else(|| panic!("cached file {file} is no slot's table"));
+                assert!(
+                    k.vfs().lookup_path(&sst_path(slot, file)).is_some(),
+                    "cached file {file} is unlinked"
+                );
+                hits += 1;
+            }
+        }
+        assert!(hits > 0, "the table cache must be exercised");
+        w.teardown(&mut k, &mut ctx).unwrap();
+        assert_eq!(k.vfs().open_fds(), 0);
+    }
+
+    #[test]
     fn ops_counted() {
         let (_, _, w) = run(Scale::tiny());
         assert_eq!(w.ops_done(), Scale::tiny().ops);
@@ -387,11 +418,8 @@ mod tests {
         let mut scale = Scale::tiny();
         scale.data_bytes = 8 * SSTABLE_PAGES * PAGE_SIZE;
         let mut w = RocksDb::new(&scale);
-        for i in 0..8 {
-            w.slots.push(Slot {
-                path: format!("/db/x{i}"),
-                generation: 0,
-            });
+        for file in 0..8 {
+            w.slots.push(Slot { file });
         }
         let a = w.slot_of(0);
         assert_eq!(a, w.slot_of(0), "mapping must be deterministic");
