@@ -783,6 +783,12 @@ impl Kmap {
         }
     }
 
+    /// Every mapped knode in slot order, for cross-structure audits.
+    /// Unlike [`Kmap::iter`] it leaves the examined probe alone.
+    pub(crate) fn ksan_knodes(&self) -> impl Iterator<Item = &Knode> {
+        self.slots.iter().flatten()
+    }
+
     /// Corruption hook for sanitizer self-tests: drops the oldest
     /// inactive-heap entry while its knode stays inactive.
     #[doc(hidden)]
@@ -944,7 +950,6 @@ mod tests {
             let mut k = knode_at(ino, 0, false);
             if ino != 3 {
                 k.add_obj(
-                    kloc_kernel::ObjectId(ino),
                     kloc_kernel::KernelObjectType::PageCache,
                     kloc_mem::FrameId(ino),
                 );

@@ -2,14 +2,14 @@
 //!
 //! Every file/socket inode gets a knode — a "table of contents" naming
 //! every kernel object associated with that inode (paper Fig. 1). The
-//! members are split across two tables, mirroring the paper's
-//! `rbtree-cache` / `rbtree-slab` split (§4.2.3): separating page-cache
-//! pages from small slab objects keeps each table small and the split
-//! organizationally meaningful. Since PR 7 the tables are the dense
-//! open-addressed [`crate::members::MemberMap`]s rather than
-//! `BTreeMap`s: the member add/remove/touch path sits on every syscall,
-//! so it probes a flat slot array instead of chasing tree nodes. The
-//! distinct member frames the migration walks read are kept sorted in
+//! paper splits the members across two trees, `rbtree-cache` for
+//! page-backed objects and `rbtree-slab` for slab-class objects
+//! (§4.2.3). Here the split survives as two member counts: which objects
+//! are members is one bit per object in the registry, and each member's
+//! inode, type and frame are already in the kernel's object table, so
+//! the paper's `itr_knode_cache` / `itr_knode_slab` are that table
+//! filtered by inode and backing. What the knode itself stores is what
+//! the migration walks read: the distinct member frames, kept sorted in
 //! one chunked [`crate::members::FrameRefs`] set (see the `members`
 //! module docs).
 //!
@@ -27,11 +27,11 @@ use kloc_mem::{FrameId, Nanos, TenantId, TierId};
 
 use kloc_kernel::hooks::CpuId;
 use kloc_kernel::vfs::InodeId;
-use kloc_kernel::{Backing, KernelObjectType, ObjectId};
+use kloc_kernel::{Backing, KernelObjectType};
 
-use crate::members::{FrameRefs, MemberMap};
+use crate::members::FrameRefs;
 
-/// Which member tree an object landed in.
+/// Which member tree an object counts in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MemberTree {
     /// `rbtree-cache`: page-backed objects (page-cache pages, data
@@ -60,10 +60,10 @@ pub struct Knode {
     last_cpu: CpuId,
     /// Last access time.
     last_active: Nanos,
-    /// Page-backed members: object -> backing frame (`rbtree-cache`).
-    cache: MemberMap,
-    /// Slab-class members: object -> backing frame (`rbtree-slab`).
-    slab: MemberMap,
+    /// Number of page-backed members (`rbtree-cache`).
+    cache: usize,
+    /// Number of slab-class members (`rbtree-slab`).
+    slab: usize,
     /// Distinct frames backing members, refcounted (several slab
     /// objects can share a frame) and kept ascending by full `FrameId`
     /// (the report-visible migration order), so the migration walks
@@ -98,8 +98,8 @@ impl Knode {
             synced_epoch: 0,
             last_cpu: CpuId(0),
             last_active: now,
-            cache: MemberMap::default(),
-            slab: MemberMap::default(),
+            cache: 0,
+            slab: 0,
             frames: FrameRefs::default(),
             enmasse_cache: Cell::new(None),
             demote_bound: Cell::new(None),
@@ -181,65 +181,69 @@ impl Knode {
         self.last_active = now;
     }
 
-    /// Adds a member object (`knode_add_obj` in Table 2); routed to the
-    /// cache or slab table by the object's backing. Returns the table
-    /// used. One dense-table probe plus a sorted refcount insert (an
-    /// append when the frame sorts last).
-    pub fn add_obj(&mut self, obj: ObjectId, ty: KernelObjectType, frame: FrameId) -> MemberTree {
-        let (tree, prev) = match ty.backing() {
-            Backing::Page(_) => (MemberTree::Cache, self.cache.insert(obj, frame)),
-            Backing::Slab => (MemberTree::Slab, self.slab.insert(obj, frame)),
+    /// Adds a member object of type `ty` backed by `frame`
+    /// (`knode_add_obj` in Table 2): counts it in the cache or slab tree
+    /// by the object's backing and takes a reference on its frame.
+    /// Returns the tree used. The caller guarantees the object is not
+    /// already a member of any knode (see the membership contract at
+    /// [`crate::KlocRegistry`]).
+    pub fn add_obj(&mut self, ty: KernelObjectType, frame: FrameId) -> MemberTree {
+        let tree = match ty.backing() {
+            Backing::Page(_) => {
+                self.cache += 1;
+                MemberTree::Cache
+            }
+            Backing::Slab => {
+                self.slab += 1;
+                MemberTree::Slab
+            }
         };
-        let mut changed = false;
-        if let Some(old) = prev {
-            changed |= self.frames.unref(old);
-        }
-        changed |= self.frames.add(frame);
-        if changed {
+        if self.frames.add(frame) {
             self.clear_walk_caches();
         }
         tree
     }
 
-    /// Removes a member of type `ty`, routed to its table by backing as
-    /// in [`Knode::add_obj`]. Returns whether it was tracked. One
-    /// dense-table probe plus a sorted refcount drop.
-    pub fn remove_obj(&mut self, obj: ObjectId, ty: KernelObjectType) -> bool {
-        let frame = match ty.backing() {
-            Backing::Page(_) => self.cache.remove(obj),
-            Backing::Slab => self.slab.remove(obj),
+    /// Removes a member of type `ty` backed by `frame`, the same frame
+    /// it was added with (an object's frame never changes). Returns
+    /// whether its tree counted a member to remove; an empty tree is
+    /// left at zero rather than underflowing.
+    pub fn remove_obj(&mut self, ty: KernelObjectType, frame: FrameId) -> bool {
+        let count = match ty.backing() {
+            Backing::Page(_) => &mut self.cache,
+            Backing::Slab => &mut self.slab,
         };
-        match frame {
-            Some(f) => {
-                if self.frames.unref(f) {
-                    self.clear_walk_caches();
-                }
-                true
-            }
-            None => false,
+        debug_assert!(
+            *count > 0,
+            "{}: removing a {ty:?} from an empty tree",
+            self.inode
+        );
+        let Some(left) = count.checked_sub(1) else {
+            return false;
+        };
+        *count = left;
+        if self.frames.unref(frame) {
+            self.clear_walk_caches();
         }
+        true
     }
 
-    /// Number of members across both tables.
+    /// Number of members across both trees.
     pub fn member_count(&self) -> usize {
-        self.cache.len() + self.slab.len()
+        self.cache + self.slab
+    }
+
+    /// Number of members in one tree.
+    pub fn tree_count(&self, tree: MemberTree) -> usize {
+        match tree {
+            MemberTree::Cache => self.cache,
+            MemberTree::Slab => self.slab,
+        }
     }
 
     /// Whether the knode tracks no objects.
     pub fn is_empty(&self) -> bool {
-        self.cache.is_empty() && self.slab.is_empty()
-    }
-
-    /// Page-backed members ascending by `ObjectId` (`itr_knode_cache`).
-    /// Derived on demand — the insert/remove path maintains no order.
-    pub fn cache_members(&self) -> Vec<(ObjectId, FrameId)> {
-        self.cache.sorted()
-    }
-
-    /// Slab-class members ascending by `ObjectId` (`itr_knode_slab`).
-    /// Derived on demand — the insert/remove path maintains no order.
-    pub fn slab_members(&self) -> Vec<(ObjectId, FrameId)> {
-        self.slab.sorted()
+        self.member_count() == 0
     }
 
     /// The deduplicated frames backing all members, ascending by full
@@ -256,8 +260,7 @@ impl Knode {
         self.frames.len()
     }
 
-    /// The member frame set with its per-entry parked bits, for the
-    /// member walks (see the park invariant at
+    /// The member frame set with its parked masks, for the member walks (see the park invariant at
     /// [`crate::members::FrameRefs`]).
     pub(crate) fn frame_refs_mut(&mut self) -> &mut FrameRefs {
         &mut self.frames
@@ -308,57 +311,28 @@ impl Knode {
         self.synced_epoch
     }
 
-    /// Recomputes the frame refcounts from both member tables and
-    /// cross-checks the incrementally maintained frame set, audits the
-    /// frame set's own order and counts, then audits each dense table's
-    /// internal slot bookkeeping (live counter vs occupied slots,
-    /// probe-chain reachability). Observation only.
+    /// Audits the frame set's own order, counts and parked masks.
+    /// Whether the counts match the member objects needs the kernel's
+    /// object table, so that cross-check lives in
+    /// `KlocRegistry::ksan_audit_members`. Observation only.
     pub(crate) fn ksan_audit(&self, out: &mut Vec<kloc_mem::ksan::Violation>) {
-        use std::collections::BTreeMap;
-
-        use kloc_mem::ksan::Violation;
-        let mut tally: BTreeMap<FrameId, u32> = BTreeMap::new();
-        let mut count = |_: ObjectId, frame: FrameId| {
-            *tally.entry(frame).or_insert(0) += 1;
-        };
-        self.cache.for_each(&mut count);
-        self.slab.for_each(&mut count);
-        let mut refs: BTreeMap<FrameId, u32> = BTreeMap::new();
-        self.frames.for_each(|frame, rc| {
-            refs.insert(frame, rc);
-        });
-        if tally != refs {
-            out.push(Violation::new(
-                "Knode.frames <-> Knode member tables",
-                format!("{}", self.inode),
-                "frame refcounts match the members that reference them",
-                format!("{tally:?}"),
-                format!("{refs:?}"),
-            ));
-        }
         if let Err(err) = self.frames.ksan_check() {
-            out.push(Violation::new(
+            out.push(kloc_mem::ksan::Violation::new(
                 "Knode.frames order <-> refcounts",
                 format!("{}", self.inode),
-                "frames strictly ascending, every refcount >= 1, chunks non-empty with exact maxes",
+                "frames strictly ascending, every refcount >= 1, chunks non-empty with exact maxes and no parked bit past their length",
                 "sorted refcounted frame set".to_owned(),
                 err,
             ));
         }
-        for (label, check) in [
-            ("rbtree-cache", self.cache.ksan_check()),
-            ("rbtree-slab", self.slab.ksan_check()),
-        ] {
-            if let Err(err) = check {
-                out.push(Violation::new(
-                    "Knode dense table slots <-> live counter",
-                    format!("{} {label}", self.inode),
-                    "stored ids are probe-reachable and counted exactly once",
-                    "consistent slot array".to_owned(),
-                    err,
-                ));
-            }
-        }
+    }
+
+    /// Every (frame, refcount), ascending by full `FrameId`, for the
+    /// registry's membership audit.
+    pub(crate) fn frame_refcounts(&self) -> Vec<(FrameId, u32)> {
+        let mut refs = Vec::new();
+        self.frames.for_each(|frame, rc| refs.push((frame, rc)));
+        refs
     }
 
     /// Corruption hook for sanitizer self-tests: stamps the knode's
@@ -369,17 +343,10 @@ impl Knode {
     }
 
     /// Corruption hook for sanitizer self-tests: injects a phantom
-    /// frame reference, desyncing the frame set from the member tables.
+    /// frame reference, desyncing the frame set from the member objects.
     #[doc(hidden)]
     pub fn ksan_break_knode_members(&mut self) {
         self.frames.add(FrameId(0xDEAD));
-    }
-
-    /// Corruption hook for sanitizer self-tests: skews the cache
-    /// table's live counter against its occupied slots.
-    #[doc(hidden)]
-    pub fn ksan_break_member_slots(&mut self) {
-        self.cache.ksan_break_live_count();
     }
 
     /// Corruption hook for sanitizer self-tests: appends a frame below
@@ -396,6 +363,13 @@ impl Knode {
     #[doc(hidden)]
     pub fn ksan_break_frame_maxes(&mut self) {
         self.frames.ksan_break_maxes();
+    }
+
+    /// Corruption hook for sanitizer self-tests: sets a parked bit past
+    /// the end of the frame set's final chunk.
+    #[doc(hidden)]
+    pub fn ksan_break_parked_mask(&mut self) {
+        self.frames.ksan_break_mask();
     }
 
     /// The parked member frames, ascending by full `FrameId`.
@@ -435,56 +409,51 @@ mod tests {
     #[test]
     fn members_route_by_backing() {
         let mut k = knode();
-        let t1 = k.add_obj(ObjectId(1), KernelObjectType::PageCache, FrameId(10));
-        let t2 = k.add_obj(ObjectId(2), KernelObjectType::Dentry, FrameId(11));
+        let t1 = k.add_obj(KernelObjectType::PageCache, FrameId(10));
+        let t2 = k.add_obj(KernelObjectType::Dentry, FrameId(11));
         assert_eq!(t1, MemberTree::Cache);
         assert_eq!(t2, MemberTree::Slab);
-        assert_eq!(k.cache_members().len(), 1);
-        assert_eq!(k.slab_members().len(), 1);
+        assert_eq!(k.tree_count(MemberTree::Cache), 1);
+        assert_eq!(k.tree_count(MemberTree::Slab), 1);
         assert_eq!(k.member_count(), 2);
     }
 
     #[test]
     fn remove_from_either_tree() {
         let mut k = knode();
-        k.add_obj(ObjectId(1), KernelObjectType::PageCache, FrameId(10));
-        k.add_obj(ObjectId(2), KernelObjectType::Extent, FrameId(11));
-        assert!(k.remove_obj(ObjectId(1), KernelObjectType::PageCache));
-        assert!(k.remove_obj(ObjectId(2), KernelObjectType::Extent));
-        assert!(!k.remove_obj(ObjectId(3), KernelObjectType::PageCache));
-        // Routing by backing: a slab-class type never probes the cache
-        // table, so it cannot remove a page-backed member.
-        k.add_obj(ObjectId(4), KernelObjectType::PageCache, FrameId(12));
-        assert!(!k.remove_obj(ObjectId(4), KernelObjectType::Dentry));
-        assert!(k.remove_obj(ObjectId(4), KernelObjectType::PageCache));
+        k.add_obj(KernelObjectType::PageCache, FrameId(10));
+        k.add_obj(KernelObjectType::Extent, FrameId(11));
+        assert!(k.remove_obj(KernelObjectType::PageCache, FrameId(10)));
+        assert_eq!(k.tree_count(MemberTree::Cache), 0);
+        assert_eq!(k.tree_count(MemberTree::Slab), 1);
+        assert!(k.remove_obj(KernelObjectType::Extent, FrameId(11)));
         assert!(k.is_empty());
         assert_eq!(k.member_frames().count(), 0);
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "removing a PageCache from an empty tree")]
+    fn remove_from_an_empty_tree_is_a_contract_breach() {
+        let mut k = knode();
+        k.add_obj(KernelObjectType::Dentry, FrameId(7));
+        k.remove_obj(KernelObjectType::PageCache, FrameId(7));
     }
 
     #[test]
     fn member_frames_deduplicate_shared_slab_pages() {
         let mut k = knode();
         // Two dentries packed on the same slab frame.
-        k.add_obj(ObjectId(1), KernelObjectType::Dentry, FrameId(7));
-        k.add_obj(ObjectId(2), KernelObjectType::Dentry, FrameId(7));
-        k.add_obj(ObjectId(3), KernelObjectType::PageCache, FrameId(8));
+        k.add_obj(KernelObjectType::Dentry, FrameId(7));
+        k.add_obj(KernelObjectType::Dentry, FrameId(7));
+        k.add_obj(KernelObjectType::PageCache, FrameId(8));
         assert_eq!(frames(&k), vec![FrameId(7), FrameId(8)]);
         // Removing one sharer keeps the frame; removing both drops it.
-        assert!(k.remove_obj(ObjectId(1), KernelObjectType::Dentry));
+        assert!(k.remove_obj(KernelObjectType::Dentry, FrameId(7)));
         assert_eq!(frames(&k), vec![FrameId(7), FrameId(8)]);
-        assert!(k.remove_obj(ObjectId(2), KernelObjectType::Dentry));
+        assert!(k.remove_obj(KernelObjectType::Dentry, FrameId(7)));
         assert_eq!(frames(&k), vec![FrameId(8)]);
         assert_eq!(k.member_frame_count(), 1);
-    }
-
-    #[test]
-    fn reinserted_object_moves_its_frame_ref() {
-        let mut k = knode();
-        k.add_obj(ObjectId(1), KernelObjectType::PageCache, FrameId(7));
-        // Same object re-added on a different frame: old ref released.
-        k.add_obj(ObjectId(1), KernelObjectType::PageCache, FrameId(9));
-        assert_eq!(frames(&k), vec![FrameId(9)]);
-        assert_eq!(k.member_count(), 1);
     }
 
     #[test]
@@ -492,15 +461,9 @@ mod tests {
         let mut k = knode();
         // Insertion order deliberately disagrees with id order, and two
         // frames share a slot (low 32 bits) across generations.
-        k.add_obj(ObjectId(9), KernelObjectType::PageCache, FrameId(5));
-        k.add_obj(
-            ObjectId(2),
-            KernelObjectType::PageCache,
-            FrameId((1 << 32) | 4),
-        );
-        k.add_obj(ObjectId(5), KernelObjectType::PageCache, FrameId(4));
-        let ids: Vec<u64> = k.cache_members().iter().map(|(o, _)| o.0).collect();
-        assert_eq!(ids, vec![2, 5, 9]);
+        k.add_obj(KernelObjectType::PageCache, FrameId(5));
+        k.add_obj(KernelObjectType::PageCache, FrameId((1 << 32) | 4));
+        k.add_obj(KernelObjectType::PageCache, FrameId(4));
         assert_eq!(
             frames(&k),
             vec![FrameId(4), FrameId(5), FrameId((1 << 32) | 4)]

@@ -10,11 +10,13 @@
 //!
 //! Mirroring paper Figs. 1 and 3(a):
 //!
-//! * [`Knode`] — per-inode "table of contents": two member tables
-//!   (`rbtree-cache` for page-backed objects, `rbtree-slab` for
-//!   slab-class objects, split to keep each small §4.2.3; dense
-//!   open-addressed tables here, see [`members`]) plus `inuse` and
-//!   `age` tracking.
+//! * [`Knode`] — per-inode "table of contents": its member counts in
+//!   two trees (`rbtree-cache` for page-backed objects, `rbtree-slab`
+//!   for slab-class objects, §4.2.3), the sorted frame set the
+//!   migration walks read (see [`members`]), and `inuse` and `age`
+//!   tracking. Which objects are members is one bit per object id in
+//!   the [`KlocRegistry`]; their inode, type and frame live in the
+//!   kernel's object table.
 //! * [`Kmap`] — the global registry of all knodes.
 //! * [`PerCpuKnodeLists`] — the per-CPU fast-path cache of recently used
 //!   knodes (§4.3; reduces rbtree accesses by ~54 % in the paper).
@@ -29,13 +31,15 @@
 //! |---|---|
 //! | `sys_enable_kloc()` | [`KlocRegistry::new`] / [`KlocConfig::enabled`] |
 //! | `map_knode(knode, inode)` | [`Kmap::map_knode`] |
-//! | `knode_add_obj(knode, obj)` | [`Knode::add_obj`] |
-//! | `itr_knode_slab(knode)` | [`Knode::slab_members`] |
-//! | `itr_knode_cache(knode)` | [`Knode::cache_members`] |
+//! | `knode_add_obj(knode, obj)` | [`KlocRegistry::object_allocated`] (sets the membership bit, then [`Knode::add_obj`]) |
+//! | `itr_knode_slab(knode)` | [`ObjectTable::iter`] filtered by inode, slab backing and [`KlocRegistry::is_member`] |
+//! | `itr_knode_cache(knode)` | [`ObjectTable::iter`] filtered by inode, page backing and [`KlocRegistry::is_member`] |
 //! | `add_to_kmap(knode)` | [`Kmap::map_knode`] |
 //! | `get_LRU_knodes(kmap)` | [`Kmap::lru_knodes`] |
 //! | `find_cpu(knode)` | [`Knode::last_cpu`] |
 //! | `sys_kloc_memsize(..)` | [`KlocConfig::fast_budget_frames`] |
+//!
+//! [`ObjectTable::iter`]: kloc_kernel::obj::ObjectTable::iter
 
 #![warn(missing_docs)]
 

@@ -1,25 +1,12 @@
-//! Dense member tables for knodes.
+//! The member frame set of a knode.
 //!
-//! PR 6 replaced tree/hash probes on the kernel touch path with
-//! direct-mapped side tables (`FrameSet`/`FrameMap` in kloc-mem),
-//! exploiting that frame *slots* are dense indices into one global
-//! table. A knode's member ids have the opposite shape: `ObjectId`s are
-//! global, sequential, and never reused, so a per-knode table indexed
-//! directly by object id would cost memory proportional to the global
-//! id space in every knode. [`MemberMap`] therefore uses the same idiom
-//! in its open-addressed form: a power-of-two slot array probed linearly
-//! from a multiplicative hash, storing the full 64-bit id so a probe
-//! rejects a recycled slot by full-id compare exactly as `FrameSet`
-//! rejects stale generations. Inserts and removes are amortized O(1),
-//! each entry is one `(key, value)` pair in a single flat allocation
-//! (one cache line covers probe and payload), and an empty table
-//! allocates nothing. Its ordered view is *derived on demand* (collect +
-//! sort by full id), paid only where member order is report-visible
-//! (`cache_members`/`slab_members`, audits). Unordered iteration walks
-//! slots in array order, which is a pure function of the insertion
-//! history and thus deterministic across identically-seeded runs — but
-//! it is only used where the consumer is order-insensitive (refcount
-//! tallies).
+//! A knode does not store its member *objects*. The kernel's
+//! `ObjectTable` already records every live object's type, inode and
+//! frame, and the registry records which objects are members with one
+//! bit per `ObjectId` (see [`crate::KlocRegistry`]). The paper's
+//! `itr_knode_cache` / `itr_knode_slab` views are therefore the object
+//! table filtered by inode and backing; a knode keeps only its
+//! per-backing member counts and the [`FrameRefs`] set below.
 //!
 //! [`FrameRefs`], the knode's distinct member frames, is the one view
 //! every policy-tick migration walk reads in order (ascending full
@@ -31,252 +18,21 @@
 //! chunks in place and nothing is re-sorted; an insert or remove shifts
 //! at most one chunk, where one flat sorted vector shifted its whole
 //! tail (≈ 730 MB of memmove per Huge RocksDB run, the largest knodes
-//! holding 15 k frames). Each refcount word also carries the entry's
-//! *parked* bit, which lets the member-granular walks skip frames they
-//! cannot move (see the park invariant at [`FrameRefs`]).
+//! holding 15 k frames). Each chunk also carries a 128-bit *parked*
+//! mask, which lets the member-granular walks visit only the frames
+//! they might move (see the park invariant at [`FrameRefs`]) by
+//! iterating the mask's clear bits, so a walk never steps over a parked
+//! entry.
 
-use kloc_kernel::ObjectId;
 use kloc_mem::FrameId;
 
-/// Slot holds nothing and never did (probe chains stop here).
-const EMPTY: u64 = u64::MAX;
-/// Slot held an entry that was removed (probe chains continue).
-const TOMBSTONE: u64 = u64::MAX - 1;
-
-/// SplitMix64-style finalizer: full-avalanche 64-bit mix, so sequential
-/// ids spread over the power-of-two slot array. Dependency-free.
-#[inline]
-fn mix(key: u64) -> u64 {
-    let mut h = key;
-    h ^= h >> 33;
-    h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
-    h ^= h >> 33;
-    h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
-    h ^ (h >> 33)
-}
-
-/// Dense member table for one knode tree: `ObjectId -> FrameId` (the
-/// `rbtree-cache` / `rbtree-slab` payload). Open-addressed: linear
-/// probing, tombstone deletion, capacity kept a power of two with at
-/// least 1/8 of slots `EMPTY` so probes terminate.
-#[derive(Debug, Clone, Default)]
-pub struct MemberMap {
-    /// `(object id, frame id)` pairs; the key is [`EMPTY`] /
-    /// [`TOMBSTONE`] for vacant slots.
-    slots: Vec<(u64, u64)>,
-    live: usize,
-    tombs: usize,
-}
-
-impl MemberMap {
-    const MIN_CAP: usize = 8;
-
-    /// Looks up the frame backing a member.
-    #[inline]
-    pub fn get(&self, obj: ObjectId) -> Option<FrameId> {
-        if self.live == 0 {
-            return None;
-        }
-        let mask = self.slots.len() - 1;
-        let mut i = (mix(obj.0) as usize) & mask; // lint: truncation-ok
-        loop {
-            match self.slots[i].0 {
-                EMPTY => return None,
-                k if k == obj.0 => return Some(FrameId(self.slots[i].1)),
-                _ => i = (i + 1) & mask,
-            }
-        }
-    }
-
-    /// Inserts or replaces a member; returns the previously mapped
-    /// frame if the object was already tracked. The full id is stored,
-    /// so a probe that lands on a recycled (tombstoned, then reused)
-    /// slot can never confuse two ids that happened to hash alike.
-    pub fn insert(&mut self, obj: ObjectId, frame: FrameId) -> Option<FrameId> {
-        let key = obj.0;
-        debug_assert!(key < TOMBSTONE, "id collides with a table sentinel");
-        self.reserve_one();
-        let mask = self.slots.len() - 1;
-        // lint: truncation-ok — masked into the power-of-two table index
-        let mut i = (mix(key) as usize) & mask;
-        // First tombstone seen is the insertion point, but the probe
-        // must continue to EMPTY to rule out a later duplicate.
-        let mut reuse = None;
-        loop {
-            match self.slots[i].0 {
-                EMPTY => {
-                    let slot = reuse.unwrap_or(i);
-                    if self.slots[slot].0 == TOMBSTONE {
-                        self.tombs -= 1;
-                    }
-                    self.slots[slot] = (key, frame.0);
-                    self.live += 1;
-                    return None;
-                }
-                TOMBSTONE => {
-                    if reuse.is_none() {
-                        reuse = Some(i);
-                    }
-                    i = (i + 1) & mask;
-                }
-                k if k == key => {
-                    let old = self.slots[i].1;
-                    self.slots[i].1 = frame.0;
-                    return Some(FrameId(old));
-                }
-                _ => i = (i + 1) & mask,
-            }
-        }
-    }
-
-    /// Removes a member; returns the frame it mapped to. The slot
-    /// becomes a tombstone so probe chains through it stay intact.
-    pub fn remove(&mut self, obj: ObjectId) -> Option<FrameId> {
-        if self.live == 0 {
-            return None;
-        }
-        let mask = self.slots.len() - 1;
-        let mut i = (mix(obj.0) as usize) & mask; // lint: truncation-ok
-        loop {
-            match self.slots[i].0 {
-                EMPTY => return None,
-                k if k == obj.0 => {
-                    self.slots[i].0 = TOMBSTONE;
-                    self.tombs += 1;
-                    self.live -= 1;
-                    return Some(FrameId(self.slots[i].1));
-                }
-                _ => i = (i + 1) & mask,
-            }
-        }
-    }
-
-    /// Grows (or first-allocates) when less than 1/8 of slots would
-    /// stay `EMPTY` after one more insert.
-    #[inline]
-    fn reserve_one(&mut self) {
-        if self.slots.is_empty() || (self.live + self.tombs + 1) * 8 > self.slots.len() * 7 {
-            self.grow();
-        }
-    }
-
-    /// Rehashes into a table sized for the live entries, dropping
-    /// tombstones. Also the initial allocation (tables start empty so an
-    /// idle knode costs no member-table memory at all).
-    fn grow(&mut self) {
-        let cap = ((self.live + 1) * 2).next_power_of_two().max(Self::MIN_CAP);
-        let old = std::mem::replace(&mut self.slots, vec![(EMPTY, 0); cap]);
-        self.tombs = 0;
-        let mask = cap - 1;
-        for (k, v) in old {
-            if k < TOMBSTONE {
-                let mut i = (mix(k) as usize) & mask; // lint: truncation-ok
-                while self.slots[i].0 != EMPTY {
-                    i = (i + 1) & mask;
-                }
-                self.slots[i] = (k, v);
-            }
-        }
-    }
-
-    /// Number of members.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.live
-    }
-
-    /// Whether the table tracks no members.
-    pub fn is_empty(&self) -> bool {
-        self.live == 0
-    }
-
-    /// Visits every member in slot order (deterministic, unordered; see
-    /// the module docs for where this is allowed).
-    pub fn for_each(&self, mut f: impl FnMut(ObjectId, FrameId)) {
-        for &(k, v) in &self.slots {
-            if k < TOMBSTONE {
-                f(ObjectId(k), FrameId(v));
-            }
-        }
-    }
-
-    /// The ordered view, derived on demand: members ascending by
-    /// `ObjectId`, matching the old `BTreeMap` iteration order.
-    pub fn sorted(&self) -> Vec<(ObjectId, FrameId)> {
-        let mut out = Vec::with_capacity(self.live);
-        self.for_each(|o, f| out.push((o, f)));
-        out.sort_unstable_by_key(|(o, _)| *o);
-        out
-    }
-}
-
-#[cfg(feature = "ksan")]
-impl MemberMap {
-    /// Internal-consistency audit: the live counter must equal the
-    /// occupied slot count, and every stored id must be reachable by its
-    /// own probe sequence (tombstones may sit in the chain but an EMPTY
-    /// must not). Returns an error string naming the first discrepancy.
-    /// Observation only.
-    pub(crate) fn ksan_check(&self) -> Result<(), String> {
-        let mut occupied = 0usize;
-        for (i, &(k, _)) in self.slots.iter().enumerate() {
-            if k < TOMBSTONE {
-                occupied += 1;
-                if self.get(ObjectId(k)).is_none() {
-                    return Err(format!("stored id {k} at slot {i} is unreachable by probe"));
-                }
-            }
-        }
-        if occupied != self.live {
-            return Err(format!(
-                "live counter {} != occupied slots {occupied}",
-                self.live
-            ));
-        }
-        Ok(())
-    }
-
-    /// Corruption hook for sanitizer self-tests: skews the live counter
-    /// without touching slots.
-    #[doc(hidden)]
-    pub fn ksan_break_live_count(&mut self) {
-        self.live += 1;
-    }
-}
-
-/// One entry's refcount word. The top bit marks the entry *parked*
-/// (see the park invariant at [`FrameRefs`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct RefWord(u32);
-
-impl RefWord {
-    const PARKED: u32 = 1 << 31;
-
-    /// The reference count, without the parked bit.
-    fn count(self) -> u32 {
-        self.0 & !Self::PARKED
-    }
-
-    /// Whether member walks skip this entry.
-    pub(crate) fn parked(self) -> bool {
-        self.0 & Self::PARKED != 0
-    }
-
-    /// Marks the entry parked; the caller has established the park
-    /// invariant.
-    pub(crate) fn park(&mut self) {
-        self.0 |= Self::PARKED;
-    }
-}
-
 /// One frame-set entry: the frame id split into two 32-bit halves so
-/// the entry packs into 12 bytes with its refcount word, the footprint
-/// of the parallel frame/refcount vectors it replaces.
+/// the entry packs into 12 bytes with its refcount.
 #[derive(Debug, Clone, Copy)]
 struct Entry {
     lo: u32,
     hi: u32,
-    word: RefWord,
+    refs: u32,
 }
 
 impl Entry {
@@ -284,7 +40,7 @@ impl Entry {
         Entry {
             lo: frame.slot(),
             hi: (frame.0 >> 32) as u32, // lint: truncation-ok — the high half of the id
-            word: RefWord(1),
+            refs: 1,
         }
     }
 
@@ -294,8 +50,77 @@ impl Entry {
     }
 }
 
-/// A sorted run of at most [`FrameRefs::CHUNK`] entries.
-type Chunk = Vec<Entry>;
+/// The mask of the `n` lowest bits, for `n` in `0..=128`.
+#[inline]
+fn low_bits(n: usize) -> u128 {
+    // lint: truncation-ok — n <= 128
+    u128::MAX.checked_shr((128 - n) as u32).unwrap_or(0)
+}
+
+/// A sorted run of at most [`FrameRefs::CHUNK`] entries. Bit `i` of
+/// `parked` is set iff entry `i` is parked; bits at or past the run's
+/// length are always clear.
+#[derive(Debug, Clone, Default)]
+struct Chunk {
+    entries: Vec<Entry>,
+    parked: u128,
+}
+
+impl Chunk {
+    fn one(frame: FrameId) -> Self {
+        Chunk {
+            entries: vec![Entry::new(frame)],
+            parked: 0,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// Inserts an unparked entry at `i`, shifting the parked bits of
+    /// the entries after it up with them. Requires a chunk with room.
+    fn insert(&mut self, i: usize, frame: FrameId) {
+        self.entries.insert(i, Entry::new(frame));
+        let below = self.parked & low_bits(i);
+        self.parked = below | ((self.parked & !below) << 1);
+    }
+
+    /// Removes entry `i` and its parked bit, shifting the bits of the
+    /// entries after it down with them.
+    fn remove(&mut self, i: usize) {
+        self.entries.remove(i);
+        let below = self.parked & low_bits(i);
+        self.parked = below | ((self.parked >> i >> 1) << i);
+    }
+
+    /// Splits off the entries from `at` on, parked bits included.
+    fn split_off(&mut self, at: usize) -> Chunk {
+        let right = Chunk {
+            entries: self.entries.split_off(at),
+            parked: self.parked >> at,
+        };
+        self.parked &= low_bits(at);
+        right
+    }
+
+    /// The clear bits of `parked` below the run's length.
+    fn unparked(&self) -> u128 {
+        !self.parked & low_bits(self.len())
+    }
+}
+
+/// What a member walk does with the unparked entry it visits.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Walk {
+    /// Leave the entry as it is and go on.
+    Skip,
+    /// Park the entry (the caller has established the park invariant)
+    /// and go on.
+    Park,
+    /// End the walk before this entry.
+    Stop,
+}
 
 /// Refcounted set of distinct frames backing a knode's members
 /// (several slab objects can share one frame), ascending by full
@@ -314,8 +139,9 @@ type Chunk = Vec<Entry>;
 /// every knode — holds two allocations (the chunk list and the chunk)
 /// and no `maxes`.
 ///
-/// The top bit of an entry's refcount word marks it *parked*: member
-/// walks skip it without probing the memory system.
+/// Each chunk's parked mask marks entries the member walks skip without
+/// probing the memory system; [`FrameRefs::walk_unparked`] visits only
+/// the clear bits.
 ///
 /// **The park invariant.** A parked entry whose frame is still live is
 /// slow-resident, idle beyond every member window, and watched (see
@@ -335,8 +161,8 @@ pub struct FrameRefs {
 }
 
 impl FrameRefs {
-    /// Capacity of one chunk: an insert or remove shifts at most this
-    /// many 12-byte entries.
+    /// Capacity of one chunk (and width of its parked mask): an insert
+    /// or remove shifts at most this many 12-byte entries.
     pub const CHUNK: usize = 128;
 
     /// The chunk `frame` belongs in: the first whose max is at least
@@ -354,68 +180,75 @@ impl FrameRefs {
             return None;
         }
         let c = self.chunk_of(frame);
-        Some((c, self.chunks[c].binary_search_by_key(&frame, Entry::frame)))
+        Some((
+            c,
+            self.chunks[c]
+                .entries
+                .binary_search_by_key(&frame, Entry::frame),
+        ))
     }
 
     /// Adds one reference; returns whether the frame is newly tracked.
+    /// A newly tracked frame starts unparked.
     pub fn add(&mut self, frame: FrameId) -> bool {
         // Fast path: a frame past the last one (fresh frames mostly are)
-        // appends to a final chunk with room.
+        // appends to a final chunk with room; its parked bit is clear.
         if let Some(last) = self.chunks.last_mut() {
-            if last.len() < Self::CHUNK && last.last().is_some_and(|e| e.frame() < frame) {
-                last.push(Entry::new(frame));
+            if last.len() < Self::CHUNK && last.entries.last().is_some_and(|e| e.frame() < frame) {
+                last.entries.push(Entry::new(frame));
                 return true;
             }
         }
         let Some((c, at)) = self.find(frame) else {
             // Exact capacity: a one-chunk set allocates no spare slots.
-            self.chunks = vec![vec![Entry::new(frame)]];
+            self.chunks = vec![Chunk::one(frame)];
             return true;
         };
         let i = match at {
             Ok(i) => {
-                self.chunks[c][i].word.0 += 1;
+                self.chunks[c].entries[i].refs += 1;
                 return false;
             }
             Err(i) => i,
         };
         if self.chunks[c].len() < Self::CHUNK {
-            self.chunks[c].insert(i, Entry::new(frame));
+            self.chunks[c].insert(i, frame);
         } else if i == Self::CHUNK {
             // Past the last frame of a full final chunk (only the final
             // chunk can take a frame above its own max): start the next.
-            self.maxes.push(self.chunks[c][i - 1].frame());
-            self.chunks.push(vec![Entry::new(frame)]);
+            self.maxes.push(self.chunks[c].entries[i - 1].frame());
+            self.chunks.push(Chunk::one(frame));
         } else {
             // Split in half, then insert into the half that owns `i`; a
             // frame at the boundary opens the right half, so the left
             // half's max is final.
             let half = Self::CHUNK / 2;
             let right = self.chunks[c].split_off(half);
-            self.maxes.insert(c, self.chunks[c][half - 1].frame());
+            self.maxes
+                .insert(c, self.chunks[c].entries[half - 1].frame());
             self.chunks.insert(c + 1, right);
             if i < half {
-                self.chunks[c].insert(i, Entry::new(frame));
+                self.chunks[c].insert(i, frame);
             } else {
-                self.chunks[c + 1].insert(i - half, Entry::new(frame));
+                self.chunks[c + 1].insert(i - half, frame);
             }
         }
         true
     }
 
     /// Drops one reference; returns whether the frame left the set.
-    /// Unreferenced frames are ignored (mirrors the old map behavior).
+    /// Unreferenced frames are ignored.
     pub fn unref(&mut self, frame: FrameId) -> bool {
         let Some((c, Ok(i))) = self.find(frame) else {
             return false;
         };
         let chunk = &mut self.chunks[c];
-        if chunk[i].word.count() > 1 {
-            chunk[i].word.0 -= 1;
+        if chunk.entries[i].refs > 1 {
+            chunk.entries[i].refs -= 1;
             return false;
         }
         chunk.remove(i);
-        let last = chunk.last().map(Entry::frame);
+        let last = chunk.entries.last().map(Entry::frame);
         match (last, c < self.maxes.len()) {
             // Keep the recorded max exact: the removed entry may have
             // been it.
@@ -437,7 +270,7 @@ impl FrameRefs {
 
     /// Number of distinct frames. O(chunks).
     pub fn len(&self) -> usize {
-        self.chunks.iter().map(Vec::len).sum()
+        self.chunks.iter().map(Chunk::len).sum()
     }
 
     /// Whether no frame is tracked.
@@ -445,26 +278,41 @@ impl FrameRefs {
         self.chunks.is_empty()
     }
 
+    /// Every entry, ascending by full `FrameId`.
+    fn entries(&self) -> impl Iterator<Item = &Entry> {
+        self.chunks.iter().flat_map(|c| &c.entries)
+    }
+
     /// The distinct frames, ascending by full `FrameId` — the
     /// report-visible en-masse migration order.
     pub fn iter(&self) -> impl Iterator<Item = FrameId> + '_ {
-        self.chunks.iter().flatten().map(Entry::frame)
+        self.entries().map(Entry::frame)
     }
 
     /// Visits every (frame, refcount), ascending by full `FrameId`.
     pub fn for_each(&self, mut f: impl FnMut(FrameId, u32)) {
-        for e in self.chunks.iter().flatten() {
-            f(e.frame(), e.word.count());
+        for e in self.entries() {
+            f(e.frame(), e.refs);
         }
     }
 
-    /// Every (frame, refcount word) ascending by full `FrameId`, with
-    /// the words mutable so a member walk can park entries in place.
-    pub(crate) fn entries_mut(&mut self) -> impl Iterator<Item = (FrameId, &mut RefWord)> {
-        self.chunks
-            .iter_mut()
-            .flatten()
-            .map(|e| (e.frame(), &mut e.word))
+    /// Visits the unparked frames ascending by full `FrameId`, stepping
+    /// over parked ones a chunk mask at a time: the cost is one visit
+    /// per unparked entry plus one mask read per chunk. `f` decides per
+    /// frame whether to leave it, park it, or end the walk.
+    pub fn walk_unparked(&mut self, mut f: impl FnMut(FrameId) -> Walk) {
+        for chunk in &mut self.chunks {
+            let mut todo = chunk.unparked();
+            while todo != 0 {
+                let i = todo.trailing_zeros() as usize;
+                todo &= todo - 1;
+                match f(chunk.entries[i].frame()) {
+                    Walk::Skip => {}
+                    Walk::Park => chunk.parked |= 1 << i,
+                    Walk::Stop => return,
+                }
+            }
+        }
     }
 
     /// Clears `frame`'s parked bit if it is tracked.
@@ -477,9 +325,8 @@ impl FrameRefs {
     pub(crate) fn parked(&self) -> usize {
         self.chunks
             .iter()
-            .flatten()
-            .filter(|e| e.word.parked())
-            .count()
+            .map(|c| c.parked.count_ones() as usize)
+            .sum()
     }
 }
 
@@ -489,7 +336,7 @@ impl FrameRefs {
 impl FrameRefs {
     /// Entries per chunk, in order.
     pub fn chunk_lens(&self) -> Vec<usize> {
-        self.chunks.iter().map(Vec::len).collect()
+        self.chunks.iter().map(Chunk::len).collect()
     }
 
     /// The recorded max of every chunk but the final one.
@@ -501,11 +348,11 @@ impl FrameRefs {
     /// establishing the park invariant.
     pub fn set_parked(&mut self, frame: FrameId, parked: bool) {
         if let Some((c, Ok(i))) = self.find(frame) {
-            let word = &mut self.chunks[c][i].word;
+            let bit = 1u128 << i;
             if parked {
-                word.park();
+                self.chunks[c].parked |= bit;
             } else {
-                word.0 &= !RefWord::PARKED;
+                self.chunks[c].parked &= !bit;
             }
         }
     }
@@ -514,8 +361,12 @@ impl FrameRefs {
     pub fn parked_bits(&self) -> Vec<(FrameId, bool)> {
         self.chunks
             .iter()
-            .flatten()
-            .map(|e| (e.frame(), e.word.parked()))
+            .flat_map(|c| {
+                c.entries
+                    .iter()
+                    .enumerate()
+                    .map(move |(i, e)| (e.frame(), c.parked >> i & 1 == 1))
+            })
             .collect()
     }
 }
@@ -523,20 +374,32 @@ impl FrameRefs {
 #[cfg(feature = "ksan")]
 impl FrameRefs {
     /// Internal-consistency audit: every chunk non-empty and within
-    /// capacity, one recorded max per chunk but the final one, each
-    /// equal to its chunk's last frame, frames strictly ascending across
-    /// the whole set (sorted and distinct), every refcount at least 1.
-    /// Returns an error string naming the first discrepancy.
+    /// capacity with no parked bit past its length, one recorded max per
+    /// chunk but the final one, each equal to its chunk's last frame,
+    /// frames strictly ascending across the whole set (sorted and
+    /// distinct), every refcount at least 1. Returns an error string
+    /// naming the first discrepancy.
     pub(crate) fn ksan_check(&self) -> Result<(), String> {
         if let Some(c) = self
             .chunks
             .iter()
-            .position(|ch| ch.is_empty() || ch.len() > Self::CHUNK)
+            .position(|ch| ch.len() == 0 || ch.len() > Self::CHUNK)
         {
             return Err(format!(
                 "chunk {c} holds {} entries (want 1..={})",
                 self.chunks[c].len(),
                 Self::CHUNK
+            ));
+        }
+        if let Some(c) = self
+            .chunks
+            .iter()
+            .position(|ch| ch.parked & !low_bits(ch.len()) != 0)
+        {
+            return Err(format!(
+                "chunk {c} of {} entries has parked mask {:#x}",
+                self.chunks[c].len(),
+                self.chunks[c].parked
             ));
         }
         if self.maxes.len() + 1 != self.chunks.len().max(1) {
@@ -547,18 +410,18 @@ impl FrameRefs {
             ));
         }
         for (c, (&max, chunk)) in self.maxes.iter().zip(&self.chunks).enumerate() {
-            let last = chunk.last().map(Entry::frame);
+            let last = chunk.entries.last().map(Entry::frame);
             if last != Some(max) {
                 return Err(format!("chunk {c} ends at {last:?} but its max is {max}"));
             }
         }
         let mut prev: Option<FrameId> = None;
-        for e in self.chunks.iter().flatten() {
+        for e in self.entries() {
             let frame = e.frame();
             if let Some(p) = prev.filter(|&p| p >= frame) {
                 return Err(format!("frame {p} not below its successor {frame}"));
             }
-            if e.word.count() == 0 {
+            if e.refs == 0 {
                 return Err(format!("frame {frame} has refcount 0"));
             }
             prev = Some(frame);
@@ -569,11 +432,9 @@ impl FrameRefs {
     /// Parked frames, ascending by full `FrameId` (the park-invariant
     /// oracle re-probes them).
     pub(crate) fn parked_frames(&self) -> impl Iterator<Item = FrameId> + '_ {
-        self.chunks
-            .iter()
-            .flatten()
-            .filter(|e| e.word.parked())
-            .map(Entry::frame)
+        self.parked_bits()
+            .into_iter()
+            .filter_map(|(frame, parked)| parked.then_some(frame))
     }
 
     /// Raises the first recorded chunk max past its chunk's last frame.
@@ -588,8 +449,16 @@ impl FrameRefs {
     /// 1, regardless of order. Corruption hook for self-tests.
     pub(crate) fn ksan_break_order(&mut self, frame: FrameId) {
         match self.chunks.last_mut() {
-            Some(chunk) => chunk.push(Entry::new(frame)),
-            None => self.chunks.push(vec![Entry::new(frame)]),
+            Some(chunk) => chunk.entries.push(Entry::new(frame)),
+            None => self.chunks.push(Chunk::one(frame)),
+        }
+    }
+
+    /// Sets the parked bit just past the final chunk's last entry.
+    /// Corruption hook for self-tests.
+    pub(crate) fn ksan_break_mask(&mut self) {
+        if let Some(chunk) = self.chunks.last_mut() {
+            chunk.parked |= 1u128.checked_shl(chunk.len() as u32).unwrap_or(0); // lint: truncation-ok — len <= 128
         }
     }
 }
@@ -597,53 +466,6 @@ impl FrameRefs {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn insert_get_remove_roundtrip() {
-        let mut m = MemberMap::default();
-        assert!(m.is_empty());
-        assert_eq!(m.insert(ObjectId(1), FrameId(10)), None);
-        assert_eq!(m.insert(ObjectId(2), FrameId(20)), None);
-        assert_eq!(m.get(ObjectId(1)), Some(FrameId(10)));
-        assert_eq!(m.insert(ObjectId(1), FrameId(11)), Some(FrameId(10)));
-        assert_eq!(m.len(), 2);
-        assert_eq!(m.remove(ObjectId(1)), Some(FrameId(11)));
-        assert_eq!(m.remove(ObjectId(1)), None);
-        assert_eq!(m.len(), 1);
-    }
-
-    #[test]
-    fn tombstoned_slot_reuse_keeps_probe_chains() {
-        let mut m = MemberMap::default();
-        // Fill past one growth so chains wrap and collide.
-        for i in 0..64u64 {
-            m.insert(ObjectId(i), FrameId(i + 100));
-        }
-        for i in (0..64u64).step_by(2) {
-            assert_eq!(m.remove(ObjectId(i)), Some(FrameId(i + 100)));
-        }
-        // Ids landing on recycled slots must not shadow survivors.
-        for i in 64..96u64 {
-            m.insert(ObjectId(i), FrameId(i + 100));
-        }
-        for i in (1..64u64).step_by(2) {
-            assert_eq!(m.get(ObjectId(i)), Some(FrameId(i + 100)), "id {i}");
-        }
-        for i in (0..64u64).step_by(2) {
-            assert_eq!(m.get(ObjectId(i)), None, "removed id {i}");
-        }
-        assert_eq!(m.len(), 32 + 32);
-    }
-
-    #[test]
-    fn sorted_view_orders_by_object_id() {
-        let mut m = MemberMap::default();
-        for &i in &[5u64, 1, 9, 3] {
-            m.insert(ObjectId(i), FrameId(i));
-        }
-        let ids: Vec<u64> = m.sorted().iter().map(|(o, _)| o.0).collect();
-        assert_eq!(ids, vec![1, 3, 5, 9]);
-    }
 
     #[test]
     fn frame_refs_count_and_drop() {
@@ -663,18 +485,26 @@ mod tests {
         let mut r = FrameRefs::default();
         r.add(FrameId(7));
         r.add(FrameId(9));
-        for (frame, rc) in r.entries_mut() {
+        r.walk_unparked(|frame| {
             if frame == FrameId(7) {
-                rc.park();
+                Walk::Park
+            } else {
+                Walk::Skip
             }
-        }
+        });
         assert_eq!(r.parked(), 1);
         assert!(!r.add(FrameId(7)));
         let mut counts = Vec::new();
         r.for_each(|f, rc| counts.push((f, rc)));
-        assert_eq!(counts, vec![(FrameId(7), 2), (FrameId(9), 1)], "bit hidden");
+        assert_eq!(counts, vec![(FrameId(7), 2), (FrameId(9), 1)]);
         assert!(!r.unref(FrameId(7)), "one reference left");
         assert_eq!(r.parked(), 1);
+        let mut seen = Vec::new();
+        r.walk_unparked(|frame| {
+            seen.push(frame);
+            Walk::Skip
+        });
+        assert_eq!(seen, [FrameId(9)], "the walk steps over parked entries");
         r.unpark(FrameId(7));
         r.unpark(FrameId(8));
         assert_eq!(r.parked(), 0);
@@ -683,12 +513,33 @@ mod tests {
     }
 
     #[test]
-    fn tables_start_unallocated() {
-        let m = MemberMap::default();
-        assert_eq!(m.slots.capacity(), 0, "empty knodes cost nothing");
-        assert_eq!(m.get(ObjectId(3)), None);
+    fn walk_stops_before_the_entry_it_refuses() {
         let mut r = FrameRefs::default();
-        assert_eq!(r.chunks.capacity(), 0);
+        for f in 0..300 {
+            r.add(FrameId(f));
+        }
+        let mut seen = 0;
+        r.walk_unparked(|_| {
+            if seen == 200 {
+                return Walk::Stop;
+            }
+            seen += 1;
+            Walk::Park
+        });
+        assert_eq!(r.parked(), 200, "parks span a chunk boundary");
+        let mut rest = Vec::new();
+        r.walk_unparked(|frame| {
+            rest.push(frame.0);
+            Walk::Skip
+        });
+        assert_eq!(rest, (200..300).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn tables_start_unallocated() {
+        let mut r = FrameRefs::default();
+        assert_eq!(r.chunks.capacity(), 0, "empty knodes cost nothing");
         assert!(!r.unref(FrameId(3)));
+        r.walk_unparked(|_| unreachable!("an empty set has no entries"));
     }
 }

@@ -20,10 +20,26 @@
 //! invariant at [`crate::members::FrameRefs`]). The demotion walk parks
 //! them and asks the memory system to watch them; each walk first
 //! drains the memory system's wake log and unparks every woken frame.
-//! A walk thus costs O(unparked members) plus the wakes since the last
-//! walk, instead of O(all members) — the wake signal comes from the
-//! memory system, so DMA stamps and foreign migrations wake members
-//! that no registry hook ever sees.
+//! A walk thus costs O(unparked members) plus one mask read per
+//! 128-member chunk and the wakes since the last walk, instead of
+//! O(all members) — the wake signal comes from the memory system, so DMA
+//! stamps and foreign migrations wake members that no registry hook
+//! ever sees.
+//!
+//! **Membership.** Which objects are knode members is one bit per
+//! [`ObjectId`] in a dense bit vector, not a per-knode table: the kernel
+//! hands out object ids as sequential object-table slot indices and
+//! never reuses them, and the object table already holds each object's
+//! type, inode and frame. The bit vector costs one bit per object ever
+//! allocated. Its contract:
+//! - an object is a member of at most one knode, the one named by its
+//!   inode when it was added (the kernel associates only objects
+//!   allocated without an inode, so the inode never changes once set);
+//! - an object's frame never changes, so the free hook's frame is the
+//!   frame the member was counted on;
+//! - inode ids are never reused, so the bits a destroyed knode leaves
+//!   behind can never be counted against a new knode; they are cleared
+//!   as their objects are freed.
 
 use std::collections::BTreeSet;
 
@@ -35,6 +51,7 @@ use kloc_kernel::{KernelObjectType, ObjectId, ObjectInfo};
 
 use crate::kmap::Kmap;
 use crate::knode::Knode;
+use crate::members::Walk;
 use crate::percpu::PerCpuKnodeLists;
 
 /// Configuration of the KLOC subsystem (the `sys_enable_kloc` /
@@ -131,6 +148,9 @@ pub struct KlocRegistry {
     /// (like [`Kmap::knodes_examined`]); tests use it to prove parking
     /// fires.
     parks: u64,
+    /// Membership bits: bit `id` is set iff object `id` is counted in a
+    /// knode (see the module docs for the contract).
+    members: Vec<u64>,
 }
 
 impl KlocRegistry {
@@ -151,6 +171,7 @@ impl KlocRegistry {
             shared_accesses: Vec::new(),
             park_window: Nanos::new(u64::MAX),
             parks: 0,
+            members: Vec::new(),
             config,
         }
     }
@@ -185,6 +206,36 @@ impl KlocRegistry {
     /// field doc).
     pub fn parks(&self) -> u64 {
         self.parks
+    }
+
+    /// Whether `obj` is counted in a knode.
+    #[inline]
+    pub fn is_member(&self, obj: ObjectId) -> bool {
+        let (word, bit) = member_bit(obj);
+        self.members.get(word).is_some_and(|w| w & bit != 0)
+    }
+
+    /// Sets `obj`'s membership bit.
+    #[inline]
+    fn set_member(&mut self, obj: ObjectId) {
+        let (word, bit) = member_bit(obj);
+        if word >= self.members.len() {
+            self.members.resize(word + 1, 0);
+        }
+        self.members[word] |= bit;
+    }
+
+    /// Clears `obj`'s membership bit; returns whether it was set.
+    #[inline]
+    fn take_member(&mut self, obj: ObjectId) -> bool {
+        let (word, bit) = member_bit(obj);
+        match self.members.get_mut(word) {
+            Some(w) if *w & bit != 0 => {
+                *w &= !bit;
+                true
+            }
+            _ => false,
+        }
     }
 
     // ------------------------------------------------------------------
@@ -274,7 +325,10 @@ impl KlocRegistry {
     }
 
     /// Object allocated: add it to its inode's knode (when the type is
-    /// included), going through the per-CPU fast path.
+    /// included), going through the per-CPU fast path. Re-adding an
+    /// object that is already a member still touches the knode and
+    /// counts as tracked, but leaves its member counts and frame
+    /// references as they are.
     pub fn object_allocated(
         &mut self,
         obj: ObjectId,
@@ -287,10 +341,16 @@ impl KlocRegistry {
             return;
         }
         let Some(inode) = info.inode else { return };
+        let fresh = !self.is_member(obj);
         if self.knode_event(cpu, inode, |k, epoch| {
-            k.add_obj(obj, info.ty, frame);
+            if fresh {
+                k.add_obj(info.ty, frame);
+            }
             k.touch_at(cpu, now, epoch);
         }) {
+            if fresh {
+                self.set_member(obj);
+            }
             self.stats.objects_tracked += 1;
             kloc_trace::with_counters(|c| c.member_adds += 1);
         }
@@ -309,12 +369,19 @@ impl KlocRegistry {
         self.object_allocated(obj, info, frame, cpu, now);
     }
 
-    /// Object freed: drop it from its knode.
-    pub fn object_freed(&mut self, obj: ObjectId, info: &ObjectInfo) {
+    /// Object freed: drop it from its knode. `frame` is the object's
+    /// backing frame, the one it was added with. A member whose knode
+    /// was already destroyed just loses its bit.
+    pub fn object_freed(&mut self, obj: ObjectId, info: &ObjectInfo, frame: FrameId) {
+        // Only objects with an inode ever get a bit, and an inode is
+        // never taken away.
         let Some(inode) = info.inode else { return };
+        if !self.take_member(obj) {
+            return;
+        }
         if self
             .kmap
-            .with_knode_mut(inode, |k, _| k.remove_obj(obj, info.ty))
+            .with_knode_mut(inode, |k, _| k.remove_obj(info.ty, frame))
             .unwrap_or(false)
         {
             self.stats.objects_untracked += 1;
@@ -605,30 +672,29 @@ impl KlocRegistry {
         let mut settled = true;
         let mut next_candidacy = u64::MAX;
         let mut parked = 0;
-        for (frame, word) in k.frame_refs_mut().entries_mut() {
+        // Parked members are slow-resident, so never candidates; leaving
+        // them out of the bound keeps it a lower bound, since only a
+        // promotion can make them candidates again and every promotion
+        // route invalidates the bound. For the same reason the budget
+        // stop fires only on a later unparked member: a walk that spends
+        // its budget with only parked members left has settled.
+        k.frame_refs_mut().walk_unparked(|frame| {
             if moved >= max_pages {
                 settled = false;
-                break;
-            }
-            // Parked members are slow-resident, so never candidates;
-            // leaving them out of the bound keeps it a lower bound,
-            // since only a promotion can make them candidates again
-            // and every promotion route invalidates the bound.
-            if word.parked() {
-                continue;
+                return Walk::Stop;
             }
             // Recency first: most members of an active knode were
-            // touched within `older_than`, so the common reject
-            // path reads one column. Folding too-recent frames into
-            // the bound regardless of tier keeps it a (conservative)
-            // lower bound on the next movable instant.
+            // touched within `older_than`, so the common reject path
+            // reads one column. Folding too-recent frames into the bound
+            // regardless of tier keeps it a (conservative) lower bound
+            // on the next movable instant.
             let Some(last) = mem.last_access_if_live(frame) else {
-                continue;
+                return Walk::Skip;
             };
             if now.saturating_sub(last) < older_than {
                 next_candidacy =
                     next_candidacy.min(last.as_nanos().saturating_add(older_than.as_nanos()));
-                continue;
+                return Walk::Skip;
             }
             // Only fast-tier frames are demotion candidates. A cold
             // single-owner frame elsewhere is parked until the memory
@@ -639,23 +705,24 @@ impl KlocRegistry {
                     .is_some_and(|f| !frame_is_shared(f.kind))
                     && mem.watch(frame, slot)
                 {
-                    word.park();
                     parked += 1;
+                    return Walk::Park;
                 }
-                continue;
+                return Walk::Skip;
             }
             let Some(f) = mem.frame_meta(frame) else {
-                continue;
+                return Walk::Skip;
             };
             if f.pinned || f.migrations >= max_migrations {
-                continue;
+                return Walk::Skip;
             }
             if mem.migrate(frame, TierId::SLOW).is_ok() {
                 moved += 1;
             } else {
                 settled = false;
             }
-        }
+            Walk::Skip
+        });
         if settled {
             k.set_demote_bound(older_than, Nanos::new(next_candidacy), epoch);
         }
@@ -703,23 +770,20 @@ impl KlocRegistry {
         let now = mem.now();
         let mut moved = 0;
         let mut promoted_shared = false;
-        for (frame, word) in k.frame_refs_mut().entries_mut() {
+        // Parked members are slow-resident but idle beyond this window,
+        // so the walk never visits them.
+        k.frame_refs_mut().walk_unparked(|frame| {
             if moved >= max_pages {
-                break;
+                return Walk::Stop;
             }
-            // Parked members are slow-resident but idle beyond this
-            // window, so never promoted.
-            if word.parked() {
-                continue;
-            }
-            // Frames already fast (the bulk of a hot knode) are
-            // rejected on the tier-only probe.
+            // Frames already fast (the bulk of a hot knode) are rejected
+            // on the tier-only probe.
             match mem.tier_if_live(frame) {
                 Some(t) if t != TierId::FAST => {}
-                _ => continue,
+                _ => return Walk::Skip,
             }
             let Some(f) = mem.frame_meta(frame) else {
-                continue;
+                return Walk::Skip;
             };
             if !f.pinned
                 && now.saturating_sub(f.last_access) <= newer_than
@@ -728,7 +792,8 @@ impl KlocRegistry {
                 moved += 1;
                 promoted_shared |= frame_is_shared(f.kind);
             }
-        }
+            Walk::Skip
+        });
         if moved > 0 {
             if promoted_shared {
                 // Packed frames are shared with other knodes: every
@@ -805,6 +870,13 @@ impl KlocRegistry {
     pub fn member_frame_count(&self, inode: InodeId) -> usize {
         self.kmap.get(inode).map_or(0, Knode::member_frame_count)
     }
+}
+
+/// The word index and bit mask of `obj` in [`KlocRegistry::members`].
+#[inline]
+fn member_bit(obj: ObjectId) -> (usize, u64) {
+    // lint: truncation-ok — object ids index a table held in memory
+    ((obj.0 / 64) as usize, 1 << (obj.0 % 64))
 }
 
 /// `ty`'s bit in [`KlocRegistry::included`].
@@ -903,16 +975,95 @@ fn ksan_check_parked(k: &Knode, slot: u32, mem: &MemorySystem, park_window: Nano
 #[cfg(feature = "ksan")]
 impl KlocRegistry {
     /// Audits the whole KLOC engine: the kmap's internal invariants plus
-    /// every per-CPU fast-path entry against the kmap. Observation only.
+    /// every per-CPU fast-path entry against the kmap. Membership needs
+    /// the kernel's object table; see
+    /// [`KlocRegistry::ksan_audit_members`]. Observation only.
     pub fn ksan_audit(&self, out: &mut Vec<kloc_mem::ksan::Violation>) {
         self.kmap.ksan_audit(out);
         self.percpu.ksan_audit(&self.kmap, out);
+    }
+
+    /// Cross-checks membership against the kernel's object table, the
+    /// ground truth: every set membership bit names a live object with
+    /// an inode, and every knode's per-frame refcounts and per-backing
+    /// member counts equal the tally of the live member objects on its
+    /// inode. Members whose knode was destroyed are tallied against no
+    /// knode. Observation only.
+    pub fn ksan_audit_members(
+        &self,
+        objects: &kloc_kernel::obj::ObjectTable,
+        out: &mut Vec<kloc_mem::ksan::Violation>,
+    ) {
+        use std::collections::BTreeMap;
+
+        use kloc_kernel::Backing;
+        use kloc_mem::ksan::Violation;
+
+        use crate::knode::MemberTree;
+        /// Per inode: member frame refcounts, then (cache, slab) counts.
+        type Tally = (BTreeMap<FrameId, u32>, (usize, usize));
+        let mut tally: BTreeMap<InodeId, Tally> = BTreeMap::new();
+        let mut stray = Vec::new();
+        for (w, &word) in (0u64..).zip(&self.members) {
+            let mut bits = word;
+            while bits != 0 {
+                let obj = ObjectId(w * 64 + u64::from(bits.trailing_zeros()));
+                bits &= bits - 1;
+                let Some((o, inode)) = objects.get(obj).and_then(|o| Some((o, o.info.inode?)))
+                else {
+                    stray.push(obj);
+                    continue;
+                };
+                let (refs, counts) = tally.entry(inode).or_default();
+                *refs.entry(o.frame).or_insert(0) += 1;
+                match o.info.ty.backing() {
+                    Backing::Page(_) => counts.0 += 1,
+                    Backing::Slab => counts.1 += 1,
+                }
+            }
+        }
+        if !stray.is_empty() {
+            out.push(Violation::new(
+                "KlocRegistry.members <-> ObjectTable",
+                "kmap",
+                "every membership bit names a live object with an inode",
+                "no stray bits".to_owned(),
+                format!("bits set for {stray:?}"),
+            ));
+        }
+        for k in self.kmap.ksan_knodes() {
+            let (refs, counts) = tally.remove(&k.inode()).unwrap_or_default();
+            let want: Vec<(FrameId, u32)> = refs.into_iter().collect();
+            let got = k.frame_refcounts();
+            let got_counts = (
+                k.tree_count(MemberTree::Cache),
+                k.tree_count(MemberTree::Slab),
+            );
+            if got != want || got_counts != counts {
+                out.push(Violation::new(
+                    "Knode members <-> ObjectTable",
+                    format!("{}", k.inode()),
+                    "frame refcounts and (cache, slab) counts tally the live member objects on the inode",
+                    format!("{counts:?} {want:?}"),
+                    format!("{got_counts:?} {got:?}"),
+                ));
+            }
+        }
     }
 
     /// Corruption hooks for sanitizer self-tests, forwarded to the kmap.
     #[doc(hidden)]
     pub fn ksan_kmap_mut(&mut self) -> &mut Kmap {
         &mut self.kmap
+    }
+
+    /// Corruption hook for sanitizer self-tests: flips `obj`'s
+    /// membership bit without touching any knode.
+    #[doc(hidden)]
+    pub fn ksan_flip_member(&mut self, obj: ObjectId) {
+        if !self.take_member(obj) {
+            self.set_member(obj);
+        }
     }
 }
 
@@ -951,11 +1102,32 @@ mod tests {
         r.object_allocated(ObjectId(5), &i, FrameId(9), CpuId(0), Nanos::ZERO);
         assert_eq!(r.member_frames(InodeId(1)), vec![FrameId(9)]);
         assert_eq!(r.member_frame_count(InodeId(1)), 1);
-        r.object_freed(ObjectId(5), &i);
+        r.object_freed(ObjectId(5), &i, FrameId(9));
         assert!(r.member_frames(InodeId(1)).is_empty());
         assert_eq!(r.member_frame_count(InodeId(1)), 0);
         assert_eq!(r.stats().objects_tracked, 1);
         assert_eq!(r.stats().objects_untracked, 1);
+    }
+
+    #[test]
+    fn re_adding_a_member_counts_but_keeps_one_frame_ref() {
+        let mut r = KlocRegistry::new(KlocConfig::default());
+        r.inode_created(InodeId(1), CpuId(0), Nanos::ZERO);
+        let i = info(KernelObjectType::Dentry, 1);
+        r.object_allocated(ObjectId(5), &i, FrameId(9), CpuId(0), Nanos::ZERO);
+        r.object_allocated(ObjectId(5), &i, FrameId(9), CpuId(0), Nanos::ZERO);
+        assert_eq!(r.stats().objects_tracked, 2, "a re-add still counts");
+        let k = r.kmap().get(InodeId(1)).unwrap();
+        assert_eq!(k.member_count(), 1);
+        let mut refs = Vec::new();
+        k.member_frames().for_each(|f| refs.push(f));
+        assert_eq!(refs, [FrameId(9)]);
+        // One free releases the one reference; a second is a no-op.
+        r.object_freed(ObjectId(5), &i, FrameId(9));
+        r.object_freed(ObjectId(5), &i, FrameId(9));
+        assert!(r.member_frames(InodeId(1)).is_empty());
+        assert_eq!(r.stats().objects_untracked, 1);
+        assert!(!r.is_member(ObjectId(5)));
     }
 
     #[test]

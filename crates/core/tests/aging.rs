@@ -249,8 +249,8 @@ fn run_stream(seed: u64, steps: usize) {
             // Object free (does not touch).
             60..=64 if !live.is_empty() => {
                 let inode = live[rng.gen_below(live.len() as u64) as usize];
-                if let Some((&obj, _)) = m.knodes[&inode].members.iter().next() {
-                    r.object_freed(obj, &info(inode));
+                if let Some((&obj, &frame)) = m.knodes[&inode].members.iter().next() {
+                    r.object_freed(obj, &info(inode), frame);
                     m.remove_obj(inode, obj);
                 }
             }
@@ -361,7 +361,7 @@ fn kmap_indexes_match_brute_force() {
         let mut rng = SplitMix64::seed_from_u64(seed);
         let mut r = KlocRegistry::new(KlocConfig::default());
         let mut live: Vec<InodeId> = Vec::new();
-        let mut objects: Vec<(InodeId, ObjectId)> = Vec::new();
+        let mut objects: Vec<(InodeId, ObjectId, FrameId)> = Vec::new();
         let mut next_inode = 1u64;
         let mut next_obj = 0u64;
         let mut threshold = 2u32;
@@ -391,20 +391,21 @@ fn kmap_indexes_match_brute_force() {
                     let inode = pick(&mut rng, &live);
                     let obj = ObjectId(next_obj);
                     next_obj += 1;
-                    r.object_allocated(obj, &info(inode), FrameId(next_obj), cpu, now);
-                    objects.push((inode, obj));
+                    let frame = FrameId(next_obj);
+                    r.object_allocated(obj, &info(inode), frame, cpu, now);
+                    objects.push((inode, obj, frame));
                 }
                 65..=69 if !objects.is_empty() => {
                     let i = rng.gen_below(objects.len() as u64) as usize;
-                    let (inode, obj) = objects.swap_remove(i);
-                    r.object_freed(obj, &info(inode));
+                    let (inode, obj, frame) = objects.swap_remove(i);
+                    r.object_freed(obj, &info(inode), frame);
                 }
                 70..=77 => r.object_accessed(&info(pick(&mut rng, &live)), cpu, now),
                 78..=81 => {
                     let i = rng.gen_below(live.len() as u64) as usize;
                     let inode = live.swap_remove(i);
                     r.inode_destroyed(inode, now);
-                    objects.retain(|&(ino, _)| ino != inode);
+                    objects.retain(|&(ino, _, _)| ino != inode);
                 }
                 82..=93 => r.age_epoch(),
                 _ => {

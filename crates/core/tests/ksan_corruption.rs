@@ -1,8 +1,9 @@
 //! Corruption-injection tests for the KLOC-layer sanitizer: desync the
-//! kmap's activation indexes, a knode's epoch, its frame refcounts and
-//! its frame order, and assert the audit reports the specific structure
-//! pair; park a member that breaks the park invariant and assert the
-//! member walk's oracle catches it.
+//! kmap's activation indexes, a knode's epoch, its frame refcounts
+//! against the kernel's object table, a membership bit, its frame order
+//! and its parked mask, and assert the audit reports the specific
+//! structure pair; park a member that breaks the park invariant and
+//! assert the member walk's oracle catches it.
 //!
 //! Gated on the `ksan` feature (see `[[test]]` in Cargo.toml); run with
 //! `cargo test -p kloc-core --features ksan`.
@@ -69,77 +70,175 @@ fn knode_epoch_ahead_of_global_epoch_is_caught() {
 }
 
 #[test]
-fn knode_frame_refcount_desync_is_caught() {
-    use kloc_kernel::{KernelObjectType, ObjectId};
+fn knode_frame_refcount_churn_audits_clean() {
+    use kloc_kernel::KernelObjectType;
     use kloc_mem::FrameId;
     let mut knode = Knode::new(InodeId(5), Nanos::ZERO);
-    knode.add_obj(ObjectId(1), KernelObjectType::Dentry, FrameId(9));
-    knode.add_obj(ObjectId(2), KernelObjectType::Dentry, FrameId(9));
-    // Corrupt by removing an object twice: remove_obj is idempotent, so
-    // desync via a direct forced stamp is not possible here — instead
-    // verify the audit recomputes refcounts by checking a healthy knode
-    // first, then desync through the member trees.
+    knode.add_obj(KernelObjectType::Dentry, FrameId(9));
+    knode.add_obj(KernelObjectType::Dentry, FrameId(9));
     let mut kmap = Kmap::new();
     kmap.map_knode(knode);
     assert_eq!(audited(&kmap), vec![]);
-    // Re-adding the same object on a new frame moves its refcount; a
-    // stale duplicate in the frame set would be caught. Simulate the bug
-    // by mapping a knode whose refcounts were skewed pre-registration.
-    let mut skewed = Knode::new(InodeId(6), Nanos::ZERO);
-    skewed.add_obj(ObjectId(3), KernelObjectType::Dentry, FrameId(4));
-    skewed.remove_obj(ObjectId(3), KernelObjectType::Dentry);
-    skewed.add_obj(ObjectId(3), KernelObjectType::Dentry, FrameId(4));
-    kmap.map_knode(skewed);
+    // Dropping a frame's last reference and taking it again leaves the
+    // set consistent.
+    let mut churned = Knode::new(InodeId(6), Nanos::ZERO);
+    churned.add_obj(KernelObjectType::Dentry, FrameId(4));
+    churned.remove_obj(KernelObjectType::Dentry, FrameId(4));
+    churned.add_obj(KernelObjectType::Dentry, FrameId(4));
+    kmap.map_knode(churned);
     assert_eq!(audited(&kmap), vec![], "refcount churn stays consistent");
+}
+
+/// A registry with knodes for inodes 1 and 2 and the kernel-side
+/// object table behind it: two dentries packed on one slab frame and a
+/// page-cache page on inode 1, a page on inode 2, and one page with no
+/// inode (never a member).
+fn registry_with_objects() -> (
+    kloc_core::KlocRegistry,
+    kloc_kernel::obj::ObjectTable,
+    Vec<kloc_kernel::ObjectId>,
+) {
+    use kloc_core::{KlocConfig, KlocRegistry};
+    use kloc_kernel::hooks::CpuId;
+    use kloc_kernel::obj::ObjectTable;
+    use kloc_kernel::{KernelObjectType, ObjectInfo};
+    use kloc_mem::FrameId;
+
+    let mut reg = KlocRegistry::new(KlocConfig::default());
+    let mut table = ObjectTable::new();
+    reg.inode_created(InodeId(1), CpuId(0), Nanos::ZERO);
+    reg.inode_created(InodeId(2), CpuId(0), Nanos::ZERO);
+    let mut ids = Vec::new();
+    for (ty, ino, frame) in [
+        (KernelObjectType::Dentry, Some(1), 7),
+        (KernelObjectType::Dentry, Some(1), 7),
+        (KernelObjectType::PageCache, Some(1), 8),
+        (KernelObjectType::PageCache, Some(2), 9),
+        (KernelObjectType::PageCache, None, 10),
+    ] {
+        let info = ObjectInfo {
+            ty,
+            size: ty.size(),
+            inode: ino.map(InodeId),
+        };
+        let id = table.insert(info, FrameId(frame), Nanos::ZERO);
+        reg.object_allocated(id, &info, FrameId(frame), CpuId(0), Nanos::ZERO);
+        ids.push(id);
+    }
+    (reg, table, ids)
+}
+
+fn audited_members(
+    reg: &kloc_core::KlocRegistry,
+    table: &kloc_kernel::obj::ObjectTable,
+) -> Vec<Violation> {
+    let mut out = Vec::new();
+    reg.ksan_audit(&mut out);
+    reg.ksan_audit_members(table, &mut out);
+    out
+}
+
+#[test]
+fn membership_matches_the_object_table_through_frees() {
+    let (mut reg, mut table, ids) = registry_with_objects();
+    assert_eq!(audited_members(&reg, &table), vec![]);
+    // Free one packed dentry, then destroy inode 2 while its page is
+    // still live: the orphaned bit is tallied against no knode.
+    let o = table.remove(ids[0]).unwrap();
+    reg.object_freed(ids[0], &o.info, o.frame);
+    reg.inode_destroyed(InodeId(2), Nanos::ZERO);
+    assert_eq!(audited_members(&reg, &table), vec![]);
+    let o = table.remove(ids[3]).unwrap();
+    reg.object_freed(ids[3], &o.info, o.frame);
+    assert!(!reg.is_member(ids[3]));
+    assert_eq!(audited_members(&reg, &table), vec![]);
 }
 
 #[test]
 fn phantom_frame_ref_is_caught() {
-    use kloc_kernel::{KernelObjectType, ObjectId};
-    use kloc_mem::FrameId;
-    let mut kmap = Kmap::new();
-    let mut knode = Knode::new(InodeId(3), Nanos::ZERO);
-    knode.add_obj(ObjectId(1), KernelObjectType::Dentry, FrameId(7));
-    kmap.map_knode(knode);
-    assert_eq!(audited(&kmap), vec![]);
-    kmap.with_knode_mut(InodeId(3), |k, _| k.ksan_break_knode_members());
-    let out = audited(&kmap);
+    let (mut reg, table, _) = registry_with_objects();
+    reg.ksan_kmap_mut()
+        .with_knode_mut(InodeId(1), |k, _| k.ksan_break_knode_members());
+    let out = audited_members(&reg, &table);
     assert!(
         out.iter()
-            .any(|v| v.structures == "Knode.frames <-> Knode member tables"
-                && v.object == "inode3"),
+            .any(|v| v.structures == "Knode members <-> ObjectTable" && v.object == "inode1"),
         "{out:#?}"
     );
 }
 
 #[test]
-fn member_table_live_count_skew_is_caught() {
-    use kloc_kernel::{KernelObjectType, ObjectId};
+fn member_counted_in_the_wrong_tree_is_caught() {
+    use kloc_kernel::KernelObjectType;
+    use kloc_mem::FrameId;
+    // Frame references unchanged, one dentry moved to the cache tree.
+    let (mut reg, table, _) = registry_with_objects();
+    reg.ksan_kmap_mut().with_knode_mut(InodeId(1), |k, _| {
+        k.remove_obj(KernelObjectType::Dentry, FrameId(7));
+        k.add_obj(KernelObjectType::PageCache, FrameId(7));
+    });
+    let out = audited_members(&reg, &table);
+    assert!(
+        out.iter().any(|v| v.structures == "Knode members <-> ObjectTable"
+            && v.object == "inode1"
+            && v.actual.starts_with("(2, 1)")),
+        "{out:#?}"
+    );
+}
+
+#[test]
+fn flipped_membership_bit_is_caught() {
+    use kloc_kernel::ObjectId;
+    // A member's bit cleared: its knode counts an object the bits do
+    // not name.
+    let (mut reg, table, ids) = registry_with_objects();
+    reg.ksan_flip_member(ids[2]);
+    let out = audited_members(&reg, &table);
+    assert!(
+        out.iter()
+            .any(|v| v.structures == "Knode members <-> ObjectTable" && v.object == "inode1"),
+        "{out:#?}"
+    );
+    // A bit set for an object without an inode, and one for an id that
+    // was never allocated: neither names a live object with an inode.
+    let (mut reg, table, ids) = registry_with_objects();
+    reg.ksan_flip_member(ids[4]);
+    reg.ksan_flip_member(ObjectId(200));
+    let out = audited_members(&reg, &table);
+    assert_eq!(out.len(), 1, "{out:#?}");
+    assert_eq!(out[0].structures, "KlocRegistry.members <-> ObjectTable");
+    assert!(out[0].actual.contains(&format!("{:?}", ids[4])), "{out:#?}");
+    assert!(out[0].actual.contains("ObjectId(200)"), "{out:#?}");
+}
+
+#[test]
+fn parked_bit_past_a_chunk_is_caught() {
+    use kloc_kernel::KernelObjectType;
     use kloc_mem::FrameId;
     let mut kmap = Kmap::new();
     let mut knode = Knode::new(InodeId(4), Nanos::ZERO);
-    knode.add_obj(ObjectId(9), KernelObjectType::PageCache, FrameId(2));
+    knode.add_obj(KernelObjectType::PageCache, FrameId(2));
     kmap.map_knode(knode);
     assert_eq!(audited(&kmap), vec![]);
-    kmap.with_knode_mut(InodeId(4), |k, _| k.ksan_break_member_slots());
+    kmap.with_knode_mut(InodeId(4), |k, _| k.ksan_break_parked_mask());
     let out = audited(&kmap);
     assert!(
-        out.iter().any(
-            |v| v.structures == "Knode dense table slots <-> live counter"
-                && v.object.contains("rbtree-cache")
-        ),
+        out.iter()
+            .any(|v| v.structures == "Knode.frames order <-> refcounts"
+                && v.object == "inode4"
+                && v.actual.contains("parked mask")),
         "{out:#?}"
     );
 }
 
 #[test]
 fn unsorted_frame_set_is_caught() {
-    use kloc_kernel::{KernelObjectType, ObjectId};
+    use kloc_kernel::KernelObjectType;
     use kloc_mem::FrameId;
     let mut kmap = Kmap::new();
     let mut knode = Knode::new(InodeId(8), Nanos::ZERO);
-    knode.add_obj(ObjectId(1), KernelObjectType::Dentry, FrameId(5));
-    knode.add_obj(ObjectId(2), KernelObjectType::PageCache, FrameId(3));
+    knode.add_obj(KernelObjectType::Dentry, FrameId(5));
+    knode.add_obj(KernelObjectType::PageCache, FrameId(3));
     kmap.map_knode(knode);
     assert_eq!(audited(&kmap), vec![]);
     kmap.with_knode_mut(InodeId(8), |k, _| k.ksan_break_frame_order());
@@ -156,14 +255,14 @@ fn unsorted_frame_set_is_caught() {
 #[test]
 fn multi_chunk_frame_set_audits_clean_and_a_bad_max_is_caught() {
     use kloc_core::members::FrameRefs;
-    use kloc_kernel::{KernelObjectType, ObjectId};
+    use kloc_kernel::KernelObjectType;
     use kloc_mem::FrameId;
     let mut kmap = Kmap::new();
     let mut knode = Knode::new(InodeId(9), Nanos::ZERO);
     // Descending inserts across several chunk splits.
     let n = 3 * FrameRefs::CHUNK as u64;
     for i in (0..n).rev() {
-        knode.add_obj(ObjectId(i), KernelObjectType::PageCache, FrameId(i * 3));
+        knode.add_obj(KernelObjectType::PageCache, FrameId(i * 3));
     }
     kmap.map_knode(knode);
     assert_eq!(audited(&kmap), vec![]);

@@ -1,65 +1,206 @@
-//! Seeded model tests for the knode member tables: `MemberMap` and
-//! `FrameRefs` must behave exactly like the `BTreeMap`s they replaced —
-//! including around recycled slots, where a stale `ObjectId` probing a
-//! reused slot must miss on the full-id compare rather than false-hit,
-//! and after every single `FrameRefs` step, whose frame order the
-//! migration walks read in place.
+//! Seeded model tests for knode membership: the registry's
+//! one-bit-per-object membership path and the knode's `FrameRefs`
+//! frame set must behave exactly like `BTreeMap` references — the
+//! membership across allocation, late association, frees, destroyed and
+//! missing knodes, excluded types and a disabled registry; the frame set
+//! after every single step, including its parked masks, whose unparked
+//! entries the migration walks visit in place.
 //!
 //! Sequences come from the in-tree seeded `SplitMix64` PRNG (fixed
 //! seeds, so failures reproduce exactly).
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
-use kloc_core::members::{FrameRefs, MemberMap};
-use kloc_kernel::ObjectId;
-use kloc_mem::{FrameId, SplitMix64};
+use kloc_core::knode::MemberTree;
+use kloc_core::members::{FrameRefs, Walk};
+use kloc_core::{KlocConfig, KlocRegistry};
+use kloc_kernel::hooks::CpuId;
+use kloc_kernel::vfs::InodeId;
+use kloc_kernel::{Backing, KernelObjectType, ObjectId, ObjectInfo};
+use kloc_mem::{FrameId, Nanos, SplitMix64};
 
-/// Draws an `ObjectId` from a pool sized to force heavy slot reuse:
-/// low bits collide across ids whose high bits differ, so recycled
-/// slots see lookups by both the old and new full id.
-fn gen_obj(rng: &mut SplitMix64) -> ObjectId {
-    let low = rng.gen_below(32);
-    let high = rng.gen_below(4) << 40;
-    ObjectId(high | low)
+/// Reference state of the membership path: the members with the inode,
+/// type and frame each was added with, the live knodes, and the
+/// tracked/untracked counters the registry must report.
+#[derive(Default)]
+struct MembershipModel {
+    members: BTreeMap<ObjectId, (InodeId, KernelObjectType, FrameId)>,
+    knodes: BTreeSet<InodeId>,
+    tracked: u64,
+    untracked: u64,
+}
+
+impl MembershipModel {
+    /// What `object_allocated`/`object_associated` must do.
+    fn add(&mut self, cfg: &KlocConfig, obj: ObjectId, info: &ObjectInfo, frame: FrameId) {
+        let Some(inode) = info.inode else { return };
+        if cfg.enabled && cfg.included.contains(&info.ty) && self.knodes.contains(&inode) {
+            self.members.insert(obj, (inode, info.ty, frame));
+            self.tracked += 1;
+        }
+    }
+
+    /// What `object_freed` must do.
+    fn free(&mut self, obj: ObjectId) {
+        if let Some((inode, _, _)) = self.members.remove(&obj) {
+            if self.knodes.contains(&inode) {
+                self.untracked += 1;
+            }
+        }
+    }
+}
+
+/// The registry agrees with the model: the membership bit of every
+/// object ever allocated (and of ids past them), every live knode's
+/// frames and per-tree counts, and the counters.
+fn assert_membership(r: &KlocRegistry, m: &MembershipModel, next_obj: u64, ctx: &str) {
+    for id in 0..next_obj + 70 {
+        let obj = ObjectId(id);
+        assert_eq!(
+            r.is_member(obj),
+            m.members.contains_key(&obj),
+            "{ctx}: bit of {obj}"
+        );
+    }
+    assert_eq!(r.stats().objects_tracked, m.tracked, "{ctx}: tracked");
+    assert_eq!(r.stats().objects_untracked, m.untracked, "{ctx}: untracked");
+    assert_eq!(r.kmap().len(), m.knodes.len(), "{ctx}: knodes");
+    for &inode in &m.knodes {
+        let on_inode = || m.members.values().filter(move |e| e.0 == inode);
+        let frames: BTreeSet<FrameId> = on_inode().map(|e| e.2).collect();
+        assert!(
+            r.member_frames(inode).into_iter().eq(frames),
+            "{ctx}: frames of {inode}"
+        );
+        let k = r.kmap().get(inode).expect("model knode is mapped");
+        let cache = on_inode()
+            .filter(|e| matches!(e.1.backing(), Backing::Page(_)))
+            .count();
+        assert_eq!(
+            k.tree_count(MemberTree::Cache),
+            cache,
+            "{ctx}: cache of {inode}"
+        );
+        assert_eq!(
+            k.member_count(),
+            on_inode().count(),
+            "{ctx}: members of {inode}"
+        );
+    }
 }
 
 #[test]
-fn member_map_matches_btreemap_model() {
-    for case in 0..64u64 {
-        let mut rng = SplitMix64::seed_from_u64(0xD0_5E00 + case);
-        let mut dense = MemberMap::default();
-        let mut model: BTreeMap<ObjectId, FrameId> = BTreeMap::new();
-
-        for step in 0..400 {
-            let obj = gen_obj(&mut rng);
-            match rng.gen_below(3) {
-                0 | 1 => {
-                    let frame = FrameId(rng.gen_below(64));
-                    assert_eq!(
-                        dense.insert(obj, frame),
-                        model.insert(obj, frame),
-                        "case {case} step {step}: insert({obj}, {frame})"
-                    );
-                }
-                _ => {
-                    assert_eq!(
-                        dense.remove(obj),
-                        model.remove(&obj),
-                        "case {case} step {step}: remove({obj})"
-                    );
-                }
-            }
-            // A probe by an id that may share a (recycled) slot with a
-            // live entry must agree with the model — full-id compare.
-            let probe = gen_obj(&mut rng);
-            assert_eq!(dense.get(probe), model.get(&probe).copied());
-            assert_eq!(dense.len(), model.len());
-            assert_eq!(dense.is_empty(), model.is_empty());
-        }
-        // The ordered view is exactly the BTreeMap's iteration order.
-        let want: Vec<(ObjectId, FrameId)> = model.iter().map(|(&o, &f)| (o, f)).collect();
-        assert_eq!(dense.sorted(), want, "case {case}: iteration order");
+fn registry_membership_matches_btreemap_model() {
+    let mut excluded = KlocConfig::default();
+    for ty in [KernelObjectType::SkBuff, KernelObjectType::Dentry] {
+        excluded.included.remove(&ty);
     }
+    let configs = [
+        KlocConfig::default(),
+        excluded,
+        KlocConfig {
+            enabled: false,
+            ..KlocConfig::default()
+        },
+    ];
+    let (mut late, mut orphan_frees, mut missing) = (0, 0, 0);
+    for case in 0..48u64 {
+        let cfg = configs[(case % 3) as usize].clone();
+        let mut rng = SplitMix64::seed_from_u64(0x3E3B_0000 + case);
+        let mut r = KlocRegistry::new(cfg.clone());
+        let mut m = MembershipModel::default();
+        // Live objects as the kernel's object table would hold them.
+        let mut live: BTreeMap<ObjectId, (ObjectInfo, FrameId)> = BTreeMap::new();
+        let (mut next_obj, mut next_ino, mut next_page) = (0u64, 1u64, 1000u64);
+        for step in 0..300 {
+            let ctx = format!("case {case} step {step}");
+            let now = Nanos::from_micros(step);
+            match rng.gen_below(12) {
+                // Inode ids are never reused, as in the VFS.
+                0 => {
+                    let inode = InodeId(next_ino);
+                    next_ino += 1;
+                    r.inode_created(inode, CpuId(0), now);
+                    if cfg.enabled {
+                        m.knodes.insert(inode);
+                    }
+                }
+                1 if !m.knodes.is_empty() => {
+                    let i = rng.gen_below(m.knodes.len() as u64) as usize;
+                    let inode = *m.knodes.iter().nth(i).expect("index below len");
+                    r.inode_destroyed(inode, now);
+                    m.knodes.remove(&inode);
+                }
+                2..=6 => {
+                    let ty = KernelObjectType::ALL
+                        [rng.gen_below(KernelObjectType::ALL.len() as u64) as usize];
+                    // Mostly a created inode (live or destroyed), now and
+                    // then one that never had a knode.
+                    let inode = if rng.gen_below(8) == 0 {
+                        missing += 1;
+                        InodeId(next_ino + 1000)
+                    } else {
+                        InodeId(1 + rng.gen_below(next_ino))
+                    };
+                    // Slab objects share a few frames; page objects own one.
+                    let frame = match ty.backing() {
+                        Backing::Slab => FrameId(rng.gen_below(6)),
+                        Backing::Page(_) => {
+                            next_page += 1;
+                            FrameId(next_page)
+                        }
+                    };
+                    let obj = ObjectId(next_obj);
+                    next_obj += 1;
+                    // Allocated without an inode: associated late, the way
+                    // the kernel's TCP layer does after late demux.
+                    let alloc_inode = (rng.gen_below(4) != 0).then_some(inode);
+                    let mut info = ObjectInfo {
+                        ty,
+                        size: ty.size(),
+                        inode: alloc_inode,
+                    };
+                    r.object_allocated(obj, &info, frame, CpuId(0), now);
+                    m.add(&cfg, obj, &info, frame);
+                    if alloc_inode.is_none() {
+                        info.inode = Some(inode);
+                        r.object_associated(obj, &info, frame, CpuId(1), now);
+                        m.add(&cfg, obj, &info, frame);
+                        late += 1;
+                    }
+                    live.insert(obj, (info, frame));
+                }
+                _ if !live.is_empty() => {
+                    let i = rng.gen_below(live.len() as u64) as usize;
+                    let obj = *live.keys().nth(i).expect("index below len");
+                    let (info, frame) = live.remove(&obj).expect("just picked");
+                    if m.members
+                        .get(&obj)
+                        .is_some_and(|e| !m.knodes.contains(&e.0))
+                    {
+                        orphan_frees += 1;
+                    }
+                    r.object_freed(obj, &info, frame);
+                    m.free(obj);
+                }
+                _ => {}
+            }
+            assert_membership(&r, &m, next_obj, &ctx);
+        }
+        // Freeing every live object clears every bit.
+        for (obj, (info, frame)) in live {
+            r.object_freed(obj, &info, frame);
+            m.free(obj);
+        }
+        assert_membership(&r, &m, next_obj, &format!("case {case} teardown"));
+        assert!(m.members.is_empty());
+    }
+    assert!(late >= 200, "{late} late associations");
+    assert!(
+        orphan_frees >= 20,
+        "{orphan_frees} frees after inode_destroyed"
+    );
+    assert!(missing >= 100, "{missing} allocations on a missing knode");
 }
 
 /// The frame set must equal the model after every step: same frames
@@ -186,6 +327,26 @@ fn assert_chunked_matches(dense: &FrameRefs, model: &ParkModel, ctx: &str) {
     assert_eq!(dense.chunk_maxes(), lasts, "{ctx}: chunk maxes");
 }
 
+/// The frames `walk_unparked` visits when it parks nothing.
+fn unparked(dense: &mut FrameRefs) -> Vec<FrameId> {
+    let mut seen = Vec::new();
+    dense.walk_unparked(|frame| {
+        seen.push(frame);
+        Walk::Skip
+    });
+    seen
+}
+
+/// The walk visits exactly the model's unparked frames, ascending.
+fn assert_walk_matches(dense: &mut FrameRefs, model: &ParkModel, ctx: &str) {
+    let want: Vec<FrameId> = model
+        .iter()
+        .filter(|(_, &(_, p))| !p)
+        .map(|(&f, _)| f)
+        .collect();
+    assert_eq!(unparked(dense), want, "{ctx}: unparked walk");
+}
+
 /// Whether `frame` is the last entry of its chunk (cumulative chunk
 /// lengths mark the boundaries).
 fn ends_a_chunk(dense: &FrameRefs, frame: FrameId) -> bool {
@@ -205,6 +366,7 @@ fn ends_a_chunk(dense: &FrameRefs, frame: FrameId) -> bool {
 #[test]
 fn chunked_frame_refs_match_model_across_splits_and_parking() {
     let (mut splits, mut emptied, mut max_removals, mut parked_splits) = (0, 0, 0, 0);
+    let (mut walk_parks, mut stops) = (0, 0);
     for case in 0..12u64 {
         let mut rng = SplitMix64::seed_from_u64(0xC4_0000 + case);
         let mut dense = FrameRefs::default();
@@ -254,11 +416,35 @@ fn chunked_frame_refs_match_model_across_splits_and_parking() {
                     };
                     assert_eq!(dense.unref(frame), gone, "{ctx}: unref({frame})");
                 }
-                7 | 8 => {
+                7 => {
                     dense.set_parked(frame, true);
                     if let Some(e) = model.get_mut(&frame) {
                         e.1 = true;
                     }
+                }
+                8 => {
+                    // A member walk parks a random share of what it
+                    // visits and sometimes stops early; what it visits
+                    // is the model's unparked frames in order.
+                    let stop_after = rng.gen_below(2 * model.len().max(1) as u64);
+                    let mut want = model.iter_mut().filter(|(_, e)| !e.1);
+                    let mut visited = 0;
+                    dense.walk_unparked(|frame| {
+                        if visited == stop_after {
+                            stops += 1;
+                            return Walk::Stop;
+                        }
+                        visited += 1;
+                        let (&f, e) = want.next().expect("the walk visits a model frame");
+                        assert_eq!(frame, f, "{ctx}: walk order");
+                        if rng.gen_below(3) == 0 {
+                            e.1 = true;
+                            walk_parks += 1;
+                            Walk::Park
+                        } else {
+                            Walk::Skip
+                        }
+                    });
                 }
                 _ => {
                     dense.set_parked(frame, false);
@@ -274,8 +460,11 @@ fn chunked_frame_refs_match_model_across_splits_and_parking() {
             }
             emptied += usize::from(chunks_after < chunks_before);
             assert_chunked_matches(&dense, &model, &ctx);
+            assert_walk_matches(&mut dense, &model, &ctx);
         }
     }
+    assert!(walk_parks >= 500, "{walk_parks} parks by a walk");
+    assert!(stops >= 100, "{stops} early stops");
     // The stream really exercised the structure's edges.
     assert!(splits >= 40, "{splits} splits");
     assert!(
@@ -339,4 +528,60 @@ fn chunked_frame_refs_edges_in_order() {
         add(&mut r, &mut model, f);
     }
     assert_chunked_matches(&r, &model, "refill");
+    assert_walk_matches(&mut r, &model, "refill");
+}
+
+#[test]
+fn walk_reads_every_mask_position() {
+    // One full chunk of even frames: frame 2i sits at mask position i,
+    // so the word edges 0, 63, 64 and 127 hold frames 0, 126, 128, 254.
+    let mut r = FrameRefs::default();
+    let mut model = ParkModel::new();
+    for f in (0..2 * FrameRefs::CHUNK as u64).step_by(2) {
+        r.add(FrameId(f));
+        model.insert(FrameId(f), (1, false));
+    }
+    assert_eq!(r.chunk_lens(), [FrameRefs::CHUNK]);
+    let edges = [0u64, 126, 128, 254];
+    // Park everything but the edges through the walk itself.
+    r.walk_unparked(|frame| {
+        if edges.contains(&frame.0) {
+            Walk::Skip
+        } else {
+            Walk::Park
+        }
+    });
+    for (f, e) in model.iter_mut() {
+        e.1 = !edges.contains(&f.0);
+    }
+    assert_eq!(unparked(&mut r), edges.map(FrameId));
+    assert_chunked_matches(&r, &model, "edges unparked");
+    // Flip: only the edges parked.
+    for (f, e) in model.iter_mut() {
+        e.1 = edges.contains(&f.0);
+        r.set_parked(*f, e.1);
+    }
+    assert_walk_matches(&mut r, &model, "edges parked");
+    // Removing position 0 shifts every later bit down by one, and
+    // inserting at position 0 shifts them back up.
+    r.unref(FrameId(0));
+    model.remove(&FrameId(0));
+    assert_chunked_matches(&r, &model, "remove at 0");
+    assert_walk_matches(&mut r, &model, "remove at 0");
+    r.add(FrameId(0));
+    model.insert(FrameId(0), (1, false));
+    assert_chunked_matches(&r, &model, "insert at 0");
+    assert_walk_matches(&mut r, &model, "insert at 0");
+    // A mid insert into the full chunk splits it; the upper half's bits
+    // (positions 64..128, two of them parked) move to the new chunk.
+    r.add(FrameId(127));
+    model.insert(FrameId(127), (1, false));
+    assert_eq!(r.chunk_lens(), [64, 65]);
+    assert_chunked_matches(&r, &model, "split");
+    assert_walk_matches(&mut r, &model, "split");
+    // Removing the last entry of the final chunk (mask position 64).
+    r.unref(FrameId(254));
+    model.remove(&FrameId(254));
+    assert_chunked_matches(&r, &model, "remove last");
+    assert_walk_matches(&mut r, &model, "remove last");
 }

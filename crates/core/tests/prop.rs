@@ -84,8 +84,8 @@ fn knode_members_match_live_objects() {
                             .filter(|(_, i, _)| i.inode == Some(ino))
                             .cloned()
                             .collect();
-                        for (id, info, _) in &dead {
-                            r.object_freed(*id, info);
+                        for (id, info, frame) in &dead {
+                            r.object_freed(*id, info, *frame);
                         }
                         objects.retain(|(_, i, _)| i.inode != Some(ino));
                         r.inode_destroyed(ino, Nanos::ZERO);
@@ -113,8 +113,8 @@ fn knode_members_match_live_objects() {
                     if objects.is_empty() {
                         continue;
                     }
-                    let (id, info, _) = objects.remove(i % objects.len());
-                    r.object_freed(id, &info);
+                    let (id, info, frame) = objects.remove(i % objects.len());
+                    r.object_freed(id, &info, frame);
                 }
                 Ev::AccessObj(i, c) => {
                     if objects.is_empty() {
@@ -183,7 +183,7 @@ fn counters_balance() {
             }
         }
         for (id, info) in objects.drain(..) {
-            r.object_freed(id, &info);
+            r.object_freed(id, &info, FrameId(id.0));
         }
         assert_eq!(r.stats().objects_tracked, r.stats().objects_untracked);
         for &ino in &inodes {

@@ -258,10 +258,10 @@ impl KernelHooks for AutoNumaKloc {
         &mut self,
         obj: ObjectId,
         info: &ObjectInfo,
-        _frame: FrameId,
+        frame: FrameId,
         _mem: &mut MemorySystem,
     ) {
-        self.registry.object_freed(obj, info);
+        self.registry.object_freed(obj, info, frame);
     }
 
     fn on_object_access(

@@ -462,10 +462,10 @@ impl KernelHooks for KlocPolicy {
         &mut self,
         obj: ObjectId,
         info: &ObjectInfo,
-        _frame: FrameId,
+        frame: FrameId,
         _mem: &mut MemorySystem,
     ) {
-        self.registry.object_freed(obj, info);
+        self.registry.object_freed(obj, info, frame);
     }
 
     fn on_object_access(

@@ -263,6 +263,7 @@ impl KsanState {
         kernel.ksan_audit(mem, &mut out);
         if let Some(reg) = policy.registry() {
             reg.ksan_audit(&mut out);
+            reg.ksan_audit_members(kernel.objects(), &mut out);
         }
         self.clock.observe(mem.now(), &mut out);
         kloc_mem::ksan::enforce(context, &out);

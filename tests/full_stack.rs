@@ -1,11 +1,13 @@
 //! Cross-crate integration: drive the kernel directly under the KLOC
 //! policy and verify the registry mirrors kernel state exactly.
 
+use klocs::core::overhead::{self, BYTES_PER_MEMBER};
 use klocs::core::KlocRegistry;
 use klocs::kernel::hooks::Ctx;
 use klocs::kernel::{Kernel, KernelParams};
 use klocs::mem::{MemorySystem, PAGE_SIZE};
 use klocs::policy::{KlocPolicy, Policy};
+use klocs::workloads::{Scale, WorkloadKind};
 
 fn registry_members(reg: &KlocRegistry) -> usize {
     reg.kmap().iter().map(|k| k.member_count()).sum()
@@ -149,4 +151,69 @@ fn policy_tick_is_safe_at_any_time() {
     // Registry and kernel agree at the end.
     let reg = policy.kloc_registry();
     assert_eq!(reg.kmap().len(), kernel.vfs().inode_count());
+}
+
+/// Paper Table 6 and the member counts it is computed from, on every
+/// workload at tiny scale under KLOCs, driven the way the engine drives
+/// a run (setup, then steps with policy ticks). At the end, the summed
+/// knode member counts equal the live objects the registry tracks (an
+/// included type on an inode that still has a knode), and the metadata
+/// overhead stays under 1 % of the data footprint.
+#[test]
+fn table6_overhead_and_member_counts_hold_at_tiny_scale() {
+    let scale = Scale::tiny();
+    let kinds = WorkloadKind::ALL
+        .into_iter()
+        .chain([WorkloadKind::Tenants { budgeted: true }]);
+    for kind in kinds {
+        let mut mem = MemorySystem::two_tier(scale.fast_bytes, 8);
+        let mut policy = KlocPolicy::new();
+        let mut kernel = Kernel::new(KernelParams {
+            page_cache_budget: scale.page_cache_frames,
+            ..KernelParams::default()
+        });
+        let mut workload = kind.build(&scale);
+        let specs = workload.tenant_specs();
+        for spec in &specs {
+            kernel.register_tenant(spec.clone());
+        }
+        if !specs.is_empty() {
+            policy.configure_tenants(&specs);
+        }
+        let tick = policy.tick_interval();
+        let mut next_tick = mem.now() + tick;
+        workload
+            .setup(&mut kernel, &mut Ctx::new(&mut mem, &mut policy))
+            .unwrap();
+        while !workload.is_done() {
+            workload
+                .step(&mut kernel, &mut Ctx::new(&mut mem, &mut policy))
+                .unwrap();
+            if mem.now() >= next_tick {
+                policy.tick(&kernel, &mut mem);
+                next_tick = mem.now() + tick;
+            }
+        }
+
+        let reg = policy.kloc_registry();
+        let members = registry_members(reg);
+        let tracked = kernel
+            .objects()
+            .iter()
+            .filter(|o| {
+                reg.includes(o.info.ty) && o.info.inode.is_some_and(|i| reg.kmap().get(i).is_some())
+            })
+            .count();
+        let label = kind.label();
+        assert!(members > 0, "{label}: no members at the end of the run");
+        assert_eq!(members, tracked, "{label}: knode member counts");
+        let report = overhead::measure(reg, policy.peak_migration_batch());
+        assert_eq!(report.member_pointers, members as u64 * BYTES_PER_MEMBER);
+        let fraction = report.fraction_of(scale.data_bytes);
+        assert!(
+            fraction < 0.01,
+            "{label}: KLOC metadata is {:.3} % of the footprint, not < 1 %",
+            fraction * 100.0
+        );
+    }
 }
