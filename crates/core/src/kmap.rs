@@ -266,10 +266,11 @@ impl Kmap {
         self.examined.set(self.examined.get() + n);
     }
 
+    #[expect(clippy::expect_used, reason = "the index only stores occupied slots")]
     fn at(&self, slot: u32) -> &Knode {
         self.slots[slot as usize]
             .as_ref()
-            .expect("index entry has knode") // lint: unwrap-ok — the index only stores occupied slots
+            .expect("index entry has knode")
     }
 
     /// Whether an inactive knode at `stamp` belongs in the cold bitset
@@ -345,6 +346,7 @@ impl Kmap {
         knode.sync_age_at(self.epoch);
         let active = knode.inuse();
         let stamp = knode.inactive_stamp();
+        #[expect(clippy::expect_used, reason = "slot count is bounded well below 2^32")]
         let slot = match self.free.pop() {
             Some(s) => {
                 self.slots[s as usize] = Some(knode);
@@ -352,7 +354,6 @@ impl Kmap {
             }
             None => {
                 self.slots.push(Some(knode));
-                // lint: unwrap-ok — slot count is bounded well below 2^32
                 u32::try_from(self.slots.len() - 1).expect("fewer than 2^32 knodes")
             }
         };
@@ -369,9 +370,10 @@ impl Kmap {
     /// Removes and returns the knode of `inode`.
     pub fn unmap(&mut self, inode: InodeId) -> Option<Knode> {
         let slot = self.index_remove(inode)?;
+        #[expect(clippy::expect_used, reason = "the index only stores occupied slots")]
         let knode = self.slots[slot as usize]
             .take()
-            .expect("index entry has knode"); // lint: unwrap-ok — the index only stores occupied slots
+            .expect("index entry has knode");
         self.free.push(slot);
         if knode.inuse() {
             self.active_idx.remove(inode);
@@ -484,7 +486,8 @@ impl Kmap {
     pub fn active_knodes(&self) -> impl Iterator<Item = &Knode> + '_ {
         self.active_idx.iter().map(|inode| {
             self.note_examined(1);
-            let slot = self.slot_of(inode).expect("active index entry has knode"); // lint: unwrap-ok — the active index tracks live knodes
+            #[expect(clippy::expect_used, reason = "the active index tracks live knodes")]
+            let slot = self.slot_of(inode).expect("active index entry has knode");
             self.at(slot)
         })
     }
@@ -511,7 +514,8 @@ impl Kmap {
             // bitset stays incremental from here on.
             let cold: Vec<InodeId> = self.cold_idx.iter().collect();
             for inode in cold {
-                let knode = self.get(inode).expect("cold bit names a mapped knode"); // lint: unwrap-ok — the cold bitset tracks live knodes
+                #[expect(clippy::expect_used, reason = "the cold bitset tracks live knodes")]
+                let knode = self.get(inode).expect("cold bit names a mapped knode");
                 self.inactive_idx
                     .push(Reverse((knode.inactive_stamp(), inode)));
             }
@@ -536,7 +540,8 @@ impl Kmap {
                 break;
             }
             self.note_examined(1);
-            let slot = self.slot_of(inode).expect("index entry has knode"); // lint: unwrap-ok — the cold bitset tracks live knodes
+            #[expect(clippy::expect_used, reason = "the cold bitset tracks live knodes")]
+            let slot = self.slot_of(inode).expect("index entry has knode");
             if self.at(slot).member_count() > 0 {
                 out.push(inode);
             }

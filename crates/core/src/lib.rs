@@ -42,6 +42,9 @@
 //! [`ObjectTable::iter`]: kloc_kernel::obj::ObjectTable::iter
 
 #![warn(missing_docs)]
+// A panic mid-run loses the whole sweep: justify each provably-present
+// value with `#[expect(clippy::expect_used, reason = "...")]`.
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod kmap;
 pub mod knode;

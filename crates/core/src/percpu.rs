@@ -105,7 +105,8 @@ impl PerCpuKnodeLists {
             return Some(slot);
         }
         if let Some(pos) = list.iter().position(|e| e.inode == inode) {
-            let mut e = list.remove(pos).expect("position just found"); // lint: unwrap-ok — position() just found the entry
+            #[expect(clippy::expect_used, reason = "position() just found the entry")]
+            let mut e = list.remove(pos).expect("position just found");
             e.touched_epoch = epoch;
             list.push_front(e);
             self.hits += 1;
@@ -132,7 +133,8 @@ impl PerCpuKnodeLists {
             }
         }
         if let Some(pos) = list.iter().position(|e| e.inode == inode) {
-            let mut e = list.remove(pos).expect("position just found"); // lint: unwrap-ok — position() just found the entry
+            #[expect(clippy::expect_used, reason = "position() just found the entry")]
+            let mut e = list.remove(pos).expect("position just found");
             e.touched_epoch = epoch;
             e.slot = slot;
             list.push_front(e);

@@ -439,7 +439,8 @@ impl KlocRegistry {
             }
             let found = self.kmap.with_knode_mut_counted(inode, f).is_some();
             if found {
-                let slot = self.kmap.slot_of(inode).expect("knode just mutated"); // lint: unwrap-ok — with_knode_mut_counted found the knode
+                #[expect(clippy::expect_used, reason = "with_knode_mut_counted found the knode")]
+                let slot = self.kmap.slot_of(inode).expect("knode just mutated");
                 self.percpu.touch(cpu, inode, slot);
             }
             found

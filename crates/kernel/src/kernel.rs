@@ -766,13 +766,14 @@ impl Kernel {
                 self.stats.cache_misses += 1;
                 kloc_trace::with_counters(|c| c.pc_misses += 1);
                 self.insert_cache_page(ctx, ino, idx, true, false)?;
+                #[expect(clippy::expect_used, reason = "inserted into the cache just above")]
                 let frame = self
                     .vfs
                     .inode(ino)
                     .ok_or(KernelError::BadInode(ino))?
                     .cache
                     .get(idx)
-                    .expect("just inserted") // lint: unwrap-ok — inserted into the cache just above
+                    .expect("just inserted")
                     .frame;
                 ctx.mem.write_from(ctx.socket, frame, bytes);
             }
@@ -815,7 +816,8 @@ impl Kernel {
                 .install_node(idx, n);
         }
         let obj = self.alloc_object(ctx, KernelObjectType::PageCache, Some(ino), readahead)?;
-        let frame = self.objects.get(obj).expect("just allocated").frame; // lint: unwrap-ok — alloc_object just created it
+        #[expect(clippy::expect_used, reason = "alloc_object just created it")]
+        let frame = self.objects.get(obj).expect("just allocated").frame;
         self.vfs
             .inode_mut(ino)
             .ok_or(KernelError::BadInode(ino))?
@@ -1597,6 +1599,7 @@ impl Kernel {
         }
         let early = ctx.hooks.early_socket_demux();
         let packets = bytes.div_ceil(self.params.packet_bytes).max(1);
+        #[expect(clippy::expect_used, reason = "alloc_object just created it")]
         for p in 0..packets {
             let payload = if p == packets - 1 {
                 bytes - p * self.params.packet_bytes
@@ -1611,7 +1614,7 @@ impl Kernel {
             let rx = self.alloc_object(ctx, KernelObjectType::RxBuf, alloc_inode, false)?;
             // DMA fill: the NIC writes a whole ring buffer page.
             ctx.mem.write(
-                self.objects.get(rx).expect("just allocated").frame, // lint: unwrap-ok — alloc_object just created it
+                self.objects.get(rx).expect("just allocated").frame,
                 kloc_mem::PAGE_SIZE,
             );
             let skb = self.alloc_object(ctx, KernelObjectType::SkBuff, alloc_inode, false)?;

@@ -168,11 +168,12 @@ impl PageCache {
     pub fn insert(&mut self, idx: u64, obj: ObjectId, frame: FrameId, dirty: bool) {
         let chunk = self.chunk_of(idx);
         let slot = self.slot_of(idx);
+        #[expect(clippy::expect_used, reason = "install_node requires a prior insert")]
         let c = self
             .chunks
             .get_mut(chunk)
             .and_then(Option::as_mut)
-            .expect("insert before install_node"); // lint: unwrap-ok — install_node requires a prior insert
+            .expect("insert before install_node");
         let prev = c.slots[slot].replace(CachedPage {
             obj,
             frame,

@@ -242,8 +242,9 @@ impl Hasher for PathHasher {
     #[inline]
     fn write(&mut self, bytes: &[u8]) {
         let mut chunks = bytes.chunks_exact(8);
+        #[expect(clippy::expect_used, reason = "chunks_exact yields 8 bytes")]
         for c in &mut chunks {
-            self.add(u64::from_le_bytes(c.try_into().expect("8-byte chunk"))); // lint: unwrap-ok — chunks_exact yields 8 bytes
+            self.add(u64::from_le_bytes(c.try_into().expect("8-byte chunk")));
         }
         let mut tail = [0u8; 8];
         tail[..chunks.remainder().len()].copy_from_slice(chunks.remainder());

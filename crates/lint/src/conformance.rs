@@ -251,7 +251,6 @@ pub(crate) fn check_crate(
                 // pure visibility drift has no in-span fix.
                 if real.is_pub == noop.is_pub {
                     d.suggestion = Some(Suggestion {
-                        file: noop.file.clone(),
                         start: noop.sig_span.0,
                         end: noop.sig_span.1,
                         replacement: noop_signature(real),
@@ -335,7 +334,7 @@ mod tests {
     use crate::{lint_source, RULE_SHIM_CONFORMANCE};
 
     fn kl006(src: &str) -> Vec<crate::Diagnostic> {
-        lint_source("t.rs", src, false)
+        lint_source("t.rs", src)
             .into_iter()
             .filter(|d| d.rule == RULE_SHIM_CONFORMANCE)
             .collect()

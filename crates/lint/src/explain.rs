@@ -1,9 +1,9 @@
 //! `kloc-lint --explain KLNNN` — per-rule rationale, justification
 //! pragma, and a minimal violating example.
 //!
-//! The examples are `include_str!`'d from
-//! `tests/fixtures/examples/klNNN.rs` and each is pinned by a
-//! self-test asserting it actually triggers its rule, so the
+//! The examples are `include_str!`'d from `tests/fixtures/examples/`
+//! (`klNNN.rs`, or `kl007.toml` for the manifest rule) and each is
+//! pinned by a self-test asserting it actually triggers its rule, so the
 //! documentation cannot drift from the analyzer.
 
 /// Everything `--explain` prints for one rule.
@@ -33,24 +33,6 @@ pub const RULES: &[RuleInfo] = &[
         example: include_str!("../tests/fixtures/examples/kl001.rs"),
     },
     RuleInfo {
-        id: "KL002",
-        title: "no wall clock / randomness / env in simulation crates",
-        rationale: "All simulation time comes from the virtual clock; all randomness from seeded \
-                    SplitMix64 streams. `Instant::now`, `SystemTime`, `thread_rng`, `std::env` \
-                    make reports differ between hosts and runs.",
-        pragma: "// lint: nondet-ok — <why this ambient authority is sanctioned>",
-        example: include_str!("../tests/fixtures/examples/kl002.rs"),
-    },
-    RuleInfo {
-        id: "KL003",
-        title: "no thread spawning in simulation crates",
-        rationale: "kloc-sim owns all concurrency: shard workers join deterministically and \
-                    merge in shard order. A stray thread inside a simulation crate reintroduces \
-                    scheduling nondeterminism the sharded runner was built to exclude.",
-        pragma: "// lint: nondet-ok — <why this thread is sanctioned>",
-        example: include_str!("../tests/fixtures/examples/kl003.rs"),
-    },
-    RuleInfo {
         id: "KL004",
         title: "no truncating casts on id-like values",
         rationale: "Inode numbers, epochs, and object ids are 64-bit; `as u32` silently wraps \
@@ -58,15 +40,6 @@ pub const RULES: &[RuleInfo] = &[
                     a visible error.",
         pragma: "// lint: truncation-ok — <why the truncation is the semantics>",
         example: include_str!("../tests/fixtures/examples/kl004.rs"),
-    },
-    RuleInfo {
-        id: "KL005",
-        title: "no unwrap/expect in simulation-crate non-test code",
-        rationale: "A panic inside a simulation aborts the whole sweep and loses every completed \
-                    run. Propagate errors to the harness, which records the failure and keeps \
-                    the other configurations running.",
-        pragma: "// lint: unwrap-ok — <why the value is provably present>",
-        example: include_str!("../tests/fixtures/examples/kl005.rs"),
     },
     RuleInfo {
         id: "KL006",
@@ -82,19 +55,18 @@ pub const RULES: &[RuleInfo] = &[
     },
     RuleInfo {
         id: "KL007",
-        title: "cfg feature hygiene",
-        rationale: "A feature name referenced in cfg but not declared in Cargo.toml can never be \
-                    enabled — the gated code silently vanishes from every build. And a feature \
-                    declared here but not forwarded to a dependency that declares the same \
-                    feature splits the workspace: half the shims stay disabled. `--fix` inserts \
-                    the missing declaration.",
-        pragma: "// lint: feature-ok — <why the reference/forwarding is intentional>",
-        example: include_str!("../tests/fixtures/examples/kl007.rs"),
+        title: "feature forwarding",
+        rationale: "A feature declared here but not forwarded to a path dependency that declares \
+                    the same feature splits the workspace: `--features trace` on this crate leaves \
+                    the dependency's half of the shims disabled. (A cfg naming an undeclared \
+                    feature is rustc's `unexpected_cfgs`, denied workspace-wide.)",
+        pragma: "# lint: feature-ok — <why the feature stays local> (in Cargo.toml)",
+        example: include_str!("../tests/fixtures/examples/kl007.toml"),
     },
     RuleInfo {
         id: "KL008",
         title: "determinism taint into report-visible sinks",
-        rationale: "KL001/KL002 flag sources; KL008 follows the dataflow. A value produced by \
+        rationale: "KL001 flags sources; KL008 follows the dataflow. A value produced by \
                     hash-order iteration or pointer identity (`as *const`, `.as_ptr()`, \
                     `addr_of!`) is tracked through let bindings, for patterns, and assignments; \
                     the diagnostic fires only when it reaches a report field, a kloc-trace emit, \
@@ -141,13 +113,11 @@ pub fn explain(id: &str) -> Option<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{lint_crate, lint_source};
+    use crate::{lint_manifests, lint_source};
 
     #[test]
     fn every_rule_has_an_entry_and_renders() {
-        let ids = [
-            "KL001", "KL002", "KL003", "KL004", "KL005", "KL006", "KL007", "KL008", "KL009",
-        ];
+        let ids = ["KL001", "KL004", "KL006", "KL007", "KL008", "KL009"];
         for id in ids {
             let text = explain(id).expect(id);
             assert!(text.starts_with(id), "{text}");
@@ -155,6 +125,9 @@ mod tests {
         }
         assert_eq!(RULES.len(), ids.len());
         assert!(explain("KL999").is_none());
+        for moved in ["KL002", "KL003", "KL005"] {
+            assert!(explain(moved).is_none(), "{moved} moved to clippy");
+        }
         assert!(explain("kl001").is_some(), "lookup is case-insensitive");
     }
 
@@ -162,15 +135,15 @@ mod tests {
     fn examples_trigger_their_rules() {
         for rule in RULES {
             let diags = if rule.id == "KL007" {
-                // Hygiene needs the manifest the example's cfg is
-                // missing from.
-                lint_crate(
-                    "Cargo.toml",
-                    "[package]\nname = \"example\"\n",
-                    &[("example.rs", rule.example)],
-                )
+                // Forwarding needs the dependency that declares the
+                // feature too.
+                let dep = "[package]\nname = \"kloc-trace\"\n\n[features]\ntrace = []\n";
+                lint_manifests(&[
+                    ("crates/mem/Cargo.toml", rule.example),
+                    ("crates/trace/Cargo.toml", dep),
+                ])
             } else {
-                lint_source("example.rs", rule.example, false)
+                lint_source("example.rs", rule.example)
             };
             assert!(
                 diags.iter().any(|d| d.rule == rule.id),

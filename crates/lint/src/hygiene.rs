@@ -1,31 +1,22 @@
-//! KL007 — cfg feature hygiene.
+//! KL007 — feature forwarding.
 //!
-//! Two checks per crate:
-//!
-//! 1. every feature named in a `cfg`/`cfg_attr`/`cfg!` in the crate's
-//!    sources must be declared in that crate's `Cargo.toml`
-//!    `[features]` table — a typo'd or undeclared feature silently
-//!    compiles the cfg'd code out of every build, exactly the failure
-//!    mode the noop shims exist to prevent (machine-applicable fix:
-//!    insert `name = []`);
-//! 2. forwarding consistency: if crate C declares feature X and its
-//!    path dependency D also declares X, C's X list must contain
-//!    `"D/X"` — otherwise `cargo build -p C --features X` leaves D's
-//!    half of the shim disabled and the two crates disagree about the
-//!    feature (this is how the workspace keeps `--features trace` at
-//!    the root meaning "trace everywhere").
+//! If crate C declares feature X and its path dependency D also declares
+//! X, C's X list must contain `"D/X"`; otherwise `cargo build -p C
+//! --features X` leaves D's half of the shim disabled and the two crates
+//! disagree about the feature (this is how the workspace keeps
+//! `--features trace` at the root meaning "trace everywhere"). A `cfg`
+//! naming an undeclared feature is rustc's `unexpected_cfgs`, denied
+//! workspace-wide, so this check reads manifests only.
 //!
 //! `Cargo.toml` is parsed by a purpose-built mini reader (sections,
 //! `key = [ … ]` arrays possibly spanning lines, inline-table and
 //! `.workspace = true` dependency forms) — the lint stays
 //! dependency-free. A `# lint: feature-ok` comment on the feature's
-//! line (or the line above) waives check 2; the source-side
-//! `// lint: feature-ok` waives check 1.
+//! line (or the line above) waives the check.
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::items::ParsedFile;
-use crate::{Diagnostic, Suggestion, RULE_CFG_HYGIENE};
+use crate::{Diagnostic, RULE_CFG_HYGIENE};
 
 /// A parsed `Cargo.toml`, reduced to what KL007 needs.
 pub(crate) struct Manifest {
@@ -35,10 +26,6 @@ pub(crate) struct Manifest {
     pub package_name: String,
     /// Feature name -> (1-based line of the declaration, entries).
     pub features: BTreeMap<String, (usize, Vec<String>)>,
-    /// Byte offset just past the `[features]` header line, if present.
-    pub features_insert: Option<usize>,
-    /// Total byte length of the manifest text (append point).
-    pub len: usize,
     /// Dependency keys from `[dependencies]`/`[dev-dependencies]`/
     /// `[build-dependencies]`.
     pub deps: BTreeSet<String>,
@@ -52,17 +39,13 @@ impl Manifest {
             rel_path: rel_path.to_owned(),
             package_name: String::new(),
             features: BTreeMap::new(),
-            features_insert: None,
-            len: text.len(),
             deps: BTreeSet::new(),
             feature_ok_lines: BTreeSet::new(),
         };
         let mut section = String::new();
-        let mut offset = 0usize;
         let mut pending: Option<(String, usize, String)> = None; // multi-line array
         for (idx, raw) in text.lines().enumerate() {
             let lineno = idx + 1;
-            let line_len = raw.len() + 1; // newline
             let line = raw.trim();
             if let Some(pos) = raw.find("lint:") {
                 if raw[pos + 5..].trim().starts_with("feature-ok") {
@@ -78,7 +61,6 @@ impl Manifest {
                 } else {
                     pending = Some((name, decl_line, acc));
                 }
-                offset += line_len;
                 continue;
             }
             if line.starts_with('[') {
@@ -86,10 +68,6 @@ impl Manifest {
                     .trim_start_matches('[')
                     .trim_end_matches(']')
                     .to_owned();
-                if section == "features" {
-                    m.features_insert = Some((offset + line_len).min(text.len()));
-                }
-                offset += line_len;
                 continue;
             }
             if let Some((key, value)) = split_kv(line) {
@@ -121,7 +99,6 @@ impl Manifest {
                     }
                 }
             }
-            offset += line_len;
         }
         m
     }
@@ -152,60 +129,16 @@ fn parse_string_array(value: &str) -> Vec<String> {
     out
 }
 
-/// Runs both hygiene checks for one crate. `all` maps package name to
-/// manifest for the whole workspace (for the forwarding check).
-pub(crate) fn check_crate(
+/// Checks that every feature of `manifest` reaches the path
+/// dependencies that declare it. `all` maps package name to manifest for
+/// the whole workspace.
+pub(crate) fn check_manifest(
     manifest: &Manifest,
-    files: &[(String, &ParsedFile)],
     all: &BTreeMap<String, Manifest>,
-    allowed: &dyn Fn(&str, usize) -> bool,
 ) -> Vec<Diagnostic> {
     let mut out = Vec::new();
-
-    // Check 1: undeclared features referenced in cfg.
-    let mut fixed: BTreeSet<String> = BTreeSet::new();
-    for (path, pf) in files {
-        for atom in pf.cfg_feature_refs() {
-            if manifest.features.contains_key(&atom.feature) || allowed(path, atom.line) {
-                continue;
-            }
-            let mut d = Diagnostic::new(
-                path,
-                atom.line,
-                RULE_CFG_HYGIENE,
-                format!(
-                    "feature `{}` referenced in cfg but not declared in {}",
-                    atom.feature, manifest.rel_path
-                ),
-            );
-            d.notes.push(format!(
-                "declare it under [features] in {} (or fix the name); an undeclared feature can never be enabled",
-                manifest.rel_path
-            ));
-            // One insertion per feature per crate, or --fix would
-            // append duplicate declarations.
-            if fixed.insert(atom.feature.clone()) {
-                let (start, replacement) = match manifest.features_insert {
-                    Some(at) => (at, format!("{} = []\n", atom.feature)),
-                    None => (
-                        manifest.len,
-                        format!("\n[features]\n{} = []\n", atom.feature),
-                    ),
-                };
-                d.suggestion = Some(Suggestion {
-                    file: manifest.rel_path.clone(),
-                    start,
-                    end: start,
-                    replacement,
-                });
-            }
-            out.push(d);
-        }
-    }
-
-    // Check 2: declared features must be forwarded to path deps that
-    // declare the same feature. `default` is exempt: cargo enables a
-    // dependency's default features implicitly, so nothing to forward.
+    // `default` is exempt: cargo enables a dependency's default features
+    // implicitly, so there is nothing to forward.
     for (feature, (line, entries)) in &manifest.features {
         if feature == "default" || manifest.feature_ok_lines.contains(line) {
             continue;
@@ -257,8 +190,22 @@ kfault = ["kloc-core/kfault"]
 kloc-core = { path = "../core" }
 "#;
 
-    fn parsed(src: &str) -> ParsedFile {
-        ParsedFile::parse(src)
+    /// A `cfg` naming an undeclared feature is rustc's `unexpected_cfgs`,
+    /// an error under the workspace's `deny`. Where KL007 offered a
+    /// `name = []` insertion, rustc's finding carries the equivalent help.
+    #[test]
+    fn undeclared_feature_is_flagged_with_insertion_fix() {
+        let file = "src/undeclared_feature.rs";
+        let line = crate::toolchain::fixture_line(file, "feature = \"trcae\"");
+        let found: Vec<&crate::toolchain::Finding> = crate::toolchain::fixture_findings()
+            .iter()
+            .filter(|f| f.file == file && f.line == line)
+            .collect();
+        assert_eq!(found.len(), 1, "{found:#?}");
+        assert_eq!(found[0].lint, "unexpected_cfgs");
+        assert_eq!(found[0].level, "error");
+        let fix = "consider adding `trcae` as a feature in `Cargo.toml`";
+        assert!(found[0].help.iter().any(|h| h == fix), "{found:#?}");
     }
 
     #[test]
@@ -268,7 +215,6 @@ kloc-core = { path = "../core" }
         assert!(m.features.contains_key("ksan"));
         assert_eq!(m.features["kfault"].1, vec!["kloc-core/kfault".to_owned()]);
         assert!(m.deps.contains("kloc-core"));
-        assert!(m.features_insert.is_some());
     }
 
     #[test]
@@ -280,30 +226,6 @@ kloc-core = { path = "../core" }
     }
 
     #[test]
-    fn undeclared_feature_is_flagged_with_insertion_fix() {
-        let m = Manifest::parse("crates/mem/Cargo.toml", MANIFEST);
-        let pf = parsed("#[cfg(feature = \"ksand\")]\npub fn f() {}\n");
-        let files = vec![("crates/mem/src/lib.rs".to_owned(), &pf)];
-        let d = check_crate(&m, &files, &BTreeMap::new(), &|_, _| false);
-        assert_eq!(d.len(), 1, "{d:?}");
-        assert_eq!(d[0].line, 1);
-        assert!(d[0].message.contains("ksand"));
-        let fix = d[0].suggestion.as_ref().expect("fix");
-        assert_eq!(fix.file, "crates/mem/Cargo.toml");
-        assert_eq!(fix.replacement, "ksand = []\n");
-        assert_eq!(fix.start, fix.end);
-    }
-
-    #[test]
-    fn declared_features_are_clean() {
-        let m = Manifest::parse("crates/mem/Cargo.toml", MANIFEST);
-        let pf = parsed("#[cfg(feature = \"ksan\")]\npub fn f() {}\n#[cfg(not(feature = \"kfault\"))]\npub fn g() {}\n");
-        let files = vec![("crates/mem/src/lib.rs".to_owned(), &pf)];
-        let d = check_crate(&m, &files, &BTreeMap::new(), &|_, _| false);
-        assert!(d.is_empty(), "{d:?}");
-    }
-
-    #[test]
     fn unforwarded_feature_is_flagged() {
         let dep = Manifest::parse(
             "crates/core/Cargo.toml",
@@ -312,7 +234,7 @@ kloc-core = { path = "../core" }
         let m = Manifest::parse("crates/mem/Cargo.toml", MANIFEST);
         let mut all = BTreeMap::new();
         all.insert("kloc-core".to_owned(), dep);
-        let d = check_crate(&m, &[], &all, &|_, _| false);
+        let d = check_manifest(&m, &all);
         assert_eq!(d.len(), 1, "{d:?}");
         assert!(d[0].message.contains("not forwarded"), "{}", d[0].message);
         assert!(d[0].message.contains("kloc-core/ksan"));
@@ -329,8 +251,26 @@ kloc-core = { path = "../core" }
         let m = Manifest::parse("crates/mem/Cargo.toml", MANIFEST);
         let mut all = BTreeMap::new();
         all.insert("kloc-core".to_owned(), dep);
-        let d = check_crate(&m, &[], &all, &|_, _| false);
+        let d = check_manifest(&m, &all);
         // kfault forwards; ksan is not declared by the dep in this test.
+        assert!(d.is_empty(), "{d:?}");
+    }
+
+    #[test]
+    fn declared_features_are_clean() {
+        // Neither `default` (cargo forwards it implicitly) nor a feature
+        // the dependency does not declare needs a forwarding entry.
+        let dep = Manifest::parse(
+            "crates/core/Cargo.toml",
+            "[package]\nname = \"kloc-core\"\n[features]\ndefault = []\n",
+        );
+        let m = Manifest::parse(
+            "crates/mem/Cargo.toml",
+            &MANIFEST.replace("[features]", "[features]\ndefault = []"),
+        );
+        let mut all = BTreeMap::new();
+        all.insert("kloc-core".to_owned(), dep);
+        let d = check_manifest(&m, &all);
         assert!(d.is_empty(), "{d:?}");
     }
 
@@ -347,7 +287,7 @@ kloc-core = { path = "../core" }
         let m = Manifest::parse("crates/mem/Cargo.toml", &text);
         let mut all = BTreeMap::new();
         all.insert("kloc-core".to_owned(), dep);
-        let d = check_crate(&m, &[], &all, &|_, _| false);
+        let d = check_manifest(&m, &all);
         assert!(d.is_empty(), "{d:?}");
     }
 }

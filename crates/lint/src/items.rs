@@ -179,27 +179,6 @@ impl ParsedFile {
             && self.text(i + 1) == &pair[1..]
     }
 
-    /// Every `feature = "…"` atom in the file — `cfg`, `cfg_attr`, or
-    /// `cfg!` — at any nesting depth.
-    pub fn cfg_feature_refs(&self) -> Vec<CfgAtom> {
-        let mut out = Vec::new();
-        for i in 0..self.len() {
-            let t = self.text(i);
-            if t != "cfg" && t != "cfg_attr" {
-                continue;
-            }
-            // `cfg(...)` / `cfg_attr(...)` / `cfg!(...)`.
-            let mut open = i + 1;
-            if open < self.len() && self.text(open) == "!" {
-                open += 1;
-            }
-            if open < self.len() && self.text(open) == "(" {
-                out.extend(self.cfg_atoms_in(open + 1, self.closes[open]));
-            }
-        }
-        out
-    }
-
     /// Parses `feature = "x"` atoms between significant indices
     /// `[lo, hi)`, tracking `not(...)` nesting for polarity.
     pub fn cfg_atoms_in(&self, lo: usize, hi: usize) -> Vec<CfgAtom> {
@@ -794,23 +773,24 @@ mod noop {
         assert_eq!(f.items[0].cfg[0].feature, "trace");
     }
 
+    /// The undeclared-feature check that read `cfg` atoms through this
+    /// parser is rustc's `unexpected_cfgs` now, and it sees the same
+    /// forms: a feature inside `cfg_attr`, and one nested in `all(..)`
+    /// under `not(..)`.
     #[test]
     fn cfg_feature_refs_sees_cfg_attr_and_all() {
-        let src = r#"
-#[cfg_attr(feature = "serde", derive(Serialize))]
-struct S;
-#[cfg(all(feature = "ksan", not(feature = "trace")))]
-fn f() {}
-"#;
-        let f = parse(src);
-        let refs = f.cfg_feature_refs();
-        let names: Vec<(&str, bool)> = refs
-            .iter()
-            .map(|a| (a.feature.as_str(), a.negated))
-            .collect();
-        assert!(names.contains(&("serde", false)));
-        assert!(names.contains(&("ksan", false)));
-        assert!(names.contains(&("trace", true)));
+        const FILE: &str = "src/undeclared_feature.rs";
+        let found = crate::toolchain::fixture_findings_in(FILE);
+        for needle in [
+            "#[cfg_attr(feature = \"ksna\"",
+            "#[cfg(all(feature = \"ksan\", not(feature = \"tracee\")))]",
+        ] {
+            let line = crate::toolchain::fixture_line(FILE, needle);
+            assert!(
+                found.contains(&(line, "unexpected_cfgs")),
+                "{needle}: {found:?}"
+            );
+        }
     }
 
     #[test]

@@ -485,7 +485,6 @@ mod tests {
                 .find(|t| t.kind == TokenKind::Ident && t.text(src) == name)
                 .map(|t| t.line)
         };
-        // lint: unwrap-ok — test data is fixed above
         assert_eq!(find("a").unwrap(), 1);
         assert_eq!(find("b").unwrap(), 2);
         assert_eq!(find("c").unwrap(), 3);

@@ -5,44 +5,40 @@
 //! AutoNUMA `app_pages` set). The simulation's contract is stronger than
 //! "mostly deterministic": identical configs must produce byte-identical
 //! reports, which forbids hash-order iteration, wall-clock time,
-//! randomness, and ambient environment reads anywhere inside the
-//! simulation crates — and, since PR 7, requires every frame touch and
-//! disk submission to run through the exactly-charged clock APIs.
+//! randomness, and ambient environment reads anywhere inside the model
+//! crates, and requires every frame touch and disk submission to run
+//! through the exactly-charged clock APIs.
 //!
-//! v2 replaces the original token/line scanner with a structural
-//! analyzer: a lossless lexer ([`lex`]), an item-level parser
-//! ([`items`]) recovering `fn` signatures, bodies, and `#[cfg]` atoms,
-//! and on top of them per-file token rules, an intra-procedural taint
-//! pass, and two workspace-level rules that read every file of a crate
-//! (and its `Cargo.toml`) at once.
+//! The checks that name resolution does better live in the toolchain:
+//! `crates/clippy.toml` bans wall-clock, entropy, `std::env` and thread
+//! APIs in the model crates (`trace`, `mem`, `kernel`, `core`, `policy`,
+//! `workloads`), each model crate's `lib.rs` denies
+//! `clippy::unwrap_used`/`clippy::expect_used`, and the workspace denies
+//! rustc's `unexpected_cfgs`, which rejects a `cfg` naming an undeclared
+//! feature. This crate keeps the rules clippy cannot express: a lossless
+//! lexer ([`lex`]), an item-level parser ([`items`]) recovering `fn`
+//! signatures, bodies, and `#[cfg]` atoms, and on top of them per-file
+//! token rules, an intra-procedural taint pass, cross-file shim pairing
+//! and a manifest check.
 //!
 //! # Rules
 //!
 //! | id    | rule |
 //! |-------|------|
 //! | KL001 | no iteration over `HashMap`/`HashSet` (hash order is unstable) |
-//! | KL002 | no wall clock / randomness / `std::env` in simulation crates |
-//! | KL003 | no thread spawning in simulation crates (`kloc-sim` is the only sanctioned concurrency site) |
 //! | KL004 | no truncating `as` casts on id/epoch-like values (use `From`/`try_from`) |
-//! | KL005 | no `.unwrap()`/`.expect(..)` in simulation-crate non-test code (propagate the error) |
 //! | KL006 | `#[cfg(feature = "X")]` / `#[cfg(not(feature = "X"))]` item pairs must expose identical signatures (feature-shim conformance) |
-//! | KL007 | every feature referenced in `cfg`/`cfg_attr` must be declared in the crate's `Cargo.toml` and forwarded to declaring dependencies |
+//! | KL007 | a feature a crate shares with a path dependency must be forwarded to it (`Cargo.toml` only) |
 //! | KL008 | no dataflow from nondeterministic sources (hash iteration, pointer identity) into report-visible sinks (report fields, trace emits, sort keys) |
 //! | KL009 | in `crates/kernel`/`crates/mem`, frame touches and `DiskOp` submissions must flow through a charged API (`access`, `access_batch`, `disk_retry`) |
 //!
-//! KL002/KL003/KL005 apply only to the simulation crates (`trace`,
-//! `mem`, `kernel`, `core`, `policy`, `workloads`); the `kloc-sim`
-//! harness legitimately reads CLI args and wall-clock time and spawns
-//! its sweep threads. KL005 exempts everything from the first
-//! `#[cfg(test)]` on (this workspace keeps unit tests in a trailing
-//! `mod tests`). KL009 applies only to `crates/kernel` and
-//! `crates/mem` non-test code.
+//! KL002, KL003 and KL005 moved to clippy; their ids are not reused.
+//! KL009 applies only to `crates/kernel` and `crates/mem` non-test code.
 //!
 //! The workspace has two cargo features, `trace` and `ksan` (faults are
 //! selected at run time by installing a plan). KL006 keeps the `trace`
 //! recorder and its noop shims in sync; KL007 keeps both features
-//! declared and forwarded through every manifest, and flags any `cfg`
-//! left naming a feature that no longer exists.
+//! forwarded through every manifest.
 //!
 //! # Justification comments
 //!
@@ -51,31 +47,27 @@
 //!
 //! * `// lint: ordered-ok` — iteration order does not affect any report
 //!   (KL001);
-//! * `// lint: nondet-ok` — sanctioned ambient authority (KL002/KL003);
 //! * `// lint: truncation-ok` — the truncation is the documented
 //!   semantics (KL004);
-//! * `// lint: unwrap-ok` — the value is provably present (KL005);
 //! * `// lint: shim-ok` — an intentional real/noop signature divergence
 //!   (KL006);
-//! * `// lint: feature-ok` — a deliberately undeclared/unforwarded
-//!   feature reference (KL007);
+//! * `# lint: feature-ok` in `Cargo.toml` — a deliberately unforwarded
+//!   feature (KL007);
 //! * `// lint: taint-ok` — the flow is order-insensitive, e.g. a
 //!   commutative reduction (KL008);
 //! * `// lint: charge-ok` — the site charges the clock through its own
 //!   sanctioned path (KL009, e.g. the migration cost path).
 //!
 //! Appending `(file)` (e.g. `// lint: ordered-ok(file)`) silences the
-//! rule for the whole file. `// lint: treat-as-sim-crate` opts a file
-//! into the sim-crate rules and `// lint: treat-as-charged-crate` into
-//! KL009 (both used by test fixtures).
+//! rule for the whole file. `// lint: treat-as-charged-crate` opts a
+//! file into KL009 (used by test fixtures).
 //!
 //! # Fixes and explanations
 //!
-//! Some diagnostics carry a machine-applicable [`Suggestion`]
-//! (KL006 noop-shim signature drift, KL007 undeclared features);
-//! `kloc-lint --fix` applies them. `kloc-lint --explain KL006` prints a
-//! rule's rationale, its justification pragma, and a minimal violating
-//! example sourced from the fixture suite.
+//! KL006 noop-shim signature drift carries a machine-applicable
+//! [`Suggestion`]; `kloc-lint --fix` applies it. `kloc-lint --explain
+//! KL006` prints a rule's rationale, its justification pragma, and a
+//! minimal violating example sourced from the fixture suite.
 
 #![warn(missing_docs)]
 
@@ -88,18 +80,20 @@ mod hygiene;
 mod rules;
 mod taint;
 
-use std::collections::BTreeSet;
+/// The `cargo clippy` oracle for the rules that moved to the toolchain.
+#[cfg(test)]
+#[path = "../tests/support/clippy.rs"]
+mod toolchain;
+
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::path::{Path, PathBuf};
 
 use items::ParsedFile;
 
-/// A machine-applicable replacement attached to a [`Diagnostic`].
+/// A machine-applicable replacement in its [`Diagnostic`]'s file.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Suggestion {
-    /// File the replacement applies to (may differ from the diagnostic
-    /// file, e.g. a `Cargo.toml` fix for a source-level finding).
-    pub file: String,
     /// Byte offset where the replaced range starts.
     pub start: usize,
     /// Byte offset one past the replaced range (`start == end` inserts).
@@ -111,11 +105,11 @@ pub struct Suggestion {
 /// One lint finding.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Diagnostic {
-    /// File the finding is in (as passed to the linter).
+    /// File the finding is in, workspace-relative when linted from disk.
     pub file: String,
     /// 1-based line number.
     pub line: usize,
-    /// Rule id (`KL001`..`KL009`).
+    /// Rule id (one of [`explain::RULES`]).
     pub rule: &'static str,
     /// Human-readable explanation.
     pub message: String,
@@ -159,17 +153,11 @@ impl fmt::Display for Diagnostic {
 
 /// Rule id: iteration over an unordered collection.
 pub const RULE_UNORDERED_ITER: &str = "KL001";
-/// Rule id: nondeterministic API (time, randomness, env) in a sim crate.
-pub const RULE_NONDET_API: &str = "KL002";
-/// Rule id: thread spawning in a sim crate.
-pub const RULE_THREAD_SPAWN: &str = "KL003";
 /// Rule id: truncating cast on an id/epoch-like value.
 pub const RULE_TRUNCATING_CAST: &str = "KL004";
-/// Rule id: `.unwrap()`/`.expect(..)` in sim-crate non-test code.
-pub const RULE_UNWRAP: &str = "KL005";
 /// Rule id: feature-shim signature drift between `cfg` polarities.
 pub const RULE_SHIM_CONFORMANCE: &str = "KL006";
-/// Rule id: cfg feature hygiene (undeclared or unforwarded features).
+/// Rule id: a feature not forwarded to a path dependency declaring it.
 pub const RULE_CFG_HYGIENE: &str = "KL007";
 /// Rule id: determinism taint reaching a report-visible sink.
 pub const RULE_DETERMINISM_TAINT: &str = "KL008";
@@ -178,19 +166,15 @@ pub const RULE_CLOCK_CHARGE: &str = "KL009";
 
 /// Per-file allow state parsed from justification comments.
 pub(crate) struct Allows {
-    file_wide: [bool; 8],
-    lines: [BTreeSet<usize>; 8],
-    treat_as_sim: bool,
+    file_wide: [bool; 5],
+    lines: [BTreeSet<usize>; 5],
     treat_as_charged: bool,
 }
 
-const ALLOW_TOKENS: [&str; 8] = [
+const ALLOW_TOKENS: [&str; 5] = [
     "ordered-ok",
-    "nondet-ok",
     "truncation-ok",
-    "unwrap-ok",
     "shim-ok",
-    "feature-ok",
     "taint-ok",
     "charge-ok",
 ];
@@ -198,22 +182,18 @@ const ALLOW_TOKENS: [&str; 8] = [
 fn allow_slot(rule: &str) -> usize {
     match rule {
         RULE_UNORDERED_ITER => 0,
-        RULE_NONDET_API | RULE_THREAD_SPAWN => 1,
-        RULE_TRUNCATING_CAST => 2,
-        RULE_UNWRAP => 3,
-        RULE_SHIM_CONFORMANCE => 4,
-        RULE_CFG_HYGIENE => 5,
-        RULE_DETERMINISM_TAINT => 6,
-        RULE_CLOCK_CHARGE => 7,
-        _ => unreachable!("unknown rule"),
+        RULE_TRUNCATING_CAST => 1,
+        RULE_SHIM_CONFORMANCE => 2,
+        RULE_DETERMINISM_TAINT => 3,
+        RULE_CLOCK_CHARGE => 4,
+        _ => unreachable!("rule has no source pragma"),
     }
 }
 
 pub(crate) fn parse_allows(source: &str) -> Allows {
     let mut allows = Allows {
-        file_wide: [false; 8],
+        file_wide: [false; 5],
         lines: Default::default(),
-        treat_as_sim: false,
         treat_as_charged: false,
     };
     for (idx, line) in source.lines().enumerate() {
@@ -222,10 +202,6 @@ pub(crate) fn parse_allows(source: &str) -> Allows {
             continue;
         };
         let directive = line[pos + "lint:".len()..].trim();
-        if directive.starts_with("treat-as-sim-crate") {
-            allows.treat_as_sim = true;
-            continue;
-        }
         if directive.starts_with("treat-as-charged-crate") {
             allows.treat_as_charged = true;
             continue;
@@ -252,145 +228,92 @@ impl Allows {
     }
 }
 
-/// Replaces comments and string/char literal contents with spaces,
-/// preserving line structure. Retained from the v1 scanner as a public
-/// utility (external callers greped through it); the rules themselves
-/// now work on the token stream.
-pub fn strip_comments_and_strings(source: &str) -> String {
-    let tokens = lex::lex(source);
-    let mut out = String::with_capacity(source.len());
-    for tok in &tokens {
-        let text = tok.text(source);
-        match tok.kind {
-            lex::TokenKind::LineComment | lex::TokenKind::BlockComment => {
-                for c in text.chars() {
-                    out.push(if c == '\n' { '\n' } else { ' ' });
-                }
-            }
-            lex::TokenKind::Str | lex::TokenKind::Char => {
-                // Keep the delimiting quotes of plain literals so the
-                // output still reads as code; blank the contents.
-                let chars: Vec<char> = text.chars().collect();
-                for (i, c) in chars.iter().enumerate() {
-                    let keep = *c == '"' && (i == 0 || i == chars.len() - 1);
-                    out.push(if keep {
-                        '"'
-                    } else if *c == '\n' {
-                        '\n'
-                    } else {
-                        ' '
-                    });
-                }
-            }
-            _ => out.push_str(text),
+/// A parsed source file with its justification comments.
+struct SourceFile {
+    rel: String,
+    parsed: ParsedFile,
+    allows: Allows,
+}
+
+impl SourceFile {
+    fn new(rel: &str, source: &str) -> SourceFile {
+        SourceFile {
+            rel: rel.to_owned(),
+            parsed: ParsedFile::parse(source),
+            allows: parse_allows(source),
         }
     }
-    out
-}
 
-/// Lints one file's source text. `sim_crate` enables the
-/// KL002/KL003/KL005 rules (files inside
-/// `crates/{trace,mem,kernel,core,policy,workloads}`). KL009 arms for
-/// files under `crates/kernel`/`crates/mem` (or the
-/// `treat-as-charged-crate` pragma). KL006 pairs within the single
-/// file; cross-file pairs need [`lint_workspace`].
-pub fn lint_source(file: &str, source: &str, sim_crate: bool) -> Vec<Diagnostic> {
-    let allows = parse_allows(source);
-    let sim_crate = sim_crate || allows.treat_as_sim;
-    let charged_crate = is_charged_crate_path(Path::new(file)) || allows.treat_as_charged;
-    let parsed = ParsedFile::parse(source);
-
-    let mut out = rules::check_file(file, &parsed, sim_crate, charged_crate, &allows);
-    out.extend(taint::check_file(file, &parsed, &allows));
-    out.extend(conformance::check_crate(
-        &[(file.to_owned(), &parsed)],
-        &|f, line| {
-            debug_assert_eq!(f, file);
-            allows.allowed(RULE_SHIM_CONFORMANCE, line)
-        },
-    ));
-    out.sort();
-    out.dedup();
-    out
-}
-
-/// Lints a set of in-memory files as one crate against an in-memory
-/// `Cargo.toml`: per-file rules plus crate-level KL006 pairing and
-/// KL007 hygiene. Entry point for fixtures, `--explain` self-tests,
-/// and external tooling that wants crate-level checks without a
-/// workspace on disk.
-pub fn lint_crate(
-    manifest_rel: &str,
-    manifest_text: &str,
-    files: &[(&str, &str)],
-) -> Vec<Diagnostic> {
-    let parsed: Vec<(String, ParsedFile, Allows)> = files
-        .iter()
-        .map(|(name, source)| {
-            (
-                (*name).to_owned(),
-                ParsedFile::parse(source),
-                parse_allows(source),
-            )
-        })
-        .collect();
-    let mut out = Vec::new();
-    for (name, pf, allows) in &parsed {
-        let rel = Path::new(name);
-        let test_path = is_test_path(rel);
-        let sim = is_sim_crate_path(rel) || allows.treat_as_sim;
-        let charged = (is_charged_crate_path(rel) && !test_path) || allows.treat_as_charged;
-        let mut diags = rules::check_file(name, pf, sim, charged, allows);
-        diags.extend(taint::check_file(name, pf, allows));
-        out.extend(
-            diags
-                .into_iter()
-                .filter(|d| !(test_path && d.rule == RULE_UNWRAP)),
-        );
+    /// The per-file rules: token rules and taint. KL009 arms for
+    /// non-test files under `crates/kernel`/`crates/mem` (or the
+    /// `treat-as-charged-crate` pragma).
+    fn check(&self) -> Vec<Diagnostic> {
+        let rel = Path::new(&self.rel);
+        let charged =
+            (is_charged_crate_path(rel) && !is_test_path(rel)) || self.allows.treat_as_charged;
+        let mut out = rules::check_file(&self.rel, &self.parsed, charged, &self.allows);
+        out.extend(taint::check_file(&self.rel, &self.parsed, &self.allows));
+        out
     }
+}
+
+/// KL006 pairing across the files of one crate.
+fn check_shims(files: &[SourceFile]) -> Vec<Diagnostic> {
     let refs: Vec<(String, &ParsedFile)> =
-        parsed.iter().map(|(n, pf, _)| (n.clone(), pf)).collect();
-    let allowed_for = |rule: &'static str, file: &str, line: usize| {
-        parsed
+        files.iter().map(|f| (f.rel.clone(), &f.parsed)).collect();
+    conformance::check_crate(&refs, &|file, line| {
+        files
             .iter()
-            .find(|(n, _, _)| n == file)
-            .is_some_and(|(_, _, a)| a.allowed(rule, line))
-    };
-    out.extend(conformance::check_crate(&refs, &|file, line| {
-        allowed_for(RULE_SHIM_CONFORMANCE, file, line)
-    }));
-    let manifest = hygiene::Manifest::parse(manifest_rel, manifest_text);
-    let mut all = std::collections::BTreeMap::new();
-    if !manifest.package_name.is_empty() {
-        all.insert(
-            manifest.package_name.clone(),
-            hygiene::Manifest::parse(manifest_rel, manifest_text),
-        );
-    }
-    out.extend(hygiene::check_crate(
-        &manifest,
-        &refs,
-        &all,
-        &|file, line| allowed_for(RULE_CFG_HYGIENE, file, line),
-    ));
+            .find(|f| f.rel == file)
+            .is_some_and(|f| f.allows.allowed(RULE_SHIM_CONFORMANCE, line))
+    })
+}
+
+/// Lints one file's source text. `file` is workspace-relative: it
+/// decides whether KL009 applies. KL006 pairs within the single file;
+/// cross-file pairs need [`lint_crate`].
+pub fn lint_source(file: &str, source: &str) -> Vec<Diagnostic> {
+    lint_crate(&[(file, source)])
+}
+
+/// Lints a set of in-memory files as one crate: per-file rules plus
+/// KL006 pairing across the files.
+pub fn lint_crate(files: &[(&str, &str)]) -> Vec<Diagnostic> {
+    let files: Vec<SourceFile> = files
+        .iter()
+        .map(|(rel, source)| SourceFile::new(rel, source))
+        .collect();
+    let mut out: Vec<Diagnostic> = files.iter().flat_map(SourceFile::check).collect();
+    out.extend(check_shims(&files));
     out.sort();
     out.dedup();
+    out
+}
+
+/// KL007 over in-memory manifests given as `(workspace-relative path,
+/// text)`: each crate's features must reach the path dependencies that
+/// declare them.
+pub fn lint_manifests(manifests: &[(&str, &str)]) -> Vec<Diagnostic> {
+    let all: BTreeMap<String, hygiene::Manifest> = manifests
+        .iter()
+        .map(|(rel, text)| hygiene::Manifest::parse(rel, text))
+        .filter(|m| !m.package_name.is_empty())
+        .map(|m| (m.package_name.clone(), m))
+        .collect();
+    let mut out: Vec<Diagnostic> = all
+        .values()
+        .flat_map(|m| hygiene::check_manifest(m, &all))
+        .collect();
+    out.sort();
     out
 }
 
 /// Whether a workspace-relative path is test-only code (an integration
-/// `tests/` tree or a `benches/` tree): exempt from KL005/KL009, which
-/// target code that runs inside simulations.
+/// `tests/` tree or a `benches/` tree): exempt from KL009, which
+/// targets code that runs inside simulations.
 pub fn is_test_path(rel: &Path) -> bool {
     rel.components()
         .any(|c| matches!(c.as_os_str().to_str(), Some("tests" | "benches")))
-}
-
-/// Whether a workspace-relative path belongs to a simulation crate
-/// (where the KL002/KL003/KL005 rules apply).
-pub fn is_sim_crate_path(rel: &Path) -> bool {
-    const SIM_CRATES: &[&str] = &["trace", "mem", "kernel", "core", "policy", "workloads"];
-    crate_component(rel).is_some_and(|c| SIM_CRATES.contains(&c.as_str()))
 }
 
 /// Whether a workspace-relative path belongs to a crate under the
@@ -436,112 +359,61 @@ pub fn workspace_files(root: &Path) -> std::io::Result<Vec<PathBuf>> {
     Ok(files)
 }
 
-/// Lints every workspace source file under `root`, then runs the
-/// crate-level rules (KL006 across each crate's files, KL007 against
-/// each crate's `Cargo.toml`). Paths in diagnostics are
-/// workspace-relative.
+/// Lints every workspace source file under `root`, pairs KL006 shims
+/// across each crate's files, and checks KL007 forwarding across the
+/// workspace manifests. Paths in diagnostics are workspace-relative.
 pub fn lint_workspace(root: &Path) -> std::io::Result<Vec<Diagnostic>> {
-    let mut out = Vec::new();
-    // Crate name -> [(rel path, source, parsed, allows)].
-    let mut by_crate: std::collections::BTreeMap<String, Vec<(String, ParsedFile, Allows)>> =
-        std::collections::BTreeMap::new();
+    // Crate directory name ("klocs" for the root package) -> its files.
+    let mut by_crate: BTreeMap<String, Vec<SourceFile>> = BTreeMap::new();
     for path in workspace_files(root)? {
-        let rel = path.strip_prefix(root).unwrap_or(&path).to_path_buf();
-        let rel_str = rel.display().to_string();
+        let rel = path.strip_prefix(root).unwrap_or(&path);
         let source = std::fs::read_to_string(&path)?;
-        let allows = parse_allows(&source);
-        let parsed = ParsedFile::parse(&source);
-        let test_path = is_test_path(&rel);
-        let sim = is_sim_crate_path(&rel) || allows.treat_as_sim;
-        let charged = (is_charged_crate_path(&rel) && !test_path) || allows.treat_as_charged;
-
-        let mut diags = rules::check_file(&rel_str, &parsed, sim, charged, &allows);
-        diags.extend(taint::check_file(&rel_str, &parsed, &allows));
-        out.extend(
-            diags
-                .into_iter()
-                .filter(|d| !(test_path && d.rule == RULE_UNWRAP)),
-        );
-
-        let crate_name = crate_component(&rel).unwrap_or_else(|| "klocs".to_owned());
+        let crate_name = crate_component(rel).unwrap_or_else(|| "klocs".to_owned());
         by_crate
             .entry(crate_name)
             .or_default()
-            .push((rel_str, parsed, allows));
+            .push(SourceFile::new(&rel.display().to_string(), &source));
     }
-    for (crate_name, files) in &by_crate {
-        let refs: Vec<(String, &ParsedFile)> =
-            files.iter().map(|(p, f, _)| (p.clone(), f)).collect();
-        let allowed = |file: &str, line: usize| {
-            files
-                .iter()
-                .find(|(p, _, _)| p == file)
-                .is_some_and(|(_, _, a)| a.allowed(RULE_SHIM_CONFORMANCE, line))
-        };
-        out.extend(conformance::check_crate(&refs, &allowed));
-
-        let manifest_rel = if crate_name == "klocs" {
-            "Cargo.toml".to_owned()
-        } else {
-            format!("crates/{crate_name}/Cargo.toml")
-        };
-        let manifest_path = root.join(&manifest_rel);
-        if let Ok(text) = std::fs::read_to_string(&manifest_path) {
-            let manifest = hygiene::Manifest::parse(&manifest_rel, &text);
-            let all = workspace_manifests(root)?;
-            let hygiene_allowed = |file: &str, line: usize| {
-                files
-                    .iter()
-                    .find(|(p, _, _)| p == file)
-                    .is_some_and(|(_, _, a)| a.allowed(RULE_CFG_HYGIENE, line))
-            };
-            out.extend(hygiene::check_crate(
-                &manifest,
-                &refs,
-                &all,
-                &hygiene_allowed,
-            ));
-        }
+    let mut out = Vec::new();
+    for files in by_crate.values() {
+        out.extend(files.iter().flat_map(SourceFile::check));
+        out.extend(check_shims(files));
     }
+    let manifests = workspace_manifests(root)?;
+    let manifests: Vec<(&str, &str)> = manifests
+        .iter()
+        .map(|(rel, text)| (rel.as_str(), text.as_str()))
+        .collect();
+    out.extend(lint_manifests(&manifests));
     out.sort();
     out.dedup();
     Ok(out)
 }
 
-/// Parses every crate manifest in the workspace (the root `Cargo.toml`
-/// plus `crates/*/Cargo.toml`), keyed by package name.
-pub(crate) fn workspace_manifests(
-    root: &Path,
-) -> std::io::Result<std::collections::BTreeMap<String, hygiene::Manifest>> {
-    let mut out = std::collections::BTreeMap::new();
-    let mut paths = vec![("Cargo.toml".to_owned(), root.join("Cargo.toml"))];
+/// Reads every crate manifest in the workspace (the root `Cargo.toml`
+/// plus `crates/*/Cargo.toml`) as `(workspace-relative path, text)`.
+fn workspace_manifests(root: &Path) -> std::io::Result<Vec<(String, String)>> {
+    let mut paths = vec![root.join("Cargo.toml")];
     let crates_dir = root.join("crates");
     if crates_dir.is_dir() {
         let mut entries: Vec<PathBuf> = std::fs::read_dir(&crates_dir)?
-            .filter_map(|e| e.ok().map(|e| e.path()))
+            .filter_map(|e| e.ok().map(|e| e.path().join("Cargo.toml")))
+            .filter(|manifest| manifest.is_file())
             .collect();
         entries.sort();
-        for dir in entries {
-            let manifest = dir.join("Cargo.toml");
-            if manifest.is_file() {
-                let rel = manifest
-                    .strip_prefix(root)
-                    .unwrap_or(&manifest)
-                    .display()
-                    .to_string();
-                paths.push((rel, manifest));
-            }
-        }
+        paths.extend(entries);
     }
-    for (rel, path) in paths {
-        if let Ok(text) = std::fs::read_to_string(&path) {
-            let m = hygiene::Manifest::parse(&rel, &text);
-            if !m.package_name.is_empty() {
-                out.insert(m.package_name.clone(), m);
-            }
-        }
-    }
-    Ok(out)
+    paths
+        .into_iter()
+        .map(|path| {
+            let rel = path
+                .strip_prefix(root)
+                .unwrap_or(&path)
+                .display()
+                .to_string();
+            Ok((rel, std::fs::read_to_string(&path)?))
+        })
+        .collect()
 }
 
 /// Applies every machine-applicable suggestion in `diags` to the files
@@ -550,11 +422,10 @@ pub(crate) fn workspace_manifests(
 /// skipped); running the lint again converges because applied fixes
 /// remove their diagnostics.
 pub fn apply_fixes(root: &Path, diags: &[Diagnostic]) -> std::io::Result<Vec<String>> {
-    let mut by_file: std::collections::BTreeMap<String, Vec<&Suggestion>> =
-        std::collections::BTreeMap::new();
+    let mut by_file: BTreeMap<String, Vec<&Suggestion>> = BTreeMap::new();
     for d in diags {
         if let Some(s) = &d.suggestion {
-            by_file.entry(s.file.clone()).or_default().push(s);
+            by_file.entry(d.file.clone()).or_default().push(s);
         }
     }
     let mut changed = Vec::new();
@@ -586,28 +457,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn strips_line_and_block_comments() {
-        let s = "let a = 1; // HashMap iter\n/* Instant::now */ let b = 2;";
-        let c = strip_comments_and_strings(s);
-        assert!(!c.contains("HashMap"));
-        assert!(!c.contains("Instant"));
-        assert!(c.contains("let a = 1;"));
-        assert!(c.contains("let b = 2;"));
-    }
-
-    #[test]
-    fn strips_strings_and_raw_strings() {
-        let s = r####"let a = "std::env"; let b = r#"thread_rng"#; let c = 'x';"####;
-        let c = strip_comments_and_strings(s);
-        assert!(!c.contains("std::env"));
-        assert!(!c.contains("thread_rng"));
-        assert!(c.contains("let a ="));
-    }
-
-    #[test]
     fn lifetimes_are_not_char_literals() {
         let s = "fn f<'a>(x: &'a str) -> &'a str { x }\nlet m: HashMap<u8, u8> = HashMap::new();\nm.keys();";
-        let d = lint_source("t.rs", s, false);
+        let d = lint_source("t.rs", s);
         assert_eq!(d.len(), 1, "{d:?}");
         assert_eq!(d[0].rule, RULE_UNORDERED_ITER);
         assert_eq!(d[0].line, 3);
@@ -616,7 +468,7 @@ mod tests {
     #[test]
     fn flags_iteration_over_hash_fields() {
         let s = "struct S { frame_key: HashMap<u32, u32> }\nimpl S { fn f(&self) { for k in self.frame_key.keys() {} } }";
-        let d = lint_source("t.rs", s, false);
+        let d = lint_source("t.rs", s);
         assert_eq!(d.len(), 1);
         assert_eq!(d[0].line, 2);
         assert_eq!(d[0].rule, RULE_UNORDERED_ITER);
@@ -625,35 +477,25 @@ mod tests {
     #[test]
     fn ordered_ok_silences_same_and_next_line() {
         let s = "fn f() {\nlet m: HashSet<u8> = HashSet::new();\n// lint: ordered-ok — counts only\nfor x in &m {}\nm.iter(); // lint: ordered-ok\n}";
-        assert!(lint_source("t.rs", s, false).is_empty());
+        assert!(lint_source("t.rs", s).is_empty());
     }
 
     #[test]
     fn file_wide_allow() {
         let s = "// lint: ordered-ok(file)\nlet m: HashMap<u8,u8> = HashMap::new();\nm.keys();\nm.values();";
-        assert!(lint_source("t.rs", s, false).is_empty());
+        assert!(lint_source("t.rs", s).is_empty());
     }
 
     #[test]
     fn lookups_are_not_flagged() {
         let s = "let m: HashMap<u8,u8> = HashMap::new();\nm.get(&1); m.insert(1,2); m.remove(&1); m.contains_key(&1); m.len();";
-        assert!(lint_source("t.rs", s, false).is_empty());
-    }
-
-    #[test]
-    fn nondet_rules_only_in_sim_crates() {
-        let s = "fn f() {\nlet t = Instant::now();\nstd::thread::spawn(|| {});\n}";
-        assert!(lint_source("t.rs", s, false).is_empty());
-        let d = lint_source("t.rs", s, true);
-        let rules: Vec<&str> = d.iter().map(|d| d.rule).collect();
-        assert!(rules.contains(&RULE_NONDET_API), "{d:?}");
-        assert!(rules.contains(&RULE_THREAD_SPAWN), "{d:?}");
+        assert!(lint_source("t.rs", s).is_empty());
     }
 
     #[test]
     fn truncating_casts_on_ids() {
         let s = "let a = inode.0 as u32;\nlet b = epoch as u16;\nlet c = len as u32;\nlet d = frame_id as u8;";
-        let d = lint_source("t.rs", s, false);
+        let d = lint_source("t.rs", s);
         let lines: Vec<usize> = d.iter().map(|d| d.line).collect();
         assert_eq!(lines, vec![1, 2, 4], "{d:?}");
         assert!(d.iter().all(|d| d.rule == RULE_TRUNCATING_CAST));
@@ -662,49 +504,133 @@ mod tests {
     #[test]
     fn widening_casts_are_fine() {
         let s = "let a = inode.0 as u64;\nlet b = id as usize;\nlet c = x as u32;";
-        assert!(lint_source("t.rs", s, false).is_empty());
-    }
-
-    #[test]
-    fn unwrap_flagged_only_in_sim_crates_outside_tests() {
-        let s = "fn f() { x.unwrap(); y.expect(\"msg\"); z.unwrap_or(3); }\n#[cfg(test)]\nmod tests { fn g() { a.unwrap(); } }";
-        assert!(lint_source("t.rs", s, false).is_empty());
-        let d = lint_source("t.rs", s, true);
-        assert_eq!(d.len(), 2, "{d:?}");
-        assert!(d.iter().all(|d| d.rule == RULE_UNWRAP && d.line == 1));
-    }
-
-    #[test]
-    fn multiline_expect_is_caught() {
-        // The v1 line scanner missed `.expect(` split across lines.
-        let s = "fn f() {\n    y\n        .expect(\n            \"msg\",\n        );\n}";
-        let d = lint_source("t.rs", s, true);
-        assert_eq!(d.len(), 1, "{d:?}");
-        assert_eq!(d[0].rule, RULE_UNWRAP);
-        assert_eq!(d[0].line, 3);
+        assert!(lint_source("t.rs", s).is_empty());
     }
 
     #[test]
     fn patterns_inside_strings_do_not_fire() {
-        let s =
-            "fn f() { let msg = \"call Instant::now or x.unwrap() on a HashMap\"; let _ = msg; }";
-        assert!(lint_source("t.rs", s, true).is_empty());
+        let s = "fn f() { let msg = \"m.keys() on a HashMap, inode as u32, clock.advance(3)\"; let _ = msg; }";
+        assert!(lint_source("crates/mem/src/t.rs", s).is_empty());
     }
 
+    /// The crates under `crates/`, and those among them whose nearest
+    /// `clippy.toml` is the model-crate one: clippy reads the first
+    /// `clippy.toml` found walking up from a crate's manifest, so a crate
+    /// carrying its own is out of the model-crate bans.
+    fn crates_and_model_crates() -> (Vec<String>, Vec<String>) {
+        let crates = Path::new(env!("CARGO_MANIFEST_DIR")).join("..");
+        let mut all: Vec<String> = std::fs::read_dir(&crates)
+            .expect("crates dir")
+            .map(|e| e.expect("dir entry").path())
+            .filter(|p| p.join("Cargo.toml").is_file())
+            .map(|p| p.file_name().expect("name").to_string_lossy().into_owned())
+            .collect();
+        all.sort();
+        let model = all
+            .iter()
+            .filter(|c| !crates.join(c).join("clippy.toml").exists())
+            .cloned()
+            .collect();
+        (all, model)
+    }
+
+    fn read_crates_file(rel: &str) -> String {
+        let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("..").join(rel);
+        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
+    }
+
+    const MODEL_CRATES: [&str; 6] = ["core", "kernel", "mem", "policy", "trace", "workloads"];
+
+    /// KL002/KL003 are `disallowed-types`/`disallowed-methods` in
+    /// `crates/clippy.toml`: they reach exactly the model crates, stop at
+    /// the `kloc-sim` and `kloc-lint` overrides, and clippy flags a wall
+    /// clock and a thread spawn under them.
+    #[test]
+    fn nondet_rules_only_in_sim_crates() {
+        let (all, model) = crates_and_model_crates();
+        assert_eq!(model, MODEL_CRATES, "crates under crates/clippy.toml");
+        let bans = read_crates_file("clippy.toml");
+        for path in [
+            "std::time::Instant",
+            "std::hash::RandomState",
+            "std::env::var",
+        ] {
+            assert!(bans.contains(&format!("\"{path}\"")), "{path} not banned");
+        }
+        assert!(bans.contains("\"std::thread::spawn\""));
+        for harness in all.iter().filter(|c| !model.contains(c)) {
+            let conf = read_crates_file(&format!("{harness}/clippy.toml"));
+            assert!(!conf.contains("disallowed"), "{harness} must not ban");
+        }
+        let found = toolchain::fixture_findings_in("src/nondet_api.rs");
+        let line = |needle| toolchain::fixture_line("src/nondet_api.rs", needle);
+        assert!(found.contains(&(
+            line("std::time::Instant::now()"),
+            "clippy::disallowed_types"
+        )));
+        assert!(found.contains(&(line("std::thread::spawn("), "clippy::disallowed_methods")));
+    }
+
+    /// KL005 is `clippy::unwrap_used`/`clippy::expect_used`, denied by
+    /// each model crate's `lib.rs` and by no other crate's, and allowed
+    /// in `#[cfg(test)]` code by `crates/clippy.toml`.
+    #[test]
+    fn unwrap_flagged_only_in_sim_crates_outside_tests() {
+        const HEADER: &str = "#![deny(clippy::unwrap_used, clippy::expect_used)]";
+        let (all, model) = crates_and_model_crates();
+        for krate in &all {
+            let lib = read_crates_file(&format!("{krate}/src/lib.rs"));
+            let denies = lib.lines().any(|l| l == HEADER);
+            assert_eq!(denies, model.contains(krate), "{krate}/src/lib.rs");
+        }
+        let conf = read_crates_file("clippy.toml");
+        assert!(conf.contains("allow-unwrap-in-tests = true"));
+        assert!(conf.contains("allow-expect-in-tests = true"));
+        let found = toolchain::fixture_findings_in("src/unwrap_result.rs");
+        let lib_unwrap = toolchain::fixture_line("src/unwrap_result.rs", "map.get(&1).unwrap()");
+        let test_unwrap = toolchain::fixture_line("src/unwrap_result.rs", "\"3\".parse().unwrap()");
+        assert!(
+            found.contains(&(lib_unwrap, "clippy::unwrap_used")),
+            "{found:?}"
+        );
+        assert!(found.iter().all(|&(l, _)| l != test_unwrap), "{found:?}");
+    }
+
+    /// An `.expect(` split across lines is one call, reported once, at
+    /// the line its receiver chain starts.
+    #[test]
+    fn multiline_expect_is_caught() {
+        let file = "src/unwrap_result.rs";
+        let found = toolchain::fixture_findings_in(file);
+        let chain = toolchain::fixture_line(file, "    *frames");
+        let expect = toolchain::fixture_line(file, "        .expect(");
+        let in_chain: Vec<_> = found
+            .iter()
+            .filter(|&&(l, _)| (chain..=expect).contains(&l))
+            .collect();
+        assert_eq!(in_chain, [&(chain, "clippy::expect_used")], "{found:?}");
+    }
+
+    /// The `// lint: unwrap-ok` pragma became `#[expect(.., reason)]`:
+    /// the justified unwrap is silent, and the expectation is fulfilled
+    /// (a stale one would be an `unfulfilled_lint_expectations` finding).
     #[test]
     fn unwrap_ok_justification_silences() {
-        let s = "fn f() {\n// lint: unwrap-ok — inserted two lines up\nx.unwrap();\ny.expect(\"present\"); // lint: unwrap-ok\n}";
-        assert!(lint_source("t.rs", s, true).is_empty());
-    }
-
-    #[test]
-    fn sim_crate_paths() {
-        assert!(is_sim_crate_path(Path::new("crates/mem/src/system.rs")));
-        assert!(is_sim_crate_path(Path::new("crates/policy/src/kloc.rs")));
-        assert!(is_sim_crate_path(Path::new("crates/trace/src/recorder.rs")));
-        assert!(!is_sim_crate_path(Path::new("crates/sim/src/engine.rs")));
-        assert!(!is_sim_crate_path(Path::new("crates/lint/src/lib.rs")));
-        assert!(!is_sim_crate_path(Path::new("src/lib.rs")));
+        let file = "src/unwrap_result.rs";
+        let attr = toolchain::fixture_line(file, "#[expect(clippy::unwrap_used");
+        let found = toolchain::fixture_findings_in(file);
+        // `guarded`'s unwrap sits two lines below its attribute.
+        assert!(
+            found.iter().all(|&(l, _)| !(attr..=attr + 2).contains(&l)),
+            "{found:?}"
+        );
+        assert!(
+            toolchain::fixture_findings()
+                .iter()
+                .all(|f| f.lint != "unfulfilled_lint_expectations"),
+            "{:#?}",
+            toolchain::fixture_findings()
+        );
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! With no arguments, lints every `.rs` file in the workspace (found by
 //! walking up from the current directory to the `[workspace]` manifest)
 //! plus every crate `Cargo.toml`. With path arguments, lints exactly
-//! those files/directories — used by CI helpers and to demonstrate the
-//! fixture diagnostics:
+//! those files/directories, each named by its workspace-relative path —
+//! used by CI helpers and to demonstrate the fixture diagnostics:
 //!
 //! ```text
 //! cargo run -p kloc-lint -- crates/lint/tests/fixtures
@@ -19,10 +19,7 @@
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use kloc_lint::{
-    apply_fixes, explain, is_sim_crate_path, lint_source, lint_workspace, workspace_files,
-    Diagnostic,
-};
+use kloc_lint::{apply_fixes, explain, lint_source, lint_workspace, workspace_files, Diagnostic};
 
 fn find_workspace_root() -> Option<PathBuf> {
     let mut dir = std::env::current_dir().ok()?;
@@ -39,7 +36,20 @@ fn find_workspace_root() -> Option<PathBuf> {
     }
 }
 
+/// `file` relative to the workspace `root`, so that `crates/mem/x.rs`,
+/// `./crates/mem/x.rs` and an absolute path all arm the same crate-scoped
+/// rules and print the same diagnostics. Paths outside the workspace are
+/// kept as given.
+fn workspace_relative(root: Option<&Path>, file: &Path) -> String {
+    root.and_then(|root| {
+        let file = file.canonicalize().ok()?;
+        Some(file.strip_prefix(root).ok()?.display().to_string())
+    })
+    .unwrap_or_else(|| file.display().to_string())
+}
+
 fn lint_explicit(paths: &[String]) -> std::io::Result<Vec<Diagnostic>> {
+    let root = find_workspace_root().and_then(|r| r.canonicalize().ok());
     let mut out = Vec::new();
     for arg in paths {
         let path = Path::new(arg);
@@ -68,9 +78,8 @@ fn lint_explicit(paths: &[String]) -> std::io::Result<Vec<Diagnostic>> {
         for file in files {
             let source = std::fs::read_to_string(&file)?;
             out.extend(lint_source(
-                &file.display().to_string(),
+                &workspace_relative(root.as_deref(), &file),
                 &source,
-                is_sim_crate_path(&file),
             ));
         }
     }
@@ -78,12 +87,18 @@ fn lint_explicit(paths: &[String]) -> std::io::Result<Vec<Diagnostic>> {
     Ok(out)
 }
 
+/// The live rule ids, comma-separated.
+fn known_rules() -> String {
+    let ids: Vec<&str> = explain::RULES.iter().map(|r| r.id).collect();
+    ids.join(", ")
+}
+
 fn run() -> Result<ExitCode, std::io::Error> {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
 
     if let Some(pos) = args.iter().position(|a| a == "--explain") {
         let Some(id) = args.get(pos + 1) else {
-            eprintln!("kloc-lint: --explain needs a rule id (KL001..KL009)");
+            eprintln!("kloc-lint: --explain needs a rule id ({})", known_rules());
             return Ok(ExitCode::from(2));
         };
         return Ok(match explain::explain(id) {
@@ -92,7 +107,7 @@ fn run() -> Result<ExitCode, std::io::Error> {
                 ExitCode::SUCCESS
             }
             None => {
-                eprintln!("kloc-lint: unknown rule `{id}` (known: KL001..KL009)");
+                eprintln!("kloc-lint: unknown rule `{id}` (known: {})", known_rules());
                 ExitCode::from(2)
             }
         });

@@ -1,15 +1,11 @@
-//! Token-stream rules: KL001–KL005 (re-implemented from the v1 line
-//! scanner, minus its false-positive classes) and KL009 clock-charge
-//! discipline.
+//! Token-stream rules: KL001 unordered iteration, KL004 truncating
+//! casts and KL009 clock-charge discipline.
 
 use std::collections::BTreeSet;
 
 use crate::items::{Item, ItemKind, ParsedFile};
 use crate::lex::TokenKind;
-use crate::{
-    Allows, Diagnostic, RULE_CLOCK_CHARGE, RULE_NONDET_API, RULE_THREAD_SPAWN,
-    RULE_TRUNCATING_CAST, RULE_UNORDERED_ITER, RULE_UNWRAP,
-};
+use crate::{Allows, Diagnostic, RULE_CLOCK_CHARGE, RULE_TRUNCATING_CAST, RULE_UNORDERED_ITER};
 
 /// Iterator-like methods whose order reflects hash order.
 pub(crate) const ITER_METHODS: &[&str] = &[
@@ -24,23 +20,6 @@ pub(crate) const ITER_METHODS: &[&str] = &[
     "into_values",
     "retain",
 ];
-
-/// Path needles for KL002. A trailing `::` means "must be followed by
-/// a further segment" (`rand::` matches `rand::thread_rng`, not a
-/// local `rand` variable).
-const NONDET_NEEDLES: &[&str] = &[
-    "std::time",
-    "Instant::now",
-    "SystemTime",
-    "thread_rng",
-    "rand::",
-    "getrandom",
-    "RandomState",
-    "std::env",
-];
-
-/// Path needles for KL003.
-const SPAWN_NEEDLES: &[&str] = &["std::thread", "thread::spawn", "rayon::", "crossbeam"];
 
 /// Snake-case segments marking a value as id/epoch-like for KL004.
 const ID_SEGMENTS: &[&str] = &["epoch", "inode", "ino", "id", "fd", "obj", "shard"];
@@ -103,54 +82,6 @@ pub(crate) fn hash_collection_names(pf: &ParsedFile) -> BTreeSet<String> {
     names
 }
 
-/// Collects maximal `a::b::c` path chains; returns (segments, start
-/// significant-index) for the chain beginning at `i`, or `None` if `i`
-/// is not a chain head.
-fn path_chain(pf: &ParsedFile, i: usize) -> Option<Vec<String>> {
-    if pf.tok(i).kind != TokenKind::Ident {
-        return None;
-    }
-    // Not a head if preceded by `::`.
-    if i >= 2 && pf.text(i - 1) == ":" && pf.text(i - 2) == ":" && pf.adjacent_pair(i - 2, "::") {
-        return None;
-    }
-    let mut segs = vec![pf.text(i).to_owned()];
-    let mut j = i + 1;
-    while j + 2 < pf.len()
-        && pf.text(j) == ":"
-        && pf.adjacent_pair(j, "::")
-        && pf.tok(j + 2).kind == TokenKind::Ident
-    {
-        segs.push(pf.text(j + 2).to_owned());
-        j += 3;
-    }
-    Some(segs)
-}
-
-/// Whether a path chain matches a needle (see [`NONDET_NEEDLES`]).
-fn path_matches(segs: &[String], needle: &str) -> bool {
-    let mut parts: Vec<&str> = needle.split("::").collect();
-    let must_continue = parts.last() == Some(&"");
-    if must_continue {
-        parts.pop();
-    }
-    if parts.is_empty() {
-        return false;
-    }
-    for w in 0..segs.len() {
-        if w + parts.len() <= segs.len()
-            && segs[w..w + parts.len()]
-                .iter()
-                .zip(&parts)
-                .all(|(a, b)| a == *b)
-            && (!must_continue || w + parts.len() < segs.len())
-        {
-            return true;
-        }
-    }
-    false
-}
-
 /// Byte offset of the first `#[cfg(test)]` item; everything at or past
 /// it is test-only (this workspace keeps unit tests in a trailing
 /// `mod tests`).
@@ -205,21 +136,16 @@ fn enclosing_openers(pf: &ParsedFile) -> Vec<usize> {
 pub(crate) fn check_file(
     file: &str,
     pf: &ParsedFile,
-    sim_crate: bool,
     charged_crate: bool,
     allows: &Allows,
 ) -> Vec<Diagnostic> {
     let mut out = Vec::new();
-    // KL001/002/003/009 can match one site several ways (a line with
-    // `std::time::SystemTime` hits two needles; an array of DiskOps
-    // hits per element): those dedup per line. KL004/KL005 report each
+    // KL001/KL009 can match one site several ways (an array of DiskOps
+    // hits per element): those dedup per line. KL004 reports each
     // occurrence.
     let mut seen: BTreeSet<(&'static str, usize)> = BTreeSet::new();
     let mut push = |out: &mut Vec<Diagnostic>, rule: &'static str, line: usize, msg: String| {
-        let dedup = matches!(
-            rule,
-            RULE_UNORDERED_ITER | RULE_NONDET_API | RULE_THREAD_SPAWN | RULE_CLOCK_CHARGE
-        );
+        let dedup = matches!(rule, RULE_UNORDERED_ITER | RULE_CLOCK_CHARGE);
         if allows.allowed(rule, line) {
             return;
         }
@@ -230,7 +156,6 @@ pub(crate) fn check_file(
     };
 
     let hash_names = hash_collection_names(pf);
-    let test_cutoff = cfg_test_cutoff(&pf.items);
 
     // KL001 — iteration over an unordered collection.
     for i in 0..pf.len() {
@@ -285,46 +210,6 @@ pub(crate) fn check_file(
         }
     }
 
-    // KL002/KL003 — nondeterministic APIs and thread spawns (sim crates).
-    if sim_crate {
-        for i in 0..pf.len() {
-            let Some(segs) = path_chain(pf, i) else {
-                continue;
-            };
-            if segs.len() == 1 && pf.tok(i).kind != TokenKind::Ident {
-                continue;
-            }
-            for needle in NONDET_NEEDLES {
-                if path_matches(&segs, needle) {
-                    push(
-                        &mut out,
-                        RULE_NONDET_API,
-                        pf.tok(i).line,
-                        format!(
-                            "nondeterministic API `{}` in a simulation crate; all time comes from the virtual clock (// lint: nondet-ok if sanctioned)",
-                            segs.join("::")
-                        ),
-                    );
-                    break;
-                }
-            }
-            for needle in SPAWN_NEEDLES {
-                if path_matches(&segs, needle) {
-                    push(
-                        &mut out,
-                        RULE_THREAD_SPAWN,
-                        pf.tok(i).line,
-                        format!(
-                            "thread spawning `{}` in a simulation crate; kloc-sim owns all concurrency (// lint: nondet-ok if sanctioned)",
-                            segs.join("::")
-                        ),
-                    );
-                    break;
-                }
-            }
-        }
-    }
-
     // KL004 — truncating casts on id-like values.
     for i in 0..pf.len() {
         if pf.text(i) != "as" || i + 1 >= pf.len() {
@@ -361,30 +246,9 @@ pub(crate) fn check_file(
         }
     }
 
-    // KL005 — unwrap/expect in sim-crate non-test code.
-    if sim_crate {
-        for i in 0..pf.len() {
-            if pf.text(i) == "."
-                && i + 2 < pf.len()
-                && matches!(pf.text(i + 1), "unwrap" | "expect")
-                && pf.text(i + 2) == "("
-                && pf.tok(i + 1).start < test_cutoff
-            {
-                push(
-                    &mut out,
-                    RULE_UNWRAP,
-                    pf.tok(i + 1).line,
-                    format!(
-                        "`.{}()` in simulation code can panic mid-run; propagate the error (// lint: unwrap-ok if provably present)",
-                        pf.text(i + 1)
-                    ),
-                );
-            }
-        }
-    }
-
     // KL009 — clock-charge discipline in crates/kernel and crates/mem.
     if charged_crate {
+        let test_cutoff = cfg_test_cutoff(&pf.items);
         let exempt = charged_fn_bodies(&pf.items);
         let in_exempt = |i: usize| exempt.iter().any(|&(lo, hi)| i >= lo && i < hi);
         let encl = enclosing_openers(pf);
@@ -475,19 +339,29 @@ mod tests {
         assert!(names.contains("b"));
     }
 
+    /// KL002/KL003 matched banned paths as token chains against needles
+    /// like `Instant::now`; clippy now resolves them by name. Every
+    /// spelling of a banned path in the fixture crate is caught, and a
+    /// local type that merely shares a banned name is not.
     #[test]
     fn path_chains_and_needles() {
-        let pf = ParsedFile::parse("std::time::Instant::now()");
-        let segs = path_chain(&pf, 0).expect("chain");
-        assert_eq!(segs, vec!["std", "time", "Instant", "now"]);
-        assert!(path_matches(&segs, "std::time"));
-        assert!(path_matches(&segs, "Instant::now"));
-        assert!(!path_matches(&segs, "std::env"));
-        let operand = vec!["operand".to_owned(), "foo".to_owned()];
-        assert!(!path_matches(&operand, "rand::"));
-        let r = vec!["rand".to_owned(), "thread_rng".to_owned()];
-        assert!(path_matches(&r, "rand::"));
-        assert!(!path_matches(&["rand".to_owned()], "rand::"));
+        const FILE: &str = "src/nondet_api.rs";
+        const TYPES: &str = "clippy::disallowed_types";
+        const METHODS: &str = "clippy::disallowed_methods";
+        let found = crate::toolchain::fixture_findings_in(FILE);
+        let line = |needle| crate::toolchain::fixture_line(FILE, needle);
+        for (needle, lint) in [
+            ("let t = std::time::Instant::now()", TYPES),
+            ("use std::time::Instant as Clock", TYPES),
+            ("Clock::now()", TYPES),
+            ("std::env::var(", METHODS),
+            ("env::var_os(", METHODS),
+            ("std::thread::Builder::new().spawn(", METHODS),
+        ] {
+            assert!(found.contains(&(line(needle), lint)), "{needle}: {found:?}");
+        }
+        let local = line("sim_clock::Instant::now()");
+        assert!(found.iter().all(|&(l, _)| l != local), "{found:?}");
     }
 
     #[test]
@@ -509,7 +383,7 @@ impl M {
     }
 }
 "#;
-        let d = crate::lint_source("t.rs", src, false);
+        let d = crate::lint_source("t.rs", src);
         let triples: Vec<(usize, &str)> = d.iter().map(|d| (d.line, d.rule)).collect();
         assert_eq!(
             triples,
@@ -525,6 +399,6 @@ impl M {
     #[test]
     fn charge_ok_pragma_silences() {
         let src = "// lint: treat-as-charged-crate\nfn migrate(clock: &mut C) {\n// lint: charge-ok — cost charged via migration ledger\nclock.advance(2);\n}";
-        assert!(crate::lint_source("t.rs", src, false).is_empty());
+        assert!(crate::lint_source("t.rs", src).is_empty());
     }
 }

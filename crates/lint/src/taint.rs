@@ -462,7 +462,7 @@ mod tests {
     use crate::{lint_source, RULE_DETERMINISM_TAINT};
 
     fn kl008(src: &str) -> Vec<(usize, String)> {
-        lint_source("t.rs", src, false)
+        lint_source("t.rs", src)
             .into_iter()
             .filter(|d| d.rule == RULE_DETERMINISM_TAINT)
             .map(|d| (d.line, d.notes.join(" | ")))

@@ -2,7 +2,6 @@
 //! `Instant::now`, `std::env`, and `inode as u32` in comments or string
 //! literals must not fire — the scanner strips both before matching.
 //! Expected diagnostics: none.
-// lint: treat-as-sim-crate
 
 use std::collections::BTreeMap;
 

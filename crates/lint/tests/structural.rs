@@ -1,11 +1,15 @@
 //! Regression suite for the structural rules (KL006–KL009): fixture
 //! files pinned down to exact (file, line, rule) triples, scratch-copy
-//! drift tests against the real workspace sources, and `--fix`
-//! application/idempotence checks.
+//! drift tests against the real workspace sources and manifests, `--fix`
+//! application/idempotence checks, and the CLI's explicit-path mode.
 
 use std::path::{Path, PathBuf};
+use std::process::Command;
 
-use kloc_lint::{apply_fixes, lint_crate, lint_source, Diagnostic};
+use kloc_lint::{apply_fixes, lint_crate, lint_manifests, lint_source, Diagnostic};
+
+#[path = "support/clippy.rs"]
+mod toolchain;
 
 fn fixture_path(name: &str) -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -15,7 +19,7 @@ fn fixture_path(name: &str) -> PathBuf {
 
 fn lint_fixture(name: &str) -> Vec<Diagnostic> {
     let source = std::fs::read_to_string(fixture_path(name)).expect("fixture readable");
-    lint_source(name, &source, false)
+    lint_source(name, &source)
 }
 
 fn triples(diags: &[Diagnostic]) -> Vec<(String, usize, &'static str)> {
@@ -119,22 +123,50 @@ fn kl009_fixture_pins_touch_advance_and_diskop() {
     );
 }
 
+/// KL007's undeclared-feature check is rustc's `unexpected_cfgs` under
+/// the workspace's `[workspace.lints.rust]` table. A scratch crate that
+/// inherits a copy of that table, declares `ksan` and gates an item on
+/// `tracing` fails to build at that line, and rustc's help offers the
+/// `Cargo.toml` insertion KL007's `--fix` used to make.
 #[test]
 fn kl007_flags_undeclared_feature_with_insertion_fix() {
-    let manifest = "[package]\nname = \"scratch\"\n\n[features]\nksan = []\n";
-    let src = "#[cfg(feature = \"tracing\")]\npub fn emit() {}\n";
-    let diags = lint_crate(
-        "Cargo.toml",
-        manifest,
-        &[("crates/scratch/src/lib.rs", src)],
+    let root = std::fs::read_to_string(workspace_root().join("Cargo.toml"))
+        .expect("root manifest readable");
+    let header = "[workspace.lints.rust]";
+    let table: String = root
+        .lines()
+        .skip_while(|l| l.trim() != header)
+        .enumerate()
+        .take_while(|(i, l)| *i == 0 || !l.starts_with('['))
+        .map(|(_, l)| format!("{l}\n"))
+        .collect();
+    assert!(table.starts_with(header), "root manifest lacks {header}");
+
+    let dir = scratch_dir("kl007");
+    let manifest = format!(
+        "[package]\nname = \"scratch\"\nversion = \"0.0.0\"\nedition = \"2021\"\n\n\
+         [workspace]\n\n{table}\n[lints]\nworkspace = true\n\n[features]\nksan = []\n"
     );
-    let kl007: Vec<&Diagnostic> = diags.iter().filter(|d| d.rule == "KL007").collect();
-    assert_eq!(kl007.len(), 1, "{diags:#?}");
-    assert_eq!(kl007[0].line, 1);
-    assert!(kl007[0].message.contains("tracing"));
-    let fix = kl007[0].suggestion.as_ref().expect("fix");
-    assert_eq!(fix.file, "Cargo.toml");
-    assert_eq!(fix.replacement, "tracing = []\n");
+    std::fs::write(dir.join("Cargo.toml"), manifest).unwrap();
+    std::fs::create_dir_all(dir.join("src")).unwrap();
+    let src = "#[cfg(feature = \"tracing\")]\npub fn emit() {}\n";
+    std::fs::write(dir.join("src/lib.rs"), src).unwrap();
+
+    let target = toolchain::target_tmpdir().join("clippy_scratch");
+    let found = toolchain::clippy(&dir.join("Cargo.toml"), &target);
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(found.len(), 1, "{found:#?}");
+    assert_eq!(
+        (
+            found[0].file.as_str(),
+            found[0].line,
+            found[0].lint.as_str()
+        ),
+        ("src/lib.rs", 1, "unexpected_cfgs")
+    );
+    assert_eq!(found[0].level, "error", "{found:#?}");
+    let fix = "consider adding `tracing` as a feature in `Cargo.toml`";
+    assert!(found[0].help.iter().any(|h| h == fix), "{found:#?}");
 }
 
 /// Deleting a parameter from a real noop shim in a scratch copy of
@@ -144,7 +176,6 @@ fn kl007_flags_undeclared_feature_with_insertion_fix() {
 fn scratch_copy_shim_param_deletion_trips_kl006() {
     let root = workspace_root();
     let read = |rel: &str| std::fs::read_to_string(root.join(rel)).expect("trace source readable");
-    let manifest = read("crates/trace/Cargo.toml");
     let lib = read("crates/trace/src/lib.rs");
     let recorder = read("crates/trace/src/recorder.rs");
     let noop = "pub fn charge(_ns: u64) {}";
@@ -154,14 +185,10 @@ fn scratch_copy_shim_param_deletion_trips_kl006() {
     );
     let mutated = lib.replace(noop, "pub fn charge() {}");
     let lint_trace = |lib: &str| {
-        lint_crate(
-            "crates/trace/Cargo.toml",
-            &manifest,
-            &[
-                ("crates/trace/src/lib.rs", lib),
-                ("crates/trace/src/recorder.rs", &recorder),
-            ],
-        )
+        lint_crate(&[
+            ("crates/trace/src/lib.rs", lib),
+            ("crates/trace/src/recorder.rs", &recorder),
+        ])
     };
 
     let diags = lint_trace(&mutated);
@@ -183,61 +210,43 @@ fn scratch_copy_shim_param_deletion_trips_kl006() {
     assert!(clean.is_empty(), "{clean:#?}");
 }
 
-/// Renaming a cfg feature in a scratch copy of a real trace source must
-/// trip KL007 with spans at both halves (the cfg line, and the
-/// manifest named in the message).
+/// Renaming the forwarded feature in a scratch copy of a real manifest
+/// (`"kloc-trace/trace"` -> `"kloc-trace/tracee"`) must trip KL007 on
+/// the feature's line, naming the dependency it no longer reaches.
 #[test]
 fn scratch_copy_feature_rename_trips_kl007() {
     let root = workspace_root();
-    let manifest = std::fs::read_to_string(root.join("crates/trace/Cargo.toml")).expect("manifest");
-    let source = std::fs::read_to_string(root.join("crates/trace/src/lib.rs")).expect("lib.rs");
-    assert!(source.contains("feature = \"trace\""));
-    let mutated = source.replace("feature = \"trace\"", "feature = \"tracee\"");
+    let read = |rel: &str| std::fs::read_to_string(root.join(rel)).expect("manifest readable");
+    let trace = read("crates/trace/Cargo.toml");
+    let mem = read("crates/mem/Cargo.toml");
+    let forward = "trace = [\"kloc-trace/trace\"]";
+    assert!(mem.contains(forward), "expected mem to forward trace");
+    let mutated = mem.replace(forward, "trace = [\"kloc-trace/tracee\"]");
 
-    let diags = lint_crate(
-        "crates/trace/Cargo.toml",
-        &manifest,
-        &[("crates/trace/src/lib.rs", &mutated)],
-    );
-    let kl007: Vec<&Diagnostic> = diags.iter().filter(|d| d.rule == "KL007").collect();
-    assert!(!kl007.is_empty(), "{diags:#?}");
-    assert_eq!(kl007[0].line, line_at(&mutated, "feature = \"tracee\""));
-    assert!(kl007[0].message.contains("crates/trace/Cargo.toml"));
-    assert!(kl007[0].suggestion.is_some());
-}
-
-#[test]
-fn fix_applies_kl007_insertion_and_is_idempotent() {
-    let dir = scratch_dir("kl007fix");
-    let manifest = "[package]\nname = \"scratch\"\n\n[features]\nksan = []\n";
-    let src = "#[cfg(feature = \"tracing\")]\npub fn emit() {}\n";
-    std::fs::create_dir_all(dir.join("src")).unwrap();
-    std::fs::write(dir.join("Cargo.toml"), manifest).unwrap();
-    std::fs::write(dir.join("src/lib.rs"), src).unwrap();
-
-    let lint_here = |root: &Path| {
-        let m = std::fs::read_to_string(root.join("Cargo.toml")).unwrap();
-        let s = std::fs::read_to_string(root.join("src/lib.rs")).unwrap();
-        lint_crate("Cargo.toml", &m, &[("src/lib.rs", &s)])
+    let lint_mem = |mem: &str| {
+        lint_manifests(&[
+            ("crates/mem/Cargo.toml", mem),
+            ("crates/trace/Cargo.toml", &trace),
+        ])
     };
-
-    let before = lint_here(&dir);
-    assert!(before.iter().any(|d| d.rule == "KL007"), "{before:#?}");
-    let changed = apply_fixes(&dir, &before).expect("fixes apply");
-    assert_eq!(changed, vec!["Cargo.toml".to_owned()]);
-    let fixed = std::fs::read_to_string(dir.join("Cargo.toml")).unwrap();
-    assert!(fixed.contains("tracing = []"), "{fixed}");
-
-    let after = lint_here(&dir);
-    assert!(after.iter().all(|d| d.rule != "KL007"), "{after:#?}");
-    // Idempotence: a second --fix pass changes nothing.
-    let changed_again = apply_fixes(&dir, &after).expect("noop fixes");
-    assert!(changed_again.is_empty());
+    let diags = lint_mem(&mutated);
     assert_eq!(
-        std::fs::read_to_string(dir.join("Cargo.toml")).unwrap(),
-        fixed
+        triples(&diags),
+        vec![(
+            "crates/mem/Cargo.toml".to_owned(),
+            line_at(&mutated, "trace = ["),
+            "KL007"
+        )],
+        "{diags:#?}"
     );
-    let _ = std::fs::remove_dir_all(&dir);
+    assert!(diags[0].message.contains("kloc-trace/trace"));
+    assert!(diags[0]
+        .notes
+        .iter()
+        .any(|n| n.contains("crates/trace/Cargo.toml")));
+    // And the untouched original lints clean.
+    let clean = lint_mem(&mem);
+    assert!(clean.is_empty(), "{clean:#?}");
 }
 
 #[test]
@@ -247,7 +256,7 @@ fn fix_rewrites_drifted_noop_shim_signature() {
     let source = std::fs::read_to_string(fixture_path(rel)).unwrap();
     std::fs::write(dir.join(rel), &source).unwrap();
 
-    let before = lint_source(rel, &source, false);
+    let before = lint_source(rel, &source);
     assert!(before.iter().any(|d| d.suggestion.is_some()), "{before:#?}");
     let changed = apply_fixes(&dir, &before).expect("fixes apply");
     assert_eq!(changed, vec![rel.to_owned()]);
@@ -257,7 +266,7 @@ fn fix_rewrites_drifted_noop_shim_signature() {
         fixed.contains("fn set_fault_plan(_plan: FaultPlan, _seed: u64)"),
         "{fixed}"
     );
-    let after = lint_source(rel, &fixed, false);
+    let after = lint_source(rel, &fixed);
     // The drift is gone; only the (fixless) missing-counterpart remains.
     assert!(
         after.iter().all(|d| !d.message.contains("drifted")),
@@ -277,4 +286,41 @@ fn real_workspace_has_no_pending_fixes() {
     assert!(diags.is_empty(), "{diags:#?}");
     let changed = apply_fixes(&workspace_root(), &diags).expect("noop");
     assert!(changed.is_empty());
+}
+
+/// The CLI names each explicit path relative to the workspace root
+/// before deciding which crate-scoped rules apply, so a KL009 file gives
+/// the same diagnostics whether it is named relatively, with a leading
+/// `./`, or absolutely.
+#[test]
+fn explicit_paths_arm_crate_rules_however_spelled() {
+    let root = Path::new(env!("CARGO_TARGET_TMPDIR")).join("explicit_paths");
+    let rel = "crates/kernel/src/probe/p.rs";
+    std::fs::create_dir_all(root.join("crates/kernel/src/probe")).unwrap();
+    std::fs::write(root.join("Cargo.toml"), "[workspace]\n").unwrap();
+    std::fs::write(
+        root.join(rel),
+        "pub fn f(clock: &mut Clock) {\n    clock.advance(3);\n}\n",
+    )
+    .unwrap();
+
+    let run = |arg: &str| {
+        let out = Command::new(env!("CARGO_BIN_EXE_kloc-lint"))
+            .arg(arg)
+            .current_dir(&root)
+            .output()
+            .expect("kloc-lint runs");
+        (
+            out.status.code(),
+            String::from_utf8(out.stdout).expect("utf-8"),
+        )
+    };
+    let plain = run(rel);
+    assert_eq!(plain.0, Some(1), "{plain:?}");
+    assert!(
+        plain.1.starts_with(&format!("{rel}:2: KL009 ")),
+        "{plain:?}"
+    );
+    assert_eq!(run(&format!("./{rel}")), plain);
+    assert_eq!(run(&root.join(rel).display().to_string()), plain);
 }

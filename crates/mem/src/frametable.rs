@@ -135,7 +135,8 @@ impl Records {
         if self.len.is_multiple_of(PAGE) {
             self.pages.push(Vec::with_capacity(PAGE));
         }
-        let page = self.pages.last_mut().expect("a page with room"); // lint: unwrap-ok — pushed above when the last page filled
+        #[expect(clippy::expect_used, reason = "pushed above when the last page filled")]
+        let page = self.pages.last_mut().expect("a page with room");
         page.push(record);
         self.len += 1;
     }

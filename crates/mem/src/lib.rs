@@ -37,6 +37,9 @@
 //! ```
 
 #![warn(missing_docs)]
+// A panic mid-run loses the whole sweep: justify each provably-present
+// value with `#[expect(clippy::expect_used, reason = "...")]`.
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod allocator;
 pub mod clock;

@@ -29,6 +29,9 @@
 //!   of active KLOCs to the task's socket (§4.5).
 
 #![warn(missing_docs)]
+// A panic mid-run loses the whole sweep: justify each provably-present
+// value with `#[expect(clippy::expect_used, reason = "...")]`.
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod apptier;
 pub mod autonuma;

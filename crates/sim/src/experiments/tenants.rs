@@ -79,8 +79,8 @@ pub fn run(
         budgets: Vec::new(),
     };
     let mut reports = runner.run_all(vec![cfg(false), cfg(true)])?;
-    let on = reports.pop().expect("two configs in, two reports out"); // lint: unwrap-ok — run_all preserves arity
-    let off = reports.pop().expect("two configs in, two reports out"); // lint: unwrap-ok — run_all preserves arity
+    let on = reports.pop().expect("two configs in, two reports out");
+    let off = reports.pop().expect("two configs in, two reports out");
     Ok(TenantIsolation { off, on })
 }
 

@@ -12,9 +12,10 @@
 //!   with the same signature, so model crates emit unconditionally at
 //!   zero cost and reports stay byte-identical either way.
 //!
-//! Determinism rules (enforced by `kloc-lint` treating this crate as a
-//! simulation crate): timestamps are virtual nanoseconds supplied by
-//! the caller, never wall clock; all iteration is over ordered
+//! Determinism rules (enforced by clippy through `crates/clippy.toml`,
+//! which bans wall-clock types here, and by `kloc-lint`'s KL001):
+//! timestamps are virtual nanoseconds supplied by the caller, never
+//! wall clock; all iteration is over ordered
 //! collections; per-run buffers are assembled into the session in run
 //! input order, so trace bytes are identical across `--jobs 1/2/8`.
 //!
@@ -30,6 +31,9 @@
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
+// A panic mid-run loses the whole sweep: justify each provably-present
+// value with `#[expect(clippy::expect_used, reason = "...")]`.
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 mod event;
 

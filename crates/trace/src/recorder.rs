@@ -77,28 +77,43 @@ impl Recorder {
 
 /// Starts a trace session: clears the global sink and makes
 /// [`session_active`] true so the engine installs per-run recorders.
+#[expect(
+    clippy::unwrap_used,
+    reason = "a poisoned lock means a run already panicked"
+)]
 pub fn session_begin() {
-    *SESSION.lock().unwrap() = Some(String::new()); // lint: unwrap-ok — a poisoned lock means a run already panicked
+    *SESSION.lock().unwrap() = Some(String::new());
 }
 
 /// Whether a trace session is collecting.
+#[expect(
+    clippy::unwrap_used,
+    reason = "a poisoned lock means a run already panicked"
+)]
 pub fn session_active() -> bool {
-    SESSION.lock().unwrap().is_some() // lint: unwrap-ok — a poisoned lock means a run already panicked
+    SESSION.lock().unwrap().is_some()
 }
 
 /// Appends one run's serialized JSONL to the session sink. The caller
 /// (the sweep runner) appends runs in input order, which is what makes
 /// session bytes independent of `--jobs`.
 pub fn session_append(jsonl: &str) {
-    // lint: unwrap-ok — a poisoned lock means a run already panicked
+    #[expect(
+        clippy::unwrap_used,
+        reason = "a poisoned lock means a run already panicked"
+    )]
     if let Some(buf) = SESSION.lock().unwrap().as_mut() {
         buf.push_str(jsonl);
     }
 }
 
 /// Ends the session and returns everything appended so far.
+#[expect(
+    clippy::unwrap_used,
+    reason = "a poisoned lock means a run already panicked"
+)]
 pub fn session_take() -> String {
-    SESSION.lock().unwrap().take().unwrap_or_default() // lint: unwrap-ok — a poisoned lock means a run already panicked
+    SESSION.lock().unwrap().take().unwrap_or_default()
 }
 
 /// Installs a fresh run recorder on the calling thread. Call once at

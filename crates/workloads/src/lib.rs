@@ -33,6 +33,9 @@
 //! scale-invariant in the model).
 
 #![warn(missing_docs)]
+// A panic mid-run loses the whole sweep: justify each provably-present
+// value with `#[expect(clippy::expect_used, reason = "...")]`.
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod cassandra;
 pub mod filebench;

@@ -180,7 +180,8 @@ impl RocksDb {
     ) -> Result<Fd, KernelError> {
         let file = self.slots[slot].file;
         if let Some(pos) = self.table_cache.iter().position(|&(f, _)| f == file) {
-            let entry = self.table_cache.remove(pos).expect("position valid"); // lint: unwrap-ok — position() just found the entry
+            #[expect(clippy::expect_used, reason = "position() just found the entry")]
+            let entry = self.table_cache.remove(pos).expect("position valid");
             let fd = entry.1;
             self.table_cache.push_front(entry);
             return Ok(fd);
@@ -202,7 +203,8 @@ impl RocksDb {
         file: u64,
     ) -> Result<(), KernelError> {
         if let Some(pos) = self.table_cache.iter().position(|&(f, _)| f == file) {
-            let (_, fd) = self.table_cache.remove(pos).expect("position valid"); // lint: unwrap-ok — position() just found the entry
+            #[expect(clippy::expect_used, reason = "position() just found the entry")]
+            let (_, fd) = self.table_cache.remove(pos).expect("position valid");
             k.close(ctx, fd)?;
         }
         Ok(())

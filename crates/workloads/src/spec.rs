@@ -199,7 +199,8 @@ impl AppMemory {
         kernel.app_access(ctx, f, 512, true);
         self.scratch.push_back(f);
         while self.scratch.len() > pool {
-            let old = self.scratch.pop_front().expect("non-empty"); // lint: unwrap-ok — the loop guard ensures non-empty
+            #[expect(clippy::expect_used, reason = "the loop guard ensures non-empty")]
+            let old = self.scratch.pop_front().expect("non-empty");
             kernel.free_app_page(ctx, old)?;
         }
         Ok(())

@@ -155,13 +155,15 @@ impl MultiTenant {
         k.deliver(ctx, sock, REQUEST_BYTES)?;
         k.recv(ctx, sock, REQUEST_BYTES)?;
         let page = self.zipf.next_key(&mut self.rng);
-        let hot = self.hot_fd.expect("setup opened the hot file"); // lint: unwrap-ok — set in setup
+        #[expect(clippy::expect_used, reason = "set in setup")]
+        let hot = self.hot_fd.expect("setup opened the hot file");
         k.read(ctx, hot, (page % self.hot_pages) * PAGE_SIZE, 4096)?;
         k.send(ctx, sock, RESPONSE_BYTES)?;
         // Publish telemetry for the analytics tenant (bounded queue so
         // ingress buffers cannot grow without limit if analytics lags).
         if self.telemetry_queued < 64 {
-            let tele = self.telemetry.expect("setup opened telemetry"); // lint: unwrap-ok — set in setup
+            #[expect(clippy::expect_used, reason = "set in setup")]
+            let tele = self.telemetry.expect("setup opened telemetry");
             k.deliver(ctx, tele, TELEMETRY_BYTES)?;
             self.telemetry_queued += 1;
         }
@@ -199,7 +201,8 @@ impl MultiTenant {
         // charged to analytics (the reading tenant), the socket knode
         // stays the frontend's.
         if self.telemetry_queued > 0 {
-            let tele = self.telemetry.expect("setup opened telemetry"); // lint: unwrap-ok — set in setup
+            #[expect(clippy::expect_used, reason = "set in setup")]
+            let tele = self.telemetry.expect("setup opened telemetry");
             k.recv(ctx, tele, TELEMETRY_BYTES)?;
             self.telemetry_queued -= 1;
         }
@@ -219,7 +222,8 @@ impl MultiTenant {
         k.close(ctx, fd)?;
         self.churn_live.push_back(path);
         while self.churn_live.len() > self.churn_lag {
-            let old = self.churn_live.pop_front().expect("non-empty"); // lint: unwrap-ok — the loop guard ensures non-empty
+            #[expect(clippy::expect_used, reason = "the loop guard ensures non-empty")]
+            let old = self.churn_live.pop_front().expect("non-empty");
             k.unlink(ctx, &old)?;
         }
         Ok(())
