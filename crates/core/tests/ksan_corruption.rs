@@ -179,9 +179,10 @@ fn member_counted_in_the_wrong_tree_is_caught() {
     });
     let out = audited_members(&reg, &table);
     assert!(
-        out.iter().any(|v| v.structures == "Knode members <-> ObjectTable"
-            && v.object == "inode1"
-            && v.actual.starts_with("(2, 1)")),
+        out.iter()
+            .any(|v| v.structures == "Knode members <-> ObjectTable"
+                && v.object == "inode1"
+                && v.actual.starts_with("(2, 1)")),
         "{out:#?}"
     );
 }

@@ -1084,11 +1084,8 @@ impl Kernel {
         // The drain succeeded: everything this inode submitted plus
         // every complete journal record becomes a durability promise
         // the crash checker enforces after any later crash.
-        for (&key, &version) in self.durable.pages.range((ino, 0)..=(ino, u64::MAX)) {
-            let slot = self.promise.pages.entry(key).or_insert(0);
-            *slot = (*slot).max(version);
-        }
-        self.promise.committed_records = self.complete_records;
+        self.promise
+            .record_fsync(&self.durable, ino, self.complete_records);
         Ok(())
     }
 

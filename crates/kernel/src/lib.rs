@@ -76,7 +76,9 @@ pub use journal::MetaUpdate;
 pub use kernel::Kernel;
 pub use obj::{Backing, KernelObjectType, ObjectId, ObjectInfo};
 pub use params::KernelParams;
-pub use recovery::{check, recover, CrashViolation, DurableStore, Promise, RecoveredState};
+pub use recovery::{
+    check, recover, CrashViolation, DurableStore, PageVersions, Promise, RecoveredState,
+};
 pub use stats::KernelStats;
 pub use tenant::{QosClass, TenantSpec, TenantStats, TenantTable};
 pub use vfs::{Fd, InodeId, InodeKind};

@@ -155,6 +155,15 @@ impl KernelObjectType {
     }
 }
 
+impl kloc_mem::DenseKey for KernelObjectType {
+    const ALL: &'static [Self] = &KernelObjectType::ALL;
+
+    #[inline]
+    fn index(self) -> usize {
+        self as usize
+    }
+}
+
 impl fmt::Display for KernelObjectType {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {
@@ -361,6 +370,37 @@ impl ObjectTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn dense_index_covers_every_type_in_ord_order() {
+        kloc_mem::dense::assert_dense_key::<KernelObjectType>();
+        // No wildcard arm: a new variant stops this compiling until it
+        // is added here and to `KernelObjectType::ALL`, in declaration
+        // order.
+        for ty in KernelObjectType::ALL {
+            match ty {
+                KernelObjectType::Inode
+                | KernelObjectType::Dentry
+                | KernelObjectType::RadixNode
+                | KernelObjectType::Extent
+                | KernelObjectType::JournalHead
+                | KernelObjectType::JournalBlock
+                | KernelObjectType::Bio
+                | KernelObjectType::BlkMqRequest
+                | KernelObjectType::FileHandle
+                | KernelObjectType::Sock
+                | KernelObjectType::SkBuff
+                | KernelObjectType::SkBuffData
+                | KernelObjectType::RxBuf
+                | KernelObjectType::PageCache
+                | KernelObjectType::DirBuffer => {}
+            }
+        }
+        assert_eq!(
+            KernelObjectType::ALL.len(),
+            KernelObjectType::DirBuffer as usize + 1
+        );
+    }
 
     #[test]
     fn sizes_are_positive_and_page_types_are_page_sized() {

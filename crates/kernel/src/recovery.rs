@@ -13,10 +13,12 @@
 //! committed record skipped, and nothing from a torn record may survive
 //! replay.
 //!
-//! The bookkeeping is maintained unconditionally (it is a handful of
-//! BTreeMap inserts on writeback/commit paths and charges no virtual
-//! time), so the recovery path is testable without any fault plan; only
-//! crash *injection* needs one installed.
+//! The bookkeeping is maintained unconditionally, so the recovery path
+//! is testable without any fault plan; only crash *injection* needs one
+//! installed. It charges no virtual time, and its host cost is a dense
+//! [`PageVersions`] store per flushed page (O(1) amortised) and, per
+//! successful `fsync`, an element-wise max over that inode's versions.
+//! The ordered `(inode, page)` view is built only by [`recover`].
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -45,6 +47,110 @@ impl JournalRecord {
     }
 }
 
+/// A version per `(inode, page index)`, kept as one vector of page
+/// versions per inode number. Inode numbers are handed out
+/// sequentially and file pages are written from offset 0 up, so both
+/// levels stay dense.
+///
+/// Version 0 marks an absent page: every stored version is at least 1
+/// (a page is dirtied, which makes its version at least 1, before
+/// writeback submits it), and [`PageVersions::raise`] asserts so.
+/// Iteration runs in `(inode, page index)` order, the order of the
+/// `BTreeMap` that [`PageVersions::to_map`] builds.
+#[derive(Clone, Default)]
+pub struct PageVersions {
+    /// `by_inode[ino][idx]`: version of page `idx` of inode `ino`.
+    by_inode: Vec<Vec<u64>>,
+}
+
+impl PageVersions {
+    /// Number of present pages.
+    pub fn len(&self) -> usize {
+        self.iter().count()
+    }
+
+    /// Whether no page is present.
+    pub fn is_empty(&self) -> bool {
+        self.iter().next().is_none()
+    }
+
+    /// One inode's versions, indexed by page (0 = absent).
+    pub fn inode(&self, ino: InodeId) -> &[u64] {
+        self.by_inode.get(ino.0 as usize).map_or(&[], Vec::as_slice)
+    }
+
+    /// The version vector of `ino`, grown to at least `pages` entries.
+    fn inode_mut(&mut self, ino: InodeId, pages: usize) -> &mut Vec<u64> {
+        let i = ino.0 as usize;
+        if self.by_inode.len() <= i {
+            self.by_inode.resize_with(i + 1, Vec::new);
+        }
+        let versions = &mut self.by_inode[i];
+        if versions.len() < pages {
+            versions.resize(pages, 0);
+        }
+        versions
+    }
+
+    /// Raises `(ino, idx)` to at least `version`, inserting it if
+    /// absent.
+    ///
+    /// # Panics
+    /// Panics if `version` is 0, which would not mark the page present.
+    pub fn raise(&mut self, ino: InodeId, idx: u64, version: u64) {
+        assert!(version >= 1, "page versions start at 1");
+        let idx = idx as usize;
+        let slot = &mut self.inode_mut(ino, idx + 1)[idx];
+        *slot = (*slot).max(version);
+    }
+
+    /// Raises every page of `ino` to at least its version in
+    /// `versions` (indexed by page, 0 = absent): an element-wise max.
+    pub fn raise_inode(&mut self, ino: InodeId, versions: &[u64]) {
+        if versions.is_empty() {
+            return;
+        }
+        for (slot, &v) in self.inode_mut(ino, versions.len()).iter_mut().zip(versions) {
+            *slot = (*slot).max(v);
+        }
+    }
+
+    /// Present entries, in `(inode, page index)` order.
+    pub fn iter(&self) -> impl Iterator<Item = ((InodeId, u64), u64)> + '_ {
+        self.by_inode
+            .iter()
+            .enumerate()
+            .flat_map(|(ino, versions)| {
+                versions
+                    .iter()
+                    .enumerate()
+                    .filter(|&(_, &v)| v != 0)
+                    .map(move |(idx, &v)| ((InodeId(ino as u64), idx as u64), v))
+            })
+    }
+
+    /// The ordered map view: `(inode, page index) -> version`.
+    pub fn to_map(&self) -> BTreeMap<(InodeId, u64), u64> {
+        self.iter().collect()
+    }
+}
+
+impl fmt::Debug for PageVersions {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
+    }
+}
+
+impl FromIterator<((InodeId, u64), u64)> for PageVersions {
+    fn from_iter<I: IntoIterator<Item = ((InodeId, u64), u64)>>(iter: I) -> Self {
+        let mut pages = PageVersions::default();
+        for ((ino, idx), version) in iter {
+            pages.raise(ino, idx, version);
+        }
+        pages
+    }
+}
+
 /// What survives a crash: data pages by submission version, and the
 /// journal area. Data pages are durable once writeback *submits* them
 /// (the device queue drains in bounded time and the simulation has no
@@ -53,16 +159,16 @@ impl JournalRecord {
 pub struct DurableStore {
     /// `(inode, page index) ->` highest content version submitted to
     /// the disk.
-    pub pages: BTreeMap<(InodeId, u64), u64>,
+    pub pages: PageVersions,
     /// Journal records in commit order.
     pub journal: Vec<JournalRecord>,
 }
 
 impl DurableStore {
-    /// Records a data page submitted to the disk at `version`.
+    /// Records a data page submitted to the disk at `version` (at
+    /// least 1; see [`PageVersions`]).
     pub fn record_page(&mut self, ino: InodeId, idx: u64, version: u64) {
-        let slot = self.pages.entry((ino, idx)).or_insert(0);
-        *slot = (*slot).max(version);
+        self.pages.raise(ino, idx, version);
     }
 }
 
@@ -72,10 +178,20 @@ impl DurableStore {
 #[derive(Debug, Clone, Default)]
 pub struct Promise {
     /// Promised `(inode, page index) ->` minimum durable version.
-    pub pages: BTreeMap<(InodeId, u64), u64>,
+    pub pages: PageVersions,
     /// Complete journal records at the last successful fsync; recovery
     /// must replay at least this many.
     pub committed_records: usize,
+}
+
+impl Promise {
+    /// Records a successful `fsync` of `ino`: every page of `ino` on
+    /// the disk is promised at its durable version, and the
+    /// `complete_records` complete journal records must replay.
+    pub fn record_fsync(&mut self, durable: &DurableStore, ino: InodeId, complete_records: usize) {
+        self.pages.raise_inode(ino, durable.pages.inode(ino));
+        self.committed_records = complete_records;
+    }
 }
 
 /// Per-inode metadata reconstructed by journal replay.
@@ -194,7 +310,7 @@ fn apply(meta: &mut BTreeMap<InodeId, InodeMeta>, updates: &[(InodeId, MetaUpdat
 /// is discarded).
 pub fn recover(durable: &DurableStore) -> RecoveredState {
     let mut state = RecoveredState {
-        pages: durable.pages.clone(),
+        pages: durable.pages.to_map(),
         ..RecoveredState::default()
     };
     for record in &durable.journal {
@@ -225,7 +341,7 @@ pub fn check(
 
     // 1. No fsync'd data lost: every promised page recovered at >= the
     //    promised version.
-    for (&(ino, idx), &promised) in &promise.pages {
+    for ((ino, idx), promised) in promise.pages.iter() {
         let got = recovered.pages.get(&(ino, idx)).copied();
         if got.is_none_or(|v| v < promised) {
             out.push(CrashViolation::LostPage {
@@ -300,7 +416,7 @@ pub enum BreakMode {
 #[doc(hidden)]
 pub fn recover_breaking(durable: &DurableStore, mode: BreakMode) -> RecoveredState {
     let mut state = RecoveredState {
-        pages: durable.pages.clone(),
+        pages: durable.pages.to_map(),
         ..RecoveredState::default()
     };
     let complete = durable.journal.iter().filter(|r| r.is_complete()).count();
@@ -455,7 +571,7 @@ mod tests {
             blocks_written: 0,
         });
         let promise = Promise {
-            pages: BTreeMap::new(),
+            pages: PageVersions::default(),
             // A buggy fsync promised a record that never became durable.
             committed_records: 1,
         };

@@ -7,7 +7,7 @@
 
 use std::collections::BTreeMap;
 
-use kloc_mem::Nanos;
+use kloc_mem::{DenseKey, DenseMap, Nanos};
 
 use crate::obj::{KernelObjectType, ObjectCategory};
 
@@ -76,13 +76,40 @@ pub enum Syscall {
     Readdir,
 }
 
+impl Syscall {
+    /// All syscall classes, in declaration (`Ord`) order.
+    pub const ALL: [Syscall; 12] = [
+        Syscall::Create,
+        Syscall::Open,
+        Syscall::Read,
+        Syscall::Write,
+        Syscall::Fsync,
+        Syscall::Close,
+        Syscall::Unlink,
+        Syscall::Socket,
+        Syscall::Send,
+        Syscall::Recv,
+        Syscall::Mkdir,
+        Syscall::Readdir,
+    ];
+}
+
+impl DenseKey for Syscall {
+    const ALL: &'static [Self] = &Syscall::ALL;
+
+    #[inline]
+    fn index(self) -> usize {
+        self as usize
+    }
+}
+
 /// All kernel-side counters.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct KernelStats {
     /// Per-object-type counters.
-    pub types: BTreeMap<KernelObjectType, TypeStats>,
+    pub types: DenseMap<KernelObjectType, TypeStats>,
     /// Syscall counts.
-    pub syscalls: BTreeMap<Syscall, u64>,
+    pub syscalls: DenseMap<Syscall, u64>,
     /// Application pages allocated (for the Fig. 2a/2b user-vs-OS split).
     pub app_pages_allocated: u64,
     /// Application pages freed.
@@ -104,21 +131,21 @@ pub struct KernelStats {
 impl KernelStats {
     /// Records an object allocation.
     pub fn on_alloc(&mut self, ty: KernelObjectType) {
-        let t = self.types.entry(ty).or_default();
+        let t = self.types.get_or_default(ty);
         t.allocated += 1;
         t.bytes += ty.size();
     }
 
     /// Records an object free with its lifetime.
     pub fn on_free(&mut self, ty: KernelObjectType, lifetime: Nanos) {
-        let t = self.types.entry(ty).or_default();
+        let t = self.types.get_or_default(ty);
         t.freed += 1;
         t.lifetime_total += lifetime;
     }
 
     /// Records a syscall.
     pub fn on_syscall(&mut self, sc: Syscall) {
-        *self.syscalls.entry(sc).or_default() += 1;
+        *self.syscalls.get_or_default(sc) += 1;
         kloc_trace::with_counters(|c| c.syscalls += 1);
     }
 
@@ -135,7 +162,7 @@ impl KernelStats {
     /// Cumulative footprint per coarse category (Fig. 2a bars).
     pub fn footprint_by_category(&self) -> BTreeMap<ObjectCategory, u64> {
         let mut out = BTreeMap::new();
-        for (&ty, t) in &self.types {
+        for (&ty, t) in self.types.iter() {
             *out.entry(ty.category()).or_default() += t.footprint_pages();
         }
         out
@@ -207,6 +234,30 @@ mod tests {
         s.on_alloc(KernelObjectType::PageCache); // 1 page
         s.app_pages_allocated = 3;
         assert!((s.kernel_alloc_fraction() - 0.25).abs() < 1e-12);
+    }
+
+    #[test]
+    fn dense_index_covers_every_syscall_in_ord_order() {
+        kloc_mem::dense::assert_dense_key::<Syscall>();
+        // No wildcard arm: a new variant stops this compiling until it
+        // is added here and to `Syscall::ALL`, in declaration order.
+        for sc in Syscall::ALL {
+            match sc {
+                Syscall::Create
+                | Syscall::Open
+                | Syscall::Read
+                | Syscall::Write
+                | Syscall::Fsync
+                | Syscall::Close
+                | Syscall::Unlink
+                | Syscall::Socket
+                | Syscall::Send
+                | Syscall::Recv
+                | Syscall::Mkdir
+                | Syscall::Readdir => {}
+            }
+        }
+        assert_eq!(Syscall::ALL.len(), Syscall::Readdir as usize + 1);
     }
 
     #[test]

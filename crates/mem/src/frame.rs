@@ -176,6 +176,15 @@ impl PageKind {
     ];
 }
 
+impl crate::dense::DenseKey for PageKind {
+    const ALL: &'static [Self] = &PageKind::ALL;
+
+    #[inline]
+    fn index(self) -> usize {
+        self as usize
+    }
+}
+
 impl fmt::Display for PageKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {
@@ -296,6 +305,25 @@ mod tests {
         kinds.sort();
         kinds.dedup();
         assert_eq!(kinds.len(), PageKind::ALL.len());
+    }
+
+    #[test]
+    fn dense_index_covers_every_kind_in_ord_order() {
+        crate::dense::assert_dense_key::<PageKind>();
+        // No wildcard arm: a new variant stops this compiling until it
+        // is added here and to `PageKind::ALL`, in declaration order.
+        for k in PageKind::ALL {
+            match k {
+                PageKind::AppData
+                | PageKind::AppHuge
+                | PageKind::PageCache
+                | PageKind::Slab
+                | PageKind::KernelVma
+                | PageKind::Vmalloc
+                | PageKind::RxRing => {}
+            }
+        }
+        assert_eq!(PageKind::ALL.len(), PageKind::RxRing as usize + 1);
     }
 
     #[test]

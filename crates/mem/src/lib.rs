@@ -43,6 +43,7 @@
 
 pub mod allocator;
 pub mod clock;
+pub mod dense;
 pub mod error;
 pub mod fault;
 pub mod frame;
@@ -58,6 +59,7 @@ pub mod tenant;
 pub mod tier;
 
 pub use clock::{Clock, Nanos};
+pub use dense::{DenseKey, DenseMap};
 pub use error::MemError;
 pub use fault::{CrashPoint, DiskOp, FaultPlan, TierFaultKind};
 pub use frame::{FrameId, FrameSet, PageKind, PAGE_SIZE};

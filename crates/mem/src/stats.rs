@@ -4,9 +4,8 @@
 //! breakdown, reference breakdown, lifetimes) and evaluation plots
 //! (Fig. 5b: slow-tier allocations per class).
 
-use std::collections::BTreeMap;
-
 use crate::clock::Nanos;
+use crate::dense::DenseMap;
 use crate::frame::PageKind;
 use crate::tier::TierId;
 
@@ -20,9 +19,9 @@ pub struct TierStats {
     /// Frames currently resident.
     pub frames_resident: u64,
     /// Cumulative allocations per page kind.
-    pub allocated_by_kind: BTreeMap<PageKind, u64>,
+    pub allocated_by_kind: DenseMap<PageKind, u64>,
     /// Currently resident frames per page kind.
-    pub resident_by_kind: BTreeMap<PageKind, u64>,
+    pub resident_by_kind: DenseMap<PageKind, u64>,
     /// Read accesses charged to this tier.
     pub reads: u64,
     /// Write accesses charged to this tier.
@@ -39,26 +38,26 @@ impl TierStats {
     pub(crate) fn on_alloc(&mut self, kind: PageKind) {
         self.frames_allocated += 1;
         self.frames_resident += 1;
-        *self.allocated_by_kind.entry(kind).or_default() += 1;
-        *self.resident_by_kind.entry(kind).or_default() += 1;
+        *self.allocated_by_kind.get_or_default(kind) += 1;
+        *self.resident_by_kind.get_or_default(kind) += 1;
     }
 
     pub(crate) fn on_free(&mut self, kind: PageKind) {
         self.frames_freed += 1;
         self.frames_resident -= 1;
-        let r = self.resident_by_kind.entry(kind).or_default();
+        let r = self.resident_by_kind.get_or_default(kind);
         debug_assert!(*r > 0, "resident_by_kind underflow for {kind}");
         *r -= 1;
     }
 
     pub(crate) fn on_arrive(&mut self, kind: PageKind) {
         self.frames_resident += 1;
-        *self.resident_by_kind.entry(kind).or_default() += 1;
+        *self.resident_by_kind.get_or_default(kind) += 1;
     }
 
     pub(crate) fn on_depart(&mut self, kind: PageKind) {
         self.frames_resident -= 1;
-        let r = self.resident_by_kind.entry(kind).or_default();
+        let r = self.resident_by_kind.get_or_default(kind);
         debug_assert!(*r > 0, "resident_by_kind underflow for {kind}");
         *r -= 1;
     }
@@ -99,7 +98,7 @@ pub struct MemStats {
     /// Accesses that touched kernel pages (any kind but `AppData`).
     pub kernel_accesses: u64,
     /// Lifetime accumulators per page kind.
-    pub lifetimes: BTreeMap<PageKind, LifetimeStats>,
+    pub lifetimes: DenseMap<PageKind, LifetimeStats>,
 }
 
 impl MemStats {

@@ -554,11 +554,7 @@ impl MemorySystem {
         self.tiers[f.tier.index()].release();
         self.stats.tiers[f.tier.index()].on_free(f.kind);
         let lifetime = self.clock.now().saturating_sub(f.allocated_at);
-        self.stats
-            .lifetimes
-            .entry(f.kind)
-            .or_default()
-            .record(lifetime);
+        self.stats.lifetimes.get_or_default(f.kind).record(lifetime);
         if let Some(l4) = self.l4[f.tier.index()].as_mut() {
             l4.invalidate(frame);
         }

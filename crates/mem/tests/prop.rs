@@ -6,7 +6,11 @@
 //! (fixed seeds, so failures reproduce exactly) instead of an external
 //! property-testing crate.
 
-use kloc_mem::{FrameId, MemError, MemorySystem, PageKind, SplitMix64, TierId, PAGE_SIZE};
+use std::collections::BTreeMap;
+
+use kloc_mem::{
+    DenseMap, FrameId, MemError, MemorySystem, PageKind, SplitMix64, TierId, PAGE_SIZE,
+};
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -176,5 +180,46 @@ fn access_cost_monotone_in_bytes() {
         let small = mem.read(f, bytes);
         let big = mem.read(f, bytes * 2);
         assert!(big >= small);
+    }
+}
+
+/// `DenseMap` reads exactly as the `BTreeMap` it replaces in the stats
+/// counters: under random increments (zero included) and lookups of two
+/// map pairs, iteration order, values, length, `==`, `Index` and `{:?}`
+/// agree after every step.
+#[test]
+fn dense_map_matches_btreemap() {
+    for case in 0..256u64 {
+        let mut rng = SplitMix64::seed_from_u64(0x00DE_05E0_0000 + case);
+        let mut dense: [DenseMap<PageKind, u64>; 2] = Default::default();
+        let mut model: [BTreeMap<PageKind, u64>; 2] = Default::default();
+        for _ in 0..rng.gen_range(1..64) {
+            let side = rng.gen_below(2) as usize;
+            let key = PageKind::ALL[rng.gen_below(PageKind::ALL.len() as u64) as usize];
+            let (d, m) = (&mut dense[side], &mut model[side]);
+            match rng.gen_below(3) {
+                0 | 1 => {
+                    let by = rng.gen_below(3);
+                    *d.get_or_default(key) += by;
+                    *m.entry(key).or_default() += by;
+                }
+                _ => {
+                    assert_eq!(d.get(&key), m.get(&key), "case {case}");
+                    if let Some(v) = m.get(&key) {
+                        assert_eq!(d[&key], *v, "case {case}");
+                    }
+                }
+            }
+            for (d, m) in dense.iter().zip(&model) {
+                let d_pairs: Vec<_> = d.iter().map(|(&k, &v)| (k, v)).collect();
+                let m_pairs: Vec<_> = m.iter().map(|(&k, &v)| (k, v)).collect();
+                assert_eq!(d_pairs, m_pairs, "case {case}: entries in key order");
+                assert!(d.values().eq(m.values()), "case {case}");
+                assert_eq!(d.len(), m.len(), "case {case}");
+                assert_eq!(d.is_empty(), m.is_empty(), "case {case}");
+                assert_eq!(format!("{d:?}"), format!("{m:?}"), "case {case}");
+            }
+            assert_eq!(dense[0] == dense[1], model[0] == model[1], "case {case}");
+        }
     }
 }
