@@ -3,7 +3,7 @@
 //! A knode does not store its member *objects*. The kernel's
 //! `ObjectTable` already records every live object's type, inode and
 //! frame, and the registry records which objects are members with one
-//! bit per `ObjectId` (see [`crate::KlocRegistry`]). The paper's
+//! bit per object-table slot (see [`crate::KlocRegistry`]). The paper's
 //! `itr_knode_cache` / `itr_knode_slab` views are therefore the object
 //! table filtered by inode and backing; a knode keeps only its
 //! per-backing member counts and the [`FrameRefs`] set below.

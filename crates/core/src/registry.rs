@@ -27,16 +27,19 @@
 //! ever sees.
 //!
 //! **Membership.** Which objects are knode members is one bit per
-//! [`ObjectId`] in a dense bit vector, not a per-knode table: the kernel
-//! hands out object ids as sequential object-table slot indices and
-//! never reuses them, and the object table already holds each object's
-//! type, inode and frame. The bit vector costs one bit per object ever
-//! allocated. Its contract:
+//! object-table slot ([`ObjectId::slot`]) in a dense bit vector, not a
+//! per-knode table: the kernel's object table keeps its slots dense by
+//! recycling freed ones, and it already holds each object's type, inode
+//! and frame. The bit vector costs one bit per slot, so it follows the
+//! peak number of live objects. Its contract:
 //! - an object is a member of at most one knode, the one named by its
 //!   inode when it was added (the kernel associates only objects
 //!   allocated without an inode, so the inode never changes once set);
 //! - an object's frame never changes, so the free hook's frame is the
 //!   frame the member was counted on;
+//! - every free of a member clears its bit: members always have an
+//!   inode, and every free runs [`KlocRegistry::object_freed`]. A
+//!   recycled slot therefore starts as a non-member;
 //! - inode ids are never reused, so the bits a destroyed knode leaves
 //!   behind can never be counted against a new knode; they are cleared
 //!   as their objects are freed.
@@ -208,7 +211,8 @@ impl KlocRegistry {
         self.parks
     }
 
-    /// Whether `obj` is counted in a knode.
+    /// Whether `obj` is counted in a knode. Membership is kept per
+    /// slot, so `obj` must be live.
     #[inline]
     pub fn is_member(&self, obj: ObjectId) -> bool {
         let (word, bit) = member_bit(obj);
@@ -873,11 +877,12 @@ impl KlocRegistry {
     }
 }
 
-/// The word index and bit mask of `obj` in [`KlocRegistry::members`].
+/// The word index and bit mask of `obj`'s slot in
+/// [`KlocRegistry::members`].
 #[inline]
 fn member_bit(obj: ObjectId) -> (usize, u64) {
-    // lint: truncation-ok — object ids index a table held in memory
-    ((obj.0 / 64) as usize, 1 << (obj.0 % 64))
+    let slot = obj.slot();
+    ((slot / 64) as usize, 1 << (slot % 64))
 }
 
 /// `ty`'s bit in [`KlocRegistry::included`].
@@ -985,11 +990,11 @@ impl KlocRegistry {
     }
 
     /// Cross-checks membership against the kernel's object table, the
-    /// ground truth: every set membership bit names a live object with
-    /// an inode, and every knode's per-frame refcounts and per-backing
-    /// member counts equal the tally of the live member objects on its
-    /// inode. Members whose knode was destroyed are tallied against no
-    /// knode. Observation only.
+    /// ground truth: every set membership bit names a slot holding a
+    /// live object with an inode, and every knode's per-frame refcounts
+    /// and per-backing member counts equal the tally of the live member
+    /// objects on its inode. Members whose knode was destroyed are
+    /// tallied against no knode. Observation only.
     pub fn ksan_audit_members(
         &self,
         objects: &kloc_kernel::obj::ObjectTable,
@@ -1005,14 +1010,18 @@ impl KlocRegistry {
         type Tally = (BTreeMap<FrameId, u32>, (usize, usize));
         let mut tally: BTreeMap<InodeId, Tally> = BTreeMap::new();
         let mut stray = Vec::new();
-        for (w, &word) in (0u64..).zip(&self.members) {
+        for (w, &word) in (0u32..).zip(&self.members) {
             let mut bits = word;
             while bits != 0 {
-                let obj = ObjectId(w * 64 + u64::from(bits.trailing_zeros()));
+                let slot = w * 64 + bits.trailing_zeros();
                 bits &= bits - 1;
-                let Some((o, inode)) = objects.get(obj).and_then(|o| Some((o, o.info.inode?)))
+                let id = objects.id_in_slot(slot);
+                let Some((o, inode)) = id
+                    .and_then(|id| objects.get(id))
+                    .and_then(|o| Some((o, o.info.inode?)))
                 else {
-                    stray.push(obj);
+                    // An empty slot shows as its generation-0 id.
+                    stray.push(id.unwrap_or(ObjectId(u64::from(slot))));
                     continue;
                 };
                 let (refs, counts) = tally.entry(inode).or_default();
@@ -1027,7 +1036,7 @@ impl KlocRegistry {
             out.push(Violation::new(
                 "KlocRegistry.members <-> ObjectTable",
                 "kmap",
-                "every membership bit names a live object with an inode",
+                "every membership bit names a slot holding a live object with an inode",
                 "no stray bits".to_owned(),
                 format!("bits set for {stray:?}"),
             ));

@@ -1,8 +1,9 @@
 //! Seeded model tests for knode membership: the registry's
-//! one-bit-per-object membership path and the knode's `FrameRefs`
+//! one-bit-per-slot membership path and the knode's `FrameRefs`
 //! frame set must behave exactly like `BTreeMap` references — the
 //! membership across allocation, late association, frees, destroyed and
-//! missing knodes, excluded types and a disabled registry; the frame set
+//! missing knodes, excluded types, a disabled registry and object-table
+//! slots recycled from freed members; the frame set
 //! after every single step, including its parked masks, whose unparked
 //! entries the migration walks visit in place.
 //!
@@ -15,6 +16,7 @@ use kloc_core::knode::MemberTree;
 use kloc_core::members::{FrameRefs, Walk};
 use kloc_core::{KlocConfig, KlocRegistry};
 use kloc_kernel::hooks::CpuId;
+use kloc_kernel::obj::ObjectTable;
 use kloc_kernel::vfs::InodeId;
 use kloc_kernel::{Backing, KernelObjectType, ObjectId, ObjectInfo};
 use kloc_mem::{FrameId, Nanos, SplitMix64};
@@ -51,15 +53,19 @@ impl MembershipModel {
 }
 
 /// The registry agrees with the model: the membership bit of every
-/// object ever allocated (and of ids past them), every live knode's
-/// frames and per-tree counts, and the counters.
-fn assert_membership(r: &KlocRegistry, m: &MembershipModel, next_obj: u64, ctx: &str) {
-    for id in 0..next_obj + 70 {
-        let obj = ObjectId(id);
+/// object-table slot (and of slots past them) against its live object,
+/// every live knode's frames and per-tree counts, and the counters.
+fn assert_membership(r: &KlocRegistry, m: &MembershipModel, table: &ObjectTable, ctx: &str) {
+    assert!(
+        m.members.keys().all(|&obj| table.get(obj).is_some()),
+        "{ctx}: every model member is live"
+    );
+    for slot in 0..table.slot_count() as u32 + 70 {
+        let live = table.id_in_slot(slot);
         assert_eq!(
-            r.is_member(obj),
-            m.members.contains_key(&obj),
-            "{ctx}: bit of {obj}"
+            r.is_member(ObjectId(u64::from(slot))),
+            live.is_some_and(|obj| m.members.contains_key(&obj)),
+            "{ctx}: bit of slot {slot} ({live:?})"
         );
     }
     assert_eq!(r.stats().objects_tracked, m.tracked, "{ctx}: tracked");
@@ -103,15 +109,19 @@ fn registry_membership_matches_btreemap_model() {
             ..KlocConfig::default()
         },
     ];
-    let (mut late, mut orphan_frees, mut missing) = (0, 0, 0);
+    let (mut late, mut orphan_frees, mut missing, mut recycled) = (0, 0, 0, 0);
     for case in 0..48u64 {
         let cfg = configs[(case % 3) as usize].clone();
         let mut rng = SplitMix64::seed_from_u64(0x3E3B_0000 + case);
         let mut r = KlocRegistry::new(cfg.clone());
         let mut m = MembershipModel::default();
-        // Live objects as the kernel's object table would hold them.
+        // Ids come from a real object table, which recycles the slots of
+        // freed objects; `live` mirrors it in id order.
+        let mut table = ObjectTable::new();
         let mut live: BTreeMap<ObjectId, (ObjectInfo, FrameId)> = BTreeMap::new();
-        let (mut next_obj, mut next_ino, mut next_page) = (0u64, 1u64, 1000u64);
+        // Slots last freed while their object was a member.
+        let mut member_slots: BTreeSet<u32> = BTreeSet::new();
+        let (mut next_ino, mut next_page) = (1u64, 1000u64);
         for step in 0..300 {
             let ctx = format!("case {case} step {step}");
             let now = Nanos::from_micros(step);
@@ -150,8 +160,6 @@ fn registry_membership_matches_btreemap_model() {
                             FrameId(next_page)
                         }
                     };
-                    let obj = ObjectId(next_obj);
-                    next_obj += 1;
                     // Allocated without an inode: associated late, the way
                     // the kernel's TCP layer does after late demux.
                     let alloc_inode = (rng.gen_below(4) != 0).then_some(inode);
@@ -160,10 +168,18 @@ fn registry_membership_matches_btreemap_model() {
                         size: ty.size(),
                         inode: alloc_inode,
                     };
+                    let obj = table.insert(info, frame, now);
+                    // A recycled slot starts as a non-member, even when
+                    // its last object was one.
+                    if member_slots.remove(&obj.slot()) {
+                        recycled += 1;
+                    }
+                    assert!(!r.is_member(obj), "{ctx}: fresh {obj} is a member");
                     r.object_allocated(obj, &info, frame, CpuId(0), now);
                     m.add(&cfg, obj, &info, frame);
                     if alloc_inode.is_none() {
                         info.inode = Some(inode);
+                        table.set_inode(obj, inode).expect("just allocated");
                         r.object_associated(obj, &info, frame, CpuId(1), now);
                         m.add(&cfg, obj, &info, frame);
                         late += 1;
@@ -174,25 +190,25 @@ fn registry_membership_matches_btreemap_model() {
                     let i = rng.gen_below(live.len() as u64) as usize;
                     let obj = *live.keys().nth(i).expect("index below len");
                     let (info, frame) = live.remove(&obj).expect("just picked");
-                    if m.members
-                        .get(&obj)
-                        .is_some_and(|e| !m.knodes.contains(&e.0))
-                    {
-                        orphan_frees += 1;
+                    table.remove(obj).expect("live in the table");
+                    if let Some(e) = m.members.get(&obj) {
+                        orphan_frees += usize::from(!m.knodes.contains(&e.0));
+                        member_slots.insert(obj.slot());
                     }
                     r.object_freed(obj, &info, frame);
                     m.free(obj);
                 }
                 _ => {}
             }
-            assert_membership(&r, &m, next_obj, &ctx);
+            assert_membership(&r, &m, &table, &ctx);
         }
         // Freeing every live object clears every bit.
         for (obj, (info, frame)) in live {
+            table.remove(obj).expect("live in the table");
             r.object_freed(obj, &info, frame);
             m.free(obj);
         }
-        assert_membership(&r, &m, next_obj, &format!("case {case} teardown"));
+        assert_membership(&r, &m, &table, &format!("case {case} teardown"));
         assert!(m.members.is_empty());
     }
     assert!(late >= 200, "{late} late associations");
@@ -201,6 +217,7 @@ fn registry_membership_matches_btreemap_model() {
         "{orphan_frees} frees after inode_destroyed"
     );
     assert!(missing >= 100, "{missing} allocations on a missing knode");
+    assert!(recycled >= 100, "{recycled} members' slots recycled");
 }
 
 /// The frame set must equal the model after every step: same frames

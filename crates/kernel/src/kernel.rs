@@ -14,7 +14,7 @@
 //! the journal; socket I/O allocates socks, skbuffs, data buffers, and
 //! RX ring pages.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 use kloc_mem::{DiskOp, FrameId, FrameSet, PageKind, TenantId};
 
@@ -72,6 +72,13 @@ pub struct Kernel {
     net_stats: NetStats,
     /// Tenant registry: specs, per-tenant counters, self-eviction FIFO.
     tenants: TenantTable,
+    /// Scratch buffers of [`Kernel::writeback`] and `flush_pages`, kept
+    /// across calls so background writeback allocates nothing once they
+    /// have grown. An error return drops the one in use; the next call
+    /// regrows it.
+    writeback_batch: Vec<(InodeId, u64)>,
+    writeback_idxs: Vec<u64>,
+    dma: Vec<kloc_mem::AccessOp>,
 }
 
 impl Kernel {
@@ -103,6 +110,9 @@ impl Kernel {
             stats: KernelStats::default(),
             net_stats: NetStats::default(),
             tenants: TenantTable::new(),
+            writeback_batch: Vec::new(),
+            writeback_idxs: Vec::new(),
+            dma: Vec::new(),
             params,
         }
     }
@@ -1092,7 +1102,8 @@ impl Kernel {
     /// Writes back up to `max_pages` from the global dirty list
     /// (background writeback).
     pub fn writeback(&mut self, ctx: &mut Ctx<'_>, max_pages: usize) -> Result<(), KernelError> {
-        let mut batch: Vec<(InodeId, u64)> = Vec::new();
+        let mut batch = std::mem::take(&mut self.writeback_batch);
+        batch.clear();
         while batch.len() < max_pages {
             let Some((ino, idx)) = self.dirty_list.pop_front() else {
                 break;
@@ -1107,16 +1118,19 @@ impl Kernel {
                 batch.push((ino, idx));
             }
         }
-        // Group by inode for flushing. BTreeMap: flush order must be
-        // deterministic (inode order), or per-run counters drift between
-        // identically-seeded runs.
-        let mut by_inode: BTreeMap<InodeId, Vec<u64>> = BTreeMap::new();
-        for (ino, idx) in batch {
-            by_inode.entry(ino).or_default().push(idx);
+        // Group by inode for flushing, in inode order: the flush order
+        // must be deterministic, or per-run counters drift between
+        // identically-seeded runs. The sort is stable, so each inode's
+        // pages keep their dirty-list order.
+        batch.sort_by_key(|&(ino, _)| ino);
+        let mut idxs = std::mem::take(&mut self.writeback_idxs);
+        for run in batch.chunk_by(|a, b| a.0 == b.0) {
+            idxs.clear();
+            idxs.extend(run.iter().map(|&(_, idx)| idx));
+            self.flush_pages(ctx, run[0].0, &idxs)?;
         }
-        for (ino, idxs) in by_inode {
-            self.flush_pages(ctx, ino, &idxs)?;
-        }
+        self.writeback_batch = batch;
+        self.writeback_idxs = idxs;
         Ok(())
     }
 
@@ -1134,7 +1148,7 @@ impl Kernel {
         }
         let _attrib = kloc_trace::scope("writeback");
         let mut flushed = 0usize;
-        let mut dma = Vec::new();
+        let mut dma = std::mem::take(&mut self.dma);
         for chunk in idxs.chunks(self.params.pages_per_bio.max(1)) {
             dma.clear();
             for &idx in chunk {
@@ -1179,6 +1193,7 @@ impl Kernel {
             self.free_object(ctx, bio)?;
             flushed += pages_in_bio;
         }
+        self.dma = dma;
         self.stats.writeback_pages += flushed as u64;
         if flushed > 0 {
             let t = ctx.mem.now().as_nanos();
@@ -1391,9 +1406,7 @@ impl Kernel {
         }
         for packet in inode.rx.drain() {
             self.free_object(ctx, packet.skb)?;
-            for d in packet.data {
-                self.free_object(ctx, d)?;
-            }
+            self.free_object(ctx, packet.data)?;
         }
         if let Some(d) = inode.dentry_obj {
             self.free_object(ctx, d)?;
@@ -1649,7 +1662,7 @@ impl Kernel {
                 .rx
                 .push(Packet {
                     skb,
-                    data: vec![rx],
+                    data: rx,
                     bytes: payload,
                 });
             self.net_stats.rx_packets += 1;
@@ -1685,15 +1698,11 @@ impl Kernel {
             };
             let Some(packet) = packet else { break };
             self.access_object(ctx, packet.skb, KernelObjectType::SkBuff.size(), false)?;
-            for &d in &packet.data {
-                // Copy to userspace: read the kernel buffer.
-                self.access_object(ctx, d, packet.bytes.max(1), false)?;
-            }
+            // Copy to userspace: read the kernel buffer.
+            self.access_object(ctx, packet.data, packet.bytes.max(1), false)?;
             got += packet.bytes;
             self.free_object(ctx, packet.skb)?;
-            for d in packet.data {
-                self.free_object(ctx, d)?;
-            }
+            self.free_object(ctx, packet.data)?;
         }
         self.tenants.stats_mut(ctx.tenant).rx_bytes += got;
         self.vfs
@@ -1888,23 +1897,14 @@ impl Kernel {
         }
     }
 
-    /// The object table's live counter against its occupied slots, and
-    /// every object a live inode owns (inode, dentry, cached pages,
+    /// The object table's own invariants (live counter, free list),
+    /// and every object a live inode owns (inode, dentry, cached pages,
     /// radix nodes, extents) against the table: live, of the expected
     /// type, associated with that inode, and — for cached pages — on
     /// the frame the page cache recorded.
     fn ksan_audit_objects(&self, out: &mut Vec<kloc_mem::ksan::Violation>) {
         use kloc_mem::ksan::Violation;
-        let occupied = self.objects.iter().count();
-        if occupied != self.objects.len() {
-            out.push(Violation::new(
-                "ObjectTable.live <-> ObjectTable.slots",
-                "object table",
-                "the live counter equals the occupied slots",
-                format!("{occupied} occupied"),
-                format!("len = {}", self.objects.len()),
-            ));
-        }
+        self.objects.ksan_audit(out);
         for inode in self.vfs.inodes() {
             use KernelObjectType as T;
             let mut owned = vec![(inode.inode_obj, T::Inode, None)];
@@ -1948,6 +1948,13 @@ impl Kernel {
         if let Some(obj) = obj {
             self.objects.ksan_clear_slot(obj);
         }
+    }
+
+    /// Corruption hook for sanitizer self-tests: pushes the object
+    /// table's most recently freed slot on its free list a second time.
+    #[doc(hidden)]
+    pub fn ksan_break_object_free_list(&mut self) -> bool {
+        self.objects.ksan_push_free_twice()
     }
 
     /// Corruption hook for sanitizer self-tests: drops the reverse-map

@@ -16,12 +16,12 @@ use std::collections::VecDeque;
 use crate::obj::ObjectId;
 
 /// A packet queued on a socket's receive queue.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Packet {
     /// The skbuff header object.
     pub skb: ObjectId,
-    /// Data buffer objects (RX ring pages on ingress).
-    pub data: Vec<ObjectId>,
+    /// The data buffer object (an RX ring page on ingress).
+    pub data: ObjectId,
     /// Payload bytes.
     pub bytes: u64,
 }
@@ -97,7 +97,7 @@ mod tests {
     fn pkt(n: u64, bytes: u64) -> Packet {
         Packet {
             skb: ObjectId(n),
-            data: vec![ObjectId(n + 100)],
+            data: ObjectId(n + 100),
             bytes,
         }
     }

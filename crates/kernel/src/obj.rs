@@ -14,9 +14,38 @@ use kloc_mem::{FrameId, Nanos, PageKind};
 
 use crate::vfs::InodeId;
 
-/// Identifier of a live kernel object. Never reused within a [`crate::Kernel`].
+/// Identifier of a kernel object: `generation << 32 | slot`, in the
+/// [`FrameId`] style. The [`ObjectTable`] recycles the slots of freed
+/// objects and bumps the slot's generation on each reuse, so an id is
+/// unique for the life of a [`crate::Kernel`] while its slot half is
+/// not: a stale id names a slot that now holds another object (or
+/// none), and the table's lookups miss on it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ObjectId(pub u64);
+
+impl ObjectId {
+    /// The object-table slot (low id bits). Slots are dense — the table
+    /// recycles freed ones before growing — so they suit direct-mapped
+    /// side tables; compare the full id to tell a slot's occupants
+    /// apart.
+    #[inline]
+    pub fn slot(self) -> u32 {
+        // The low 32 bits *are* the slot.
+        self.0 as u32
+    }
+
+    /// The generation half of the id.
+    #[inline]
+    fn generation(self) -> u32 {
+        (self.0 >> 32) as u32
+    }
+
+    /// The id for `slot` at `generation`.
+    #[inline]
+    fn pack(generation: u32, slot: u32) -> Self {
+        ObjectId(u64::from(generation) << 32 | u64::from(slot))
+    }
+}
 
 impl fmt::Display for ObjectId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -248,47 +277,67 @@ pub struct KObject {
     pub allocated_at: Nanos,
 }
 
-/// Table of live kernel objects.
+/// Table of live kernel objects: a slab of 32-byte slots whose size
+/// follows the peak number of live objects, as the kernel's slab caches
+/// do for the objects themselves.
 ///
-/// Ids are assigned sequentially and never reused, so the table is a
-/// plain id-indexed vector: lookup on the object-access hot path is one
-/// bounds-checked array read, no hashing. The price is one slot per
-/// object *ever* allocated, not per live object: dead slots are never
-/// reclaimed (a Huge RocksDB run ends with about 199 k slots, a Large
-/// tenants run with about 278 k). Each slot is therefore kept to 32 bytes:
-/// the id is the slot index and the size follows from the type, so
-/// neither is stored.
+/// Lookup on the object-access hot path is one bounds-checked array
+/// read and one compare of the id's generation against the slot's tag,
+/// no hashing. A freed slot goes on a LIFO free list threaded through
+/// the dead slots themselves (no side vector), and the next insertion
+/// reuses it under the next generation, so stale ids miss. Each slot is
+/// kept to 32 bytes: the slot half of the id is the index and the size
+/// follows from the type, so neither is stored.
 #[derive(Debug, Default, Clone)]
 pub struct ObjectTable {
     slots: Vec<Slot>,
+    /// Head of the free list, the most recently freed slot.
+    free: Option<u32>,
     live: usize,
 }
 
 /// Raw inode id of a slot whose object has no inode.
 const NO_INODE: u64 = u64::MAX;
 
-/// One [`ObjectTable`] entry; `ty` is `None` once the object is freed.
+/// Free-list link that ends the list.
+const NIL: u64 = u64::MAX;
+
+/// Tag bit of a free slot. Live generations stay below it, so a free
+/// slot's tag never equals the generation of an id the table handed
+/// out.
+const FREE: u32 = 1 << 31;
+
+/// One [`ObjectTable`] entry. A free slot keeps its last generation in
+/// `tag` (with [`FREE`] set) and the free-list link in `inode`.
 #[derive(Debug, Clone, Copy)]
 struct Slot {
     frame: FrameId,
     allocated_at: Nanos,
+    /// Live: the raw inode id, or [`NO_INODE`]. Free: the next free
+    /// slot, or [`NIL`].
     inode: u64,
-    ty: Option<KernelObjectType>,
+    /// Live: the generation half of the object's id. Free: the last
+    /// live generation with [`FREE`] set.
+    tag: u32,
+    ty: KernelObjectType,
 }
 
 impl Slot {
-    fn object(&self, id: ObjectId) -> Option<KObject> {
-        let ty = self.ty?;
-        Some(KObject {
+    fn object(&self, id: ObjectId) -> KObject {
+        KObject {
             id,
             info: ObjectInfo {
-                ty,
-                size: ty.size(),
+                ty: self.ty,
+                size: self.ty.size(),
                 inode: (self.inode != NO_INODE).then_some(InodeId(self.inode)),
             },
             frame: self.frame,
             allocated_at: self.allocated_at,
-        })
+        }
+    }
+
+    fn is_free(&self) -> bool {
+        self.tag & FREE != 0
     }
 }
 
@@ -298,42 +347,86 @@ impl ObjectTable {
         ObjectTable::default()
     }
 
-    /// Registers a new object and returns its id. `info.size` must be
-    /// `info.ty.size()`: the table derives it from the type.
+    /// Registers a new object and returns its id: the most recently
+    /// freed slot under its next generation, or a new slot when none is
+    /// free. `info.size` must be `info.ty.size()`: the table derives it
+    /// from the type.
     pub fn insert(&mut self, info: ObjectInfo, frame: FrameId, now: Nanos) -> ObjectId {
         debug_assert_eq!(info.size, info.ty.size(), "object size follows its type");
-        let id = ObjectId(self.slots.len() as u64);
-        self.slots.push(Slot {
+        let mut slot = Slot {
             frame,
             allocated_at: now,
             inode: info.inode.map_or(NO_INODE, |i| i.0),
-            ty: Some(info.ty),
-        });
+            tag: 0,
+            ty: info.ty,
+        };
         self.live += 1;
-        id
+        let Some(index) = self.free else {
+            // A table of 2^32 slots (128 GiB) is far beyond any
+            // simulation.
+            let index = self.slots.len() as u32;
+            self.slots.push(slot);
+            return ObjectId::pack(0, index);
+        };
+        let dead = &mut self.slots[index as usize];
+        debug_assert!(dead.is_free(), "free list names a live slot");
+        self.free = u32::try_from(dead.inode).ok();
+        // Clearing FREE after the increment wraps the generation within
+        // 31 bits; after 2^31 reuses of one slot an id would repeat,
+        // which no simulation length approaches.
+        slot.tag = dead.tag.wrapping_add(1) & !FREE;
+        *dead = slot;
+        ObjectId::pack(slot.tag, index)
     }
 
-    /// Removes an object, returning its record.
+    /// The slot `id` names, if it still holds that object.
+    #[inline]
+    fn live_slot(&self, id: ObjectId) -> Option<&Slot> {
+        self.slots
+            .get(id.slot() as usize)
+            .filter(|s| s.tag == id.generation())
+    }
+
+    /// [`ObjectTable::live_slot`], mutably.
+    #[inline]
+    fn live_slot_mut(&mut self, id: ObjectId) -> Option<&mut Slot> {
+        self.slots
+            .get_mut(id.slot() as usize)
+            .filter(|s| s.tag == id.generation())
+    }
+
+    /// Removes an object, returning its record and pushing its slot on
+    /// the free list. Misses on a stale id.
     pub fn remove(&mut self, id: ObjectId) -> Option<KObject> {
-        let slot = self.slots.get_mut(id.0 as usize)?;
-        let obj = slot.object(id)?;
-        slot.ty = None;
+        let next = self.free.map_or(NIL, u64::from);
+        let slot = self.live_slot_mut(id)?;
+        let obj = slot.object(id);
+        slot.tag |= FREE;
+        slot.inode = next;
+        self.free = Some(id.slot());
         self.live -= 1;
         Some(obj)
     }
 
     /// Re-associates an object with an inode (late socket demux on the
-    /// ingress path, paper §4.2.3). Returns the updated record.
+    /// ingress path, paper §4.2.3). Returns the updated record; misses
+    /// on a stale id.
     pub fn set_inode(&mut self, id: ObjectId, inode: InodeId) -> Option<KObject> {
-        let slot = self.slots.get_mut(id.0 as usize)?;
-        slot.ty?;
+        let slot = self.live_slot_mut(id)?;
         slot.inode = inode.0;
-        slot.object(id)
+        Some(slot.object(id))
     }
 
-    /// Looks up an object.
+    /// Looks up an object; misses on a stale id.
+    #[inline]
     pub fn get(&self, id: ObjectId) -> Option<KObject> {
-        self.slots.get(id.0 as usize)?.object(id)
+        self.live_slot(id).map(|s| s.object(id))
+    }
+
+    /// The id of the object living in `slot`, if any.
+    pub fn id_in_slot(&self, slot: u32) -> Option<ObjectId> {
+        let s = self.slots.get(slot as usize)?;
+        (!s.is_free()).then(|| ObjectId::pack(s.tag, slot))
     }
 
     /// Number of live objects.
@@ -346,24 +439,106 @@ impl ObjectTable {
         self.live == 0
     }
 
-    /// Iterates over all live objects in id order.
+    /// Slots held, live plus free: the high-water mark of concurrently
+    /// live objects.
+    pub fn slot_count(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// Iterates over all live objects in slot order.
     pub fn iter(&self) -> impl Iterator<Item = KObject> + '_ {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| s.object(ObjectId(i as u64)))
+        (0u32..)
+            .zip(&self.slots)
+            .filter(|(_, s)| !s.is_free())
+            .map(|(i, s)| s.object(ObjectId::pack(s.tag, i)))
     }
 }
 
 #[cfg(feature = "ksan")]
 impl ObjectTable {
+    /// Cross-checks the table's internal invariants: the live counter
+    /// against the occupied slots, and the free list against the empty
+    /// slots (each entry names an empty slot, none twice, and free +
+    /// live partition the slots). Observation only.
+    pub fn ksan_audit(&self, out: &mut Vec<kloc_mem::ksan::Violation>) {
+        use kloc_mem::ksan::Violation;
+        let slots = self.slots.len();
+        let occupied = self.slots.iter().filter(|s| !s.is_free()).count();
+        if occupied != self.live {
+            out.push(Violation::new(
+                "ObjectTable.live <-> ObjectTable.slots",
+                "object table",
+                "the live counter equals the occupied slots",
+                format!("{occupied} occupied"),
+                format!("len = {}", self.live),
+            ));
+        }
+        let mut seen = vec![false; slots];
+        let mut listed = 0usize;
+        let mut next = self.free;
+        while let Some(index) = next {
+            let Some(slot) = self.slots.get(index as usize) else {
+                out.push(Violation::new(
+                    "ObjectTable.free <-> ObjectTable.slots",
+                    format!("slot {index}"),
+                    "free-list entries name real slots",
+                    format!("slot < {slots}"),
+                    format!("slot {index}"),
+                ));
+                break;
+            };
+            if std::mem::replace(&mut seen[index as usize], true) {
+                out.push(Violation::new(
+                    "ObjectTable.free distinctness",
+                    format!("slot {index}"),
+                    "a free slot appears on the free list once",
+                    "one entry".to_owned(),
+                    "listed again".to_owned(),
+                ));
+                break;
+            }
+            listed += 1;
+            if !slot.is_free() {
+                out.push(Violation::new(
+                    "ObjectTable.free <-> ObjectTable.slots",
+                    format!("slot {index}"),
+                    "free-list entries name empty slots",
+                    "free tag".to_owned(),
+                    format!("live {}", slot.ty),
+                ));
+                break;
+            }
+            next = u32::try_from(slot.inode).ok();
+        }
+        if listed + self.live != slots {
+            out.push(Violation::new(
+                "ObjectTable.free <-> ObjectTable.slots",
+                "object table",
+                "free + live partition the slots",
+                format!("{slots} slots"),
+                format!("{listed} free + {} live", self.live),
+            ));
+        }
+    }
+
     /// Corruption hook for sanitizer self-tests: kills `id`'s slot
-    /// without updating the live counter.
+    /// without putting it on the free list or updating the live
+    /// counter.
     #[doc(hidden)]
     pub fn ksan_clear_slot(&mut self, id: ObjectId) {
-        if let Some(slot) = self.slots.get_mut(id.0 as usize) {
-            slot.ty = None;
+        if let Some(slot) = self.slots.get_mut(id.slot() as usize) {
+            slot.tag |= FREE;
         }
+    }
+
+    /// Corruption hook for sanitizer self-tests: pushes the top
+    /// free-list entry a second time, so its slot could be handed out
+    /// twice. Returns whether there was one to push.
+    #[doc(hidden)]
+    pub fn ksan_push_free_twice(&mut self) -> bool {
+        let Some(index) = self.free else { return false };
+        self.slots[index as usize].inode = u64::from(index);
+        true
     }
 }
 
@@ -501,5 +676,41 @@ mod tests {
         t.remove(a);
         let b = t.insert(info, FrameId(0), Nanos::ZERO);
         assert_ne!(a, b, "ids must never be reused");
+        assert_eq!(a.slot(), b.slot(), "the freed slot is recycled");
+        assert_eq!(t.slot_count(), 1);
+        assert!(t.get(a).is_none(), "a stale id misses");
+        assert!(t.set_inode(a, InodeId(1)).is_none());
+        assert!(t.remove(a).is_none());
+        assert_eq!(t.get(b).map(|o| o.id), Some(b));
+        assert_eq!(t.id_in_slot(b.slot()), Some(b));
+    }
+
+    #[test]
+    fn free_list_is_lifo_and_generations_wrap_below_the_free_bit() {
+        let mut t = ObjectTable::new();
+        let info = ObjectInfo {
+            ty: KernelObjectType::Extent,
+            size: KernelObjectType::Extent.size(),
+            inode: None,
+        };
+        let ids: Vec<ObjectId> = (0..3)
+            .map(|_| t.insert(info, FrameId(0), Nanos::ZERO))
+            .collect();
+        t.remove(ids[0]);
+        t.remove(ids[2]);
+        assert_eq!(t.id_in_slot(ids[2].slot()), None);
+        // The most recently freed slot comes back first.
+        let c = t.insert(info, FrameId(0), Nanos::ZERO);
+        let d = t.insert(info, FrameId(0), Nanos::ZERO);
+        assert_eq!((c.slot(), d.slot()), (2, 0));
+        assert_eq!(t.slot_count(), 3);
+        assert_eq!(t.len(), 3);
+        // A slot at the last generation wraps to 0, never onto the tag.
+        t.slots[1].tag = FREE - 1;
+        let old = ObjectId::pack(FREE - 1, 1);
+        t.remove(old).unwrap();
+        let e = t.insert(info, FrameId(0), Nanos::ZERO);
+        assert_eq!(e, ObjectId::pack(0, 1));
+        assert!(t.get(old).is_none());
     }
 }

@@ -98,6 +98,35 @@ fn object_table_desync_is_caught() {
 }
 
 #[test]
+fn object_free_list_duplicate_is_caught() {
+    let (mut mem, mut hooks, mut kernel) = setup();
+    {
+        // The commit frees the journal heads and the bio objects.
+        let mut ctx = Ctx::new(&mut mem, &mut hooks);
+        let fd = kernel.create(&mut ctx, "/ksan").unwrap();
+        kernel.write(&mut ctx, fd, 0, 3 * 4096).unwrap();
+        kernel.fsync(&mut ctx, fd).unwrap();
+    }
+    assert_eq!(audited(&kernel, &mem), vec![]);
+    assert!(
+        kernel.objects().slot_count() > kernel.objects().len(),
+        "the populated kernel has freed objects"
+    );
+    assert!(kernel.ksan_break_object_free_list());
+    let out = audited(&kernel, &mem);
+    assert!(
+        out.iter()
+            .any(|v| v.structures == "ObjectTable.free distinctness"),
+        "{out:#?}"
+    );
+    assert!(
+        out.iter()
+            .all(|v| v.structures.starts_with("ObjectTable.free")),
+        "only the free-list checks should fire: {out:#?}"
+    );
+}
+
+#[test]
 fn lru_index_desync_is_caught() {
     let mut lru = PageLru::new();
     for i in 0..4 {

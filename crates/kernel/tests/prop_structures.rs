@@ -1,8 +1,9 @@
 //! Randomized model tests for the kernel's core data structures: the
 //! page-cache radix tree against a `BTreeMap` model, the LRU lists
 //! against a recency model, the packed allocator against byte
-//! accounting, and the extent tree's covered-prefix growth against the
-//! full-scan definition of a missing span.
+//! accounting, the extent tree's covered-prefix growth against the
+//! full-scan definition of a missing span, and the object table's
+//! recycled slots against a `BTreeMap` of live objects.
 //!
 //! Sequences come from the in-tree seeded `SplitMix64` PRNG (fixed
 //! seeds, so failures reproduce exactly).
@@ -12,11 +13,12 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 use kloc_kernel::extent::ExtentTree;
 use kloc_kernel::hooks::{Ctx, NullHooks};
 use kloc_kernel::lru::{List, PageLru};
+use kloc_kernel::obj::ObjectTable;
 use kloc_kernel::pagecache::PageCache;
 use kloc_kernel::slab::PackedAllocator;
 use kloc_kernel::vfs::InodeId;
-use kloc_kernel::{KernelObjectType, ObjectId};
-use kloc_mem::{FrameId, MemorySystem, PageKind, SplitMix64};
+use kloc_kernel::{KernelObjectType, ObjectId, ObjectInfo};
+use kloc_mem::{FrameId, MemorySystem, Nanos, PageKind, SplitMix64};
 
 // ---------------------------------------------------------------------
 // Page cache vs BTreeMap model
@@ -362,4 +364,111 @@ fn extent_tree_matches_full_scan() {
             );
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// Object table vs BTreeMap model
+// ---------------------------------------------------------------------
+
+/// Random inserts, removes, late inode associations and lookups, each
+/// through both live and stale ids: the table holds exactly the model's
+/// live objects, hands out each id once, reuses the most recently freed
+/// slot first, never grows past the peak live count, and misses on
+/// every id whose object was freed — also after its slot was reused.
+#[test]
+fn object_table_matches_model_with_slot_reuse() {
+    let (mut reused, mut stale_probes) = (0u64, 0u64);
+    for case in 0..96u64 {
+        let mut rng = SplitMix64::seed_from_u64(0x0B7E_0000 + case);
+        let mut table = ObjectTable::new();
+        let mut model: BTreeMap<ObjectId, (ObjectInfo, FrameId, Nanos)> = BTreeMap::new();
+        // Every id ever handed out, and the slots freed, most recent last.
+        let mut issued: BTreeSet<ObjectId> = BTreeSet::new();
+        let mut freed: Vec<u32> = Vec::new();
+        let mut peak = 0;
+        // Phases that fill and drain, so slots are reused many times.
+        let bias = rng.gen_range(3..8);
+        for step in 0..rng.gen_range(50..400) {
+            let ctx = format!("case {case} step {step}");
+            let now = Nanos::new(step);
+            let filling = (step / 40) % 2 == 0;
+            match rng.gen_below(10) {
+                op if op < bias && filling || op < 10 - bias && !filling => {
+                    let ty = KernelObjectType::ALL
+                        [rng.gen_below(KernelObjectType::ALL.len() as u64) as usize];
+                    let info = ObjectInfo {
+                        ty,
+                        size: ty.size(),
+                        inode: rng.gen_bool().then(|| InodeId(rng.gen_below(8))),
+                    };
+                    let frame = FrameId(rng.gen_below(1 << 40));
+                    let id = table.insert(info, frame, now);
+                    assert!(issued.insert(id), "{ctx}: {id} handed out twice");
+                    match freed.pop() {
+                        Some(slot) => {
+                            assert_eq!(id.slot(), slot, "{ctx}: LIFO reuse");
+                            reused += 1;
+                        }
+                        None => assert_eq!(id.slot() as usize, model.len(), "{ctx}: new slot"),
+                    }
+                    model.insert(id, (info, frame, now));
+                }
+                _ if !model.is_empty() => {
+                    let i = rng.gen_below(model.len() as u64) as usize;
+                    let id = *model.keys().nth(i).expect("index below len");
+                    if rng.gen_below(4) == 0 {
+                        let ino = InodeId(100 + rng.gen_below(8));
+                        let moved = table.set_inode(id, ino).expect("live id");
+                        let entry = model.get_mut(&id).expect("live id");
+                        entry.0.inode = Some(ino);
+                        assert_eq!(moved.info, entry.0, "{ctx}: set_inode");
+                    } else {
+                        let (info, frame, at) = model.remove(&id).expect("live id");
+                        let obj = table.remove(id).expect("live id");
+                        assert_eq!((obj.id, obj.info, obj.frame), (id, info, frame), "{ctx}");
+                        assert_eq!(obj.allocated_at, at, "{ctx}");
+                        freed.push(id.slot());
+                    }
+                }
+                _ => {}
+            }
+            peak = peak.max(model.len());
+            // Stale ids miss on every path, reused slot or not.
+            for _ in 0..3 {
+                let i = rng.gen_below(issued.len().max(1) as u64) as usize;
+                let Some(&id) = issued.iter().nth(i) else {
+                    break;
+                };
+                if model.contains_key(&id) {
+                    continue;
+                }
+                stale_probes += 1;
+                assert!(table.get(id).is_none(), "{ctx}: get({id})");
+                assert!(
+                    table.set_inode(id, InodeId(1)).is_none(),
+                    "{ctx}: set_inode({id})"
+                );
+                assert!(table.remove(id).is_none(), "{ctx}: remove({id})");
+            }
+            assert_eq!(table.len(), model.len(), "{ctx}: len");
+            assert_eq!(table.slot_count(), peak, "{ctx}: slots");
+            let live: Vec<(ObjectId, ObjectInfo, FrameId)> = {
+                let mut v: Vec<_> = table.iter().map(|o| (o.id, o.info, o.frame)).collect();
+                v.sort_by_key(|e| e.0);
+                v
+            };
+            let want: Vec<(ObjectId, ObjectInfo, FrameId)> =
+                model.iter().map(|(&id, e)| (id, e.0, e.1)).collect();
+            assert_eq!(live, want, "{ctx}: live objects");
+            for (&id, e) in &model {
+                assert_eq!(table.get(id).map(|o| o.info), Some(e.0), "{ctx}: get({id})");
+                assert_eq!(table.id_in_slot(id.slot()), Some(id), "{ctx}: slot of {id}");
+            }
+            for &slot in &freed {
+                assert_eq!(table.id_in_slot(slot), None, "{ctx}: freed slot {slot}");
+            }
+        }
+    }
+    assert!(reused >= 2000, "{reused} slot reuses");
+    assert!(stale_probes >= 2000, "{stale_probes} stale-id probes");
 }

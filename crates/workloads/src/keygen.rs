@@ -20,7 +20,8 @@ pub enum KeyDist {
 #[derive(Debug, Clone)]
 pub struct Zipfian {
     n: u64,
-    theta: f64,
+    /// `1 + 0.5^theta`: the `u * zetan` bound below which a draw is key 1.
+    key1_bound: f64,
     alpha: f64,
     zetan: f64,
     eta: f64,
@@ -49,7 +50,7 @@ impl Zipfian {
         let eta = (1.0 - (2.0 / n as f64).powf(1.0 - theta)) / (1.0 - zeta2 / zetan);
         Zipfian {
             n,
-            theta,
+            key1_bound: 1.0 + 0.5f64.powf(theta),
             alpha,
             zetan,
             eta,
@@ -85,7 +86,7 @@ impl Zipfian {
         if uz < 1.0 {
             return 0;
         }
-        if uz < 1.0 + 0.5f64.powf(self.theta) {
+        if uz < self.key1_bound {
             return 1;
         }
         let k = (self.n as f64 * (self.eta * u - self.eta + 1.0).powf(self.alpha)) as u64;
@@ -127,6 +128,49 @@ mod tests {
             head as f64 / draws as f64 > 0.35,
             "zipfian not skewed: {head}/{draws}"
         );
+    }
+
+    #[test]
+    fn key_stream_matches_the_per_draw_formula() {
+        // The YCSB draw as first written, evaluating `1 + 0.5^theta` on
+        // every call: the precomputed bound must give the same keys.
+        fn reference(z: &Zipfian, theta: f64, rng: &mut WorkloadRng) -> u64 {
+            let u: f64 = rng.gen_f64();
+            let uz = u * z.zetan;
+            if uz < 1.0 {
+                return 0;
+            }
+            if uz < 1.0 + 0.5f64.powf(theta) {
+                return 1;
+            }
+            let k = (z.n as f64 * (z.eta * u - z.eta + 1.0).powf(z.alpha)) as u64;
+            k.min(z.n - 1)
+        }
+        for (case, (n, theta)) in [
+            (1, 0.99),
+            (2, 0.5),
+            (100, 0.99),
+            (10_000, 0.99),
+            (50_000, 0.2),
+            (1_000_000, 0.9),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let z = Zipfian::with_theta(n, theta);
+            let mut a = WorkloadRng::seed_from_u64(case as u64);
+            let mut b = WorkloadRng::seed_from_u64(case as u64);
+            let (mut ones, mut rest) = (0, 0);
+            for _ in 0..20_000 {
+                let k = z.next_key(&mut a);
+                assert_eq!(k, reference(&z, theta, &mut b), "n {n} theta {theta}");
+                ones += u32::from(k == 1);
+                rest += u32::from(k > 1);
+            }
+            // Both branches past key 0 are exercised where they exist.
+            assert!(n < 2 || ones > 0, "n {n} theta {theta}: no key 1");
+            assert!(n < 3 || rest > 0, "n {n} theta {theta}: no key past 1");
+        }
     }
 
     #[test]

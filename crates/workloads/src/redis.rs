@@ -270,9 +270,12 @@ impl Workload for Redis {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kloc_kernel::hooks::NullHooks;
-    use kloc_kernel::{KernelObjectType, KernelParams};
-    use kloc_mem::MemorySystem;
+    use std::cell::Cell;
+    use std::rc::Rc;
+
+    use kloc_kernel::hooks::{CpuId, KernelHooks, NullHooks, PageRequest, Placement};
+    use kloc_kernel::{KernelObjectType, KernelParams, ObjectId, ObjectInfo};
+    use kloc_mem::{FrameId, MemorySystem};
 
     fn run(scale: Scale) -> (Kernel, Redis) {
         let mut mem = MemorySystem::two_tier(u64::MAX, 8);
@@ -286,6 +289,85 @@ mod tests {
         }
         w.teardown(&mut k, &mut ctx).unwrap();
         (k, w)
+    }
+
+    /// Fast-first placement that counts live kernel objects through the
+    /// alloc/free hooks, which fire once per object-table insert and
+    /// remove, and shares the peak with the test.
+    struct LiveCount {
+        live: u64,
+        peak: Rc<Cell<u64>>,
+    }
+
+    impl KernelHooks for LiveCount {
+        fn place_page(&mut self, _req: &PageRequest, _mem: &MemorySystem) -> Placement {
+            Placement::fast_then_slow()
+        }
+
+        fn on_object_alloc(
+            &mut self,
+            _obj: ObjectId,
+            _info: &ObjectInfo,
+            _frame: FrameId,
+            _cpu: CpuId,
+            _mem: &mut MemorySystem,
+        ) {
+            self.live += 1;
+            self.peak.set(self.peak.get().max(self.live));
+        }
+
+        fn on_object_free(
+            &mut self,
+            _obj: ObjectId,
+            _info: &ObjectInfo,
+            _frame: FrameId,
+            _mem: &mut MemorySystem,
+        ) {
+            self.live -= 1;
+        }
+    }
+
+    #[test]
+    fn object_slots_never_exceed_peak_live_objects() {
+        // The object table recycles freed slots, so it never holds more
+        // slots than objects were live at once, although the run
+        // allocates many times that in transient socket objects.
+        let peak = Rc::new(Cell::new(0));
+        let mut mem = MemorySystem::two_tier(u64::MAX, 8);
+        let mut hooks = LiveCount {
+            live: 0,
+            peak: Rc::clone(&peak),
+        };
+        let mut k = Kernel::new(KernelParams::default());
+        let mut w = Redis::new(&Scale::tiny());
+        let mut ctx = Ctx::new(&mut mem, &mut hooks);
+        let check = |k: &Kernel, at: &str| {
+            let slots = k.objects().slot_count() as u64;
+            assert!(
+                slots <= peak.get(),
+                "{at}: {slots} slots for a peak of {} live objects",
+                peak.get()
+            );
+        };
+        w.setup(&mut k, &mut ctx).unwrap();
+        check(&k, "setup");
+        let mut steps = 0;
+        while !w.is_done() {
+            w.step(&mut k, &mut ctx).unwrap();
+            steps += 1;
+            check(&k, &format!("step {steps}"));
+        }
+        w.teardown(&mut k, &mut ctx).unwrap();
+        check(&k, "teardown");
+        let allocated: u64 = KernelObjectType::ALL
+            .iter()
+            .map(|&ty| k.stats().ty(ty).allocated)
+            .sum();
+        assert!(
+            allocated > 10 * peak.get(),
+            "{allocated} objects allocated, peak {} live",
+            peak.get()
+        );
     }
 
     #[test]
