@@ -356,7 +356,6 @@ impl KlocRegistry {
                 self.set_member(obj);
             }
             self.stats.objects_tracked += 1;
-            kloc_trace::with_counters(|c| c.member_adds += 1);
         }
     }
 
@@ -389,7 +388,6 @@ impl KlocRegistry {
             .unwrap_or(false)
         {
             self.stats.objects_untracked += 1;
-            kloc_trace::with_counters(|c| c.member_dels += 1);
         }
     }
 

@@ -356,9 +356,6 @@ impl Kernel {
         };
         let obj = self.objects.insert(info, frame, ctx.mem.now());
         self.stats.on_alloc(ty);
-        if matches!(ty.backing(), Backing::Slab) {
-            kloc_trace::with_counters(|c| c.slab_allocs += 1);
-        }
         ctx.hooks
             .on_object_alloc(obj, &info, frame, ctx.cpu, ctx.mem);
         Ok(obj)
@@ -372,9 +369,6 @@ impl Kernel {
             .ok_or(KernelError::BadObject(obj))?;
         let lifetime = ctx.mem.now().saturating_sub(kobj.allocated_at);
         self.stats.on_free(kobj.info.ty, lifetime);
-        if matches!(kobj.info.ty.backing(), Backing::Slab) {
-            kloc_trace::with_counters(|c| c.slab_frees += 1);
-        }
         ctx.mem.charge(self.params.free_cpu);
         ctx.hooks
             .on_object_free(obj, &kobj.info, kobj.frame, ctx.mem);
@@ -755,7 +749,6 @@ impl Kernel {
         match cached {
             Some(page) => {
                 self.stats.cache_hits += 1;
-                kloc_trace::with_counters(|c| c.pc_hits += 1);
                 ctx.mem.write_from(ctx.socket, page.frame, bytes);
                 self.cache_lru.mark_accessed(page.frame);
                 self.note_prefetch_hit(page.frame);
@@ -774,7 +767,6 @@ impl Kernel {
             }
             None => {
                 self.stats.cache_misses += 1;
-                kloc_trace::with_counters(|c| c.pc_misses += 1);
                 self.insert_cache_page(ctx, ino, idx, true, false)?;
                 #[expect(clippy::expect_used, reason = "inserted into the cache just above")]
                 let frame = self
@@ -998,7 +990,6 @@ impl Kernel {
         match cached {
             Some(page) => {
                 self.stats.cache_hits += 1;
-                kloc_trace::with_counters(|c| c.pc_hits += 1);
                 ctx.mem.read_from(ctx.socket, page.frame, bytes);
                 self.cache_lru.mark_accessed(page.frame);
                 self.note_prefetch_hit(page.frame);
@@ -1011,7 +1002,6 @@ impl Kernel {
             None => {
                 // Major fault: synchronous disk read.
                 self.stats.cache_misses += 1;
-                kloc_trace::with_counters(|c| c.pc_misses += 1);
                 self.disk_retry(ctx, DiskOp::Read)?;
                 let stall =
                     self.disk
@@ -1069,7 +1059,6 @@ impl Kernel {
         }
         if issued > 0 {
             self.readahead.record_issued(issued);
-            kloc_trace::with_counters(|c| c.readahead_pages += issued);
         }
         Ok(())
     }

@@ -146,7 +146,6 @@ impl KernelStats {
     /// Records a syscall.
     pub fn on_syscall(&mut self, sc: Syscall) {
         *self.syscalls.get_or_default(sc) += 1;
-        kloc_trace::with_counters(|c| c.syscalls += 1);
     }
 
     /// Counter for one type.

@@ -42,23 +42,11 @@ pub const RULES: &[RuleInfo] = &[
         example: include_str!("../tests/fixtures/examples/kl004.rs"),
     },
     RuleInfo {
-        id: "KL006",
-        title: "feature-shim conformance",
-        rationale: "The `trace` noop shims must expose exactly the API of their real recorder \
-                    halves, or the build with the other polarity stops compiling — and nobody \
-                    builds both locally. The analyzer pairs every public fn under \
-                    cfg(feature = \"X\") with its cfg(not(feature = \"X\")) counterpart (including \
-                    across files, via the cfg on the `mod` declaration) and compares signatures. \
-                    `--fix` rewrites a drifted noop signature from the real half.",
-        pragma: "// lint: shim-ok — <why the halves intentionally diverge>",
-        example: include_str!("../tests/fixtures/examples/kl006.rs"),
-    },
-    RuleInfo {
         id: "KL007",
         title: "feature forwarding",
         rationale: "A feature declared here but not forwarded to a path dependency that declares \
-                    the same feature splits the workspace: `--features trace` on this crate leaves \
-                    the dependency's half of the shims disabled. (A cfg naming an undeclared \
+                    the same feature splits the workspace: `--features ksan` on this crate leaves \
+                    the dependency's audits compiled out. (A cfg naming an undeclared \
                     feature is rustc's `unexpected_cfgs`, denied workspace-wide.)",
         pragma: "# lint: feature-ok — <why the feature stays local> (in Cargo.toml)",
         example: include_str!("../tests/fixtures/examples/kl007.toml"),
@@ -117,7 +105,7 @@ mod tests {
 
     #[test]
     fn every_rule_has_an_entry_and_renders() {
-        let ids = ["KL001", "KL004", "KL006", "KL007", "KL008", "KL009"];
+        let ids = ["KL001", "KL004", "KL007", "KL008", "KL009"];
         for id in ids {
             let text = explain(id).expect(id);
             assert!(text.starts_with(id), "{text}");
@@ -125,8 +113,11 @@ mod tests {
         }
         assert_eq!(RULES.len(), ids.len());
         assert!(explain("KL999").is_none());
-        for moved in ["KL002", "KL003", "KL005"] {
-            assert!(explain(moved).is_none(), "{moved} moved to clippy");
+        for gone in ["KL002", "KL003", "KL005", "KL006"] {
+            assert!(
+                explain(gone).is_none(),
+                "{gone} moved to clippy or was deleted"
+            );
         }
         assert!(explain("kl001").is_some(), "lookup is case-insensitive");
     }
@@ -137,10 +128,10 @@ mod tests {
             let diags = if rule.id == "KL007" {
                 // Forwarding needs the dependency that declares the
                 // feature too.
-                let dep = "[package]\nname = \"kloc-trace\"\n\n[features]\ntrace = []\n";
+                let dep = "[package]\nname = \"kloc-mem\"\n\n[features]\nksan = []\n";
                 lint_manifests(&[
-                    ("crates/mem/Cargo.toml", rule.example),
-                    ("crates/trace/Cargo.toml", dep),
+                    ("crates/kernel/Cargo.toml", rule.example),
+                    ("crates/mem/Cargo.toml", dep),
                 ])
             } else {
                 lint_source("example.rs", rule.example)

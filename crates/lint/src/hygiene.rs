@@ -2,9 +2,9 @@
 //!
 //! If crate C declares feature X and its path dependency D also declares
 //! X, C's X list must contain `"D/X"`; otherwise `cargo build -p C
-//! --features X` leaves D's half of the shim disabled and the two crates
+//! --features X` leaves D's half of the feature compiled out and the two crates
 //! disagree about the feature (this is how the workspace keeps
-//! `--features trace` at the root meaning "trace everywhere"). A `cfg`
+//! `--features ksan` at the root meaning "audit everywhere"). A `cfg`
 //! naming an undeclared feature is rustc's `unexpected_cfgs`, denied
 //! workspace-wide, so this check reads manifests only.
 //!

@@ -18,8 +18,7 @@
 //! feature. This crate keeps the rules clippy cannot express: a lossless
 //! lexer ([`lex`]), an item-level parser ([`items`]) recovering `fn`
 //! signatures, bodies, and `#[cfg]` atoms, and on top of them per-file
-//! token rules, an intra-procedural taint pass, cross-file shim pairing
-//! and a manifest check.
+//! token rules, an intra-procedural taint pass and a manifest check.
 //!
 //! # Rules
 //!
@@ -27,18 +26,18 @@
 //! |-------|------|
 //! | KL001 | no iteration over `HashMap`/`HashSet` (hash order is unstable) |
 //! | KL004 | no truncating `as` casts on id/epoch-like values (use `From`/`try_from`) |
-//! | KL006 | `#[cfg(feature = "X")]` / `#[cfg(not(feature = "X"))]` item pairs must expose identical signatures (feature-shim conformance) |
 //! | KL007 | a feature a crate shares with a path dependency must be forwarded to it (`Cargo.toml` only) |
 //! | KL008 | no dataflow from nondeterministic sources (hash iteration, pointer identity) into report-visible sinks (report fields, trace emits, sort keys) |
 //! | KL009 | in `crates/kernel`/`crates/mem`, frame touches and `DiskOp` submissions must flow through a charged API (`access`, `access_batch`, `disk_retry`) |
 //!
-//! KL002, KL003 and KL005 moved to clippy; their ids are not reused.
-//! KL009 applies only to `crates/kernel` and `crates/mem` non-test code.
+//! KL002, KL003 and KL005 moved to clippy, and KL006 (feature-shim
+//! conformance) went with the last feature that had noop shims; their
+//! ids are not reused. KL009 applies only to `crates/kernel` and
+//! `crates/mem` non-test code.
 //!
-//! The workspace has two cargo features, `trace` and `ksan` (faults are
-//! selected at run time by installing a plan). KL006 keeps the `trace`
-//! recorder and its noop shims in sync; KL007 keeps both features
-//! forwarded through every manifest.
+//! The workspace has one cargo feature, `ksan` (faults and tracing are
+//! selected at run time). KL007 keeps it forwarded through every
+//! manifest.
 //!
 //! # Justification comments
 //!
@@ -49,8 +48,6 @@
 //!   (KL001);
 //! * `// lint: truncation-ok` — the truncation is the documented
 //!   semantics (KL004);
-//! * `// lint: shim-ok` — an intentional real/noop signature divergence
-//!   (KL006);
 //! * `# lint: feature-ok` in `Cargo.toml` — a deliberately unforwarded
 //!   feature (KL007);
 //! * `// lint: taint-ok` — the flow is order-insensitive, e.g. a
@@ -64,10 +61,10 @@
 //!
 //! # Fixes and explanations
 //!
-//! KL006 noop-shim signature drift carries a machine-applicable
-//! [`Suggestion`]; `kloc-lint --fix` applies it. `kloc-lint --explain
-//! KL006` prints a rule's rationale, its justification pragma, and a
-//! minimal violating example sourced from the fixture suite.
+//! A diagnostic may carry a machine-applicable [`Suggestion`];
+//! `kloc-lint --fix` applies it. `kloc-lint --explain KL001` prints a
+//! rule's rationale, its justification pragma, and a minimal violating
+//! example sourced from the fixture suite.
 
 #![warn(missing_docs)]
 
@@ -75,7 +72,6 @@ pub mod explain;
 pub mod items;
 pub mod lex;
 
-mod conformance;
 mod hygiene;
 mod rules;
 mod taint;
@@ -114,7 +110,7 @@ pub struct Diagnostic {
     /// Human-readable explanation.
     pub message: String,
     /// Secondary spans and context, rendered as `note:` lines (e.g.
-    /// the other half of a shim pair, a taint source).
+    /// a taint source).
     pub notes: Vec<String>,
     /// Machine-applicable fix, when one exists.
     pub suggestion: Option<Suggestion>,
@@ -155,8 +151,6 @@ impl fmt::Display for Diagnostic {
 pub const RULE_UNORDERED_ITER: &str = "KL001";
 /// Rule id: truncating cast on an id/epoch-like value.
 pub const RULE_TRUNCATING_CAST: &str = "KL004";
-/// Rule id: feature-shim signature drift between `cfg` polarities.
-pub const RULE_SHIM_CONFORMANCE: &str = "KL006";
 /// Rule id: a feature not forwarded to a path dependency declaring it.
 pub const RULE_CFG_HYGIENE: &str = "KL007";
 /// Rule id: determinism taint reaching a report-visible sink.
@@ -166,33 +160,26 @@ pub const RULE_CLOCK_CHARGE: &str = "KL009";
 
 /// Per-file allow state parsed from justification comments.
 pub(crate) struct Allows {
-    file_wide: [bool; 5],
-    lines: [BTreeSet<usize>; 5],
+    file_wide: [bool; 4],
+    lines: [BTreeSet<usize>; 4],
     treat_as_charged: bool,
 }
 
-const ALLOW_TOKENS: [&str; 5] = [
-    "ordered-ok",
-    "truncation-ok",
-    "shim-ok",
-    "taint-ok",
-    "charge-ok",
-];
+const ALLOW_TOKENS: [&str; 4] = ["ordered-ok", "truncation-ok", "taint-ok", "charge-ok"];
 
 fn allow_slot(rule: &str) -> usize {
     match rule {
         RULE_UNORDERED_ITER => 0,
         RULE_TRUNCATING_CAST => 1,
-        RULE_SHIM_CONFORMANCE => 2,
-        RULE_DETERMINISM_TAINT => 3,
-        RULE_CLOCK_CHARGE => 4,
+        RULE_DETERMINISM_TAINT => 2,
+        RULE_CLOCK_CHARGE => 3,
         _ => unreachable!("rule has no source pragma"),
     }
 }
 
 pub(crate) fn parse_allows(source: &str) -> Allows {
     let mut allows = Allows {
-        file_wide: [false; 5],
+        file_wide: [false; 4],
         lines: Default::default(),
         treat_as_charged: false,
     };
@@ -257,34 +244,10 @@ impl SourceFile {
     }
 }
 
-/// KL006 pairing across the files of one crate.
-fn check_shims(files: &[SourceFile]) -> Vec<Diagnostic> {
-    let refs: Vec<(String, &ParsedFile)> =
-        files.iter().map(|f| (f.rel.clone(), &f.parsed)).collect();
-    conformance::check_crate(&refs, &|file, line| {
-        files
-            .iter()
-            .find(|f| f.rel == file)
-            .is_some_and(|f| f.allows.allowed(RULE_SHIM_CONFORMANCE, line))
-    })
-}
-
 /// Lints one file's source text. `file` is workspace-relative: it
-/// decides whether KL009 applies. KL006 pairs within the single file;
-/// cross-file pairs need [`lint_crate`].
+/// decides whether KL009 applies.
 pub fn lint_source(file: &str, source: &str) -> Vec<Diagnostic> {
-    lint_crate(&[(file, source)])
-}
-
-/// Lints a set of in-memory files as one crate: per-file rules plus
-/// KL006 pairing across the files.
-pub fn lint_crate(files: &[(&str, &str)]) -> Vec<Diagnostic> {
-    let files: Vec<SourceFile> = files
-        .iter()
-        .map(|(rel, source)| SourceFile::new(rel, source))
-        .collect();
-    let mut out: Vec<Diagnostic> = files.iter().flat_map(SourceFile::check).collect();
-    out.extend(check_shims(&files));
+    let mut out = SourceFile::new(file, source).check();
     out.sort();
     out.dedup();
     out
@@ -359,25 +322,15 @@ pub fn workspace_files(root: &Path) -> std::io::Result<Vec<PathBuf>> {
     Ok(files)
 }
 
-/// Lints every workspace source file under `root`, pairs KL006 shims
-/// across each crate's files, and checks KL007 forwarding across the
-/// workspace manifests. Paths in diagnostics are workspace-relative.
+/// Lints every workspace source file under `root` and checks KL007
+/// forwarding across the workspace manifests. Paths in diagnostics are
+/// workspace-relative.
 pub fn lint_workspace(root: &Path) -> std::io::Result<Vec<Diagnostic>> {
-    // Crate directory name ("klocs" for the root package) -> its files.
-    let mut by_crate: BTreeMap<String, Vec<SourceFile>> = BTreeMap::new();
+    let mut out = Vec::new();
     for path in workspace_files(root)? {
         let rel = path.strip_prefix(root).unwrap_or(&path);
         let source = std::fs::read_to_string(&path)?;
-        let crate_name = crate_component(rel).unwrap_or_else(|| "klocs".to_owned());
-        by_crate
-            .entry(crate_name)
-            .or_default()
-            .push(SourceFile::new(&rel.display().to_string(), &source));
-    }
-    let mut out = Vec::new();
-    for files in by_crate.values() {
-        out.extend(files.iter().flat_map(SourceFile::check));
-        out.extend(check_shims(files));
+        out.extend(SourceFile::new(&rel.display().to_string(), &source).check());
     }
     let manifests = workspace_manifests(root)?;
     let manifests: Vec<(&str, &str)> = manifests

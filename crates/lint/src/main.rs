@@ -9,7 +9,7 @@
 //! ```text
 //! cargo run -p kloc-lint -- crates/lint/tests/fixtures
 //! cargo run -p kloc-lint -- --fix          # apply machine-applicable fixes
-//! cargo run -p kloc-lint -- --explain KL006
+//! cargo run -p kloc-lint -- --explain KL001
 //! ```
 //!
 //! Exit status: 0 when clean (or when `--fix` repaired everything),

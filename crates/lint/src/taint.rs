@@ -16,7 +16,7 @@
 //! Sinks:
 //! * fields of a `…Report` struct literal;
 //! * assignments whose left-hand side mentions a `report` segment;
-//! * `kloc_trace::emit` / `kloc_trace::charge` / `kloc_trace::with_counters`
+//! * `kloc_trace::emit` / `kloc_trace::charge` / `kloc_trace::flush`
 //!   arguments;
 //! * sort keys (`sort_by_key`, `sort_unstable_by_key`, `sort_by`,
 //!   `sort_unstable_by` closures).
@@ -42,7 +42,7 @@ const SORT_SINKS: &[&str] = &[
     "sort_by",
     "sort_unstable_by",
 ];
-const TRACE_SINKS: &[&str] = &["emit", "charge", "with_counters"];
+const TRACE_SINKS: &[&str] = &["emit", "charge", "flush"];
 
 pub(crate) fn check_file(file: &str, pf: &ParsedFile, allows: &Allows) -> Vec<Diagnostic> {
     let hash_names = hash_collection_names(pf);
@@ -404,7 +404,7 @@ fn check_body(
                 continue;
             }
         }
-        // Sink 3: kloc_trace::emit / charge / with_counters arguments.
+        // Sink 3: kloc_trace::emit / charge / flush arguments.
         if t == "kloc_trace"
             && i + 4 < hi
             && pf.adjacent_pair(i + 1, "::")

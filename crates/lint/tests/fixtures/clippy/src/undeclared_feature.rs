@@ -21,10 +21,10 @@ pub fn record(event: u64) {
 }
 
 /// Declared features, either polarity, are fine.
-#[cfg(feature = "trace")]
-pub fn traced() {}
+#[cfg(feature = "probe")]
+pub fn probed() {}
 
-/// See [`traced`].
+/// See [`probed`].
 #[cfg(not(feature = "ksan"))]
 pub fn unsanitized() {}
 

@@ -1,12 +1,13 @@
-//! Regression suite for the structural rules (KL006–KL009): fixture
-//! files pinned down to exact (file, line, rule) triples, scratch-copy
-//! drift tests against the real workspace sources and manifests, `--fix`
-//! application/idempotence checks, and the CLI's explicit-path mode.
+//! Regression suite for the structural rules (KL007–KL009): fixture
+//! files pinned down to exact (file, line, rule) triples, a scratch-copy
+//! drift test against the real workspace manifests, `--fix`
+//! application and idempotence checks, and the CLI's explicit-path
+//! mode.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
-use kloc_lint::{apply_fixes, lint_crate, lint_manifests, lint_source, Diagnostic};
+use kloc_lint::{apply_fixes, lint_manifests, lint_source, Diagnostic, Suggestion};
 
 #[path = "support/clippy.rs"]
 mod toolchain;
@@ -48,43 +49,6 @@ fn scratch_dir(tag: &str) -> PathBuf {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("scratch dir");
     dir
-}
-
-#[test]
-fn kl006_fixture_pins_drift_and_missing_counterpart() {
-    let diags = lint_fixture("kl006_shim_drift.rs");
-    assert_eq!(
-        triples(&diags),
-        vec![
-            ("kl006_shim_drift.rs".to_owned(), 13, "KL006"),
-            ("kl006_shim_drift.rs".to_owned(), 16, "KL006"),
-        ],
-        "{diags:#?}"
-    );
-    // The drift diagnostic points back at the real half (both spans).
-    assert!(diags[0].message.contains("drifted"), "{}", diags[0].message);
-    assert!(
-        diags[0]
-            .notes
-            .iter()
-            .any(|n| n.contains("kl006_shim_drift.rs:8")),
-        "{:?}",
-        diags[0].notes
-    );
-    let fix = diags[0]
-        .suggestion
-        .as_ref()
-        .expect("machine-applicable fix");
-    assert_eq!(
-        fix.replacement,
-        "fn set_fault_plan(_plan: FaultPlan, _seed: u64)"
-    );
-    // The missing-counterpart diagnostic names both polarities.
-    assert!(
-        diags[1].message.contains("no counterpart"),
-        "{}",
-        diags[1].message
-    );
 }
 
 #[test]
@@ -169,112 +133,73 @@ fn kl007_flags_undeclared_feature_with_insertion_fix() {
     assert!(found[0].help.iter().any(|h| h == fix), "{found:#?}");
 }
 
-/// Deleting a parameter from a real noop shim in a scratch copy of
-/// `crates/trace/src/lib.rs` must trip KL006 with spans at both halves
-/// (the noop line, and the real line in `recorder.rs` in the note).
-#[test]
-fn scratch_copy_shim_param_deletion_trips_kl006() {
-    let root = workspace_root();
-    let read = |rel: &str| std::fs::read_to_string(root.join(rel)).expect("trace source readable");
-    let lib = read("crates/trace/src/lib.rs");
-    let recorder = read("crates/trace/src/recorder.rs");
-    let noop = "pub fn charge(_ns: u64) {}";
-    assert!(
-        lib.contains(noop),
-        "expected real noop shim in trace lib.rs"
-    );
-    let mutated = lib.replace(noop, "pub fn charge() {}");
-    let lint_trace = |lib: &str| {
-        lint_crate(&[
-            ("crates/trace/src/lib.rs", lib),
-            ("crates/trace/src/recorder.rs", &recorder),
-        ])
-    };
-
-    let diags = lint_trace(&mutated);
-    let kl006: Vec<&Diagnostic> = diags.iter().filter(|d| d.rule == "KL006").collect();
-    assert_eq!(kl006.len(), 1, "{diags:#?}");
-    assert_eq!(kl006[0].file, "crates/trace/src/lib.rs");
-    assert_eq!(kl006[0].line, line_at(&mutated, "pub fn charge() {}"));
-    let real_line = line_at(&recorder, "pub fn charge(ns: u64)");
-    assert!(
-        kl006[0]
-            .notes
-            .iter()
-            .any(|n| n.contains(&format!("crates/trace/src/recorder.rs:{real_line}"))),
-        "{:?}",
-        kl006[0].notes
-    );
-    // And the untouched original lints clean.
-    let clean = lint_trace(&lib);
-    assert!(clean.is_empty(), "{clean:#?}");
-}
-
 /// Renaming the forwarded feature in a scratch copy of a real manifest
-/// (`"kloc-trace/trace"` -> `"kloc-trace/tracee"`) must trip KL007 on
-/// the feature's line, naming the dependency it no longer reaches.
+/// (`"kloc-mem/ksan"` -> `"kloc-mem/ksna"`) must trip KL007 on the
+/// feature's line, naming the dependency it no longer reaches.
 #[test]
 fn scratch_copy_feature_rename_trips_kl007() {
     let root = workspace_root();
     let read = |rel: &str| std::fs::read_to_string(root.join(rel)).expect("manifest readable");
-    let trace = read("crates/trace/Cargo.toml");
     let mem = read("crates/mem/Cargo.toml");
-    let forward = "trace = [\"kloc-trace/trace\"]";
-    assert!(mem.contains(forward), "expected mem to forward trace");
-    let mutated = mem.replace(forward, "trace = [\"kloc-trace/tracee\"]");
+    let kernel = read("crates/kernel/Cargo.toml");
+    let forward = "ksan = [\"kloc-mem/ksan\"]";
+    assert!(kernel.contains(forward), "expected kernel to forward ksan");
+    let mutated = kernel.replace(forward, "ksan = [\"kloc-mem/ksna\"]");
 
-    let lint_mem = |mem: &str| {
+    let lint_kernel = |kernel: &str| {
         lint_manifests(&[
-            ("crates/mem/Cargo.toml", mem),
-            ("crates/trace/Cargo.toml", &trace),
+            ("crates/kernel/Cargo.toml", kernel),
+            ("crates/mem/Cargo.toml", &mem),
         ])
     };
-    let diags = lint_mem(&mutated);
+    let diags = lint_kernel(&mutated);
     assert_eq!(
         triples(&diags),
         vec![(
-            "crates/mem/Cargo.toml".to_owned(),
-            line_at(&mutated, "trace = ["),
+            "crates/kernel/Cargo.toml".to_owned(),
+            line_at(&mutated, "ksan = ["),
             "KL007"
         )],
         "{diags:#?}"
     );
-    assert!(diags[0].message.contains("kloc-trace/trace"));
+    assert!(diags[0].message.contains("kloc-mem/ksan"));
     assert!(diags[0]
         .notes
         .iter()
-        .any(|n| n.contains("crates/trace/Cargo.toml")));
+        .any(|n| n.contains("crates/mem/Cargo.toml")));
     // And the untouched original lints clean.
-    let clean = lint_mem(&mem);
+    let clean = lint_kernel(&kernel);
     assert!(clean.is_empty(), "{clean:#?}");
 }
 
+/// `--fix` applies each file's suggestions back to front, skips one
+/// that overlaps an earlier suggestion, and changes nothing when no
+/// diagnostic carries a fix.
 #[test]
-fn fix_rewrites_drifted_noop_shim_signature() {
-    let dir = scratch_dir("kl006fix");
-    let rel = "kl006_shim_drift.rs";
-    let source = std::fs::read_to_string(fixture_path(rel)).unwrap();
-    std::fs::write(dir.join(rel), &source).unwrap();
-
-    let before = lint_source(rel, &source);
-    assert!(before.iter().any(|d| d.suggestion.is_some()), "{before:#?}");
-    let changed = apply_fixes(&dir, &before).expect("fixes apply");
-    assert_eq!(changed, vec![rel.to_owned()]);
-
+fn fix_applies_suggestions_first_wins() {
+    let dir = scratch_dir("fix");
+    let rel = "f.rs";
+    std::fs::write(dir.join(rel), "fn a(x: u32) -> u32 { x }\n").unwrap();
+    let fix = |start, end, replacement: &str| {
+        let mut d = Diagnostic::new(rel, 1, "KL004", "test".to_owned());
+        d.suggestion = Some(Suggestion {
+            start,
+            end,
+            replacement: replacement.to_owned(),
+        });
+        d
+    };
+    let diags = vec![
+        fix(8, 11, "u64"),
+        fix(16, 19, "u64"),
+        fix(9, 12, "overlaps the first"),
+    ];
+    assert_eq!(apply_fixes(&dir, &diags).expect("fixes apply"), vec![rel]);
     let fixed = std::fs::read_to_string(dir.join(rel)).unwrap();
-    assert!(
-        fixed.contains("fn set_fault_plan(_plan: FaultPlan, _seed: u64)"),
-        "{fixed}"
-    );
-    let after = lint_source(rel, &fixed);
-    // The drift is gone; only the (fixless) missing-counterpart remains.
-    assert!(
-        after.iter().all(|d| !d.message.contains("drifted")),
-        "{after:#?}"
-    );
-    assert!(after.iter().all(|d| d.suggestion.is_none()), "{after:#?}");
-    let changed_again = apply_fixes(&dir, &after).expect("noop fixes");
-    assert!(changed_again.is_empty());
+    assert_eq!(fixed, "fn a(x: u64) -> u64 { x }\n");
+
+    let unfixable = vec![Diagnostic::new(rel, 1, "KL004", "test".to_owned())];
+    assert!(apply_fixes(&dir, &unfixable).expect("noop").is_empty());
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -504,12 +504,6 @@ impl MemorySystem {
             // `set_frame_tenant` when the kernel attributes it.
             self.fast_kernel_inc(TenantId::DEFAULT);
         }
-        kloc_trace::with_counters(|c| {
-            c.frame_allocs += 1;
-            if tier.index() == 0 {
-                c.fast_allocs += 1;
-            }
-        });
         Ok(id)
     }
 
@@ -558,7 +552,6 @@ impl MemorySystem {
         if let Some(l4) = self.l4[f.tier.index()].as_mut() {
             l4.invalidate(frame);
         }
-        kloc_trace::with_counters(|c| c.frame_frees += 1);
         Ok(())
     }
 

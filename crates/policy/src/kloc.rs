@@ -80,6 +80,8 @@ pub struct KlocPolicy {
     active_cursor: usize,
     /// Largest en-masse migration staged (Table 6 overhead accounting).
     peak_migration_batch: u64,
+    /// Kernel allocations `place_page` diverted to slow memory.
+    slow_diverts: u64,
     /// Reusable candidate buffer for the tick reclaim passes, held on
     /// the policy so the per-tick paths allocate nothing.
     scratch: Vec<kloc_kernel::InodeId>,
@@ -138,6 +140,7 @@ impl KlocPolicy {
             ticks: 0,
             active_cursor: 0,
             peak_migration_batch: 0,
+            slow_diverts: 0,
             scratch: Vec::new(),
             tenant_budgets: Vec::new(),
             tenant_qos: Vec::new(),
@@ -288,7 +291,7 @@ impl KernelHooks for KlocPolicy {
         // per-tenant fast-resident kernel-page counters.
         if let Some(&Some(budget)) = self.tenant_budgets.get(req.tenant.index()) {
             if mem.tenant_fast_kernel(req.tenant) >= budget {
-                kloc_trace::with_counters(|c| c.slow_diverts += 1);
+                self.slow_diverts += 1;
                 return Placement::slow_only();
             }
         }
@@ -305,7 +308,7 @@ impl KernelHooks for KlocPolicy {
         if pressure || mem.tier_fault_active() {
             if let Some(floor) = self.qos_divert_floor(mem) {
                 if self.tenant_qos.get(req.tenant.index()).copied().flatten() == Some(floor) {
-                    kloc_trace::with_counters(|c| c.slow_diverts += 1);
+                    self.slow_diverts += 1;
                     return Placement::slow_only();
                 }
             }
@@ -322,7 +325,7 @@ impl KernelHooks for KlocPolicy {
                 .map(|(_, v)| *v)
                 .sum();
             if kernel_fast >= budget {
-                kloc_trace::with_counters(|c| c.slow_diverts += 1);
+                self.slow_diverts += 1;
                 return Placement::slow_only();
             }
         }
@@ -330,7 +333,7 @@ impl KernelHooks for KlocPolicy {
             // Speculative readahead must not pollute scarce fast memory
             // (§7.3); pages that turn out hot are retrieved by the
             // member-granular promotion path.
-            kloc_trace::with_counters(|c| c.slow_diverts += 1);
+            self.slow_diverts += 1;
             return Placement::slow_only();
         }
         match req.inode.and_then(|i| self.registry.is_active(i)) {
@@ -343,7 +346,7 @@ impl KernelHooks for KlocPolicy {
             // can always be reclaimed en masse later).
             Some(false) => {
                 if pressure {
-                    kloc_trace::with_counters(|c| c.slow_diverts += 1);
+                    self.slow_diverts += 1;
                     Placement::slow_only()
                 } else {
                     Placement::fast_then_slow()
@@ -563,6 +566,10 @@ impl Policy for KlocPolicy {
 
     fn peak_migration_batch(&self) -> u64 {
         self.peak_migration_batch
+    }
+
+    fn slow_diverts(&self) -> u64 {
+        self.slow_diverts
     }
 
     fn configure_tenants(&mut self, specs: &[kloc_kernel::TenantSpec]) {

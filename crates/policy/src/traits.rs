@@ -45,6 +45,12 @@ pub trait Policy: KernelHooks {
         0
     }
 
+    /// Kernel allocations placement diverted to slow memory so far (the
+    /// trace's `slow_diverts` counter).
+    fn slow_diverts(&self) -> u64 {
+        0
+    }
+
     /// Updates the task's home socket (NUMA policies; no-op otherwise).
     fn set_task_socket(&mut self, _socket: u8) {}
 

@@ -8,8 +8,8 @@
 //! ktrace schema                    # the event schema reference
 //! ```
 //!
-//! Collect a trace with a `trace`-enabled build:
-//! `cargo run --release --features trace --bin repro -- all --scale tiny --trace out.jsonl`.
+//! Collect a trace with any build of `repro`:
+//! `cargo run --release --bin repro -- all --scale tiny --trace out.jsonl`.
 
 use std::process::ExitCode;
 

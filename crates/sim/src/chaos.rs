@@ -33,7 +33,7 @@ use kloc_mem::{DiskOp, DrainStats, FaultPlan, MemorySystem, Nanos, TierFaultKind
 use kloc_policy::PolicyKind;
 use kloc_workloads::{MultiTenant, Scale, WorkloadKind};
 
-use crate::engine::BudgetEvent;
+use crate::engine::{self, BudgetEvent, Platform};
 use crate::report::Table;
 
 /// Phase labels, in virtual-time order.
@@ -186,14 +186,21 @@ struct Drive {
 /// (sorted ascending). Mirrors the engine's measured loop — tenant
 /// registration, budget-resize application, and tier drain at the tick
 /// cadence — without its report plumbing, so phases can be sampled
-/// mid-run.
+/// mid-run. Under a trace session the drive records one run slice.
 fn drive(
     scale: &Scale,
     plan: Option<FaultPlan>,
     budgets: &[BudgetEvent],
     bounds: &[Nanos],
 ) -> Result<Drive, KernelError> {
-    let mut mem = MemorySystem::two_tier(scale.fast_bytes, 8);
+    const BW_RATIO: u64 = 8;
+    let workload_kind = WorkloadKind::Tenants { budgeted: true };
+    let platform = Platform::TwoTier {
+        fast_bytes: scale.fast_bytes,
+        bw_ratio: BW_RATIO,
+    };
+    engine::trace_run_begin(workload_kind, PolicyKind::Kloc, &platform, scale);
+    let mut mem = MemorySystem::two_tier(scale.fast_bytes, BW_RATIO);
     let mut policy = PolicyKind::Kloc.build();
     mem.set_migration_cost(policy.migration_cost());
     mem.set_cpu_parallelism(scale.threads.max(1) as u64);
@@ -205,7 +212,7 @@ fn drive(
         ..KernelParams::default()
     };
     let mut kernel = Kernel::new(params);
-    let mut workload = WorkloadKind::Tenants { budgeted: true }.build(scale);
+    let mut workload = workload_kind.build(scale);
     let specs = workload.tenant_specs();
     for spec in &specs {
         kernel.register_tenant(spec.clone());
@@ -300,6 +307,11 @@ fn drive(
     }
     samples.push(snapshot(&kernel));
     let end = mem.now();
+    engine::trace_flush(&mem, &kernel, &*policy);
+    kloc_trace::emit(|| kloc_trace::Event::RunEnd {
+        t: end.as_nanos(),
+        ops: workload.ops_done(),
+    });
     let drain = *mem.drain_stats();
     Ok(Drive {
         kernel,
@@ -320,22 +332,9 @@ fn halve(cap: Option<u64>) -> Option<u64> {
 /// Propagates kernel errors — the scenario injects no crash, so any
 /// error is a harness bug, not an expected outcome.
 pub fn run(scale: &Scale) -> Result<ChaosReport, KernelError> {
-    // The soak runs outside the sweep runner, so it installs its own
-    // per-thread recorder when a trace session is collecting; both
-    // passes and the recovery check land in one run slice.
-    if kloc_trace::session_active() {
-        kloc_trace::run_begin();
-    }
-    let report = run_inner(scale);
-    if kloc_trace::session_active() {
-        kloc_trace::session_append(&kloc_trace::run_take());
-    }
-    report
-}
-
-fn run_inner(scale: &Scale) -> Result<ChaosReport, KernelError> {
-    // Pass 1: fault-free, to learn the horizon.
-    let free = drive(scale, None, &[], &[])?;
+    // Pass 1: fault-free, to learn the horizon. Each pass is its own
+    // run slice of a trace session.
+    let free = engine::traced(|| drive(scale, None, &[], &[]))?;
     let t = free.end.as_nanos().max(99);
     let window_start = Nanos::new(t / 3);
     let window_end = Nanos::new(2 * t / 3);
@@ -377,7 +376,7 @@ fn run_inner(scale: &Scale) -> Result<ChaosReport, KernelError> {
     ];
 
     // Pass 2: the chaos pass, sampled at the phase boundaries.
-    let chaos = drive(scale, Some(plan), &budgets, &[window_start, window_end])?;
+    let chaos = engine::traced(|| drive(scale, Some(plan), &budgets, &[window_start, window_end]))?;
     let recovered = recover(chaos.kernel.durable());
     let violations = check(chaos.kernel.durable(), chaos.kernel.promise(), &recovered);
 

@@ -17,11 +17,13 @@
 //! crash is byte-for-byte the schedule pass 1 observed.
 
 use kloc_kernel::hooks::Ctx;
-use kloc_kernel::recovery::{check, recover, CrashViolation};
+use kloc_kernel::recovery::{check, recover, CrashViolation, RecoveredState};
 use kloc_kernel::{Kernel, KernelError, KernelParams};
 use kloc_mem::{CrashPoint, DrainStats, FaultPlan, MemorySystem, Nanos, TierFaultKind, TierId};
 use kloc_policy::PolicyKind;
 use kloc_workloads::{Scale, WorkloadKind};
+
+use crate::engine::{self, traced, Platform};
 
 /// Result of recovering from one injected crash.
 #[derive(Debug, Clone)]
@@ -101,13 +103,21 @@ pub const MAX_COMMITS: usize = 32;
 /// and promise ledgers), whether an injected crash ended the run, the
 /// virtual time the run stopped, and the tier-drain counters (nonzero
 /// only when the plan opened an `Offline` window over resident frames).
+/// Under a trace session the caller wraps the drive in [`traced`], so
+/// each drive is one run slice.
 fn drive(
-    workload: WorkloadKind,
+    workload_kind: WorkloadKind,
     policy_kind: PolicyKind,
     scale: &Scale,
     plan: Option<FaultPlan>,
 ) -> Result<(Kernel, bool, Nanos, DrainStats), KernelError> {
-    let mut mem = MemorySystem::two_tier(scale.fast_bytes, 8);
+    const BW_RATIO: u64 = 8;
+    let platform = Platform::TwoTier {
+        fast_bytes: scale.fast_bytes,
+        bw_ratio: BW_RATIO,
+    };
+    engine::trace_run_begin(workload_kind, policy_kind, &platform, scale);
+    let mut mem = MemorySystem::two_tier(scale.fast_bytes, BW_RATIO);
     let mut policy = policy_kind.build();
     mem.set_migration_cost(policy.migration_cost());
     mem.set_cpu_parallelism(scale.threads.max(1) as u64);
@@ -118,7 +128,7 @@ fn drive(
         page_cache_budget: scale.page_cache_frames,
         ..KernelParams::default()
     });
-    let mut workload = workload.build(scale);
+    let mut workload = workload_kind.build(scale);
     let tick_interval = policy.tick_interval();
     let mut next_tick = mem.now() + tick_interval;
     let crashed = 'run: {
@@ -155,8 +165,24 @@ fn drive(
         false
     };
     let now = mem.now();
+    engine::trace_flush(&mem, &kernel, &*policy);
+    kloc_trace::emit(|| kloc_trace::Event::RunEnd {
+        t: now.as_nanos(),
+        ops: workload.ops_done(),
+    });
     let drain = *mem.drain_stats();
     Ok((kernel, crashed, now, drain))
+}
+
+/// Emits the `recovery` event for a crash at `at`, into the crashed
+/// drive's run slice.
+fn trace_recovery(at: Nanos, recovered: &RecoveredState) {
+    kloc_trace::emit(|| kloc_trace::Event::Recovery {
+        t: at.as_nanos(),
+        replayed: recovered.replayed as u64,
+        torn: recovered.torn as u64,
+        pages: recovered.pages.len() as u64,
+    });
 }
 
 /// Crash points for one commit that wrote `blocks` journal blocks: the
@@ -188,7 +214,7 @@ pub fn sweep(
     mid_points: u32,
 ) -> Result<SweepSummary, KernelError> {
     // Pass 1: fault-free, to learn the commit schedule.
-    let (kernel, crashed, _, _) = drive(workload, policy, scale, None)?;
+    let (kernel, crashed, _, _) = traced(|| drive(workload, policy, scale, None))?;
     debug_assert!(!crashed, "fault-free pass cannot crash");
     let schedule: Vec<u32> = kernel
         .durable()
@@ -208,25 +234,23 @@ pub fn sweep(
                 index: i as u64,
                 after_blocks: j,
             });
-            let (kernel, crashed, at, _) = drive(workload, policy, scale, Some(plan))?;
-            debug_assert!(crashed, "commit {i} crash point {j} did not fire");
-            let recovered = recover(kernel.durable());
-            let violations = check(kernel.durable(), kernel.promise(), &recovered);
-            kloc_trace::emit(|| kloc_trace::Event::Recovery {
-                t: at.as_nanos(),
-                replayed: recovered.replayed as u64,
-                torn: recovered.torn as u64,
-                pages: recovered.pages.len() as u64,
-            });
-            outcomes.push(CrashOutcome {
-                commit: i as u64,
-                after_blocks: j,
-                at,
-                replayed: recovered.replayed,
-                torn: recovered.torn,
-                pages: recovered.pages.len(),
-                violations,
-            });
+            let outcome = traced(|| {
+                let (kernel, crashed, at, _) = drive(workload, policy, scale, Some(plan))?;
+                debug_assert!(crashed, "commit {i} crash point {j} did not fire");
+                let recovered = recover(kernel.durable());
+                let violations = check(kernel.durable(), kernel.promise(), &recovered);
+                trace_recovery(at, &recovered);
+                Ok::<_, KernelError>(CrashOutcome {
+                    commit: i as u64,
+                    after_blocks: j,
+                    at,
+                    replayed: recovered.replayed,
+                    torn: recovered.torn,
+                    pages: recovered.pages.len(),
+                    violations,
+                })
+            })?;
+            outcomes.push(outcome);
         }
     }
     Ok(SweepSummary {
@@ -320,7 +344,7 @@ pub fn sweep_drain_window(
     points: u32,
 ) -> Result<DrainSweepSummary, KernelError> {
     // Pass 1: fault-free, to learn the horizon the window is cut from.
-    let (_, crashed, horizon, _) = drive(workload, policy, scale, None)?;
+    let (_, crashed, horizon, _) = traced(|| drive(workload, policy, scale, None))?;
     debug_assert!(!crashed, "fault-free pass cannot crash");
     let t = horizon.as_nanos().max(99);
     let start = Nanos::new(t / 4);
@@ -335,24 +359,22 @@ pub fn sweep_drain_window(
         let plan = FaultPlan::new()
             .with_tier_fault(TierId::FAST, TierFaultKind::Offline, start, Some(end))
             .with_crash(CrashPoint::At(at));
-        let (kernel, crashed, fired, drain) = drive(workload, policy, scale, Some(plan))?;
-        debug_assert!(crashed, "mid-drain crash point {k} did not fire");
-        let recovered = recover(kernel.durable());
-        let violations = check(kernel.durable(), kernel.promise(), &recovered);
-        kloc_trace::emit(|| kloc_trace::Event::Recovery {
-            t: fired.as_nanos(),
-            replayed: recovered.replayed as u64,
-            torn: recovered.torn as u64,
-            pages: recovered.pages.len() as u64,
-        });
-        outcomes.push(DrainCrashOutcome {
-            at,
-            fired,
-            drained: drain.drained,
-            replayed: recovered.replayed,
-            torn: recovered.torn,
-            violations,
-        });
+        let outcome = traced(|| {
+            let (kernel, crashed, fired, drain) = drive(workload, policy, scale, Some(plan))?;
+            debug_assert!(crashed, "mid-drain crash point {k} did not fire");
+            let recovered = recover(kernel.durable());
+            let violations = check(kernel.durable(), kernel.promise(), &recovered);
+            trace_recovery(fired, &recovered);
+            Ok::<_, KernelError>(DrainCrashOutcome {
+                at,
+                fired,
+                drained: drain.drained,
+                replayed: recovered.replayed,
+                torn: recovered.torn,
+                violations,
+            })
+        })?;
+        outcomes.push(outcome);
     }
     Ok(DrainSweepSummary {
         workload: workload.label().to_owned(),

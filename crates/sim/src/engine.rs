@@ -3,7 +3,7 @@
 use kloc_core::overhead::{self, OverheadReport};
 use kloc_core::KlocStats;
 use kloc_kernel::hooks::Ctx;
-use kloc_kernel::{Kernel, KernelError, KernelParams, KernelStats};
+use kloc_kernel::{Backing, Kernel, KernelError, KernelParams, KernelStats};
 use kloc_mem::{FaultPlan, MemStats, MemorySystem, MigrationStats, Nanos, TenantId, TierId};
 use kloc_policy::{Policy, PolicyKind};
 use kloc_workloads::{Scale, WorkloadKind};
@@ -279,6 +279,76 @@ impl KsanState {
     }
 }
 
+/// Emits a run's `run_begin` trace event.
+pub(crate) fn trace_run_begin(
+    workload: WorkloadKind,
+    policy: PolicyKind,
+    platform: &Platform,
+    scale: &Scale,
+) {
+    kloc_trace::emit(|| kloc_trace::Event::RunBegin {
+        t: 0,
+        workload: workload.label().to_owned(),
+        policy: policy.label().to_owned(),
+        platform: platform_label(platform),
+        seed: scale.seed,
+        ops: scale.ops,
+    });
+}
+
+/// A run's trace counter totals so far, read off the layer statistics
+/// that count the same events; [`kloc_trace::flush`] emits the change
+/// since its previous call. Every counter is cumulative from the
+/// construction of `mem`, `kernel` and `policy`, so they must be the
+/// run's own.
+pub(crate) fn trace_counters(
+    mem: &MemorySystem,
+    kernel: &Kernel,
+    policy: &dyn Policy,
+) -> kloc_trace::Counters {
+    let tiers = &mem.stats().tiers;
+    let stats = kernel.stats();
+    let slab = |count: fn(&kloc_kernel::stats::TypeStats) -> u64| -> u64 {
+        stats
+            .types
+            .iter()
+            .filter(|(ty, _)| matches!(ty.backing(), Backing::Slab))
+            .map(|(_, t)| count(t))
+            .sum()
+    };
+    let kloc = policy.kloc_stats().unwrap_or_default();
+    kloc_trace::Counters {
+        syscalls: stats.syscalls.values().sum(),
+        pc_hits: stats.cache_hits,
+        pc_misses: stats.cache_misses,
+        frame_allocs: tiers.iter().map(|t| t.frames_allocated).sum(),
+        fast_allocs: mem.stats().tier(TierId::FAST).frames_allocated,
+        frame_frees: tiers.iter().map(|t| t.frames_freed).sum(),
+        slab_allocs: slab(|t| t.allocated),
+        slab_frees: slab(|t| t.freed),
+        member_adds: kloc.objects_tracked,
+        member_dels: kloc.objects_untracked,
+        slow_diverts: policy.slow_diverts(),
+        readahead_pages: kernel.readahead().stats().issued,
+    }
+}
+
+/// Flushes the run's trace attribution and counters at the current
+/// virtual time.
+pub(crate) fn trace_flush(mem: &MemorySystem, kernel: &Kernel, policy: &dyn Policy) {
+    kloc_trace::flush(mem.now().as_nanos(), || trace_counters(mem, kernel, policy));
+}
+
+/// Runs `f` under its own run recorder when a trace session is open,
+/// and appends what it recorded to the session. For harnesses that run
+/// outside the sweep runner, which collects its jobs' recorders itself.
+pub(crate) fn traced<T>(f: impl FnOnce() -> T) -> T {
+    kloc_trace::run_begin();
+    let out = f();
+    kloc_trace::session_append(&kloc_trace::run_take());
+    out
+}
+
 /// Compact platform descriptor for the `run_begin` trace event.
 fn platform_label(platform: &Platform) -> String {
     match *platform {
@@ -351,21 +421,18 @@ pub fn run_borrowing(
     config: &RunConfig,
     policy: &mut dyn Policy,
 ) -> Result<RunReport, KernelError> {
-    if kloc_trace::session_active() {
-        // Install a per-run recorder on this worker thread. The runner
-        // collects it with `kloc_trace::run_take()` after the run and
-        // appends buffers to the session in input order, which is what
-        // keeps session bytes independent of the worker count.
-        kloc_trace::run_begin();
-    }
-    kloc_trace::emit(|| kloc_trace::Event::RunBegin {
-        t: 0,
-        workload: config.workload.label().to_owned(),
-        policy: config.policy.label().to_owned(),
-        platform: platform_label(&config.platform),
-        seed: config.scale.seed,
-        ops: config.scale.ops,
-    });
+    // Install a per-run recorder on this worker thread (a no-op without
+    // a trace session). The runner collects it with
+    // `kloc_trace::run_take()` after the run and appends buffers to the
+    // session in input order, which is what keeps session bytes
+    // independent of the worker count.
+    kloc_trace::run_begin();
+    trace_run_begin(
+        config.workload,
+        config.policy,
+        &config.platform,
+        &config.scale,
+    );
     let mut mem = build_mem(config);
     mem.set_migration_cost(policy.migration_cost());
     mem.set_cpu_parallelism(config.scale.threads.max(1) as u64);
@@ -429,7 +496,7 @@ pub fn run_borrowing(
         workload.setup(&mut kernel, &mut ctx)?;
     }
     let setup_time = mem.now();
-    kloc_trace::flush(setup_time.as_nanos());
+    trace_flush(&mem, &kernel, &*policy);
     #[cfg(feature = "ksan")]
     let mut ksan = KsanState::new();
     #[cfg(feature = "ksan")]
@@ -548,7 +615,7 @@ pub fn run_borrowing(
     ksan.audit("end of measured phase", &mem, &kernel, &*policy);
     drop(measured_scope);
     let elapsed = mem.now() - t0;
-    kloc_trace::flush(mem.now().as_nanos());
+    trace_flush(&mem, &kernel, &*policy);
     let measured_tier_accesses: Vec<u64> = (0..mem.tier_count())
         .map(|i| {
             let t = mem.stats().tier(kloc_mem::TierId(i as u8));
@@ -600,8 +667,8 @@ pub fn run_borrowing(
         ctx.socket = task_socket;
         workload.teardown(&mut kernel, &mut ctx)?;
     }
+    trace_flush(&mem, &kernel, &*policy);
     let end_t = mem.now().as_nanos();
-    kloc_trace::flush(end_t);
     kloc_trace::emit(|| kloc_trace::Event::RunEnd {
         t: end_t,
         ops: workload.ops_done(),

@@ -1,20 +1,26 @@
-//! End-to-end tests for the `kloc-trace` collection path (behind
-//! `required-features = ["trace"]`).
+//! End-to-end tests for the `kloc-trace` collection path, which every
+//! build carries and `repro --trace` switches on at run time.
 //!
-//! Covers the two trace determinism oracles the ISSUE pins:
+//! Covers the trace determinism oracles:
 //!
 //! 1. a committed golden trace byte-compares against a fresh run of the
-//!    Fig. 4 RocksDB/KLOCs tiny cell, and
-//! 2. session bytes are identical at 1/2/8 runner workers.
+//!    Fig. 4 RocksDB/KLOCs tiny cell;
+//! 2. session bytes are identical at 1/2/8 runner workers;
+//! 3. an open session never changes a report;
+//! 4. the harnesses outside the sweep runner (`crashsweep`, `chaos`)
+//!    record headed run slices with counters.
 //!
 //! The trace session is process-global, so every test takes `SESSION`
-//! before touching it — Rust runs tests in one process.
+//! before touching it or running a simulation — Rust runs tests in one
+//! process, and a run on any thread records while a session is open.
 
 use std::sync::Mutex;
 
 use kloc_policy::PolicyKind;
 use kloc_sim::engine::{Platform, RunConfig};
-use kloc_sim::Runner;
+use kloc_sim::experiments::{fig4, tenants};
+use kloc_sim::{chaos, crashsweep, ktrace, Runner};
+use kloc_trace::Event;
 use kloc_workloads::{Scale, WorkloadKind};
 
 /// Serializes tests that use the process-global trace session.
@@ -67,7 +73,7 @@ fn golden_trace_matches() {
         vec![cell(WorkloadKind::RocksDb, PolicyKind::Kloc)],
     );
     let want = include_str!("fixtures/golden_trace.jsonl");
-    // Regenerate after an intentional model change with a trace build:
+    // Regenerate after an intentional model change:
     // repro run --workload rocksdb --policy kloc --scale tiny \
     //   --trace crates/sim/tests/fixtures/golden_trace.jsonl
     assert_same_trace(&got, want, "golden trace");
@@ -168,4 +174,94 @@ fn no_session_produces_no_trace() {
         .run_all(vec![cell(WorkloadKind::Redis, PolicyKind::Naive)])
         .expect("run succeeds");
     assert_eq!(kloc_trace::session_take(), "");
+}
+
+/// Opening a session only records: the Fig. 4 tiny matrix and the
+/// tenant-isolation pair report exactly what they report untraced.
+#[test]
+fn tracing_never_changes_a_report() {
+    let _session = SESSION.lock().unwrap();
+    let scale = Scale::tiny();
+    let platform = cell(WorkloadKind::RocksDb, PolicyKind::Kloc).platform;
+    let runner = Runner::new(2);
+    let fig4_runs = |traced: bool| {
+        if traced {
+            kloc_trace::session_begin();
+        }
+        let rows = fig4::run(&runner, &scale, platform, &WorkloadKind::ALL).expect("fig4 runs");
+        let iso = tenants::run(&runner, &scale, platform).expect("tenant runs");
+        let trace = kloc_trace::session_take();
+        assert_eq!(trace.is_empty(), !traced);
+        let mut reports: Vec<_> = rows
+            .into_iter()
+            .flat_map(|r| std::iter::once(r.baseline).chain(r.runs))
+            .collect();
+        reports.extend([iso.off, iso.on]);
+        reports
+    };
+    let plain = fig4_runs(false);
+    let traced = fig4_runs(true);
+    assert_eq!(plain.len(), 5 * 7 + 2);
+    for (p, t) in plain.iter().zip(&traced) {
+        assert_eq!(p, t, "{} / {} moved under tracing", p.workload, p.policy);
+    }
+}
+
+/// `slow_diverts` is the one trace counter the policy keeps itself; the
+/// Spark x KLOCs tiny cell diverts (the golden cell does not), so its
+/// total is pinned here.
+#[test]
+fn slow_diverts_total_is_pinned() {
+    let _session = SESSION.lock().unwrap();
+    let trace = collect(
+        &Runner::serial(),
+        vec![cell(WorkloadKind::Spark, PolicyKind::Kloc)],
+    );
+    let events = Event::parse_all(&trace).expect("trace parses");
+    assert_eq!(ktrace::counter_totals(&events).slow_diverts, 5311);
+}
+
+/// Each crash point of a sweep is one run slice holding exactly one
+/// `recovery` event; the fault-free passes recover nothing.
+#[test]
+fn crashsweep_trace_has_one_recovery_per_crash_point() {
+    let _session = SESSION.lock().unwrap();
+    let scale = Scale::tiny();
+    let (w, p) = (WorkloadKind::Filebench, PolicyKind::Kloc);
+    kloc_trace::session_begin();
+    let sweep = crashsweep::sweep(w, p, &scale, 2).expect("sweep completes");
+    let drains = crashsweep::sweep_drain_window(w, p, &scale, 2).expect("drain sweep completes");
+    let events = Event::parse_all(&kloc_trace::session_take()).expect("trace parses");
+    let runs = ktrace::split_runs(&events);
+    let crash_points = sweep.outcomes.len() + drains.outcomes.len();
+    // Two fault-free passes plus one drive per crash point.
+    assert_eq!(runs.len(), 2 + crash_points);
+    let recoveries: Vec<usize> = runs
+        .iter()
+        .map(|run| {
+            assert!(matches!(run[0], Event::RunBegin { .. }));
+            run.iter()
+                .filter(|e| matches!(e, Event::Recovery { .. }))
+                .count()
+        })
+        .collect();
+    assert_eq!(recoveries.iter().sum::<usize>(), crash_points);
+    assert_eq!(recoveries.iter().filter(|&&n| n == 1).count(), crash_points);
+}
+
+/// The chaos soak's two passes are headed run slices whose counters
+/// roll up to the syscalls the workload issued.
+#[test]
+fn chaos_trace_rolls_up_counters() {
+    let _session = SESSION.lock().unwrap();
+    kloc_trace::session_begin();
+    let report = chaos::run(&Scale::tiny()).expect("chaos soak completes");
+    let events = Event::parse_all(&kloc_trace::session_take()).expect("trace parses");
+    assert_eq!(report.breaches(), 0);
+    let runs = ktrace::split_runs(&events);
+    assert_eq!(runs.len(), 2, "fault-free and chaos passes");
+    for run in &runs {
+        assert!(matches!(run[0], Event::RunBegin { .. }));
+        assert!(ktrace::counter_totals(run).syscalls > 0);
+    }
 }

@@ -1,7 +1,12 @@
 //! The trace recorder: thread-local per-run event buffers, scope-stack
 //! virtual-time attribution, counter rollups, and the process-global
-//! session sink. Compiled only with the `trace` feature; `lib.rs`
-//! provides inline no-op shims with identical signatures otherwise.
+//! session sink.
+//!
+//! Compiled into every build; [`session_begin`] is the only switch.
+//! Each entry point tests one process-wide flag inline and keeps its
+//! work in a `#[cold]` body, so a run without a session pays one
+//! relaxed load and a not-taken branch per call and never reaches the
+//! thread-local recorder.
 //!
 //! Determinism contract: the recorder never reads wall-clock time,
 //! randomness, or the environment. Timestamps come from the caller's
@@ -13,16 +18,29 @@
 use crate::event::{Counters, Event};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
 /// Global session sink. `None` means no session is active and per-run
 /// recording is skipped entirely.
 static SESSION: Mutex<Option<String>> = Mutex::new(None);
 
+/// Whether a session is open: set by [`session_begin`], cleared by
+/// [`session_take`]. `Relaxed` suffices because the flag publishes no
+/// data: the sink is read and written under `SESSION`'s lock, each
+/// recorder is local to its thread, and the sweep runner spawns its
+/// workers after `session_begin` returns, so they see the flag set.
+static ACTIVE: AtomicBool = AtomicBool::new(false);
+
 thread_local! {
     /// The run recorder for the worker thread currently executing a
     /// simulation run, if any.
     static RECORDER: RefCell<Option<Recorder>> = const { RefCell::new(None) };
+}
+
+#[inline(always)]
+fn active() -> bool {
+    ACTIVE.load(Ordering::Relaxed)
 }
 
 /// Per-run recording state.
@@ -40,8 +58,9 @@ struct Recorder {
     pending: u64,
     /// Virtual nanoseconds charged per scope stack since the last flush.
     attrib: BTreeMap<String, u64>,
-    /// Counter deltas since the last flush.
-    counters: Counters,
+    /// Run totals passed to the last flush; the next flush emits the
+    /// difference.
+    flushed: Counters,
 }
 
 impl Recorder {
@@ -52,7 +71,7 @@ impl Recorder {
             key: "-".to_owned(),
             pending: 0,
             attrib: BTreeMap::new(),
-            counters: Counters::default(),
+            flushed: Counters::default(),
         }
     }
 
@@ -75,6 +94,11 @@ impl Recorder {
     }
 }
 
+/// Runs `f` on the calling thread's recorder, if it has one.
+fn with_recorder<R>(f: impl FnOnce(&mut Recorder) -> R) -> Option<R> {
+    RECORDER.with(|r| r.borrow_mut().as_mut().map(f))
+}
+
 /// Starts a trace session: clears the global sink and makes
 /// [`session_active`] true so the engine installs per-run recorders.
 #[expect(
@@ -83,15 +107,13 @@ impl Recorder {
 )]
 pub fn session_begin() {
     *SESSION.lock().unwrap() = Some(String::new());
+    ACTIVE.store(true, Ordering::Relaxed);
 }
 
 /// Whether a trace session is collecting.
-#[expect(
-    clippy::unwrap_used,
-    reason = "a poisoned lock means a run already panicked"
-)]
+#[inline]
 pub fn session_active() -> bool {
-    SESSION.lock().unwrap().is_some()
+    active()
 }
 
 /// Appends one run's serialized JSONL to the session sink. The caller
@@ -113,17 +135,39 @@ pub fn session_append(jsonl: &str) {
     reason = "a poisoned lock means a run already panicked"
 )]
 pub fn session_take() -> String {
+    ACTIVE.store(false, Ordering::Relaxed);
     SESSION.lock().unwrap().take().unwrap_or_default()
 }
 
-/// Installs a fresh run recorder on the calling thread. Call once at
-/// run start (the engine does this when a session is active).
+/// Installs a fresh run recorder on the calling thread while a session
+/// is active. Call once at run start.
+#[inline]
 pub fn run_begin() {
+    if active() {
+        install();
+    }
+}
+
+#[cold]
+#[inline(never)]
+fn install() {
     RECORDER.with(|r| *r.borrow_mut() = Some(Recorder::new()));
 }
 
-/// Removes the calling thread's run recorder and returns its JSONL.
+/// Removes the calling thread's run recorder and returns its JSONL
+/// (empty when no session is active).
+#[inline]
 pub fn run_take() -> String {
+    if active() {
+        take()
+    } else {
+        String::new()
+    }
+}
+
+#[cold]
+#[inline(never)]
+fn take() -> String {
     RECORDER
         .with(|r| r.borrow_mut().take())
         .map(|rec| rec.out)
@@ -134,61 +178,76 @@ pub fn run_take() -> String {
 /// helpers check this themselves; this is for callers that want to
 /// skip building expensive event inputs.
 pub fn run_active() -> bool {
-    RECORDER.with(|r| r.borrow().is_some())
+    active() && RECORDER.with(|r| r.borrow().is_some())
 }
 
 /// Serializes the event produced by `f` into the current run buffer.
 /// `f` is not called when no recorder is active, so event construction
 /// costs nothing outside trace collection.
+#[inline]
 pub fn emit<F: FnOnce() -> Event>(f: F) {
-    RECORDER.with(|r| {
-        if let Some(rec) = r.borrow_mut().as_mut() {
-            f().write_jsonl(&mut rec.out);
-        }
-    });
+    if active() {
+        emit_cold(f);
+    }
+}
+
+#[cold]
+#[inline(never)]
+fn emit_cold<F: FnOnce() -> Event>(f: F) {
+    with_recorder(|rec| f().write_jsonl(&mut rec.out));
 }
 
 /// Charges `ns` virtual nanoseconds to the current scope stack.
 ///
 /// Batched: the charge lands in a plain per-burst counter; the map
 /// entry for the scope key is only touched when the scope changes or a
-/// flush happens (see [`Recorder::settle`]).
+/// flush happens (see `Recorder::settle`).
+#[inline]
 pub fn charge(ns: u64) {
-    if ns == 0 {
-        return;
+    if active() {
+        charge_cold(ns);
     }
-    RECORDER.with(|r| {
-        if let Some(rec) = r.borrow_mut().as_mut() {
-            rec.pending += ns;
-        }
-    });
 }
 
-/// Applies `f` to the current run's counter deltas.
-pub fn with_counters<F: FnOnce(&mut Counters)>(f: F) {
-    RECORDER.with(|r| {
-        if let Some(rec) = r.borrow_mut().as_mut() {
-            f(&mut rec.counters);
-        }
-    });
+#[cold]
+#[inline(never)]
+fn charge_cold(ns: u64) {
+    if ns > 0 {
+        with_recorder(|rec| rec.pending += ns);
+    }
 }
 
-/// Flushes attribution and counter deltas accumulated since the last
-/// flush as `attrib` events (one per scope stack, in key order) and one
-/// `counters` event, all stamped `t`. The engine calls this at phase
-/// boundaries.
-pub fn flush(t: u64) {
-    RECORDER.with(|r| {
-        if let Some(rec) = r.borrow_mut().as_mut() {
-            rec.settle();
-            let attrib = std::mem::take(&mut rec.attrib);
-            for (stack, ns) in attrib {
-                Event::Attrib { t, stack, ns }.write_jsonl(&mut rec.out);
-            }
-            let c = std::mem::take(&mut rec.counters);
-            if !c.is_zero() {
-                Event::Counters { t, c }.write_jsonl(&mut rec.out);
-            }
+/// Flushes attribution accumulated since the last flush as `attrib`
+/// events (one per scope stack, in key order) and the counter delta as
+/// one `counters` event, all stamped `t`. `totals` returns the run's
+/// counter totals so far, read off the layer statistics; it is called
+/// only while a recorder is installed, and the event carries the
+/// difference from the totals of the previous flush. The engine calls
+/// this at phase boundaries.
+#[inline]
+pub fn flush<F: FnOnce() -> Counters>(t: u64, totals: F) {
+    if active() {
+        flush_cold(t, totals);
+    }
+}
+
+#[cold]
+#[inline(never)]
+fn flush_cold<F: FnOnce() -> Counters>(t: u64, totals: F) {
+    with_recorder(|rec| {
+        rec.settle();
+        let attrib = std::mem::take(&mut rec.attrib);
+        for (stack, ns) in attrib {
+            Event::Attrib { t, stack, ns }.write_jsonl(&mut rec.out);
+        }
+        let now = totals();
+        let mut c = now.clone();
+        for (delta, before) in c.values_mut().into_iter().zip(rec.flushed.values()) {
+            *delta -= before;
+        }
+        rec.flushed = now;
+        if !c.is_zero() {
+            Event::Counters { t, c }.write_jsonl(&mut rec.out);
         }
     });
 }
@@ -202,51 +261,75 @@ pub struct Scope {
 /// Pushes `name` onto the calling thread's scope stack for virtual-time
 /// attribution. Charges recorded while the guard lives are keyed by the
 /// full `;`-joined stack, flamegraph-fold style.
+#[inline]
 pub fn scope(name: &'static str) -> Scope {
-    let pushed = RECORDER.with(|r| {
-        if let Some(rec) = r.borrow_mut().as_mut() {
-            rec.settle();
-            rec.stack.push(name);
-            rec.rebuild_key();
-            true
-        } else {
-            false
-        }
-    });
-    Scope { pushed }
+    Scope {
+        pushed: active() && push(name),
+    }
+}
+
+#[cold]
+#[inline(never)]
+fn push(name: &'static str) -> bool {
+    with_recorder(|rec| {
+        rec.settle();
+        rec.stack.push(name);
+        rec.rebuild_key();
+    })
+    .is_some()
 }
 
 impl Drop for Scope {
+    #[inline]
     fn drop(&mut self) {
         if self.pushed {
-            RECORDER.with(|r| {
-                if let Some(rec) = r.borrow_mut().as_mut() {
-                    rec.settle();
-                    rec.stack.pop();
-                    rec.rebuild_key();
-                }
-            });
+            pop();
         }
     }
+}
+
+#[cold]
+#[inline(never)]
+fn pop() {
+    with_recorder(|rec| {
+        rec.settle();
+        rec.stack.pop();
+        rec.rebuild_key();
+    });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// Recorder state is thread-local and the session is process-global;
-    /// running these tests serially on one thread keeps them independent.
+    /// The session flag is process-global and tests run on parallel
+    /// threads, so every test that opens a session holds this lock.
+    static LOCK: Mutex<()> = Mutex::new(());
+
+    fn syscalls(n: u64) -> Counters {
+        Counters {
+            syscalls: n,
+            ..Counters::default()
+        }
+    }
+
     #[test]
     fn recorder_end_to_end() {
-        // No recorder: everything is a cheap no-op and closures never run.
-        let _ = run_take();
-        emit(|| unreachable!("emit closure must not run without a recorder"));
+        let _lock = LOCK.lock().unwrap();
+        // No session: every entry point is a no-op, closures never run,
+        // and no recorder is installed.
+        run_begin();
+        emit(|| unreachable!("emit closure must not run without a session"));
         charge(5);
-        with_counters(|_| unreachable!("counter closure must not run without a recorder"));
+        flush(1, || {
+            unreachable!("totals must not be read without a session")
+        });
         assert!(!run_active());
         assert_eq!(run_take(), "");
 
         // Scoped charges fold into `;`-joined stacks.
+        session_begin();
+        emit(|| unreachable!("emit closure must not run without a recorder"));
         run_begin();
         assert!(run_active());
         charge(7); // before any scope: keyed "-"
@@ -256,12 +339,13 @@ mod tests {
             {
                 let _inner = scope("write");
                 charge(32);
-                with_counters(|c| c.syscalls += 1);
             }
             charge(100);
         }
-        flush(40);
+        flush(40, || syscalls(3));
         emit(|| Event::RunEnd { t: 41, ops: 1 });
+        // Counters are deltas between the totals of consecutive flushes.
+        flush(45, || syscalls(5));
         let out = run_take();
         assert!(!run_active());
         let events = Event::parse_all(&out).unwrap();
@@ -285,27 +369,33 @@ mod tests {
                 },
             ]
         );
-        match &events[3] {
-            Event::Counters { t: 40, c } => assert_eq!(c.syscalls, 1),
-            other => panic!("expected counters, got {other:?}"),
-        }
-        assert_eq!(events[4], Event::RunEnd { t: 41, ops: 1 });
+        assert_eq!(
+            events[3..],
+            [
+                Event::Counters {
+                    t: 40,
+                    c: syscalls(3)
+                },
+                Event::RunEnd { t: 41, ops: 1 },
+                Event::Counters {
+                    t: 45,
+                    c: syscalls(2)
+                },
+            ]
+        );
 
-        // Flushing again with nothing accumulated emits nothing.
-        flush(50);
+        // Flushing unchanged totals emits nothing; a new run starts
+        // from zero totals.
         run_begin();
-        flush(50);
+        flush(50, Counters::default);
         assert_eq!(run_take(), "");
 
         // Session sink concatenates in append order.
-        assert!(!session_active());
-        session_append("dropped\n"); // inactive: ignored
-        session_begin();
-        assert!(session_active());
         session_append("a\n");
         session_append("b\n");
         assert_eq!(session_take(), "a\nb\n");
         assert!(!session_active());
+        session_append("dropped\n"); // inactive: ignored
         assert_eq!(session_take(), "");
     }
 
@@ -314,6 +404,8 @@ mod tests {
     /// scope settles the open burst under the right key.
     #[test]
     fn burst_batching_matches_per_touch_sums() {
+        let _lock = LOCK.lock().unwrap();
+        session_begin();
         run_begin();
         {
             let _s = scope("read");
@@ -323,11 +415,12 @@ mod tests {
         {
             let _s = scope("read");
             charge(5);
-            flush(9); // mid-scope flush: the open burst settles first
+            flush(9, Counters::default); // mid-scope flush: the open burst settles first
             charge(1);
         }
-        flush(20);
+        flush(20, Counters::default);
         let events = Event::parse_all(&run_take()).unwrap();
+        session_take();
         assert_eq!(
             events,
             [
