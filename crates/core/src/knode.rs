@@ -79,12 +79,6 @@ pub struct Knode {
     /// registry's external-migration epoch so app-LRU migrations of
     /// member frames invalidate it too.
     enmasse_cache: Cell<Option<(TierId, u64, u64)>>,
-    /// Earliest virtual time the member-granular demotion walk could
-    /// move anything: `(older_than key, bound, external promotion
-    /// epoch)`. Touches only push member candidacy later, so the bound
-    /// stays conservative until the member set changes or a frame is
-    /// promoted into fast memory.
-    demote_bound: Cell<Option<(Nanos, Nanos, u64)>>,
 }
 
 impl Knode {
@@ -102,7 +96,6 @@ impl Knode {
             slab: 0,
             frames: FrameRefs::default(),
             enmasse_cache: Cell::new(None),
-            demote_bound: Cell::new(None),
         }
     }
 
@@ -199,7 +192,7 @@ impl Knode {
             }
         };
         if self.frames.add(frame) {
-            self.clear_walk_caches();
+            self.clear_enmasse_cache();
         }
         tree
     }
@@ -223,7 +216,7 @@ impl Knode {
         };
         *count = left;
         if self.frames.unref(frame) {
-            self.clear_walk_caches();
+            self.clear_enmasse_cache();
         }
         true
     }
@@ -260,24 +253,23 @@ impl Knode {
         self.frames.len()
     }
 
-    /// The member frame set with its parked masks, for the member walks (see the park invariant at
-    /// [`crate::members::FrameRefs`]).
+    /// The member frame set with its walk state, for the member walks
+    /// (see the park invariants at [`crate::members::FrameRefs`]).
     pub(crate) fn frame_refs_mut(&mut self) -> &mut FrameRefs {
         &mut self.frames
     }
 
-    /// Number of parked member frames.
+    /// Number of member frames parked in `mask`.
     #[cfg(test)]
-    pub(crate) fn parked_count(&self) -> usize {
-        self.frames.parked()
+    pub(crate) fn parked_count(&self, mask: crate::members::Mask) -> usize {
+        self.frames.parked(mask)
     }
 
-    /// Drops both migration-walk memoizations. Called whenever the
+    /// Drops the memoized en-masse walk outcome. Called whenever the
     /// distinct frame set changes or member frames gain fast-tier
-    /// residency outside a demotion walk's own bookkeeping.
-    pub(crate) fn clear_walk_caches(&self) {
+    /// residency.
+    pub(crate) fn clear_enmasse_cache(&self) {
         self.enmasse_cache.set(None);
-        self.demote_bound.set(None);
     }
 
     /// The memoized settled en-masse walk outcome, if any.
@@ -289,17 +281,6 @@ impl Knode {
     /// remains and a repeat walk charges exactly `pingpong_skips`.
     pub(crate) fn set_enmasse_cache(&self, to: TierId, pingpong_skips: u64, epoch: u64) {
         self.enmasse_cache.set(Some((to, pingpong_skips, epoch)));
-    }
-
-    /// The memoized member-demotion candidacy bound, if any.
-    pub(crate) fn demote_bound(&self) -> Option<(Nanos, Nanos, u64)> {
-        self.demote_bound.get()
-    }
-
-    /// Memoizes the earliest time a member-granular demotion walk with
-    /// this `older_than` could move anything.
-    pub(crate) fn set_demote_bound(&self, older_than: Nanos, bound: Nanos, epoch: u64) {
-        self.demote_bound.set(Some((older_than, bound, epoch)));
     }
 }
 
@@ -320,7 +301,7 @@ impl Knode {
             out.push(kloc_mem::ksan::Violation::new(
                 "Knode.frames order <-> refcounts",
                 format!("{}", self.inode),
-                "frames strictly ascending, every refcount >= 1, chunks non-empty with exact maxes and no parked bit past their length",
+                "frames strictly ascending, every refcount >= 1, chunks non-empty with exact maxes, walk state per chunk, no parked bit past a chunk's length or in both masks",
                 "sorted refcounted frame set".to_owned(),
                 err,
             ));
@@ -365,23 +346,33 @@ impl Knode {
         self.frames.ksan_break_maxes();
     }
 
-    /// Corruption hook for sanitizer self-tests: sets a parked bit past
-    /// the end of the frame set's final chunk.
+    /// Corruption hook for sanitizer self-tests: sets a cold-parked bit
+    /// past the end of the frame set's final chunk.
     #[doc(hidden)]
     pub fn ksan_break_parked_mask(&mut self) {
         self.frames.ksan_break_mask();
     }
 
-    /// The parked member frames, ascending by full `FrameId`.
-    pub(crate) fn parked_frames(&self) -> impl Iterator<Item = FrameId> + '_ {
-        self.frames.parked_frames()
+    /// The member frames parked in `mask`, ascending by full `FrameId`.
+    pub(crate) fn parked_frames(
+        &self,
+        mask: crate::members::Mask,
+    ) -> impl Iterator<Item = FrameId> + '_ {
+        self.frames.parked_frames(mask)
     }
 
-    /// Corruption hook for sanitizer self-tests: parks `frame`'s entry
-    /// without checking or watching the frame.
+    /// The member frames a demotion walk under `key` at `now` skips for
+    /// its chunk bounds.
+    pub(crate) fn bounded_frames(&self, key: (Nanos, u64), now: Nanos) -> Vec<FrameId> {
+        self.frames.bounded_frames(key, now)
+    }
+
+    /// Corruption hook for sanitizer self-tests: cold-parks `frame`'s
+    /// entry without checking or watching the frame.
     #[doc(hidden)]
     pub fn ksan_park_frame(&mut self, frame: FrameId) {
-        self.frames.set_parked(frame, true);
+        self.frames
+            .set_parked(frame, crate::members::Mask::Cold, true);
     }
 
     /// Test-only wrapper over the crate-private inuse transition so

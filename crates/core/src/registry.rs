@@ -15,16 +15,19 @@
 //! ascending full `FrameId` order (the en-masse migration order is
 //! report-visible), and copy nothing.
 //!
-//! The member-granular walks also skip *parked* members: cold
-//! slow-tier frames that no member walk can move (see the park
-//! invariant at [`crate::members::FrameRefs`]). The demotion walk parks
-//! them and asks the memory system to watch them; each walk first
-//! drains the memory system's wake log and unparks every woken frame.
-//! A walk thus costs O(unparked members) plus one mask read per
-//! 128-member chunk and the wakes since the last walk, instead of
-//! O(all members) — the wake signal comes from the memory system, so DMA
-//! stamps and foreign migrations wake members that no registry hook
-//! ever sees.
+//! The member-granular walks pay per candidate, not per member (see the
+//! `members` module docs). They skip *parked* members: the demotion
+//! walk parks cold slow-tier frames that no member walk can move and
+//! asks the memory system to watch them, and the promotion walk parks
+//! fast-tier frames, which it cannot move, under a migration-only
+//! watch (see the park invariants at [`crate::members::FrameRefs`]).
+//! Each walk first drains the memory system's wake log and unparks
+//! every woken frame; the wake signal comes from the memory system, so
+//! DMA stamps and foreign migrations wake members that no registry hook
+//! ever sees. The demotion walk also skips each 128-member chunk whose
+//! bound says no member can be cold enough yet. A walk thus costs one
+//! visit per member it might move, plus one mask read per chunk and the
+//! wakes since the last walk, instead of O(all members).
 //!
 //! **Membership.** Which objects are knode members is one bit per
 //! object-table slot ([`ObjectId::slot`]) in a dense bit vector, not a
@@ -54,7 +57,7 @@ use kloc_kernel::{KernelObjectType, ObjectId, ObjectInfo};
 
 use crate::kmap::Kmap;
 use crate::knode::Knode;
-use crate::members::Walk;
+use crate::members::{Mask, Walk};
 use crate::percpu::PerCpuKnodeLists;
 
 /// Configuration of the KLOC subsystem (the `sys_enable_kloc` /
@@ -128,11 +131,20 @@ pub struct KlocRegistry {
     percpu: PerCpuKnodeLists,
     stats: KlocStats,
     /// Bumped on every promotion event — by the registry's own walks
-    /// and by [`KlocRegistry::note_external_promotions`]. Keys the knode
-    /// demotion memoizations: any promotion can hand fast-tier
+    /// and by [`KlocRegistry::note_external_promotions`]. Keys the
+    /// en-masse settled cache: any promotion can hand fast-tier
     /// residency to a frame shared with *other* knodes (slab pages), so
     /// a per-knode invalidation would be unsound.
     promotion_epoch: u64,
+    /// Keys the member-demotion chunk bounds (see the `members` module
+    /// docs): bumped by the promotions without a hotness check that can
+    /// reach other knodes' frames — foreign ones and en-masse promotions
+    /// of shared frames — and whenever `hot_window` widens.
+    bound_epoch: u64,
+    /// The widest window passed to
+    /// [`KlocRegistry::promote_hot_members`]: the cap on every chunk
+    /// bound assumes no hotness-checked promotion reaches further back.
+    hot_window: Nanos,
     /// Count of foreign demotions; with `promotion_epoch` it keys the
     /// en-masse settled cache, whose ping-pong charge a foreign tier
     /// change can alter. (The registry's own demotions never touch
@@ -147,7 +159,7 @@ pub struct KlocRegistry {
     /// parked frame was idle at least this long when parked, so a
     /// promotion window below it can never want a parked frame.
     park_window: Nanos,
-    /// Diagnostic probe: members parked so far. Not part of any report
+    /// Diagnostic probe: members cold-parked so far. Not part of any report
     /// (like [`Kmap::knodes_examined`]); tests use it to prove parking
     /// fires.
     parks: u64,
@@ -170,6 +182,8 @@ impl KlocRegistry {
             kmap: Kmap::new(),
             stats: KlocStats::default(),
             promotion_epoch: 0,
+            bound_epoch: 0,
+            hot_window: Nanos::ZERO,
             extern_demotions: 0,
             shared_accesses: Vec::new(),
             park_window: Nanos::new(u64::MAX),
@@ -205,8 +219,8 @@ impl KlocRegistry {
         self.included & type_bit(ty) != 0
     }
 
-    /// Members parked by the demotion walks so far (diagnostic; see the
-    /// field doc).
+    /// Members cold-parked by the demotion walks so far (diagnostic;
+    /// see the field doc).
     pub fn parks(&self) -> u64 {
         self.parks
     }
@@ -499,10 +513,11 @@ impl KlocRegistry {
     /// correctness whenever member frames can change tier outside
     /// [`KlocRegistry::migrate_knode`] /
     /// [`KlocRegistry::promote_hot_members`] — it invalidates the
-    /// demotion-walk memoizations, which otherwise assume they see
-    /// every route into fast memory.
+    /// demotion-walk memoizations and chunk bounds, which otherwise
+    /// assume they see every route into fast memory.
     pub fn note_external_promotions(&mut self) {
         self.promotion_epoch += 1;
+        self.bound_epoch += 1;
     }
 
     /// Records foreign demotions (see
@@ -547,7 +562,11 @@ impl KlocRegistry {
         to: TierId,
         max_pages: u64,
     ) -> (u64, u64) {
-        let Some(k) = self.kmap.get(inode) else {
+        let Some(k) = self
+            .kmap
+            .slot_of(inode)
+            .and_then(|slot| self.kmap.knode_at_mut(slot))
+        else {
             return (0, 0);
         };
         let staged = k.member_frame_count() as u64;
@@ -607,14 +626,19 @@ impl KlocRegistry {
         if demoting && settled {
             k.set_enmasse_cache(to, pingpong_skips, epoch);
         } else if !demoting && moved > 0 {
+            // No hotness check: a promoted frame may already be cold, so
+            // the demotion chunk bounds are stale along with the
+            // en-masse memo.
             if promoted_shared {
                 // Packed frames are shared with other knodes, so every
-                // knode's demotion memoizations are stale.
+                // knode's memoizations are stale.
                 self.promotion_epoch += 1;
+                self.bound_epoch += 1;
             } else {
                 // Single-owner frames gained fast residency: only this
                 // knode's memoizations are stale.
-                k.clear_walk_caches();
+                k.clear_enmasse_cache();
+                k.frame_refs_mut().reset_bounds();
             }
         }
         self.stats.pingpong_skips += pingpong_skips;
@@ -652,85 +676,69 @@ impl KlocRegistry {
             return 0;
         };
         #[cfg(feature = "ksan")]
-        ksan_check_parked(k, slot, mem, self.park_window);
+        ksan_check_parked(k, slot, mem, self.park_window, self.config.max_migrations);
         let now = mem.now();
-        let epoch = self.promotion_epoch;
         let max_migrations = self.config.max_migrations;
-        // Candidacy only arises by time passing (touches push it later,
-        // demotions remove candidates), so a completed walk's bound on
-        // the next movable instant short-circuits the common re-walk of
-        // an all-hot knode.
-        if let Some((key, bound, cached_epoch)) = k.demote_bound() {
-            if key == older_than && cached_epoch == epoch && now < bound {
-                #[cfg(feature = "ksan")]
-                ksan_check_memo(k, mem, "demote_bound", max_pages, 0, |f| {
-                    let cold = now.saturating_sub(f.last_access) >= older_than;
-                    (cold && f.tier == TierId::FAST && !f.pinned && f.migrations < max_migrations)
-                        .then_some(true)
-                });
-                return 0;
-            }
-        }
+        let key = (older_than, self.bound_epoch);
+        // No hotness-checked promotion can make a frame cold before this
+        // (see the `members` module docs).
+        let cap = now
+            .saturating_add(older_than)
+            .saturating_sub(self.hot_window)
+            .max(now);
+        #[cfg(feature = "ksan")]
+        ksan_check_bounds(k, mem, key, max_migrations);
         let mut moved = 0;
-        let mut settled = true;
-        let mut next_candidacy = u64::MAX;
-        let mut parked = 0;
-        // Parked members are slow-resident, so never candidates; leaving
-        // them out of the bound keeps it a lower bound, since only a
-        // promotion can make them candidates again and every promotion
-        // route invalidates the bound. For the same reason the budget
-        // stop fires only on a later unparked member: a walk that spends
-        // its budget with only parked members left has settled.
-        k.frame_refs_mut().walk_unparked(|frame| {
+        let (mut parked, mut parked_slow) = (0, false);
+        // Parked members are never candidates, and a skipped chunk holds
+        // none; the budget stop therefore fires only on a later visited
+        // member, as it would without the skips.
+        k.frame_refs_mut().walk_cold(key, now, cap, |frame, until| {
             if moved >= max_pages {
-                settled = false;
                 return Walk::Stop;
-            }
-            // Recency first: most members of an active knode were
-            // touched within `older_than`, so the common reject path
-            // reads one column. Folding too-recent frames into the bound
-            // regardless of tier keeps it a (conservative) lower bound
-            // on the next movable instant.
-            let Some(last) = mem.last_access_if_live(frame) else {
-                return Walk::Skip;
-            };
-            if now.saturating_sub(last) < older_than {
-                next_candidacy =
-                    next_candidacy.min(last.as_nanos().saturating_add(older_than.as_nanos()));
-                return Walk::Skip;
-            }
-            // Only fast-tier frames are demotion candidates. A cold
-            // single-owner frame elsewhere is parked until the memory
-            // system reports its next touch or migration.
-            if mem.tier_if_live(frame) != Some(TierId::FAST) {
-                if mem
-                    .frame_meta(frame)
-                    .is_some_and(|f| !frame_is_shared(f.kind))
-                    && mem.watch(frame, slot)
-                {
-                    parked += 1;
-                    return Walk::Park;
-                }
-                return Walk::Skip;
             }
             let Some(f) = mem.frame_meta(frame) else {
                 return Walk::Skip;
             };
-            if f.pinned || f.migrations >= max_migrations {
+            let single = !frame_is_shared(f.kind);
+            let cold = now.saturating_sub(f.last_access) >= older_than;
+            // Only fast-tier frames are demotion candidates, and a slow
+            // one becomes one only by a promotion, which the chunk bound
+            // accounts for (see the `members` module docs). A cold
+            // single-owner frame elsewhere is parked until the memory
+            // system reports its next touch or migration.
+            if f.tier != TierId::FAST {
+                if cold && single && mem.watch(frame, slot) {
+                    parked += 1;
+                    parked_slow = true;
+                    return Walk::Park(Mask::Cold);
+                }
                 return Walk::Skip;
             }
-            if mem.migrate(frame, TierId::SLOW).is_ok() {
-                moved += 1;
+            // A fast frame that cannot move stays a no-op for both walks
+            // until it next migrates: parked under a migration-only
+            // watch, it no longer holds its chunk's bound down.
+            if f.pinned || f.migrations >= max_migrations {
+                if single && mem.watch_migrations(frame, slot) {
+                    parked += 1;
+                    return Walk::Park(Mask::Cold);
+                }
+                return Walk::Skip;
+            }
+            if !cold {
+                *until = (*until).min(f.last_access.saturating_add(older_than));
+                return Walk::Skip;
+            }
+            if mem.migrate(frame, TierId::SLOW).is_err() {
+                // Still a candidate: the chunk must be walked again.
+                *until = Nanos::ZERO;
             } else {
-                settled = false;
+                moved += 1;
             }
             Walk::Skip
         });
-        if settled {
-            k.set_demote_bound(older_than, Nanos::new(next_candidacy), epoch);
-        }
-        if parked > 0 {
-            self.parks += parked;
+        self.parks += parked;
+        if parked_slow {
             self.park_window = self.park_window.min(older_than);
         }
         if moved > 0 {
@@ -761,6 +769,11 @@ impl KlocRegistry {
              that parked members",
             self.park_window
         );
+        if newer_than > self.hot_window {
+            // The chunk bounds were capped for a narrower window.
+            self.hot_window = newer_than;
+            self.bound_epoch += 1;
+        }
         self.unpark_woken(mem);
         let Some(slot) = self.kmap.slot_of(inode) else {
             return 0;
@@ -769,41 +782,59 @@ impl KlocRegistry {
             return 0;
         };
         #[cfg(feature = "ksan")]
-        ksan_check_parked(k, slot, mem, self.park_window);
+        ksan_check_parked(k, slot, mem, self.park_window, self.config.max_migrations);
         let now = mem.now();
+        let park_window = self.park_window;
         let mut moved = 0;
+        let mut parked = 0;
         let mut promoted_shared = false;
-        // Parked members are slow-resident but idle beyond this window,
-        // so the walk never visits them.
-        k.frame_refs_mut().walk_unparked(|frame| {
+        // Cold-parked members are slow-resident but idle beyond this
+        // window, and hot-parked ones fast-resident, so the walk visits
+        // neither. A single-owner member found or left fast-resident is
+        // hot-parked until the memory system reports its next migration;
+        // one found slow-resident and idle beyond the park window is
+        // cold-parked as the demotion walk would, since that walk skips
+        // the chunks its bounds rule out.
+        k.frame_refs_mut().walk_hot(|frame| {
             if moved >= max_pages {
                 return Walk::Stop;
-            }
-            // Frames already fast (the bulk of a hot knode) are rejected
-            // on the tier-only probe.
-            match mem.tier_if_live(frame) {
-                Some(t) if t != TierId::FAST => {}
-                _ => return Walk::Skip,
             }
             let Some(f) = mem.frame_meta(frame) else {
                 return Walk::Skip;
             };
-            if !f.pinned
-                && now.saturating_sub(f.last_access) <= newer_than
-                && mem.migrate(frame, TierId::FAST).is_ok()
-            {
+            let shared = frame_is_shared(f.kind);
+            if f.tier != TierId::FAST {
+                let idle = now.saturating_sub(f.last_access);
+                if f.pinned || idle > newer_than {
+                    if !shared && idle >= park_window && mem.watch(frame, slot) {
+                        parked += 1;
+                        return Walk::Park(Mask::Cold);
+                    }
+                    return Walk::Skip;
+                }
+                if mem.migrate(frame, TierId::FAST).is_err() {
+                    return Walk::Skip;
+                }
                 moved += 1;
-                promoted_shared |= frame_is_shared(f.kind);
+                promoted_shared |= shared;
             }
-            Walk::Skip
+            if !shared && mem.watch_migrations(frame, slot) {
+                Walk::Park(Mask::Hot)
+            } else {
+                Walk::Skip
+            }
         });
+        self.parks += parked;
         if moved > 0 {
+            // The promoted frames were touched within `newer_than`, so
+            // the demotion chunk bounds, capped by `hot_window`, still
+            // hold; only the en-masse memo is stale.
             if promoted_shared {
                 // Packed frames are shared with other knodes: every
-                // knode's demotion memoizations are stale.
+                // knode's en-masse memo is stale.
                 self.promotion_epoch += 1;
             } else {
-                k.clear_walk_caches();
+                k.clear_enmasse_cache();
             }
             self.stats.pages_promoted += moved;
             self.emit_kloc_migrate(inode, mem, "promote", "members", moved);
@@ -812,8 +843,9 @@ impl KlocRegistry {
     }
 
     /// Drains the memory system's wake log, unparking every woken
-    /// member: each entry names a watched frame that was touched or
-    /// migrated, tagged with the kmap slot of the knode that parked it.
+    /// member from both masks: each entry names a watched frame that was
+    /// touched or migrated, tagged with the kmap slot of the knode that
+    /// parked it.
     /// A slot recycled since is harmless — its knode either does not
     /// hold the frame or parked it under the same tag.
     fn unpark_woken(&mut self, mem: &mut MemorySystem) {
@@ -947,32 +979,108 @@ fn ksan_check_memo(
 
 /// KSAN oracle for parked members, run by each member walk right after
 /// it drains the wake log: re-probes `k`'s parked entries read-only and
-/// panics with a violation report unless every live one is
-/// slow-resident, idle at least `park_window`, and watched under the
-/// knode's kmap `slot` — the park invariant that makes skipping it a
-/// no-op.
+/// panics with a violation report unless every live cold-parked one is
+/// either slow-resident, idle at least `park_window` and watched, or
+/// fast-resident, pinned or past the ping-pong limit, and
+/// migration-watched, and every live hot-parked one is fast-resident
+/// and migration-watched — each watch under the knode's kmap `slot`.
+/// These are the park invariants that make skipping them a no-op.
 #[cfg(feature = "ksan")]
-fn ksan_check_parked(k: &Knode, slot: u32, mem: &MemorySystem, park_window: Nanos) {
+fn ksan_check_parked(
+    k: &Knode,
+    slot: u32,
+    mem: &MemorySystem,
+    park_window: Nanos,
+    max_migrations: u8,
+) {
     let now = mem.now();
-    let broken: Vec<String> = k
-        .parked_frames()
+    let cold: Vec<String> = k
+        .parked_frames(Mask::Cold)
         .filter_map(|frame| {
             let f = mem.frame_meta(frame)?;
-            let tag = mem.watch_tag(frame);
             let idle = now.saturating_sub(f.last_access);
-            (f.tier == TierId::FAST || idle < park_window || tag != Some(slot))
-                .then(|| format!("{frame}: {} idle {idle} watch {tag:?}", f.tier))
+            let ok = if f.tier == TierId::FAST {
+                (f.pinned || f.migrations >= max_migrations)
+                    && mem.migration_watch_tag(frame) == Some(slot)
+            } else {
+                idle >= park_window && mem.watch_tag(frame) == Some(slot)
+            };
+            (!ok).then(|| {
+                format!(
+                    "{frame}: {} idle {idle} migrations {} watch {:?} migration watch {:?}",
+                    f.tier,
+                    f.migrations,
+                    mem.watch_tag(frame),
+                    mem.migration_watch_tag(frame)
+                )
+            })
         })
         .collect();
-    if !broken.is_empty() {
-        let v = kloc_mem::ksan::Violation::new(
+    let hot: Vec<String> = k
+        .parked_frames(Mask::Hot)
+        .filter_map(|frame| {
+            let f = mem.frame_meta(frame)?;
+            let tag = mem.migration_watch_tag(frame);
+            (f.tier != TierId::FAST || tag != Some(slot))
+                .then(|| format!("{frame}: {} migration watch {tag:?}", f.tier))
+        })
+        .collect();
+    let mut found = Vec::new();
+    if !cold.is_empty() {
+        found.push(kloc_mem::ksan::Violation::new(
             "Knode.parked <-> member frames",
             format!("{}", k.inode()),
-            "a parked live member is slow-resident, idle beyond every member window, and watched with its knode's slot",
-            format!("not fast, idle >= {park_window}, watch Some({slot})"),
-            broken.join("; "),
+            "a parked live member is slow-resident, idle beyond every member window, and watched with its knode's slot, or fast-resident, unable to move, and migration-watched with it",
+            format!(
+                "not fast, idle >= {park_window}, watch Some({slot}); or fast, pinned or migrations >= {max_migrations}, migration watch Some({slot})"
+            ),
+            cold.join("; "),
+        ));
+    }
+    if !hot.is_empty() {
+        found.push(kloc_mem::ksan::Violation::new(
+            "Knode.hot_parked <-> member frames",
+            format!("{}", k.inode()),
+            "a hot-parked live member is fast-resident and migration-watched with its knode's slot",
+            format!("fast, migration watch Some({slot})"),
+            hot.join("; "),
+        ));
+    }
+    if !found.is_empty() {
+        kloc_mem::ksan::enforce("park invariant oracle", &found);
+    }
+}
+
+/// KSAN oracle for the demotion chunk bounds, run by each demotion walk
+/// before it walks: re-probes every member of each chunk the walk under
+/// `key` will skip and panics with a violation report if one is a
+/// demotion candidate now (cold by the key's window, fast-resident,
+/// unpinned, under the ping-pong limit) — the walk would have moved it.
+#[cfg(feature = "ksan")]
+fn ksan_check_bounds(k: &Knode, mem: &MemorySystem, key: (Nanos, u64), max_migrations: u8) {
+    let now = mem.now();
+    let older_than = key.0;
+    let movable: Vec<FrameId> = k
+        .bounded_frames(key, now)
+        .into_iter()
+        .filter(|&frame| {
+            mem.frame_meta(frame).is_some_and(|f| {
+                now.saturating_sub(f.last_access) >= older_than
+                    && f.tier == TierId::FAST
+                    && !f.pinned
+                    && f.migrations < max_migrations
+            })
+        })
+        .collect();
+    if !movable.is_empty() {
+        let v = kloc_mem::ksan::Violation::new(
+            "Knode.chunk_bounds <-> member frames",
+            format!("{}", k.inode()),
+            "a chunk the demotion walk skips for its bound holds no demotion candidate",
+            "movable []".to_owned(),
+            format!("movable {movable:?}"),
         );
-        kloc_mem::ksan::enforce("park invariant oracle", &[v]);
+        kloc_mem::ksan::enforce("chunk bound oracle", &[v]);
     }
 }
 
@@ -1294,13 +1402,26 @@ mod tests {
 
     #[cfg(feature = "ksan")]
     #[test]
-    #[should_panic(expected = "Knode.demote_bound <-> member frames")]
-    fn unannounced_promotion_trips_the_demote_memo_oracle() {
+    #[should_panic(expected = "Knode.chunk_bounds <-> member frames")]
+    fn unannounced_promotion_trips_the_chunk_bound_oracle() {
         // The cold frame starts on slow memory, so only the hot one
-        // bounds the next candidacy (at ~15 ms).
+        // bounds the chunk's next candidacy (at ~15 ms).
         walk_around_unannounced_promotion(&[TierId::SLOW, TierId::FAST], |r, mem| {
             r.demote_cold_members(InodeId(1), mem, Nanos::from_millis(5), 8);
         });
+    }
+
+    #[cfg(feature = "ksan")]
+    #[test]
+    #[should_panic(expected = "Knode.hot_parked <-> member frames")]
+    fn unannounced_migration_trips_the_hot_park_oracle() {
+        let (mut r, mut mem, frames) = idle_members(&[TierId::FAST]);
+        let hot = Nanos::from_millis(2);
+        r.promote_hot_members(InodeId(1), &mut mem, hot, 8);
+        // Demoted behind the registry's back: the wake is discarded.
+        mem.migrate(frames[0], TierId::SLOW).unwrap();
+        assert_eq!(mem.drain_wakes().count(), 1);
+        r.promote_hot_members(InodeId(1), &mut mem, hot, 8);
     }
 
     /// Inode 1 with one page-cache member per tier in `tiers`, all last
@@ -1331,25 +1452,97 @@ mod tests {
         assert_eq!(r.parks(), 2, "both cold slow members parked");
         assert_eq!(mem.watch_tag(frames[0]), Some(slot));
         assert_eq!(mem.watch_tag(frames[2]), None, "demoted, not parked");
-        assert_eq!(r.kmap().get(InodeId(1)).unwrap().parked_count(), 2);
+        assert_eq!(
+            r.kmap().get(InodeId(1)).unwrap().parked_count(Mask::Cold),
+            2
+        );
         // A touch wakes frame 0; the next walk unparks and promotes it.
         mem.read(frames[0], 64);
         assert_eq!(mem.watch_tag(frames[0]), None);
         let hot = Nanos::from_millis(2);
         assert_eq!(r.promote_hot_members(InodeId(1), &mut mem, hot, 8), 1);
         assert_eq!(mem.tier_of(frames[0]), TierId::FAST);
-        assert_eq!(r.kmap().get(InodeId(1)).unwrap().parked_count(), 1);
-        // A foreign migration wakes frame 1 too.
+        let parked = |r: &KlocRegistry, mask| r.kmap().get(InodeId(1)).unwrap().parked_count(mask);
+        // Frame 1 stays parked, and the promotion walk parks frame 2,
+        // demoted by the first walk and idle beyond the park window.
+        assert_eq!(parked(&r, Mask::Cold), 2);
+        assert_eq!(r.parks(), 3);
+        // The promoted frame waits out its fast residency hot-parked,
+        // under a watch that touches do not wake.
+        assert_eq!(parked(&r, Mask::Hot), 1);
+        assert_eq!(mem.migration_watch_tag(frames[0]), Some(slot));
+        mem.read(frames[0], 64);
+        assert_eq!(mem.migration_watch_tag(frames[0]), Some(slot));
+        // A foreign migration wakes frame 1 too; now fast, it hot-parks.
         mem.migrate(frames[1], TierId::FAST).unwrap();
         r.promote_hot_members(InodeId(1), &mut mem, hot, 8);
-        assert_eq!(r.kmap().get(InodeId(1)).unwrap().parked_count(), 0);
-        // En-masse walks never skip parked members: frames 1 and 2
-        // (demoted by the first walk) park, frame 0 demotes.
+        assert_eq!(parked(&r, Mask::Cold), 1);
+        assert_eq!(parked(&r, Mask::Hot), 2);
+        // En-masse walks never skip parked members: frame 1 parks again
+        // (its demotion woke it out of the hot mask), frame 0 demotes.
         mem.migrate(frames[1], TierId::SLOW).unwrap();
         mem.charge(Nanos::from_millis(20));
         assert_eq!(r.demote_cold_members(InodeId(1), &mut mem, idle, 8), 1);
         assert_eq!(r.parks(), 4);
+        assert_eq!(parked(&r, Mask::Cold), 2);
         assert_eq!(r.migrate_knode(InodeId(1), &mut mem, TierId::FAST), 3);
+    }
+
+    /// Inode 1 with one page-cache member per tier in `tiers`, created
+    /// at time 0; `touches` then advances the clock by each gap and reads
+    /// the member it names.
+    fn touched_members(
+        tiers: &[TierId],
+        touches: &[(u64, usize)],
+    ) -> (KlocRegistry, MemorySystem, Vec<FrameId>) {
+        let (r, mut mem, frames) = idle_members(tiers);
+        let mut now = mem.now().as_nanos();
+        for &(at_ms, member) in touches {
+            let at = Nanos::from_millis(at_ms).as_nanos();
+            mem.charge(Nanos::new(at.saturating_sub(now)));
+            now = mem.now().as_nanos();
+            mem.read(frames[member], 64);
+        }
+        (r, mem, frames)
+    }
+
+    #[test]
+    fn enmasse_promotion_resets_the_demotion_bounds() {
+        // Member 0 is hot at 30 ms and bounds its chunk to 35 ms; member
+        // 1, cold and slow, parks.
+        let (mut r, mut mem, frames) = touched_members(&[TierId::FAST, TierId::SLOW], &[(30, 0)]);
+        let idle = Nanos::from_millis(5);
+        assert_eq!(r.demote_cold_members(InodeId(1), &mut mem, idle, 8), 0);
+        assert_eq!(r.parks(), 1);
+        // An en-masse promotion has no hotness check: member 1 arrives
+        // in fast memory already cold, and the next walk must see it.
+        assert_eq!(r.migrate_knode(InodeId(1), &mut mem, TierId::FAST), 1);
+        mem.charge(Nanos::from_millis(2));
+        assert_eq!(r.demote_cold_members(InodeId(1), &mut mem, idle, 8), 1);
+        assert_eq!(mem.tier_of(frames[1]), TierId::SLOW);
+    }
+
+    #[test]
+    fn widening_the_hot_window_resets_the_demotion_bounds() {
+        // At 40 ms member 0 is hot; member 1 (slow, touched at 37 ms) is
+        // neither cold nor hot under a 1 ms window.
+        let (mut r, mut mem, frames) =
+            touched_members(&[TierId::FAST, TierId::SLOW], &[(37, 1), (40, 0)]);
+        let idle = Nanos::from_millis(10);
+        assert_eq!(
+            r.promote_hot_members(InodeId(1), &mut mem, Nanos::from_millis(1), 8),
+            0
+        );
+        // The chunk bound is capped at 40 + 10 - 1 = 49 ms.
+        assert_eq!(r.demote_cold_members(InodeId(1), &mut mem, idle, 8), 0);
+        // An 8 ms window promotes member 1, cold from 47 ms on.
+        assert_eq!(
+            r.promote_hot_members(InodeId(1), &mut mem, Nanos::from_millis(8), 8),
+            1
+        );
+        mem.charge(Nanos::from_millis(8));
+        assert_eq!(r.demote_cold_members(InodeId(1), &mut mem, idle, 8), 1);
+        assert_eq!(mem.tier_of(frames[1]), TierId::SLOW);
     }
 
     #[test]

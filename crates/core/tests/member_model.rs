@@ -4,8 +4,8 @@
 //! membership across allocation, late association, frees, destroyed and
 //! missing knodes, excluded types, a disabled registry and object-table
 //! slots recycled from freed members; the frame set
-//! after every single step, including its parked masks, whose unparked
-//! entries the migration walks visit in place.
+//! after every single step, including its cold and hot parked masks,
+//! whose unparked entries the migration walks visit in place.
 //!
 //! Sequences come from the in-tree seeded `SplitMix64` PRNG (fixed
 //! seeds, so failures reproduce exactly).
@@ -13,7 +13,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use kloc_core::knode::MemberTree;
-use kloc_core::members::{FrameRefs, Walk};
+use kloc_core::members::{FrameRefs, Mask, Walk};
 use kloc_core::{KlocConfig, KlocRegistry};
 use kloc_kernel::hooks::CpuId;
 use kloc_kernel::obj::ObjectTable;
@@ -307,14 +307,15 @@ fn frame_refs_match_model_past_4096_frames() {
     assert!(dense.is_empty());
 }
 
-/// Model entry for the chunked-set test: refcount and parked bit.
-type ParkModel = BTreeMap<FrameId, (u32, bool)>;
+/// Model entry for the chunked-set test: refcount and the mask the
+/// entry is parked in.
+type ParkModel = BTreeMap<FrameId, (u32, Option<Mask>)>;
 
 /// The chunked set equals the model after a step: the same frames in
 /// ascending full-id order, each with the model's refcount and parked
-/// bit, and no chunk empty or past capacity.
+/// mask, and no chunk empty or past capacity.
 fn assert_chunked_matches(dense: &FrameRefs, model: &ParkModel, ctx: &str) {
-    let want: Vec<(FrameId, bool)> = model.iter().map(|(&f, &(_, p))| (f, p)).collect();
+    let want: Vec<(FrameId, Option<Mask>)> = model.iter().map(|(&f, &(_, p))| (f, p)).collect();
     assert_eq!(dense.parked_bits(), want, "{ctx}: frames and parked bits");
     assert!(dense.iter().eq(model.keys().copied()), "{ctx}: iteration");
     let mut counts = model.iter();
@@ -344,24 +345,50 @@ fn assert_chunked_matches(dense: &FrameRefs, model: &ParkModel, ctx: &str) {
     assert_eq!(dense.chunk_maxes(), lasts, "{ctx}: chunk maxes");
 }
 
-/// The frames `walk_unparked` visits when it parks nothing.
+/// The frames the promotion walk visits when it parks nothing.
 fn unparked(dense: &mut FrameRefs) -> Vec<FrameId> {
     let mut seen = Vec::new();
-    dense.walk_unparked(|frame| {
+    dense.walk_hot(|frame| {
         seen.push(frame);
         Walk::Skip
     });
     seen
 }
 
-/// The walk visits exactly the model's unparked frames, ascending.
+/// A demotion walk whose chunk bounds never skip a chunk: the walk time
+/// never lies below a bound of zero.
+fn walk_cold_unbounded(dense: &mut FrameRefs, mut f: impl FnMut(FrameId) -> Walk) {
+    dense.walk_cold((Nanos::ZERO, 0), Nanos::ZERO, Nanos::ZERO, |frame, _| {
+        f(frame)
+    });
+}
+
+/// The walks visit exactly the model's frames they should, ascending:
+/// the promotion walk those in neither mask, the demotion walk those
+/// not cold-parked.
 fn assert_walk_matches(dense: &mut FrameRefs, model: &ParkModel, ctx: &str) {
-    let want: Vec<FrameId> = model
-        .iter()
-        .filter(|(_, &(_, p))| !p)
-        .map(|(&f, _)| f)
-        .collect();
-    assert_eq!(unparked(dense), want, "{ctx}: unparked walk");
+    let want = |skip: &dyn Fn(Option<Mask>) -> bool| -> Vec<FrameId> {
+        model
+            .iter()
+            .filter(|(_, &(_, p))| !skip(p))
+            .map(|(&f, _)| f)
+            .collect()
+    };
+    assert_eq!(
+        unparked(dense),
+        want(&|p| p.is_some()),
+        "{ctx}: promotion walk"
+    );
+    let mut seen = Vec::new();
+    walk_cold_unbounded(dense, |frame| {
+        seen.push(frame);
+        Walk::Skip
+    });
+    assert_eq!(
+        seen,
+        want(&|p| p == Some(Mask::Cold)),
+        "{ctx}: demotion walk"
+    );
 }
 
 /// Whether `frame` is the last entry of its chunk (cumulative chunk
@@ -397,10 +424,15 @@ fn chunked_frame_refs_match_model_across_splits_and_parking() {
             let filling = (step / 400) % 2 == 0;
             let frame = FrameId((rng.gen_below(2) << 32) | rng.gen_below(pool));
             let chunks_before = dense.chunk_lens().len();
-            let any_parked = model.values().any(|&(_, p)| p);
+            let any_parked = model.values().any(|&(_, p)| p.is_some());
+            let mask = if rng.gen_below(2) == 0 {
+                Mask::Cold
+            } else {
+                Mask::Hot
+            };
             match rng.gen_below(10) {
                 0..=5 if filling => {
-                    let e = model.entry(frame).or_insert((0, false));
+                    let e = model.entry(frame).or_insert((0, None));
                     e.0 += 1;
                     assert_eq!(dense.add(frame), e.0 == 1, "{ctx}: add({frame})");
                 }
@@ -434,19 +466,24 @@ fn chunked_frame_refs_match_model_across_splits_and_parking() {
                     assert_eq!(dense.unref(frame), gone, "{ctx}: unref({frame})");
                 }
                 7 => {
-                    dense.set_parked(frame, true);
+                    dense.set_parked(frame, mask, true);
                     if let Some(e) = model.get_mut(&frame) {
-                        e.1 = true;
+                        e.1 = Some(mask);
                     }
                 }
                 8 => {
                     // A member walk parks a random share of what it
-                    // visits and sometimes stops early; what it visits
-                    // is the model's unparked frames in order.
+                    // visits, in either mask, and sometimes stops early;
+                    // what it visits is the model's frames outside the
+                    // masks it skips, in order.
                     let stop_after = rng.gen_below(2 * model.len().max(1) as u64);
-                    let mut want = model.iter_mut().filter(|(_, e)| !e.1);
+                    let visits = |p: Option<Mask>| match mask {
+                        Mask::Cold => p != Some(Mask::Cold),
+                        Mask::Hot => p.is_none(),
+                    };
+                    let mut want = model.iter_mut().filter(|(_, e)| visits(e.1));
                     let mut visited = 0;
-                    dense.walk_unparked(|frame| {
+                    let mut step = |frame: FrameId| {
                         if visited == stop_after {
                             stops += 1;
                             return Walk::Stop;
@@ -455,18 +492,27 @@ fn chunked_frame_refs_match_model_across_splits_and_parking() {
                         let (&f, e) = want.next().expect("the walk visits a model frame");
                         assert_eq!(frame, f, "{ctx}: walk order");
                         if rng.gen_below(3) == 0 {
-                            e.1 = true;
+                            let into = if rng.gen_below(2) == 0 {
+                                Mask::Cold
+                            } else {
+                                Mask::Hot
+                            };
+                            e.1 = Some(into);
                             walk_parks += 1;
-                            Walk::Park
+                            Walk::Park(into)
                         } else {
                             Walk::Skip
                         }
-                    });
+                    };
+                    match mask {
+                        Mask::Cold => walk_cold_unbounded(&mut dense, step),
+                        Mask::Hot => dense.walk_hot(&mut step),
+                    }
                 }
                 _ => {
-                    dense.set_parked(frame, false);
+                    dense.set_parked(frame, mask, false);
                     if let Some(e) = model.get_mut(&frame) {
-                        e.1 = false;
+                        e.1 = None;
                     }
                 }
             }
@@ -497,17 +543,17 @@ fn chunked_frame_refs_edges_in_order() {
     let mut r = FrameRefs::default();
     let mut model = ParkModel::new();
     let add = |r: &mut FrameRefs, model: &mut ParkModel, f: u64| {
-        model.entry(FrameId(f)).or_insert((0, false)).0 += 1;
+        model.entry(FrameId(f)).or_insert((0, None)).0 += 1;
         r.add(FrameId(f));
     };
-    // One full chunk of even frames, three of them parked.
+    // One full chunk of even frames, three of them parked, one hot.
     for f in (0..256).step_by(2) {
         add(&mut r, &mut model, f);
     }
     assert_eq!(r.chunk_lens(), [FrameRefs::CHUNK]);
-    for f in [20, 128, 254] {
-        r.set_parked(FrameId(f), true);
-        model.get_mut(&FrameId(f)).unwrap().1 = true;
+    for (f, mask) in [(20, Mask::Cold), (128, Mask::Hot), (254, Mask::Cold)] {
+        r.set_parked(FrameId(f), mask, true);
+        model.get_mut(&FrameId(f)).unwrap().1 = Some(mask);
     }
     // Appending past a full final chunk opens a new one.
     add(&mut r, &mut model, 255);
@@ -556,27 +602,28 @@ fn walk_reads_every_mask_position() {
     let mut model = ParkModel::new();
     for f in (0..2 * FrameRefs::CHUNK as u64).step_by(2) {
         r.add(FrameId(f));
-        model.insert(FrameId(f), (1, false));
+        model.insert(FrameId(f), (1, None));
     }
     assert_eq!(r.chunk_lens(), [FrameRefs::CHUNK]);
     let edges = [0u64, 126, 128, 254];
     // Park everything but the edges through the walk itself.
-    r.walk_unparked(|frame| {
+    r.walk_hot(|frame| {
         if edges.contains(&frame.0) {
             Walk::Skip
         } else {
-            Walk::Park
+            Walk::Park(Mask::Hot)
         }
     });
     for (f, e) in model.iter_mut() {
-        e.1 = !edges.contains(&f.0);
+        e.1 = (!edges.contains(&f.0)).then_some(Mask::Hot);
     }
     assert_eq!(unparked(&mut r), edges.map(FrameId));
     assert_chunked_matches(&r, &model, "edges unparked");
-    // Flip: only the edges parked.
+    // Flip: only the edges parked, alternately in either mask.
     for (f, e) in model.iter_mut() {
-        e.1 = edges.contains(&f.0);
-        r.set_parked(*f, e.1);
+        let mask = if f.0 % 4 == 0 { Mask::Cold } else { Mask::Hot };
+        e.1 = edges.contains(&f.0).then_some(mask);
+        r.set_parked(*f, mask, e.1.is_some());
     }
     assert_walk_matches(&mut r, &model, "edges parked");
     // Removing position 0 shifts every later bit down by one, and
@@ -586,13 +633,13 @@ fn walk_reads_every_mask_position() {
     assert_chunked_matches(&r, &model, "remove at 0");
     assert_walk_matches(&mut r, &model, "remove at 0");
     r.add(FrameId(0));
-    model.insert(FrameId(0), (1, false));
+    model.insert(FrameId(0), (1, None));
     assert_chunked_matches(&r, &model, "insert at 0");
     assert_walk_matches(&mut r, &model, "insert at 0");
     // A mid insert into the full chunk splits it; the upper half's bits
     // (positions 64..128, two of them parked) move to the new chunk.
     r.add(FrameId(127));
-    model.insert(FrameId(127), (1, false));
+    model.insert(FrameId(127), (1, None));
     assert_eq!(r.chunk_lens(), [64, 65]);
     assert_chunked_matches(&r, &model, "split");
     assert_walk_matches(&mut r, &model, "split");

@@ -2,25 +2,13 @@
 //!
 //! Recovers just enough structure for the structural rules: `fn`
 //! signatures (name, generics, parameters, return type) with their
-//! bodies as token ranges, `impl`/`mod` nesting, and the
-//! `#[cfg(feature = "…")]` / `#[cfg(not(feature = "…"))]` atoms on
-//! each item. Everything else (`struct`, `use`, `const`, …) is
+//! bodies as token ranges, `impl`/`mod` nesting, and whether an item
+//! is `#[cfg(test)]`. Everything else (`struct`, `use`, `const`, …) is
 //! recognized, attributed, and skipped. The parser is recovery-first:
 //! a construct it does not understand is consumed token-by-token, never
 //! an error, because the linter must keep walking any file.
 
 use crate::lex::{lex, Token, TokenKind};
-
-/// One `feature = "…"` atom found in a `cfg`/`cfg_attr` attribute.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-pub struct CfgAtom {
-    /// The feature name.
-    pub feature: String,
-    /// True under `not(...)` (odd nesting depth of `not`).
-    pub negated: bool,
-    /// 1-based line of the atom.
-    pub line: usize,
-}
 
 /// One function parameter. Receiver params (`&mut self`) carry the
 /// whole rendered receiver in `name` and an empty `ty`.
@@ -73,8 +61,6 @@ pub struct Item {
     pub name: String,
     /// Whether the item has any `pub` visibility.
     pub is_pub: bool,
-    /// `feature = "…"` atoms from this item's own attributes.
-    pub cfg: Vec<CfgAtom>,
     /// Whether this item's attributes include `#[cfg(test)]`.
     pub cfg_test: bool,
     /// 1-based line of the defining keyword.
@@ -179,37 +165,6 @@ impl ParsedFile {
             && self.text(i + 1) == &pair[1..]
     }
 
-    /// Parses `feature = "x"` atoms between significant indices
-    /// `[lo, hi)`, tracking `not(...)` nesting for polarity.
-    pub fn cfg_atoms_in(&self, lo: usize, hi: usize) -> Vec<CfgAtom> {
-        let mut out = Vec::new();
-        let mut not_closes: Vec<usize> = Vec::new();
-        let hi = hi.min(self.len());
-        let mut i = lo;
-        while i < hi {
-            not_closes.retain(|&c| c > i);
-            match self.text(i) {
-                "not" if i + 1 < hi && self.text(i + 1) == "(" => {
-                    not_closes.push(self.closes[i + 1]);
-                }
-                "feature"
-                    if i + 2 < hi
-                        && self.text(i + 1) == "="
-                        && self.tok(i + 2).kind == TokenKind::Str =>
-                {
-                    out.push(CfgAtom {
-                        feature: self.text(i + 2).trim_matches('"').to_owned(),
-                        negated: not_closes.len() % 2 == 1,
-                        line: self.tok(i).line,
-                    });
-                }
-                _ => {}
-            }
-            i += 1;
-        }
-        out
-    }
-
     /// Renders significant tokens `[lo, hi)` with canonical spacing.
     /// Byte-adjacent `::` / `->` / `=>` / `..` pairs are merged first
     /// so they space as single operators.
@@ -305,8 +260,7 @@ impl<'a> Parser<'a> {
     }
 
     /// Collects `#[...]`/`#![...]` attributes at the cursor.
-    fn parse_attrs(&mut self) -> (Vec<CfgAtom>, bool, Option<(usize, usize)>) {
-        let mut cfg = Vec::new();
+    fn parse_attrs(&mut self) -> (bool, Option<(usize, usize)>) {
         let mut cfg_test = false;
         let mut start = None;
         while !self.at_end() && self.text(self.pos) == "#" {
@@ -325,7 +279,6 @@ impl<'a> Parser<'a> {
                 let t = self.text(j);
                 if (t == "cfg" || t == "cfg_attr") && j + 1 < close && self.text(j + 1) == "(" {
                     let inner_close = self.file.closes[j + 1];
-                    cfg.extend(self.file.cfg_atoms_in(j + 2, inner_close));
                     if t == "cfg" {
                         for k in j + 2..inner_close.min(close) {
                             if self.text(k) == "test" {
@@ -339,11 +292,11 @@ impl<'a> Parser<'a> {
             }
             self.pos = (close + 1).min(self.file.len());
         }
-        (cfg, cfg_test, start)
+        (cfg_test, start)
     }
 
     fn parse_item(&mut self) -> Option<Item> {
-        let (cfg, cfg_test, attr_start) = self.parse_attrs();
+        let (cfg_test, attr_start) = self.parse_attrs();
         if self.at_end() || self.text(self.pos) == "}" {
             return None;
         }
@@ -379,7 +332,6 @@ impl<'a> Parser<'a> {
             kind,
             name,
             is_pub,
-            cfg,
             cfg_test,
             line,
             start_line,
@@ -722,27 +674,6 @@ mod tests {
     }
 
     #[test]
-    fn cfg_atoms_and_polarity() {
-        let src = r#"
-#[cfg(feature = "kfault")]
-pub fn set_plan(&mut self, plan: FaultPlan) {}
-#[cfg(not(feature = "kfault"))]
-pub fn set_plan(&mut self, _plan: FaultPlan) {}
-"#;
-        let f = parse(src);
-        let fns: Vec<&Item> = f
-            .items
-            .iter()
-            .filter(|i| matches!(i.kind, ItemKind::Fn(_)))
-            .collect();
-        assert_eq!(fns.len(), 2);
-        assert_eq!(fns[0].cfg.len(), 1);
-        assert!(!fns[0].cfg[0].negated);
-        assert!(fns[1].cfg[0].negated);
-        assert_eq!(fns[0].cfg[0].feature, "kfault");
-    }
-
-    #[test]
     fn nested_mod_and_impl_children() {
         let src = r#"
 #[cfg(not(feature = "trace"))]
@@ -757,7 +688,6 @@ mod noop {
         let m = &f.items[0];
         assert_eq!(m.name, "noop");
         assert!(matches!(m.kind, ItemKind::Mod { inline: true }));
-        assert!(m.cfg[0].negated);
         let scope_fn = find_fn(&m.children, "scope").expect("fn in mod");
         assert_eq!(sig(scope_fn).ret, "Scope");
         let close_fn = find_fn(&m.children, "close").expect("fn in impl");
@@ -770,7 +700,6 @@ mod noop {
         assert_eq!(f.items.len(), 1);
         assert!(matches!(f.items[0].kind, ItemKind::Mod { inline: false }));
         assert_eq!(f.items[0].name, "recorder");
-        assert_eq!(f.items[0].cfg[0].feature, "trace");
     }
 
     /// The undeclared-feature check that read `cfg` atoms through this

@@ -59,12 +59,11 @@
 //! rule for the whole file. `// lint: treat-as-charged-crate` opts a
 //! file into KL009 (used by test fixtures).
 //!
-//! # Fixes and explanations
+//! # Explanations
 //!
-//! A diagnostic may carry a machine-applicable [`Suggestion`];
-//! `kloc-lint --fix` applies it. `kloc-lint --explain KL001` prints a
-//! rule's rationale, its justification pragma, and a minimal violating
-//! example sourced from the fixture suite.
+//! `kloc-lint --explain KL001` prints a rule's rationale, its
+//! justification pragma, and a minimal violating example sourced from
+//! the fixture suite.
 
 #![warn(missing_docs)]
 
@@ -87,17 +86,6 @@ use std::path::{Path, PathBuf};
 
 use items::ParsedFile;
 
-/// A machine-applicable replacement in its [`Diagnostic`]'s file.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-pub struct Suggestion {
-    /// Byte offset where the replaced range starts.
-    pub start: usize,
-    /// Byte offset one past the replaced range (`start == end` inserts).
-    pub end: usize,
-    /// Replacement text.
-    pub replacement: String,
-}
-
 /// One lint finding.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Diagnostic {
@@ -112,12 +100,10 @@ pub struct Diagnostic {
     /// Secondary spans and context, rendered as `note:` lines (e.g.
     /// a taint source).
     pub notes: Vec<String>,
-    /// Machine-applicable fix, when one exists.
-    pub suggestion: Option<Suggestion>,
 }
 
 impl Diagnostic {
-    /// A diagnostic with no notes and no suggestion.
+    /// A diagnostic with no notes.
     pub fn new(file: &str, line: usize, rule: &'static str, message: String) -> Diagnostic {
         Diagnostic {
             file: file.to_owned(),
@@ -125,7 +111,6 @@ impl Diagnostic {
             rule,
             message,
             notes: Vec::new(),
-            suggestion: None,
         }
     }
 }
@@ -139,9 +124,6 @@ impl fmt::Display for Diagnostic {
         )?;
         for note in &self.notes {
             write!(f, "\n  note: {note}")?;
-        }
-        if self.suggestion.is_some() {
-            write!(f, "\n  fix: available (run `kloc-lint --fix`)")?;
         }
         Ok(())
     }
@@ -367,42 +349,6 @@ fn workspace_manifests(root: &Path) -> std::io::Result<Vec<(String, String)>> {
             Ok((rel, std::fs::read_to_string(&path)?))
         })
         .collect()
-}
-
-/// Applies every machine-applicable suggestion in `diags` to the files
-/// under `root`. Returns the list of files changed. Overlapping
-/// suggestions are applied first-wins (later overlapping ones are
-/// skipped); running the lint again converges because applied fixes
-/// remove their diagnostics.
-pub fn apply_fixes(root: &Path, diags: &[Diagnostic]) -> std::io::Result<Vec<String>> {
-    let mut by_file: BTreeMap<String, Vec<&Suggestion>> = BTreeMap::new();
-    for d in diags {
-        if let Some(s) = &d.suggestion {
-            by_file.entry(d.file.clone()).or_default().push(s);
-        }
-    }
-    let mut changed = Vec::new();
-    for (file, mut suggestions) in by_file {
-        let path = root.join(&file);
-        let mut text = std::fs::read_to_string(&path)?;
-        suggestions.sort_by_key(|s| (s.start, s.end));
-        // Apply back-to-front so earlier offsets stay valid; skip
-        // overlaps (first in offset order wins).
-        let mut kept: Vec<&Suggestion> = Vec::new();
-        let mut last_end = 0usize;
-        for s in &suggestions {
-            if s.start >= last_end && s.end <= text.len() {
-                kept.push(s);
-                last_end = s.end.max(s.start + 1);
-            }
-        }
-        for s in kept.iter().rev() {
-            text.replace_range(s.start..s.end, &s.replacement);
-        }
-        std::fs::write(&path, &text)?;
-        changed.push(file);
-    }
-    Ok(changed)
 }
 
 #[cfg(test)]

@@ -8,18 +8,16 @@
 //!
 //! ```text
 //! cargo run -p kloc-lint -- crates/lint/tests/fixtures
-//! cargo run -p kloc-lint -- --fix          # apply machine-applicable fixes
 //! cargo run -p kloc-lint -- --explain KL001
 //! ```
 //!
-//! Exit status: 0 when clean (or when `--fix` repaired everything),
-//! 1 when any diagnostic fired (after fixes, under `--fix`), 2 on I/O
-//! or usage errors.
+//! Exit status: 0 when clean, 1 when any diagnostic fired, 2 on I/O or
+//! usage errors.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use kloc_lint::{apply_fixes, explain, lint_source, lint_workspace, workspace_files, Diagnostic};
+use kloc_lint::{explain, lint_source, lint_workspace, workspace_files, Diagnostic};
 
 fn find_workspace_root() -> Option<PathBuf> {
     let mut dir = std::env::current_dir().ok()?;
@@ -94,7 +92,7 @@ fn known_rules() -> String {
 }
 
 fn run() -> Result<ExitCode, std::io::Error> {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
+    let args: Vec<String> = std::env::args().skip(1).collect();
 
     if let Some(pos) = args.iter().position(|a| a == "--explain") {
         let Some(id) = args.get(pos + 1) else {
@@ -113,18 +111,7 @@ fn run() -> Result<ExitCode, std::io::Error> {
         });
     }
 
-    let fix = if let Some(pos) = args.iter().position(|a| a == "--fix") {
-        args.remove(pos);
-        true
-    } else {
-        false
-    };
-
     if !args.is_empty() {
-        if fix {
-            eprintln!("kloc-lint: --fix only works on the whole workspace (no path arguments)");
-            return Ok(ExitCode::from(2));
-        }
         let diags = lint_explicit(&args)?;
         return Ok(report(&diags, 0));
     }
@@ -133,19 +120,7 @@ fn run() -> Result<ExitCode, std::io::Error> {
         eprintln!("kloc-lint: no [workspace] Cargo.toml found above the current directory");
         return Ok(ExitCode::from(2));
     };
-    let mut diags = lint_workspace(&root)?;
-    if fix {
-        let fixable = diags.iter().filter(|d| d.suggestion.is_some()).count();
-        if fixable > 0 {
-            let changed = apply_fixes(&root, &diags)?;
-            for file in &changed {
-                eprintln!("kloc-lint: fixed {file}");
-            }
-            // Re-lint: remaining diagnostics (and any the fixes could
-            // not address) determine the exit code.
-            diags = lint_workspace(&root)?;
-        }
-    }
+    let diags = lint_workspace(&root)?;
     let scanned = workspace_files(&root).map(|f| f.len()).unwrap_or(0);
     Ok(report(&diags, scanned))
 }

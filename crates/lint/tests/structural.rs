@@ -1,13 +1,12 @@
 //! Regression suite for the structural rules (KL007–KL009): fixture
 //! files pinned down to exact (file, line, rule) triples, a scratch-copy
-//! drift test against the real workspace manifests, `--fix`
-//! application and idempotence checks, and the CLI's explicit-path
-//! mode.
+//! drift test against the real workspace manifests, a clean-workspace
+//! check, and the CLI's explicit-path mode.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
-use kloc_lint::{apply_fixes, lint_manifests, lint_source, Diagnostic, Suggestion};
+use kloc_lint::{lint_manifests, lint_source, Diagnostic};
 
 #[path = "support/clippy.rs"]
 mod toolchain;
@@ -172,45 +171,10 @@ fn scratch_copy_feature_rename_trips_kl007() {
     assert!(clean.is_empty(), "{clean:#?}");
 }
 
-/// `--fix` applies each file's suggestions back to front, skips one
-/// that overlaps an earlier suggestion, and changes nothing when no
-/// diagnostic carries a fix.
 #[test]
-fn fix_applies_suggestions_first_wins() {
-    let dir = scratch_dir("fix");
-    let rel = "f.rs";
-    std::fs::write(dir.join(rel), "fn a(x: u32) -> u32 { x }\n").unwrap();
-    let fix = |start, end, replacement: &str| {
-        let mut d = Diagnostic::new(rel, 1, "KL004", "test".to_owned());
-        d.suggestion = Some(Suggestion {
-            start,
-            end,
-            replacement: replacement.to_owned(),
-        });
-        d
-    };
-    let diags = vec![
-        fix(8, 11, "u64"),
-        fix(16, 19, "u64"),
-        fix(9, 12, "overlaps the first"),
-    ];
-    assert_eq!(apply_fixes(&dir, &diags).expect("fixes apply"), vec![rel]);
-    let fixed = std::fs::read_to_string(dir.join(rel)).unwrap();
-    assert_eq!(fixed, "fn a(x: u64) -> u64 { x }\n");
-
-    let unfixable = vec![Diagnostic::new(rel, 1, "KL004", "test".to_owned())];
-    assert!(apply_fixes(&dir, &unfixable).expect("noop").is_empty());
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn real_workspace_has_no_pending_fixes() {
-    // CI enforces `--fix` idempotence on the working tree; this is the
-    // in-process equivalent: a clean workspace offers no suggestions.
+fn real_workspace_lints_clean() {
     let diags = kloc_lint::lint_workspace(&workspace_root()).expect("workspace readable");
     assert!(diags.is_empty(), "{diags:#?}");
-    let changed = apply_fixes(&workspace_root(), &diags).expect("noop");
-    assert!(changed.is_empty());
 }
 
 /// The CLI names each explicit path relative to the workspace root

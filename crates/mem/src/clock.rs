@@ -69,6 +69,12 @@ impl Nanos {
         Nanos(self.0.saturating_sub(other.0))
     }
 
+    /// Saturating addition: `self + other`, clamped at the largest
+    /// representable time.
+    pub fn saturating_add(self, other: Nanos) -> Nanos {
+        Nanos(self.0.saturating_add(other.0))
+    }
+
     /// Time to move `bytes` at `bytes_per_sec` bandwidth.
     ///
     /// Returns zero if `bytes_per_sec` is zero (infinite bandwidth is used

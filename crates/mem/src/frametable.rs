@@ -23,11 +23,14 @@
 //!
 //! A frame can be *watched* on behalf of a client that wants to hear
 //! about its next change instead of re-probing it (the KLOC registry
-//! parks cold knode members this way). The watch bit is the top bit of
+//! parks knode members this way). The watch bit is the top bit of
 //! the access-count word, which [`FrameTable::touch`] already reads and
 //! writes, so the per-touch path loads nothing extra. When a touch or a
 //! migration hits a watched frame, the table appends `(id, tag)` to a
-//! wake log and clears the bit; the client drains the log.
+//! wake log and clears the bit; the client drains the log. A
+//! *migration-only* watch ([`FrameTable::watch_migrations`]) is the
+//! next bit down: touches pass it by, and only a migration, which tests
+//! both bits at once, wakes the frame.
 
 use crate::clock::Nanos;
 use crate::frame::{Frame, FrameId, PageKind};
@@ -41,8 +44,17 @@ const SLOT_MASK: u64 = (1 << SLOT_BITS) - 1;
 const FLAG_PINNED: u8 = 1 << 0;
 
 /// Top bit of an access-count word: the frame is watched. Counts never
-/// approach 2^63, so the bit is free; [`Frame::accesses`] never shows it.
+/// approach 2^62, so this bit and [`MIGRATION_WATCHED`] are free;
+/// [`Frame::accesses`] never shows them.
 const WATCHED: u64 = 1 << 63;
+
+/// Second bit of an access-count word: the frame is watched for its
+/// next migration only (touches do not wake it). Never set together
+/// with [`WATCHED`].
+const MIGRATION_WATCHED: u64 = 1 << 62;
+
+/// Both watch bits.
+const WATCH_BITS: u64 = WATCHED | MIGRATION_WATCHED;
 
 /// The subset of a frame record migration policies filter on. Returned
 /// by [`FrameTable::meta`] so candidate walks copy five fields instead
@@ -72,7 +84,7 @@ const FREE_GENERATION: u32 = u32::MAX;
 struct Record {
     /// Time of the most recent access.
     last_access: Nanos,
-    /// Access count; the top bit is the [`WATCHED`] bit.
+    /// Access count; the top two bits are the [`WATCH_BITS`].
     accesses: u64,
     /// Generation half of the live frame's id, or [`FREE_GENERATION`]
     /// when the slot is empty. Lookups compare against this to reject
@@ -241,9 +253,9 @@ impl FrameTable {
     pub fn insert(&mut self, frame: Frame) -> FrameId {
         let id = frame.id();
         assert_eq!(id, self.next_id(), "frame built for a stale id");
-        // A fresh count never carries the watch bit, so a reused slot
+        // A fresh count never carries a watch bit, so a reused slot
         // starts unwatched.
-        debug_assert_eq!(frame.accesses() & WATCHED, 0);
+        debug_assert_eq!(frame.accesses() & WATCH_BITS, 0);
         let mut record = Record {
             last_access: frame.last_access(),
             accesses: frame.accesses(),
@@ -318,7 +330,7 @@ impl FrameTable {
             pinned: r.flags & FLAG_PINNED != 0,
             allocated_at: self.allocated_at[slot_of(id)],
             last_access: r.last_access,
-            accesses: r.accesses & !WATCHED,
+            accesses: r.accesses & !WATCH_BITS,
             migrations: r.migrations,
         })
     }
@@ -361,15 +373,6 @@ impl FrameTable {
             .map(|r| std::mem::replace(&mut r.tenant, tenant))
     }
 
-    /// Looks up just the last-access time; `None` for stale ids.
-    /// Recency-filtered walks (member-granular demotion) probe this
-    /// first: most members of an active knode were touched recently, so
-    /// the reject path reads one field.
-    #[inline]
-    pub fn last_access_of_live(&self, id: FrameId) -> Option<Nanos> {
-        self.record(id).map(|r| r.last_access)
-    }
-
     /// Records an access: bumps the access count and last-access time,
     /// returning the fields the cost model needs, and wakes the frame if
     /// it is watched. This is the whole per-touch hot path — one record
@@ -387,7 +390,8 @@ impl FrameTable {
     }
 
     /// Moves a live frame to `tier` and bumps its migration counter,
-    /// waking the frame if it is watched. Returns `false` for stale ids.
+    /// waking the frame if it is watched either way. Returns `false` for
+    /// stale ids.
     #[inline]
     pub fn record_migration(&mut self, id: FrameId, tier: TierId) -> bool {
         let Some(r) = self.record_mut(id) else {
@@ -395,29 +399,41 @@ impl FrameTable {
         };
         r.tier = tier;
         r.migrations = r.migrations.saturating_add(1);
-        if r.accesses & WATCHED != 0 {
+        if r.accesses & WATCH_BITS != 0 {
             self.wake(id);
         }
         true
     }
 
-    /// Logs the wake of watched frame `id` and clears its watch bit.
+    /// Logs the wake of watched frame `id` and clears its watch.
     #[cold]
     fn wake(&mut self, id: FrameId) {
         let slot = slot_of(id);
-        self.records[slot].accesses &= !WATCHED;
+        self.records[slot].accesses &= !WATCH_BITS;
         self.wakes.push((id, self.watch_tags[slot]));
     }
 
     /// Watches a live frame under `tag`: its next touch or migration
     /// appends `(id, tag)` to the wake log and clears the watch. A
-    /// second watch before then replaces the tag. Returns `false` for
-    /// stale ids.
+    /// second watch of either kind before then replaces the tag and the
+    /// kind. Returns `false` for stale ids.
     pub fn watch(&mut self, id: FrameId, tag: u32) -> bool {
+        self.set_watch(id, tag, true)
+    }
+
+    /// Watches a live frame under `tag` for its next migration only: a
+    /// touch leaves the watch in place and logs nothing. Otherwise as
+    /// [`FrameTable::watch`].
+    pub fn watch_migrations(&mut self, id: FrameId, tag: u32) -> bool {
+        self.set_watch(id, tag, false)
+    }
+
+    fn set_watch(&mut self, id: FrameId, tag: u32, on_touch: bool) -> bool {
         let Some(r) = self.record_mut(id) else {
             return false;
         };
-        r.accesses |= WATCHED;
+        r.accesses =
+            (r.accesses & !WATCH_BITS) | if on_touch { WATCHED } else { MIGRATION_WATCHED };
         let slot = slot_of(id);
         if slot >= self.watch_tags.len() {
             self.watch_tags.resize(slot + 1, 0);
@@ -426,11 +442,19 @@ impl FrameTable {
         true
     }
 
-    /// The tag a live frame is watched under; `None` for stale or
-    /// unwatched frames.
+    /// The tag a live frame is watched under by [`FrameTable::watch`];
+    /// `None` for stale frames and frames not so watched.
     pub fn watch_tag(&self, id: FrameId) -> Option<u32> {
         let r = self.record(id)?;
         (r.accesses & WATCHED != 0).then(|| self.watch_tags[slot_of(id)])
+    }
+
+    /// The tag a live frame is watched under by
+    /// [`FrameTable::watch_migrations`]; `None` for stale frames and
+    /// frames not so watched.
+    pub fn migration_watch_tag(&self, id: FrameId) -> Option<u32> {
+        let r = self.record(id)?;
+        (r.accesses & MIGRATION_WATCHED != 0).then(|| self.watch_tags[slot_of(id)])
     }
 
     /// Empties the wake log, yielding `(frame, tag)` in wake order.
@@ -712,6 +736,58 @@ mod tests {
         assert_eq!(t.watch_tag(ids[0]), None);
         assert_eq!(t.drain_wakes().collect::<Vec<_>>(), vec![(ids[0], 4)]);
         assert!(!t.watch(FrameId(99), 1), "stale ids cannot be watched");
+    }
+
+    #[test]
+    fn touch_passes_a_migration_watch_by() {
+        let (mut t, ids) = table_with(1);
+        assert!(t.watch_migrations(ids[0], 5));
+        assert_eq!(t.migration_watch_tag(ids[0]), Some(5));
+        assert_eq!(t.watch_tag(ids[0]), None, "not a touch watch");
+        t.touch(ids[0], Nanos::new(3)).unwrap();
+        t.touch(ids[0], Nanos::new(4)).unwrap();
+        assert_eq!(t.drain_wakes().count(), 0, "touches log no wake");
+        assert_eq!(t.migration_watch_tag(ids[0]), Some(5), "still watched");
+        assert_eq!(t.get(ids[0]).unwrap().accesses(), 2);
+    }
+
+    #[test]
+    fn migration_wakes_a_migration_watch_once() {
+        let (mut t, ids) = table_with(2);
+        t.watch_migrations(ids[0], 6);
+        assert!(t.record_migration(ids[1], TierId::SLOW));
+        assert_eq!(t.drain_wakes().count(), 0, "unwatched frame");
+        assert!(t.record_migration(ids[0], TierId::SLOW));
+        assert_eq!(t.migration_watch_tag(ids[0]), None, "the wake clears it");
+        assert!(t.record_migration(ids[0], TierId::FAST));
+        assert_eq!(t.drain_wakes().collect::<Vec<_>>(), vec![(ids[0], 6)]);
+        // Either kind of watch replaces the other.
+        t.watch_migrations(ids[0], 1);
+        t.watch(ids[0], 2);
+        assert_eq!(t.migration_watch_tag(ids[0]), None);
+        assert_eq!(t.watch_tag(ids[0]), Some(2));
+        t.watch_migrations(ids[0], 3);
+        assert_eq!(t.watch_tag(ids[0]), None);
+        t.touch(ids[0], Nanos::new(1)).unwrap();
+        assert_eq!(t.drain_wakes().count(), 0);
+        assert!(
+            !t.watch_migrations(FrameId(99), 1),
+            "stale ids cannot be watched"
+        );
+    }
+
+    #[test]
+    fn reused_slot_starts_without_a_migration_watch() {
+        let (mut t, ids) = table_with(1);
+        t.watch_migrations(ids[0], 9);
+        t.remove(ids[0]).unwrap();
+        let id = t.next_id();
+        t.insert(Frame::new(id, TierId::FAST, PageKind::AppData, Nanos::ZERO));
+        assert_eq!(id.0 & SLOT_MASK, ids[0].0 & SLOT_MASK, "slot recycled");
+        assert_eq!(t.migration_watch_tag(id), None);
+        assert_eq!(t.migration_watch_tag(ids[0]), None, "stale id");
+        t.record_migration(id, TierId::SLOW);
+        assert_eq!(t.drain_wakes().count(), 0);
     }
 
     #[test]

@@ -590,24 +590,33 @@ impl MemorySystem {
         self.frames.tier_of_live(frame)
     }
 
-    /// Last access time of a frame, or `None` if it has been freed —
-    /// the single-column probe recency-filtered walks reject on.
-    #[inline]
-    pub fn last_access_if_live(&self, frame: FrameId) -> Option<Nanos> {
-        self.frames.last_access_of_live(frame)
-    }
-
     /// Watches a live frame under `tag`: its next access or migration
     /// appends `(frame, tag)` to the wake log ([`MemorySystem::drain_wakes`])
-    /// and clears the watch. Returns `false` for stale ids.
+    /// and clears the watch. A watch of either kind replaces the other.
+    /// Returns `false` for stale ids.
     pub fn watch(&mut self, frame: FrameId, tag: u32) -> bool {
         self.frames.watch(frame, tag)
     }
 
-    /// The tag a live frame is watched under; `None` for stale or
-    /// unwatched frames.
+    /// Watches a live frame under `tag` for its next migration only:
+    /// accesses do not wake it. A watch of either kind replaces the
+    /// other. Returns `false` for stale ids.
+    pub fn watch_migrations(&mut self, frame: FrameId, tag: u32) -> bool {
+        self.frames.watch_migrations(frame, tag)
+    }
+
+    /// The tag a live frame is watched under by
+    /// [`MemorySystem::watch`]; `None` for stale frames and frames not so
+    /// watched.
     pub fn watch_tag(&self, frame: FrameId) -> Option<u32> {
         self.frames.watch_tag(frame)
+    }
+
+    /// The tag a live frame is watched under by
+    /// [`MemorySystem::watch_migrations`]; `None` for stale frames and
+    /// frames not so watched.
+    pub fn migration_watch_tag(&self, frame: FrameId) -> Option<u32> {
+        self.frames.migration_watch_tag(frame)
     }
 
     /// Empties the wake log, yielding `(frame, tag)` in wake order.
@@ -1628,8 +1637,8 @@ mod tests {
         assert_eq!(a.stats(), b.stats(), "stats");
         for op in ops {
             assert_eq!(
-                a.last_access_if_live(op.frame),
-                b.last_access_if_live(op.frame),
+                a.frame_meta(op.frame).map(|f| f.last_access),
+                b.frame_meta(op.frame).map(|f| f.last_access),
                 "{} last_access",
                 op.frame
             );

@@ -138,3 +138,39 @@ fn kloc_tracks_and_releases_all_objects() {
     let overhead = r.overhead.expect("overhead");
     assert!(overhead.fraction_of(scale.data_bytes) < 0.01);
 }
+
+/// Tenant isolation (EXPERIMENTS.md "Tenant isolation", the
+/// `sys_kloc_memsize` budgets of PAPER.md Table 2): under the KLOC
+/// policy, unbudgeted tenants evict each other's page-cache pages
+/// (711 cross-tenant evictions at tiny scale), and per-tenant budgets
+/// bring that to exactly zero. Small scale runs it again where the
+/// member-granular demotion and promotion walks park members and skip
+/// chunks, so a walk change that let one tenant's churn through shows
+/// here.
+#[test]
+fn tenant_budgets_eliminate_cross_tenant_evictions() {
+    use klocs::sim::experiments::tenants;
+    use klocs::sim::runner::Runner;
+
+    let cross = |r: &engine::RunReport| -> u64 {
+        r.tenants
+            .iter()
+            .map(|t| t.stats.cross_evictions_suffered)
+            .sum()
+    };
+    for (name, scale) in [("tiny", Scale::tiny()), ("small", Scale::small())] {
+        let platform = Platform::TwoTier {
+            fast_bytes: scale.fast_bytes,
+            bw_ratio: 8,
+        };
+        let iso = tenants::run(&Runner::serial(), &scale, platform).expect("runs complete");
+        assert!(
+            cross(&iso.off) > 0,
+            "{name}: without budgets the churn tenant must evict its neighbours"
+        );
+        assert_eq!(cross(&iso.on), 0, "{name}: budgets must isolate tenants");
+        assert!(iso.isolated());
+        let walks = iso.on.kloc.expect("registry stats");
+        assert!(walks.pages_demoted > 0 && walks.pages_promoted > 0);
+    }
+}
