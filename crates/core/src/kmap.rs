@@ -44,14 +44,17 @@
 //! All knode mutation funnels through [`Kmap::with_knode_mut`] /
 //! [`Kmap::with_knode_mut_at`], which repair the indexes when a mutation
 //! changes the knode's activation state or inactivity stamp; no
-//! `&mut Knode` ever escapes the kmap.
+//! `&mut Knode` ever escapes the kmap. [`Kmap::touch_at`], the object
+//! access's recency touch, skips the repair for active knodes, whose
+//! touch can never need it.
 
 use std::cell::Cell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use kloc_mem::Nanos;
+use kloc_mem::{Nanos, TenantId};
 
+use kloc_kernel::hooks::CpuId;
 use kloc_kernel::vfs::InodeId;
 
 use crate::knode::Knode;
@@ -413,10 +416,11 @@ impl Kmap {
 
     /// Mutates `inode`'s knode through `f` (which also receives the
     /// current epoch), repairing the activation/inactivity indexes if
-    /// the mutation changed them. This — and its slot-addressed twin
-    /// [`Kmap::with_knode_mut_at`] — is the only mutable access to a
-    /// knode, so the indexes cannot go stale. Does not count a tree
-    /// access.
+    /// the mutation changed them. This — with its slot-addressed twin
+    /// [`Kmap::with_knode_mut_at`] and the active-knode touch of
+    /// [`Kmap::touch_at`] — is the only mutable access to a knode's
+    /// activation state and age, so the indexes cannot go stale. Does
+    /// not count a tree access.
     pub fn with_knode_mut<R>(
         &mut self,
         inode: InodeId,
@@ -458,6 +462,28 @@ impl Kmap {
             self.bound_heap();
         }
         Some(r)
+    }
+
+    /// Records an access to the knode in `slot` (resets its age, stamps
+    /// time and CPU) and returns its owner — the per-CPU fast-path hit
+    /// route of an object access. A touch of an active knode cannot
+    /// change the activation indexes (active knodes sit only in the
+    /// active bitset), so it writes the four recency fields and reads
+    /// no index state; an inactive knode takes
+    /// [`Kmap::with_knode_mut_at`] and its repair. `None` for a free
+    /// slot.
+    #[inline]
+    pub fn touch_at(&mut self, slot: u32, cpu: CpuId, now: Nanos) -> Option<TenantId> {
+        let epoch = self.epoch;
+        let knode = self.slots.get_mut(slot as usize)?.as_mut()?;
+        if knode.inuse() {
+            knode.touch_at(cpu, now, epoch);
+            return Some(knode.owner());
+        }
+        self.with_knode_mut_at(slot, |k, epoch| {
+            k.touch_at(cpu, now, epoch);
+            k.owner()
+        })
     }
 
     /// Like [`Kmap::with_knode_mut`] but counts a tree traversal

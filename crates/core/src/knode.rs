@@ -42,24 +42,28 @@ pub enum MemberTree {
 }
 
 /// A knode: the KLOC bookkeeping attached to one inode.
+///
+/// `repr(C)` keeps the fields an object access reads and writes
+/// ([`crate::Kmap::touch_at`]) together at the front.
 #[derive(Debug, Clone)]
+#[repr(C)]
 pub struct Knode {
     inode: InodeId,
-    /// Whether the inode is currently open/active.
-    inuse: bool,
-    /// The tenant that created the inode, for shared-access
-    /// attribution ([`TenantId::DEFAULT`] in single-tenant runs).
-    owner: TenantId,
-    /// Age accrued up to `synced_epoch` (materialized on activation
-    /// transitions; zero after any touch).
-    age_base: u32,
     /// Kmap epoch at which `age_base` was last materialized. While
     /// inactive, one age unit accrues per epoch since.
     synced_epoch: u64,
-    /// CPU that last touched this knode (`find_cpu` in Table 2).
-    last_cpu: CpuId,
     /// Last access time.
     last_active: Nanos,
+    /// Age accrued up to `synced_epoch` (materialized on activation
+    /// transitions; zero after any touch).
+    age_base: u32,
+    /// The tenant that created the inode, for shared-access
+    /// attribution ([`TenantId::DEFAULT`] in single-tenant runs).
+    owner: TenantId,
+    /// CPU that last touched this knode (`find_cpu` in Table 2).
+    last_cpu: CpuId,
+    /// Whether the inode is currently open/active.
+    inuse: bool,
     /// Number of page-backed members (`rbtree-cache`).
     cache: usize,
     /// Number of slab-class members (`rbtree-slab`).

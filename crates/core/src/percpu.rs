@@ -2,16 +2,21 @@
 //!
 //! The global kmap is a contended shared structure; the paper adds
 //! per-CPU lists of recently touched knodes — a software cache in the
-//! spirit of other kernel fast paths — with per-entry age tracking. The
-//! paper reports these lists cut `rbtree-cache`/`rbtree-slab` accesses
-//! by 54 %; this module's hit/miss counters reproduce that ablation.
+//! spirit of other kernel fast paths. The paper reports these lists cut
+//! `rbtree-cache`/`rbtree-slab` accesses by 54 %; this module's hit/miss
+//! counters reproduce that ablation.
 //!
-//! Entry ages are lazy, mirroring the kmap: each entry records the list
-//! epoch at which it was last touched and its age is the difference —
-//! [`PerCpuKnodeLists::age_all`] is a counter bump, not a walk of every
-//! entry on every list.
-
-use std::collections::VecDeque;
+//! All lists share one flat array of `cpus × capacity` `{inode, slot}`
+//! entries, CPU `c`'s list occupying the `c`-th run of `capacity`, most
+//! recent first, with one length per CPU. A lookup is one scan of at
+//! most `capacity` contiguous entries, and a hit at position `p` moves
+//! the entry to the front by rotating the first `p + 1` entries.
+//!
+//! The entries carry no age. The paper ages list entries too, but the
+//! policy's cold selection reads only the kmap's per-knode ages
+//! ([`crate::Kmap::age_of`]); the list needs just its recency order,
+//! which decides the entry a full list drops, so an age per entry
+//! would be bookkeeping on every hit that nothing reads.
 
 use kloc_kernel::hooks::CpuId;
 use kloc_kernel::vfs::InodeId;
@@ -24,18 +29,23 @@ struct Entry {
     /// back so the caller mutates the knode with one array access — no
     /// kmap tree walk at all (the §4.3 point of these lists).
     slot: u32,
-    /// List epoch of the last access; the entry's age is the number of
-    /// epochs since (reset-on-access, §4.3).
-    touched_epoch: u64,
 }
+
+/// Filler for the unused tail of a list; never compared against.
+const EMPTY: Entry = Entry {
+    inode: InodeId(u64::MAX),
+    slot: u32::MAX,
+};
 
 /// Per-CPU lists of recently used knodes.
 #[derive(Debug, Clone)]
 pub struct PerCpuKnodeLists {
-    lists: Vec<VecDeque<Entry>>,
+    /// `lens.len() × capacity` entries; list `c` is
+    /// `entries[c * capacity..][..lens[c]]`, most recent first. No
+    /// inode appears twice on one list.
+    entries: Vec<Entry>,
+    lens: Vec<usize>,
     capacity: usize,
-    /// Aging epoch shared by all lists; advanced by `age_all`.
-    epoch: u64,
     hits: u64,
     misses: u64,
 }
@@ -50,9 +60,9 @@ impl PerCpuKnodeLists {
         assert!(cpus > 0, "need at least one cpu");
         assert!(capacity > 0, "capacity must be non-zero");
         PerCpuKnodeLists {
-            lists: vec![VecDeque::new(); cpus],
+            entries: vec![EMPTY; cpus * capacity],
+            lens: vec![0; cpus],
             capacity,
-            epoch: 0,
             hits: 0,
             misses: 0,
         }
@@ -79,130 +89,104 @@ impl PerCpuKnodeLists {
         }
     }
 
-    fn list_mut(&mut self, cpu: CpuId) -> &mut VecDeque<Entry> {
-        let n = self.lists.len();
-        &mut self.lists[cpu.0 as usize % n]
-    }
-
-    /// Looks up `inode` on `cpu`'s list and refreshes it on hit (moved to
-    /// front, age reset). Returns the knode's kmap slot on a hit; on miss
-    /// the caller consults the kmap and should then call
-    /// [`PerCpuKnodeLists::touch`].
-    pub fn lookup(&mut self, cpu: CpuId, inode: InodeId) -> Option<u32> {
-        let epoch = self.epoch;
-        let list = self.list_mut(cpu);
-        // Repeated touches of the same knode hit the front entry;
-        // refreshing it in place is the move-to-front it would get.
-        let front_hit = match list.front_mut() {
-            Some(e) if e.inode == inode => {
-                e.touched_epoch = epoch;
-                Some(e.slot)
-            }
-            _ => None,
-        };
-        if let Some(slot) = front_hit {
-            self.hits += 1;
-            return Some(slot);
-        }
-        if let Some(pos) = list.iter().position(|e| e.inode == inode) {
-            #[expect(clippy::expect_used, reason = "position() just found the entry")]
-            let mut e = list.remove(pos).expect("position just found");
-            e.touched_epoch = epoch;
-            list.push_front(e);
-            self.hits += 1;
-            Some(e.slot)
+    /// The list `cpu` maps to (CPU ids wrap onto the lists).
+    #[inline]
+    fn list_of(&self, cpu: CpuId) -> usize {
+        let (c, n) = (cpu.0 as usize, self.lens.len());
+        // Skips the division for the ids that need no wrapping.
+        if c < n {
+            c
         } else {
-            self.misses += 1;
-            None
+            c % n
         }
     }
 
-    /// Inserts `inode` (stored in kmap slot `slot`) at the front of
-    /// `cpu`'s list (after a kmap lookup), evicting the coldest entry if
-    /// full. The same knode may appear on several CPUs' lists — the
-    /// paper leans on existing per-CPU coherence APIs for that (§4.3).
-    pub fn touch(&mut self, cpu: CpuId, inode: InodeId, slot: u32) {
-        let capacity = self.capacity;
-        let epoch = self.epoch;
-        let list = self.list_mut(cpu);
-        if let Some(e) = list.front_mut() {
-            if e.inode == inode {
-                e.touched_epoch = epoch;
-                e.slot = slot;
-                return;
+    /// Looks up `inode` on `cpu`'s list and moves it to the front on a
+    /// hit. Returns the knode's kmap slot on a hit; on miss the caller
+    /// consults the kmap and should then call
+    /// [`PerCpuKnodeLists::touch`].
+    #[inline]
+    pub fn lookup(&mut self, cpu: CpuId, inode: InodeId) -> Option<u32> {
+        let c = self.list_of(cpu);
+        let start = c * self.capacity;
+        let list = &mut self.entries[start..start + self.lens[c]];
+        match list.iter().position(|e| e.inode == inode) {
+            Some(p) => {
+                list[..=p].rotate_right(1);
+                self.hits += 1;
+                Some(list[0].slot)
+            }
+            None => {
+                self.misses += 1;
+                None
             }
         }
-        if let Some(pos) = list.iter().position(|e| e.inode == inode) {
-            #[expect(clippy::expect_used, reason = "position() just found the entry")]
-            let mut e = list.remove(pos).expect("position just found");
-            e.touched_epoch = epoch;
-            e.slot = slot;
-            list.push_front(e);
-            return;
-        }
-        if list.len() >= capacity {
-            list.pop_back();
-        }
-        list.push_front(Entry {
-            inode,
-            slot,
-            touched_epoch: epoch,
-        });
+    }
+
+    /// Puts `inode` (stored in kmap slot `slot`) at the front of `cpu`'s
+    /// list (after a kmap lookup), dropping the least recent entry if
+    /// the list is full. The same knode may appear on several CPUs'
+    /// lists — the paper leans on existing per-CPU coherence APIs for
+    /// that (§4.3).
+    pub fn touch(&mut self, cpu: CpuId, inode: InodeId, slot: u32) {
+        let c = self.list_of(cpu);
+        let len = self.lens[c];
+        let start = c * self.capacity;
+        let list = &mut self.entries[start..start + self.capacity];
+        // The entry to move to the front: `inode`'s own, else the first
+        // free one, else the least recent (which the new entry replaces).
+        let p = match list[..len].iter().position(|e| e.inode == inode) {
+            Some(p) => p,
+            None if len < self.capacity => {
+                self.lens[c] += 1;
+                len
+            }
+            None => len - 1,
+        };
+        list[..=p].rotate_right(1);
+        list[0] = Entry { inode, slot };
     }
 
     /// Removes `inode` from every CPU's list (knode destroyed).
     pub fn purge(&mut self, inode: InodeId) {
-        for list in &mut self.lists {
-            list.retain(|e| e.inode != inode);
-        }
-    }
-
-    /// Ages every entry by one (called by policy LRU scans). O(1): the
-    /// shared epoch advances and entry ages derive lazily.
-    pub fn age_all(&mut self) {
-        self.epoch += 1;
-    }
-
-    /// Inodes whose age on some CPU list is at least `min_age` — cold
-    /// candidates for the policy to consider.
-    pub fn cold_candidates(&self, min_age: u32) -> Vec<InodeId> {
-        let mut out = Vec::new();
-        for list in &self.lists {
-            for e in list {
-                if self.epoch - e.touched_epoch >= u64::from(min_age) && !out.contains(&e.inode) {
-                    out.push(e.inode);
-                }
+        for (c, len) in self.lens.iter_mut().enumerate() {
+            let start = c * self.capacity;
+            let list = &mut self.entries[start..start + *len];
+            if let Some(p) = list.iter().position(|e| e.inode == inode) {
+                list[p..].rotate_left(1);
+                *len -= 1;
             }
         }
-        out
     }
 
     /// Total entries across all lists (for overhead accounting).
     pub fn total_entries(&self) -> usize {
-        self.lists.iter().map(|l| l.len()).sum()
+        self.lens.iter().sum()
     }
 }
 
 #[cfg(feature = "ksan")]
 impl PerCpuKnodeLists {
-    /// Audits every cached entry against the kmap it shadows: the entry's
-    /// remembered slot must still hold that inode's knode (purge-on-unmap
-    /// keeps this exact), list lengths must respect the capacity bound,
-    /// and no entry may be stamped ahead of the shared epoch. Observation
-    /// only.
+    /// Audits every cached entry against the kmap it shadows: list
+    /// lengths must respect the capacity bound, each entry's remembered
+    /// slot must still hold that inode's knode (purge-on-unmap keeps
+    /// this exact), and no inode may appear twice on one list (purge
+    /// removes one entry per list). Observation only.
     pub fn ksan_audit(&self, kmap: &crate::Kmap, out: &mut Vec<kloc_mem::ksan::Violation>) {
         use kloc_mem::ksan::Violation;
-        for (cpu, list) in self.lists.iter().enumerate() {
-            if list.len() > self.capacity {
+        for (cpu, &len) in self.lens.iter().enumerate() {
+            if len > self.capacity {
                 out.push(Violation::new(
                     "PerCpuKnodeLists capacity",
                     format!("cpu{cpu} list"),
                     "a per-CPU list never exceeds its capacity",
                     format!("<= {} entries", self.capacity),
-                    format!("{} entries", list.len()),
+                    format!("{len} entries"),
                 ));
+                continue;
             }
-            for e in list {
+            let list = &self.entries[cpu * self.capacity..][..len];
+            for (i, e) in list.iter().enumerate() {
                 if kmap.slot_of(e.inode) != Some(e.slot) {
                     out.push(Violation::new(
                         "PerCpuKnodeLists <-> Kmap.index",
@@ -212,13 +196,13 @@ impl PerCpuKnodeLists {
                         format!("slot {}", e.slot),
                     ));
                 }
-                if e.touched_epoch > self.epoch {
+                if list[..i].iter().any(|d| d.inode == e.inode) {
                     out.push(Violation::new(
-                        "PerCpuKnodeLists.epoch <-> Entry.touched_epoch",
+                        "PerCpuKnodeLists entries",
                         format!("{} on cpu{cpu}", e.inode),
-                        "no entry is stamped ahead of the shared epoch",
-                        format!("<= {}", self.epoch),
-                        format!("touched_epoch = {}", e.touched_epoch),
+                        "an inode appears at most once on a list",
+                        "1 entry".to_owned(),
+                        format!("a second entry at position {i}"),
                     ));
                 }
             }
@@ -262,33 +246,6 @@ mod tests {
     }
 
     #[test]
-    fn aging_and_cold_candidates() {
-        let mut p = PerCpuKnodeLists::new(1, 4);
-        p.touch(CpuId(0), InodeId(1), 0);
-        p.touch(CpuId(0), InodeId(2), 0);
-        p.age_all();
-        p.age_all();
-        // Access 2: its age resets.
-        assert!(p.lookup(CpuId(0), InodeId(2)).is_some());
-        assert_eq!(p.cold_candidates(2), vec![InodeId(1)]);
-        assert!(p.cold_candidates(3).is_empty());
-    }
-
-    #[test]
-    fn entries_touched_after_aging_are_young() {
-        let mut p = PerCpuKnodeLists::new(1, 4);
-        p.touch(CpuId(0), InodeId(1), 0);
-        for _ in 0..5 {
-            p.age_all();
-        }
-        p.touch(CpuId(0), InodeId(2), 0); // born at epoch 5: age 0
-        assert_eq!(p.cold_candidates(1), vec![InodeId(1)]);
-        p.age_all();
-        // MRU-first list order: 2 sits in front of 1.
-        assert_eq!(p.cold_candidates(1), vec![InodeId(2), InodeId(1)]);
-    }
-
-    #[test]
     fn purge_removes_everywhere() {
         let mut p = PerCpuKnodeLists::new(2, 4);
         p.touch(CpuId(0), InodeId(1), 0);
@@ -302,5 +259,36 @@ mod tests {
         let mut p = PerCpuKnodeLists::new(2, 4);
         p.touch(CpuId(4), InodeId(1), 0); // 4 % 2 == list 0
         assert!(p.lookup(CpuId(0), InodeId(1)).is_some());
+    }
+
+    #[cfg(feature = "ksan")]
+    #[test]
+    fn ksan_audit_catches_duplicates_and_overlong_lists() {
+        use crate::{Kmap, Knode};
+        use kloc_mem::Nanos;
+
+        let mut kmap = Kmap::new();
+        let slot = kmap.map_knode(Knode::new(InodeId(1), Nanos::ZERO));
+        let mut p = PerCpuKnodeLists::new(2, 2);
+        p.touch(CpuId(0), InodeId(1), slot);
+        let mut out = Vec::new();
+        p.ksan_audit(&kmap, &mut out);
+        assert_eq!(out, vec![]);
+
+        p.entries[1] = p.entries[0];
+        p.lens[0] = 2;
+        p.ksan_audit(&kmap, &mut out);
+        assert!(
+            out.iter()
+                .any(|v| v.structures == "PerCpuKnodeLists entries"),
+            "{out:#?}"
+        );
+        p.lens[1] = 3;
+        p.ksan_audit(&kmap, &mut out);
+        assert!(
+            out.iter()
+                .any(|v| v.structures == "PerCpuKnodeLists capacity"),
+            "{out:#?}"
+        );
     }
 }

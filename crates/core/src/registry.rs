@@ -405,19 +405,12 @@ impl KlocRegistry {
         }
     }
 
-    /// Object accessed: refresh its knode's recency via the fast path.
-    pub fn object_accessed(&mut self, info: &ObjectInfo, cpu: CpuId, now: Nanos) {
-        if !self.config.enabled || !self.includes(info.ty) {
-            return;
-        }
-        let Some(inode) = info.inode else { return };
-        self.knode_event(cpu, inode, |k, epoch| k.touch_at(cpu, now, epoch));
-    }
-
-    /// [`KlocRegistry::object_accessed`] with the accessing tenant: when
-    /// the knode exists and the accessor differs from its owner, the
-    /// access is counted as shared (cross-tenant) against the accessor.
-    /// The owner is read inside the same knode lookup as the touch.
+    /// Object accessed by `tenant`: refresh its knode's recency via the
+    /// fast path. When the knode exists and the accessor differs from
+    /// its owner, the access is counted as shared (cross-tenant)
+    /// against the accessor. A per-CPU hit is one list probe plus
+    /// [`Kmap::touch_at`], which also returns the owner; a miss takes
+    /// the counted kmap route of every other knode event.
     pub fn object_accessed_by(
         &mut self,
         info: &ObjectInfo,
@@ -429,11 +422,21 @@ impl KlocRegistry {
             return;
         }
         let Some(inode) = info.inode else { return };
+        let hit = if self.config.use_percpu {
+            self.percpu.lookup(cpu, inode)
+        } else {
+            None
+        };
         let mut owner = tenant;
-        self.knode_event(cpu, inode, |k, epoch| {
-            owner = k.owner();
-            k.touch_at(cpu, now, epoch);
-        });
+        match hit {
+            Some(slot) => owner = self.kmap.touch_at(slot, cpu, now).unwrap_or(tenant),
+            None => {
+                self.knode_miss(cpu, inode, |k, epoch| {
+                    owner = k.owner();
+                    k.touch_at(cpu, now, epoch);
+                });
+            }
+        }
         if owner != tenant {
             let i = tenant.index();
             if i >= self.shared_accesses.len() {
@@ -453,16 +456,21 @@ impl KlocRegistry {
             if let Some(slot) = self.percpu.lookup(cpu, inode) {
                 return self.kmap.with_knode_mut_at(slot, f).is_some();
             }
-            let found = self.kmap.with_knode_mut_counted(inode, f).is_some();
-            if found {
-                #[expect(clippy::expect_used, reason = "with_knode_mut_counted found the knode")]
-                let slot = self.kmap.slot_of(inode).expect("knode just mutated");
-                self.percpu.touch(cpu, inode, slot);
-            }
-            found
-        } else {
-            self.kmap.with_knode_mut_counted(inode, f).is_some()
         }
+        self.knode_miss(cpu, inode, f)
+    }
+
+    /// The kmap half of a knode event, after the per-CPU list missed (or
+    /// with the lists off): a counted traversal, then the found knode's
+    /// slot goes on `cpu`'s list. Returns whether the knode exists.
+    fn knode_miss(&mut self, cpu: CpuId, inode: InodeId, f: impl FnOnce(&mut Knode, u64)) -> bool {
+        let found = self.kmap.with_knode_mut_counted(inode, f).is_some();
+        if found && self.config.use_percpu {
+            #[expect(clippy::expect_used, reason = "with_knode_mut_counted found the knode")]
+            let slot = self.kmap.slot_of(inode).expect("knode just mutated");
+            self.percpu.touch(cpu, inode, slot);
+        }
+        found
     }
 
     // ------------------------------------------------------------------
@@ -498,13 +506,11 @@ impl KlocRegistry {
         self.kmap.cold_inodes_with_members(min_age, max, out);
     }
 
-    /// Ages all knodes and per-CPU entries by one scan epoch (§4.3: age
-    /// increments when the LRU policy scans without evicting). O(1) —
-    /// both structures age lazily off a shared counter; nothing is
-    /// walked.
+    /// Ages all knodes by one scan epoch (§4.3: age increments when the
+    /// LRU policy scans without evicting). O(1) — knodes age lazily off
+    /// the kmap's epoch; nothing is walked.
     pub fn age_epoch(&mut self) {
         self.kmap.advance_epoch();
-        self.percpu.age_all();
     }
 
     /// Records that frames were promoted to fast memory by something

@@ -16,7 +16,7 @@ use kloc_kernel::hooks::CpuId;
 use kloc_kernel::vfs::InodeId;
 use kloc_kernel::{KernelObjectType, ObjectId, ObjectInfo};
 use kloc_mem::rng::SplitMix64;
-use kloc_mem::{FrameId, Nanos};
+use kloc_mem::{FrameId, Nanos, TenantId};
 
 /// The scan-based reference: one record per knode, aged by walking the
 /// whole population on every epoch.
@@ -257,7 +257,7 @@ fn run_stream(seed: u64, steps: usize) {
             // Access (touch via the per-CPU fast path).
             65..=79 if !live.is_empty() => {
                 let inode = live[rng.gen_below(live.len() as u64) as usize];
-                r.object_accessed(&info(inode), cpu, now);
+                r.object_accessed_by(&info(inode), cpu, TenantId::DEFAULT, now);
                 m.touch(inode, now);
             }
             // Aging epoch — O(1) lazy vs O(n) eager.
@@ -400,7 +400,9 @@ fn kmap_indexes_match_brute_force() {
                     let (inode, obj, frame) = objects.swap_remove(i);
                     r.object_freed(obj, &info(inode), frame);
                 }
-                70..=77 => r.object_accessed(&info(pick(&mut rng, &live)), cpu, now),
+                70..=77 => {
+                    r.object_accessed_by(&info(pick(&mut rng, &live)), cpu, TenantId::DEFAULT, now)
+                }
                 78..=81 => {
                     let i = rng.gen_below(live.len() as u64) as usize;
                     let inode = live.swap_remove(i);

@@ -10,7 +10,7 @@ use kloc_core::{KlocConfig, KlocRegistry};
 use kloc_kernel::hooks::CpuId;
 use kloc_kernel::vfs::InodeId;
 use kloc_kernel::{KernelObjectType, ObjectId, ObjectInfo};
-use kloc_mem::{FrameId, Nanos, SplitMix64};
+use kloc_mem::{FrameId, Nanos, SplitMix64, TenantId};
 
 #[derive(Debug, Clone)]
 enum Ev {
@@ -121,7 +121,7 @@ fn knode_members_match_live_objects() {
                         continue;
                     }
                     let (_, info, _) = objects[i % objects.len()];
-                    r.object_accessed(&info, CpuId(c as u16), now);
+                    r.object_accessed_by(&info, CpuId(c as u16), TenantId::DEFAULT, now);
                 }
             }
 

@@ -112,10 +112,11 @@ impl KernelHooks for Waterfall {
         info: &ObjectInfo,
         _frame: FrameId,
         cpu: CpuId,
-        _tenant: TenantId,
+        tenant: TenantId,
         mem: &mut MemorySystem,
     ) {
-        self.registry.object_accessed(info, cpu, mem.now());
+        self.registry
+            .object_accessed_by(info, cpu, tenant, mem.now());
     }
 }
 
