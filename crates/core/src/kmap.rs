@@ -615,7 +615,6 @@ impl Kmap {
     }
 }
 
-#[cfg(feature = "ksan")]
 impl Kmap {
     /// Audits the kmap: the inode index against the slot storage, the
     /// free list, the global epoch against every knode's synced epoch,

@@ -288,7 +288,6 @@ impl Knode {
     }
 }
 
-#[cfg(feature = "ksan")]
 impl Knode {
     /// The epoch this knode's age was last synchronized at (audited
     /// against the kmap's global epoch, which must never lag it).

@@ -622,7 +622,6 @@ impl FrameRefs {
     }
 }
 
-#[cfg(feature = "ksan")]
 impl FrameRefs {
     /// Internal-consistency audit: every chunk non-empty and within
     /// capacity, one recorded max per chunk but the final one, each

@@ -165,7 +165,6 @@ impl PerCpuKnodeLists {
     }
 }
 
-#[cfg(feature = "ksan")]
 impl PerCpuKnodeLists {
     /// Audits every cached entry against the kmap it shadows: list
     /// lengths must respect the capacity bound, each entry's remembered
@@ -261,7 +260,6 @@ mod tests {
         assert!(p.lookup(CpuId(0), InodeId(1)).is_some());
     }
 
-    #[cfg(feature = "ksan")]
     #[test]
     fn ksan_audit_catches_duplicates_and_overlong_lists() {
         use crate::{Kmap, Knode};

@@ -585,10 +585,11 @@ impl KlocRegistry {
             // moves nothing, so answer it without re-probing frames.
             if let Some((cached_to, skips, cached_epoch)) = k.enmasse_cache() {
                 if cached_to == to && cached_epoch == epoch {
-                    #[cfg(feature = "ksan")]
-                    ksan_check_memo(k, mem, "enmasse_cache", max_pages, skips, |f| {
-                        (f.tier != to && !f.pinned).then_some(f.migrations < max_migrations)
-                    });
+                    if kloc_mem::ksan::armed() {
+                        ksan_check_memo(k, mem, "enmasse_cache", max_pages, skips, |f| {
+                            (f.tier != to && !f.pinned).then_some(f.migrations < max_migrations)
+                        });
+                    }
                     self.stats.pingpong_skips += skips;
                     return (staged, 0);
                 }
@@ -681,19 +682,19 @@ impl KlocRegistry {
         let Some(k) = self.kmap.knode_at_mut(slot) else {
             return 0;
         };
-        #[cfg(feature = "ksan")]
-        ksan_check_parked(k, slot, mem, self.park_window, self.config.max_migrations);
         let now = mem.now();
         let max_migrations = self.config.max_migrations;
         let key = (older_than, self.bound_epoch);
+        if kloc_mem::ksan::armed() {
+            ksan_check_parked(k, slot, mem, self.park_window, max_migrations);
+            ksan_check_bounds(k, mem, key, max_migrations);
+        }
         // No hotness-checked promotion can make a frame cold before this
         // (see the `members` module docs).
         let cap = now
             .saturating_add(older_than)
             .saturating_sub(self.hot_window)
             .max(now);
-        #[cfg(feature = "ksan")]
-        ksan_check_bounds(k, mem, key, max_migrations);
         let mut moved = 0;
         let (mut parked, mut parked_slow) = (0, false);
         // Parked members are never candidates, and a skipped chunk holds
@@ -787,8 +788,9 @@ impl KlocRegistry {
         let Some(k) = self.kmap.knode_at_mut(slot) else {
             return 0;
         };
-        #[cfg(feature = "ksan")]
-        ksan_check_parked(k, slot, mem, self.park_window, self.config.max_migrations);
+        if kloc_mem::ksan::armed() {
+            ksan_check_parked(k, slot, mem, self.park_window, self.config.max_migrations);
+        }
         let now = mem.now();
         let park_window = self.park_window;
         let mut moved = 0;
@@ -943,14 +945,13 @@ fn emit_knode_state(inode: InodeId, now: Nanos, state: &'static str) {
     });
 }
 
-/// KSAN oracle for the migration-walk memos: on a memo hit, re-probes
-/// `k`'s member frames read-only and panics with a violation report
-/// unless the uncached walk would move nothing and charge exactly the
-/// memoized `skips` ping-pong skips. `classify` mirrors the walk's
+/// KSAN oracle for the migration-walk memos: on a memo hit where KSAN is
+/// armed, re-probes `k`'s member frames read-only and panics with a
+/// violation report unless the uncached walk would move nothing and
+/// charge exactly the memoized `skips` ping-pong skips. `classify` mirrors the walk's
 /// per-frame decision: `Some(true)` = it would migrate the frame,
 /// `Some(false)` = it would charge a skip, `None` = it passes over it.
 /// Observation only: the memo's answer is still the one returned.
-#[cfg(feature = "ksan")]
 fn ksan_check_memo(
     k: &Knode,
     mem: &MemorySystem,
@@ -983,15 +984,15 @@ fn ksan_check_memo(
     }
 }
 
-/// KSAN oracle for parked members, run by each member walk right after
-/// it drains the wake log: re-probes `k`'s parked entries read-only and
-/// panics with a violation report unless every live cold-parked one is
-/// either slow-resident, idle at least `park_window` and watched, or
-/// fast-resident, pinned or past the ping-pong limit, and
-/// migration-watched, and every live hot-parked one is fast-resident
-/// and migration-watched — each watch under the knode's kmap `slot`.
+/// KSAN oracle for parked members, run where KSAN is armed by each
+/// member walk right after it drains the wake log: re-probes `k`'s
+/// parked entries read-only and panics with a violation report unless
+/// every live cold-parked one is either slow-resident, idle at least
+/// `park_window` and watched, or fast-resident, pinned or past the
+/// ping-pong limit, and migration-watched, and every live hot-parked
+/// one is fast-resident and migration-watched — each watch under the
+/// knode's kmap `slot`.
 /// These are the park invariants that make skipping them a no-op.
-#[cfg(feature = "ksan")]
 fn ksan_check_parked(
     k: &Knode,
     slot: u32,
@@ -1057,12 +1058,12 @@ fn ksan_check_parked(
     }
 }
 
-/// KSAN oracle for the demotion chunk bounds, run by each demotion walk
-/// before it walks: re-probes every member of each chunk the walk under
-/// `key` will skip and panics with a violation report if one is a
-/// demotion candidate now (cold by the key's window, fast-resident,
-/// unpinned, under the ping-pong limit) — the walk would have moved it.
-#[cfg(feature = "ksan")]
+/// KSAN oracle for the demotion chunk bounds, run where KSAN is armed by
+/// each demotion walk before it walks: re-probes every member of each
+/// chunk the walk under `key` will skip and panics with a violation
+/// report if one is a demotion candidate now (cold by the key's window,
+/// fast-resident, unpinned, under the ping-pong limit) — the walk would
+/// have moved it.
 fn ksan_check_bounds(k: &Knode, mem: &MemorySystem, key: (Nanos, u64), max_migrations: u8) {
     let now = mem.now();
     let older_than = key.0;
@@ -1090,7 +1091,6 @@ fn ksan_check_bounds(k: &Knode, mem: &MemorySystem, key: (Nanos, u64), max_migra
     }
 }
 
-#[cfg(feature = "ksan")]
 impl KlocRegistry {
     /// Audits the whole KLOC engine: the kmap's internal invariants plus
     /// every per-CPU fast-path entry against the kmap. Membership needs
@@ -1370,8 +1370,10 @@ mod tests {
     /// Runs `walk` twice over inode 1, whose members are one page-cache
     /// frame per tier in `tiers`; between the walks the first frame is
     /// promoted behind the registry's back (no `note_external_*`), so
-    /// the second walk's memo hit must trip the KSAN oracle.
-    #[cfg(feature = "ksan")]
+    /// the second walk's memo hit must trip the KSAN oracle. The walks
+    /// run their oracles only where KSAN is armed, which a release test
+    /// build is not, hence `debug_assertions` here and below.
+    #[cfg(debug_assertions)]
     fn walk_around_unannounced_promotion(
         tiers: &[TierId],
         walk: impl Fn(&mut KlocRegistry, &mut MemorySystem),
@@ -1397,7 +1399,7 @@ mod tests {
         walk(&mut r, &mut mem);
     }
 
-    #[cfg(feature = "ksan")]
+    #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "Knode.enmasse_cache <-> member frames")]
     fn unannounced_promotion_trips_the_enmasse_memo_oracle() {
@@ -1406,7 +1408,7 @@ mod tests {
         });
     }
 
-    #[cfg(feature = "ksan")]
+    #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "Knode.chunk_bounds <-> member frames")]
     fn unannounced_promotion_trips_the_chunk_bound_oracle() {
@@ -1417,7 +1419,7 @@ mod tests {
         });
     }
 
-    #[cfg(feature = "ksan")]
+    #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "Knode.hot_parked <-> member frames")]
     fn unannounced_migration_trips_the_hot_park_oracle() {

@@ -338,16 +338,12 @@ fn brute_inactive(r: &KlocRegistry) -> Vec<InodeId> {
     v.into_iter().map(|(_, i)| i).collect()
 }
 
-/// With the sanitizer compiled in, the kmap audit (bitsets against the
-/// knodes, live heap entries, heap bound) must stay clean throughout.
+/// The kmap audit (bitsets against the knodes, live heap entries, heap
+/// bound) must stay clean throughout.
 fn audit_clean(r: &KlocRegistry, ctx: &str) {
-    #[cfg(feature = "ksan")]
-    {
-        let mut out = Vec::new();
-        r.ksan_audit(&mut out);
-        assert!(out.is_empty(), "{ctx}: {out:#?}");
-    }
-    let _ = (r, ctx);
+    let mut out = Vec::new();
+    r.ksan_audit(&mut out);
+    assert!(out.is_empty(), "{ctx}: {out:#?}");
 }
 
 /// Drives open/close churn — including close/reopen/close bursts inside

@@ -3,10 +3,8 @@
 //! against the kernel's object table, a membership bit, its frame order
 //! and its parked mask, and assert the audit reports the specific
 //! structure pair; park a member that breaks the park invariant and
-//! assert the member walk's oracle catches it.
-//!
-//! Gated on the `ksan` feature (see `[[test]]` in Cargo.toml); run with
-//! `cargo test -p kloc-core --features ksan`.
+//! assert the member walk's oracle catches it (debug builds, where
+//! KSAN is always armed).
 
 use kloc_core::{Kmap, Knode};
 use kloc_kernel::vfs::InodeId;
@@ -347,6 +345,9 @@ fn percpu_entries_are_validated_against_kmap() {
     );
 }
 
+// The member walks run their oracles only where KSAN is armed, which a
+// release test build is not.
+#[cfg(debug_assertions)]
 #[test]
 #[should_panic(expected = "Knode.parked <-> member frames")]
 fn parked_hot_fast_member_trips_the_park_oracle() {

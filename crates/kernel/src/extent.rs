@@ -92,7 +92,6 @@ impl ExtentTree {
     }
 
     /// Extent objects in offset order.
-    #[cfg(feature = "ksan")]
     pub fn objects(&self) -> impl Iterator<Item = ObjectId> + '_ {
         self.extents.values().copied()
     }

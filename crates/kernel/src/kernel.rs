@@ -1752,7 +1752,6 @@ impl Kernel {
     }
 }
 
-#[cfg(feature = "ksan")]
 impl Kernel {
     /// Audits the kernel's cross-structure invariants: the VFS tables,
     /// both packed allocators, the object table against the objects
@@ -2005,7 +2004,6 @@ impl CacheIndex {
     }
 
     /// Iterates entries in ascending slot order.
-    #[cfg(feature = "ksan")]
     fn iter(&self) -> impl Iterator<Item = (FrameId, InodeId, u64)> + '_ {
         self.slots.iter().filter_map(|e| *e)
     }

@@ -319,7 +319,6 @@ impl PageLru {
     }
 }
 
-#[cfg(feature = "ksan")]
 impl PageLru {
     /// Walks both intrusive lists and cross-checks them against the
     /// slot index and the counters: list lengths, link reciprocity,

@@ -454,7 +454,6 @@ impl ObjectTable {
     }
 }
 
-#[cfg(feature = "ksan")]
 impl ObjectTable {
     /// Cross-checks the table's internal invariants: the live counter
     /// against the occupied slots, and the free list against the empty

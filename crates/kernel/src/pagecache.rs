@@ -289,7 +289,6 @@ impl PageCache {
     }
 
     /// Radix-node objects, in index order.
-    #[cfg(feature = "ksan")]
     pub fn nodes(&self) -> impl Iterator<Item = ObjectId> + '_ {
         self.chunks.iter().flatten().map(|c| c.node_obj)
     }

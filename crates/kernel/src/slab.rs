@@ -287,7 +287,6 @@ impl PackedAllocator {
     }
 }
 
-#[cfg(feature = "ksan")]
 impl PackedAllocator {
     /// Cross-checks the frame table: every frame's cache association
     /// names an existing cache, per-frame occupancy (the structured

@@ -264,7 +264,6 @@ impl Hasher for PathHasher {
     }
 }
 
-#[cfg(feature = "ksan")]
 impl Vfs {
     /// Cross-checks the VFS tables: the live counters against the inode
     /// and fd tables, every bound path against a live inode, and every

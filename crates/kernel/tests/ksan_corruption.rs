@@ -1,8 +1,5 @@
 //! Corruption-injection tests for the kernel-side sanitizer: desync each
 //! audited structure pair and assert the audit reports exactly that pair.
-//!
-//! Gated on the `ksan` feature (see `[[test]]` in Cargo.toml); run with
-//! `cargo test -p kloc-kernel --features ksan`.
 
 use kloc_kernel::hooks::{Ctx, NullHooks};
 use kloc_kernel::lru::{List, PageLru};

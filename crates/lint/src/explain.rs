@@ -2,7 +2,7 @@
 //! pragma, and a minimal violating example.
 //!
 //! The examples are `include_str!`'d from `tests/fixtures/examples/`
-//! (`klNNN.rs`, or `kl007.toml` for the manifest rule) and each is
+//! (`klNNN.rs`) and each is
 //! pinned by a self-test asserting it actually triggers its rule, so the
 //! documentation cannot drift from the analyzer.
 
@@ -40,16 +40,6 @@ pub const RULES: &[RuleInfo] = &[
                     a visible error.",
         pragma: "// lint: truncation-ok — <why the truncation is the semantics>",
         example: include_str!("../tests/fixtures/examples/kl004.rs"),
-    },
-    RuleInfo {
-        id: "KL007",
-        title: "feature forwarding",
-        rationale: "A feature declared here but not forwarded to a path dependency that declares \
-                    the same feature splits the workspace: `--features ksan` on this crate leaves \
-                    the dependency's audits compiled out. (A cfg naming an undeclared \
-                    feature is rustc's `unexpected_cfgs`, denied workspace-wide.)",
-        pragma: "# lint: feature-ok — <why the feature stays local> (in Cargo.toml)",
-        example: include_str!("../tests/fixtures/examples/kl007.toml"),
     },
     RuleInfo {
         id: "KL008",
@@ -101,11 +91,11 @@ pub fn explain(id: &str) -> Option<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{lint_manifests, lint_source};
+    use crate::lint_source;
 
     #[test]
     fn every_rule_has_an_entry_and_renders() {
-        let ids = ["KL001", "KL004", "KL007", "KL008", "KL009"];
+        let ids = ["KL001", "KL004", "KL008", "KL009"];
         for id in ids {
             let text = explain(id).expect(id);
             assert!(text.starts_with(id), "{text}");
@@ -113,7 +103,7 @@ mod tests {
         }
         assert_eq!(RULES.len(), ids.len());
         assert!(explain("KL999").is_none());
-        for gone in ["KL002", "KL003", "KL005", "KL006"] {
+        for gone in ["KL002", "KL003", "KL005", "KL006", "KL007"] {
             assert!(
                 explain(gone).is_none(),
                 "{gone} moved to clippy or was deleted"
@@ -125,17 +115,7 @@ mod tests {
     #[test]
     fn examples_trigger_their_rules() {
         for rule in RULES {
-            let diags = if rule.id == "KL007" {
-                // Forwarding needs the dependency that declares the
-                // feature too.
-                let dep = "[package]\nname = \"kloc-mem\"\n\n[features]\nksan = []\n";
-                lint_manifests(&[
-                    ("crates/kernel/Cargo.toml", rule.example),
-                    ("crates/mem/Cargo.toml", dep),
-                ])
-            } else {
-                lint_source("example.rs", rule.example)
-            };
+            let diags = lint_source("example.rs", rule.example);
             assert!(
                 diags.iter().any(|d| d.rule == rule.id),
                 "example for {} does not trigger it: {diags:?}",

@@ -15,10 +15,11 @@
 //! `workloads`), each model crate's `lib.rs` denies
 //! `clippy::unwrap_used`/`clippy::expect_used`, and the workspace denies
 //! rustc's `unexpected_cfgs`, which rejects a `cfg` naming an undeclared
-//! feature. This crate keeps the rules clippy cannot express: a lossless
-//! lexer ([`lex`]), an item-level parser ([`items`]) recovering `fn`
-//! signatures, bodies, and `#[cfg]` atoms, and on top of them per-file
-//! token rules, an intra-procedural taint pass and a manifest check.
+//! feature. This crate keeps the four rules clippy cannot express: a
+//! lossless lexer ([`lex`]) and an item-level parser ([`items`])
+//! recovering `fn` signatures, bodies and `#[cfg(test)]` scopes, and on
+//! top of them per-file token rules (KL001, KL004, KL009) and an
+//! intra-procedural taint pass (KL008).
 //!
 //! # Rules
 //!
@@ -26,18 +27,14 @@
 //! |-------|------|
 //! | KL001 | no iteration over `HashMap`/`HashSet` (hash order is unstable) |
 //! | KL004 | no truncating `as` casts on id/epoch-like values (use `From`/`try_from`) |
-//! | KL007 | a feature a crate shares with a path dependency must be forwarded to it (`Cargo.toml` only) |
 //! | KL008 | no dataflow from nondeterministic sources (hash iteration, pointer identity) into report-visible sinks (report fields, trace emits, sort keys) |
 //! | KL009 | in `crates/kernel`/`crates/mem`, frame touches and `DiskOp` submissions must flow through a charged API (`access`, `access_batch`, `disk_retry`) |
 //!
-//! KL002, KL003 and KL005 moved to clippy, and KL006 (feature-shim
-//! conformance) went with the last feature that had noop shims; their
-//! ids are not reused. KL009 applies only to `crates/kernel` and
-//! `crates/mem` non-test code.
-//!
-//! The workspace has one cargo feature, `ksan` (faults and tracing are
-//! selected at run time). KL007 keeps it forwarded through every
-//! manifest.
+//! KL002, KL003 and KL005 moved to clippy; KL006 (feature-shim
+//! conformance) and KL007 (feature forwarding) went with the cargo
+//! features they guarded, as the workspace has none left; their ids are
+//! not reused. KL009 applies only to `crates/kernel` and `crates/mem`
+//! non-test code.
 //!
 //! # Justification comments
 //!
@@ -48,8 +45,6 @@
 //!   (KL001);
 //! * `// lint: truncation-ok` — the truncation is the documented
 //!   semantics (KL004);
-//! * `# lint: feature-ok` in `Cargo.toml` — a deliberately unforwarded
-//!   feature (KL007);
 //! * `// lint: taint-ok` — the flow is order-insensitive, e.g. a
 //!   commutative reduction (KL008);
 //! * `// lint: charge-ok` — the site charges the clock through its own
@@ -71,7 +66,6 @@ pub mod explain;
 pub mod items;
 pub mod lex;
 
-mod hygiene;
 mod rules;
 mod taint;
 
@@ -80,7 +74,7 @@ mod taint;
 #[path = "../tests/support/clippy.rs"]
 mod toolchain;
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::fmt;
 use std::path::{Path, PathBuf};
 
@@ -133,8 +127,6 @@ impl fmt::Display for Diagnostic {
 pub const RULE_UNORDERED_ITER: &str = "KL001";
 /// Rule id: truncating cast on an id/epoch-like value.
 pub const RULE_TRUNCATING_CAST: &str = "KL004";
-/// Rule id: a feature not forwarded to a path dependency declaring it.
-pub const RULE_CFG_HYGIENE: &str = "KL007";
 /// Rule id: determinism taint reaching a report-visible sink.
 pub const RULE_DETERMINISM_TAINT: &str = "KL008";
 /// Rule id: uncharged frame touch / disk submission.
@@ -235,24 +227,6 @@ pub fn lint_source(file: &str, source: &str) -> Vec<Diagnostic> {
     out
 }
 
-/// KL007 over in-memory manifests given as `(workspace-relative path,
-/// text)`: each crate's features must reach the path dependencies that
-/// declare them.
-pub fn lint_manifests(manifests: &[(&str, &str)]) -> Vec<Diagnostic> {
-    let all: BTreeMap<String, hygiene::Manifest> = manifests
-        .iter()
-        .map(|(rel, text)| hygiene::Manifest::parse(rel, text))
-        .filter(|m| !m.package_name.is_empty())
-        .map(|m| (m.package_name.clone(), m))
-        .collect();
-    let mut out: Vec<Diagnostic> = all
-        .values()
-        .flat_map(|m| hygiene::check_manifest(m, &all))
-        .collect();
-    out.sort();
-    out
-}
-
 /// Whether a workspace-relative path is test-only code (an integration
 /// `tests/` tree or a `benches/` tree): exempt from KL009, which
 /// targets code that runs inside simulations.
@@ -304,9 +278,8 @@ pub fn workspace_files(root: &Path) -> std::io::Result<Vec<PathBuf>> {
     Ok(files)
 }
 
-/// Lints every workspace source file under `root` and checks KL007
-/// forwarding across the workspace manifests. Paths in diagnostics are
-/// workspace-relative.
+/// Lints every workspace source file under `root`. Paths in diagnostics
+/// are workspace-relative.
 pub fn lint_workspace(root: &Path) -> std::io::Result<Vec<Diagnostic>> {
     let mut out = Vec::new();
     for path in workspace_files(root)? {
@@ -314,41 +287,9 @@ pub fn lint_workspace(root: &Path) -> std::io::Result<Vec<Diagnostic>> {
         let source = std::fs::read_to_string(&path)?;
         out.extend(SourceFile::new(&rel.display().to_string(), &source).check());
     }
-    let manifests = workspace_manifests(root)?;
-    let manifests: Vec<(&str, &str)> = manifests
-        .iter()
-        .map(|(rel, text)| (rel.as_str(), text.as_str()))
-        .collect();
-    out.extend(lint_manifests(&manifests));
     out.sort();
     out.dedup();
     Ok(out)
-}
-
-/// Reads every crate manifest in the workspace (the root `Cargo.toml`
-/// plus `crates/*/Cargo.toml`) as `(workspace-relative path, text)`.
-fn workspace_manifests(root: &Path) -> std::io::Result<Vec<(String, String)>> {
-    let mut paths = vec![root.join("Cargo.toml")];
-    let crates_dir = root.join("crates");
-    if crates_dir.is_dir() {
-        let mut entries: Vec<PathBuf> = std::fs::read_dir(&crates_dir)?
-            .filter_map(|e| e.ok().map(|e| e.path().join("Cargo.toml")))
-            .filter(|manifest| manifest.is_file())
-            .collect();
-        entries.sort();
-        paths.extend(entries);
-    }
-    paths
-        .into_iter()
-        .map(|path| {
-            let rel = path
-                .strip_prefix(root)
-                .unwrap_or(&path)
-                .display()
-                .to_string();
-            Ok((rel, std::fs::read_to_string(&path)?))
-        })
-        .collect()
 }
 
 #[cfg(test)]

@@ -1,8 +1,8 @@
 //! CLI for the structural determinism lint: `cargo run -p kloc-lint`.
 //!
 //! With no arguments, lints every `.rs` file in the workspace (found by
-//! walking up from the current directory to the `[workspace]` manifest)
-//! plus every crate `Cargo.toml`. With path arguments, lints exactly
+//! walking up from the current directory to the `[workspace]` manifest).
+//! With path arguments, lints exactly
 //! those files/directories, each named by its workspace-relative path —
 //! used by CI helpers and to demonstrate the fixture diagnostics:
 //!

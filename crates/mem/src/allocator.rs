@@ -103,7 +103,6 @@ impl TierAllocator {
     }
 }
 
-#[cfg(feature = "ksan")]
 impl TierAllocator {
     /// Corruption hook for sanitizer self-tests: leaks one reservation,
     /// desyncing this accountant from the frame table.

@@ -477,7 +477,6 @@ impl FrameTable {
     }
 }
 
-#[cfg(feature = "ksan")]
 impl FrameTable {
     /// Cross-checks the table's internal invariants: the cold column as
     /// long as the record array, the live counter against the occupied

@@ -8,20 +8,39 @@
 //! another), which is exactly the kind of bookkeeping that rots silently
 //! when an edge case forgets one side of an update.
 //!
-//! With the `ksan` feature enabled, every audited structure exposes a
-//! `ksan_audit` method that cross-checks its invariants and reports
-//! disagreements as structured [`Violation`]s; the sim engine runs the
-//! full audit at a configurable operation interval and panics via
-//! [`enforce`] on the first violation. Audits are **observation only**:
+//! Every audited structure exposes a `ksan_audit` method that
+//! cross-checks its invariants and reports disagreements as structured
+//! [`Violation`]s; the sim engine runs the full audit at a fixed
+//! operation interval and panics via [`enforce`] on the first
+//! violation, and the KLOC member walks re-probe their memos, chunk
+//! bounds and parked members in place. Audits are **observation only**:
 //! they never mutate simulation state (not even diagnostic counters), so
-//! a run with `ksan` on is byte-identical to a run with it off.
+//! an audited run is byte-identical to an unaudited one.
 //!
-//! This module only exists when the `ksan` feature is enabled, so release
-//! builds carry no sanitizer code at all.
+//! The code is compiled into every build; [`armed`] decides whether it
+//! runs. A debug build (every `cargo test`) always audits. A release
+//! build audits only after the harness calls [`arm`], which `kloc-sim`
+//! does when `KLOC_KSAN_INTERVAL` is set; unarmed, a release build pays
+//! one relaxed load per member walk.
 
 use std::fmt;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 use crate::clock::Nanos;
+
+static ARMED: AtomicBool = AtomicBool::new(false);
+
+/// Whether the sanitizer runs: always in a debug build, and in a release
+/// build once [`arm`] was called.
+#[inline]
+pub fn armed() -> bool {
+    cfg!(debug_assertions) || ARMED.load(Ordering::Relaxed)
+}
+
+/// Arms the sanitizer for the rest of the process.
+pub fn arm() {
+    ARMED.store(true, Ordering::Relaxed);
+}
 
 /// One detected invariant violation: which structures disagree, about
 /// which object, and what each side believes.

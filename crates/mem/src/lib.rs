@@ -48,7 +48,6 @@ pub mod error;
 pub mod fault;
 pub mod frame;
 pub mod frametable;
-#[cfg(feature = "ksan")]
 pub mod ksan;
 pub mod l4cache;
 pub mod migrate;

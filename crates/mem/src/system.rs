@@ -1095,7 +1095,6 @@ impl MemorySystem {
     }
 }
 
-#[cfg(feature = "ksan")]
 impl MemorySystem {
     /// Audits the whole memory substrate: the frame table's internal
     /// invariants, and per-tier agreement between the capacity

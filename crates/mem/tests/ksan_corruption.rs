@@ -1,8 +1,5 @@
 //! Corruption-injection tests: desync each audited structure pair in the
 //! memory substrate and assert the sanitizer reports exactly that pair.
-//!
-//! Gated on the `ksan` feature (see `[[test]]` in Cargo.toml); run with
-//! `cargo test -p kloc-mem --features ksan`.
 
 use kloc_mem::ksan::{enforce, ClockMonitor, Violation};
 use kloc_mem::{MemorySystem, Nanos, PageKind, TierId, PAGE_SIZE};

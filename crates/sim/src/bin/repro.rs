@@ -39,6 +39,11 @@
 //!
 //! Every experiment rejects a flag it does not accept (usage, exit 1),
 //! so a misspelled `--fault-seed` cannot quietly yield a fault-free run.
+//!
+//! `KLOC_KSAN_INTERVAL=N` arms the KSAN invariant sanitizer in a release
+//! build, auditing every N measured operations (a debug build always
+//! audits, every 256). Reports are unchanged; a value that is not a
+//! positive integer is an error (exit 1).
 
 use std::process::ExitCode;
 
@@ -119,6 +124,10 @@ fn main() -> ExitCode {
     if let Err(e) = check_flags(&which, &args[1..]) {
         eprintln!("error: {e}");
         return usage();
+    }
+    if let Err(e) = kloc_sim::engine::ksan_from_env() {
+        eprintln!("error: {e}");
+        return ExitCode::FAILURE;
     }
     let mut scale = Scale::large();
     if let Some(pos) = args.iter().position(|a| a == "--scale") {

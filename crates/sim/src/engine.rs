@@ -223,36 +223,60 @@ impl RunReport {
     }
 }
 
+/// Reads `KLOC_KSAN_INTERVAL`, the one KSAN setting, and when it is set
+/// arms KSAN for the rest of the process (`kloc_mem::ksan::arm`; a
+/// debug build audits regardless). Returns the audit interval in
+/// measured-phase operations: the variable's value, or 256 when it is
+/// unset. The sim crate is the harness boundary, so the environment
+/// read lives here.
+///
+/// # Errors
+/// A value that is not a positive integer, naming the variable: a
+/// silent fallback would leave a release build unaudited.
+pub fn ksan_from_env() -> Result<u64, String> {
+    const VAR: &str = "KLOC_KSAN_INTERVAL";
+    let Some(raw) = std::env::var_os(VAR) else {
+        return Ok(KsanState::DEFAULT_INTERVAL);
+    };
+    match raw.to_str().and_then(|v| v.parse::<u64>().ok()) {
+        Some(n) if n > 0 => {
+            kloc_mem::ksan::arm();
+            Ok(n)
+        }
+        _ => Err(format!(
+            "{VAR} must be a positive integer, got `{}`",
+            raw.to_string_lossy()
+        )),
+    }
+}
+
 /// KSAN driver state: schedules cross-structure audits at a fixed op
 /// interval during the measured phase and tracks virtual-clock
-/// monotonicity across the whole run. Compiled in only with the `ksan`
-/// feature; audits are observation-only, so run reports are
-/// byte-identical with the feature on or off.
-#[cfg(feature = "ksan")]
+/// monotonicity across the whole run. A run builds one only when KSAN
+/// is armed; audits are observation-only, so run reports are
+/// byte-identical either way.
 struct KsanState {
     interval: u64,
     ops_since_audit: u64,
     clock: kloc_mem::ksan::ClockMonitor,
 }
 
-#[cfg(feature = "ksan")]
 impl KsanState {
-    /// Default audit interval in measured-phase operations; override
-    /// with `KLOC_KSAN_INTERVAL` (the sim crate is the deterministic
-    /// harness boundary, so an env read is allowed here).
+    /// Audit interval when `KLOC_KSAN_INTERVAL` is unset.
     const DEFAULT_INTERVAL: u64 = 256;
 
-    fn new() -> Self {
-        let interval = std::env::var("KLOC_KSAN_INTERVAL")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or(Self::DEFAULT_INTERVAL);
-        KsanState {
+    /// The driver for one run, or `None` when KSAN is not armed.
+    ///
+    /// # Panics
+    /// Panics on an invalid `KLOC_KSAN_INTERVAL` (see [`ksan_from_env`];
+    /// `repro` rejects one before any run).
+    fn from_env() -> Option<Self> {
+        let interval = ksan_from_env().unwrap_or_else(|e| panic!("{e}"));
+        kloc_mem::ksan::armed().then(|| KsanState {
             interval,
             ops_since_audit: 0,
             clock: kloc_mem::ksan::ClockMonitor::new(),
-        }
+        })
     }
 
     /// Runs every audit the simulation exposes and panics with the
@@ -415,8 +439,15 @@ pub fn run_with(config: &RunConfig, mut policy: Box<dyn Policy>) -> Result<RunRe
 /// [`run_with`] on a borrowed policy, which the caller can inspect after
 /// the run (diagnostic counters that no report carries).
 ///
+/// Where KSAN is armed (see [`ksan_from_env`]), the run audits every
+/// structure after setup, every interval of measured operations and at
+/// the end, and panics with a report on the first violation.
+///
 /// # Errors
 /// Propagates kernel errors.
+///
+/// # Panics
+/// Panics on a KSAN violation, or on an invalid `KLOC_KSAN_INTERVAL`.
 pub fn run_borrowing(
     config: &RunConfig,
     policy: &mut dyn Policy,
@@ -427,6 +458,7 @@ pub fn run_borrowing(
     // session in input order, which is what keeps session bytes
     // independent of the worker count.
     kloc_trace::run_begin();
+    let mut ksan = KsanState::from_env();
     trace_run_begin(
         config.workload,
         config.policy,
@@ -497,10 +529,9 @@ pub fn run_borrowing(
     }
     let setup_time = mem.now();
     trace_flush(&mem, &kernel, &*policy);
-    #[cfg(feature = "ksan")]
-    let mut ksan = KsanState::new();
-    #[cfg(feature = "ksan")]
-    ksan.audit("after setup", &mem, &kernel, &*policy);
+    if let Some(ksan) = &mut ksan {
+        ksan.audit("after setup", &mem, &kernel, &*policy);
+    }
     let access_baseline: Vec<u64> = (0..mem.tier_count())
         .map(|i| {
             let t = mem.stats().tier(kloc_mem::TierId(i as u8));
@@ -608,11 +639,13 @@ pub fn run_borrowing(
             policy.tick(&kernel, &mut mem);
             next_tick = mem.now() + tick_interval;
         }
-        #[cfg(feature = "ksan")]
-        ksan.step(&mem, &kernel, &*policy);
+        if let Some(ksan) = &mut ksan {
+            ksan.step(&mem, &kernel, &*policy);
+        }
     }
-    #[cfg(feature = "ksan")]
-    ksan.audit("end of measured phase", &mem, &kernel, &*policy);
+    if let Some(ksan) = &mut ksan {
+        ksan.audit("end of measured phase", &mem, &kernel, &*policy);
+    }
     drop(measured_scope);
     let elapsed = mem.now() - t0;
     trace_flush(&mem, &kernel, &*policy);

@@ -123,7 +123,13 @@ mod tests {
             let get = |p| r.speedup(p).unwrap();
             let kloc = get(PolicyKind::Kloc);
             let nimble = get(PolicyKind::Nimble);
+            let nimblepp = get(PolicyKind::NimblePlusPlus);
             let allfast = get(PolicyKind::AllFast);
+            assert!(
+                nimblepp > nimble,
+                "{}: Nimble++ ({nimblepp:.2}) must beat Nimble ({nimble:.2})",
+                r.workload
+            );
             assert!(
                 kloc > nimble,
                 "{}: KLOCs ({kloc:.2}) must beat Nimble ({nimble:.2})",

@@ -17,6 +17,10 @@
 //!   execution cannot perturb virtual time. `Runner::serial()` and a
 //!   parallel runner produce equal [`RunReport`]s
 //!   (`runner_matches_serial` in `tests/runner.rs` enforces this).
+//! * **A panicking run panics the batch** — as it would serially: the
+//!   worker catches it, the batch finishes, and the first panic by
+//!   input order is resumed on the calling thread (a KSAN violation
+//!   fails its sweep instead of leaving the other workers waiting).
 //!
 //! Scheduling: the batch index space is split evenly into per-worker
 //! intervals. A worker pops from the *front* of its own interval; when
@@ -26,6 +30,7 @@
 //! runs vary from micro- to multi-second depending on scale and policy,
 //! which is exactly the imbalance work stealing absorbs.
 
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::thread;
@@ -147,7 +152,7 @@ impl Runner {
             return Ok(reports);
         }
 
-        type Slot = Mutex<Option<(Result<RunReport, KernelError>, String)>>;
+        type Slot = Mutex<Option<thread::Result<(Result<RunReport, KernelError>, String)>>>;
         let mut results: Vec<Slot> = (0..n).map(|_| Mutex::new(None)).collect();
         let completed = AtomicUsize::new(0);
 
@@ -170,7 +175,8 @@ impl Runner {
                     loop {
                         // Drain our own interval from the front.
                         while let Some(i) = intervals[me].pop_front() {
-                            let r = jobs[i as usize].execute();
+                            let job = &jobs[i as usize];
+                            let r = panic::catch_unwind(AssertUnwindSafe(|| job.execute()));
                             *results[i as usize].lock().expect("result lock") = Some(r);
                             completed.fetch_add(1, Ordering::Release);
                         }
@@ -197,14 +203,15 @@ impl Runner {
         debug_assert!(results.iter().all(|m| m.lock().unwrap().is_some()));
         // Append per-run trace buffers in input order — regardless of
         // which worker ran which job — then surface the first (by input
-        // order) error, matching serial semantics.
+        // order) error or panic, matching serial semantics.
         let mut reports = Vec::with_capacity(n);
         for m in &mut results {
             let (result, trace) = m
                 .get_mut()
                 .expect("result lock")
                 .take()
-                .expect("all jobs completed");
+                .expect("all jobs completed")
+                .unwrap_or_else(|payload| panic::resume_unwind(payload));
             kloc_trace::session_append(&trace);
             reports.push(result);
         }
@@ -347,6 +354,25 @@ mod tests {
         );
         let reports = Runner::new(2).run_jobs(vec![job]).unwrap();
         assert!(reports[0].kloc.is_some());
+    }
+
+    /// A panicking job (here its policy factory; in practice a KSAN
+    /// violation) panics the whole batch with its own message, where
+    /// the other workers once spun forever waiting for its result.
+    #[test]
+    #[should_panic(expected = "factory gave up")]
+    fn a_panicking_job_panics_the_batch() {
+        let jobs = (0..3)
+            .map(|i| {
+                let config = cfg(PolicyKind::Naive, WorkloadKind::RocksDb);
+                if i == 1 {
+                    Job::with_policy(config, Box::new(|| panic!("factory gave up")))
+                } else {
+                    Job::new(config)
+                }
+            })
+            .collect();
+        let _ = Runner::new(2).run_jobs(jobs);
     }
 
     #[test]
