@@ -23,10 +23,15 @@
 //!   bit order is inode order;
 //! * a **cold bitset** of inactive knodes past the policy's age
 //!   threshold — knodes enter when their stamp crosses the watermark
-//!   (at most once per cold spell) and leave on touch/reactivation, so
-//!   the per-tick demotion batch is read off the lowest set bits in
-//!   inode order instead of re-scanning and re-sorting every cold knode
-//!   each tick;
+//!   (at most once per cold spell) and leave on touch/reactivation;
+//! * a **cold queue** of those crossings in the order they happened.
+//!   Each crossing queues the knode once, under a fresh ticket the knode
+//!   keeps while it stays cold, and the per-tick demotion batch is taken
+//!   off the queue's front: every cold knode is handed out once per
+//!   cold spell, oldest crossing first, so it is demoted as soon as its
+//!   age confirms it is cold (§4.5). An entry whose knode left the cold
+//!   set (touched, reopened, destroyed) no longer matches its ticket and
+//!   is dropped when it reaches the front;
 //! * an **inactive heap**: a min-heap of `(inactive-since epoch, inode)`
 //!   for inactive knodes not yet cold, from which the cold query pops
 //!   the knodes whose stamps crossed the watermark. Entries are
@@ -34,12 +39,13 @@
 //!   the knode's old heap entry in place, and a pop counts an entry only
 //!   if its knode is still mapped, inactive, not cold, and at that
 //!   stamp. When stale entries outnumber live ones (plus a small slack)
-//!   the heap is rebuilt from its own live entries, so it stays O(live
-//!   entries) without ever scanning the knode population.
+//!   the heap is rebuilt from its own live entries, and the cold queue
+//!   is compacted the same way, so both stay O(live entries) without
+//!   ever scanning the knode population.
 //!
 //! Every activation change therefore costs one bit flip plus at most
-//! one O(log n) heap push — no tree node is allocated, freed or
-//! rebalanced on the open/close/touch paths.
+//! one O(log n) heap push or one queue push — no tree node is
+//! allocated, freed or rebalanced on the open/close/touch paths.
 //!
 //! All knode mutation funnels through [`Kmap::with_knode_mut`] /
 //! [`Kmap::with_knode_mut_at`], which repair the indexes when a mutation
@@ -50,7 +56,7 @@
 
 use std::cell::Cell;
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 use kloc_mem::{Nanos, TenantId};
 
@@ -62,8 +68,9 @@ use crate::knode::Knode;
 /// Sentinel in the dense inode index marking an unmapped inode.
 const NO_SLOT: u32 = u32::MAX;
 
-/// Stale inactive-heap entries tolerated beyond the live count before
-/// a rebuild; keeps tiny heaps from rebuilding on every change.
+/// Stale inactive-heap (and cold-queue) entries tolerated beyond the
+/// live count before a rebuild; keeps tiny heaps from rebuilding on
+/// every change.
 const HEAP_SLACK: usize = 64;
 
 /// A set of inodes as a dense bitset over inode numbers (sequential VFS
@@ -167,9 +174,19 @@ pub struct Kmap {
     /// Inactive knodes whose stamp is at or below the watermark.
     /// Maintained incrementally: a knode enters when its stamp crosses
     /// the watermark (at most once per cold spell) and leaves on
-    /// touch/reactivation/unmap, so the per-tick cold query reads its
-    /// batch straight off the lowest set bits.
+    /// touch/reactivation/unmap.
     cold_idx: InodeBits,
+    /// Crossings into `cold_idx` not yet handed out, oldest first, as
+    /// `(ticket, inode)`. An entry is live while its knode still holds
+    /// the ticket ([`Knode::cold_ticket`]); every other entry is stale.
+    cold_queue: VecDeque<(u64, InodeId)>,
+    /// The last crossing ticket issued. Tickets start at 1; a knode
+    /// outside the cold bitset holds 0.
+    last_ticket: u64,
+    /// The newest ticket taken off the cold queue's front. Entries leave
+    /// in ticket order, so a cold knode holding a newer ticket still has
+    /// its entry queued (audited).
+    popped_ticket: u64,
     /// Accesses that had to traverse the kmap tree (misses of the
     /// per-CPU fast path); feeds the §4.3 ablation.
     tree_accesses: u64,
@@ -283,40 +300,88 @@ impl Kmap {
         self.cold_threshold.is_some() && stamp <= self.cold_watermark
     }
 
-    /// Files a newly inactive (or restamped) knode: straight into the
-    /// cold bitset if its stamp is already past the watermark (knodes
-    /// usually cross it later, via the cold query's heap pops), else
-    /// onto the inactive heap.
+    /// Files a newly inactive (or restamped) knode in `slot`: straight
+    /// into the cold set if its stamp is already past the watermark
+    /// (knodes usually cross it later, via the cold query's heap pops),
+    /// else onto the inactive heap.
     #[inline]
-    fn enter_inactive(&mut self, stamp: u64, inode: InodeId) {
+    fn enter_inactive(&mut self, stamp: u64, inode: InodeId, slot: u32) {
         if self.is_cold(stamp) {
-            self.cold_idx.insert(inode);
+            self.enter_cold(inode, slot);
         } else {
             self.inactive_idx.push(Reverse((stamp, inode)));
             self.heap_live += 1;
         }
     }
 
-    /// Unfiles a knode leaving the inactive state (or its old stamp):
-    /// clears its cold bit, or lets its heap entry go stale.
+    /// Unfiles the knode in `slot` as it leaves the inactive state (or
+    /// its old stamp): clears its cold bit and ticket, or lets its heap
+    /// entry go stale.
     #[inline]
-    fn leave_inactive(&mut self, stamp: u64, inode: InodeId) {
+    fn leave_inactive(&mut self, stamp: u64, inode: InodeId, slot: u32) {
         if self.is_cold(stamp) {
             self.cold_idx.remove(inode);
+            if let Some(k) = self.knode_at_mut(slot) {
+                k.set_cold_ticket(0);
+            }
         } else {
             self.heap_live -= 1;
         }
     }
 
-    /// Whether heap entry `(stamp, inode)` is live: its knode is still
-    /// mapped, inactive, at that stamp, and not yet cold. A knode can
-    /// hold two entries at one stamp (closed, reopened and closed again
-    /// within an epoch); the cold check counts only the first popped.
-    fn heap_entry_live(&self, stamp: u64, inode: InodeId) -> bool {
-        self.index_get(inode).is_some_and(|slot| {
+    /// Records the knode in `slot` crossing into the cold set: sets its
+    /// cold bit and queues the crossing.
+    fn enter_cold(&mut self, inode: InodeId, slot: u32) {
+        self.cold_idx.insert(inode);
+        self.queue_crossing(inode, slot);
+    }
+
+    /// Queues the cold knode in `slot` at the back of the cold queue
+    /// under a fresh ticket; an entry it may still have queued goes
+    /// stale.
+    fn queue_crossing(&mut self, inode: InodeId, slot: u32) {
+        self.last_ticket += 1;
+        let ticket = self.last_ticket;
+        if let Some(k) = self.knode_at_mut(slot) {
+            k.set_cold_ticket(ticket);
+        }
+        self.cold_queue.push_back((ticket, inode));
+    }
+
+    /// The slot of heap entry `(stamp, inode)`'s knode if the entry is
+    /// live: its knode is still mapped, inactive, at that stamp, and not
+    /// yet cold. A knode can hold two entries at one stamp (closed,
+    /// reopened and closed again within an epoch); the cold check counts
+    /// only the first popped.
+    fn heap_entry_slot(&self, stamp: u64, inode: InodeId) -> Option<u32> {
+        self.index_get(inode).filter(|&slot| {
             let k = self.at(slot);
-            !k.inuse() && k.inactive_stamp() == stamp
-        }) && !self.cold_idx.contains(inode)
+            !k.inuse() && k.inactive_stamp() == stamp && !self.cold_idx.contains(inode)
+        })
+    }
+
+    /// Whether cold-queue entry `(ticket, inode)` is live: its knode is
+    /// still mapped and holds the ticket, so it has stayed cold since
+    /// the crossing the entry records and was not queued again since. A
+    /// ticket, not the stamp, names the crossing because a knode can
+    /// leave the cold set and cross back at the same stamp (reopened
+    /// without a touch, or touched inside the epoch at threshold 0).
+    fn queue_entry_live(&self, ticket: u64, inode: InodeId) -> bool {
+        self.get(inode).is_some_and(|k| k.cold_ticket() == ticket)
+    }
+
+    /// Compacts the cold queue once stale entries outnumber the cold
+    /// knodes by more than [`HEAP_SLACK`], keeping the live entries in
+    /// order. Live entries are at most one per cold knode, so more than
+    /// half the queue is dropped and the O(n) pass amortizes to O(1)
+    /// per queued crossing.
+    fn bound_queue(&mut self) {
+        if self.cold_queue.len() <= 2 * self.cold_idx.len() + HEAP_SLACK {
+            return;
+        }
+        let mut queue = std::mem::take(&mut self.cold_queue);
+        queue.retain(|&(ticket, inode)| self.queue_entry_live(ticket, inode));
+        self.cold_queue = queue;
     }
 
     /// Rebuilds the inactive heap from its live entries once stale ones
@@ -330,11 +395,18 @@ impl Kmap {
             return;
         }
         let mut entries = std::mem::take(&mut self.inactive_idx).into_vec();
-        entries.retain(|&Reverse((stamp, inode))| self.heap_entry_live(stamp, inode));
+        entries.retain(|&Reverse((stamp, inode))| self.heap_entry_slot(stamp, inode).is_some());
         entries.sort_unstable();
         entries.dedup();
         debug_assert_eq!(entries.len(), self.heap_live);
         self.inactive_idx = BinaryHeap::from(entries);
+    }
+
+    /// Bounds both lazily validated indexes after a change that can
+    /// leave stale entries behind.
+    fn bound_stale(&mut self) {
+        self.bound_heap();
+        self.bound_queue();
     }
 
     /// Registers a knode (`map_knode` / `add_to_kmap` in Table 2) and
@@ -345,8 +417,10 @@ impl Kmap {
     /// Panics if the inode already has a knode.
     pub fn map_knode(&mut self, mut knode: Knode) -> u32 {
         let inode = knode.inode();
-        // Re-base the age onto this kmap's epoch domain.
+        // Re-base the age onto this kmap's epoch domain; a crossing
+        // ticket from another kmap means nothing here.
         knode.sync_age_at(self.epoch);
+        knode.set_cold_ticket(0);
         let active = knode.inuse();
         let stamp = knode.inactive_stamp();
         #[expect(clippy::expect_used, reason = "slot count is bounded well below 2^32")]
@@ -365,7 +439,7 @@ impl Kmap {
         if active {
             self.active_idx.insert(inode);
         } else {
-            self.enter_inactive(stamp, inode);
+            self.enter_inactive(stamp, inode, slot);
         }
         slot
     }
@@ -373,17 +447,18 @@ impl Kmap {
     /// Removes and returns the knode of `inode`.
     pub fn unmap(&mut self, inode: InodeId) -> Option<Knode> {
         let slot = self.index_remove(inode)?;
+        let (inuse, stamp) = (self.at(slot).inuse(), self.at(slot).inactive_stamp());
+        if inuse {
+            self.active_idx.remove(inode);
+        } else {
+            self.leave_inactive(stamp, inode, slot);
+            self.bound_stale();
+        }
+        self.free.push(slot);
         #[expect(clippy::expect_used, reason = "the index only stores occupied slots")]
         let knode = self.slots[slot as usize]
             .take()
             .expect("index entry has knode");
-        self.free.push(slot);
-        if knode.inuse() {
-            self.active_idx.remove(inode);
-        } else {
-            self.leave_inactive(knode.inactive_stamp(), inode);
-            self.bound_heap();
-        }
         Some(knode)
     }
 
@@ -450,16 +525,16 @@ impl Kmap {
         if was_active != is_active {
             if was_active {
                 self.active_idx.remove(inode);
-                self.enter_inactive(is_stamp, inode);
+                self.enter_inactive(is_stamp, inode, slot);
             } else {
-                self.leave_inactive(was_stamp, inode);
+                self.leave_inactive(was_stamp, inode, slot);
                 self.active_idx.insert(inode);
-                self.bound_heap();
+                self.bound_stale();
             }
         } else if !is_active && was_stamp != is_stamp {
-            self.leave_inactive(was_stamp, inode);
-            self.enter_inactive(is_stamp, inode);
-            self.bound_heap();
+            self.leave_inactive(was_stamp, inode, slot);
+            self.enter_inactive(is_stamp, inode, slot);
+            self.bound_stale();
         }
         Some(r)
     }
@@ -518,16 +593,20 @@ impl Kmap {
         })
     }
 
-    /// Appends to `out` the first `max` inodes, in inode order, of
-    /// inactive knodes with age >= `min_age` that still track members.
+    /// Hands out the next cold batch: appends to `out` up to `max`
+    /// inactive knodes aged at least `min_age` that still track
+    /// members, oldest crossing into the cold set first, the batch then
+    /// sorted by inode. A knode is handed out once per cold spell; it
+    /// comes back only after it is touched or reopened and turns cold
+    /// again, or is queued again by [`Kmap::requeue_cold`].
     ///
-    /// Served from the incrementally maintained cold bitset: the call
-    /// pops the knodes whose stamps crossed the cold cutoff since the
-    /// last query off the inactive heap (each crosses at most once per
-    /// cold spell), then reads the batch off the lowest set bits —
-    /// O(batch) knode reads, independent of how many knodes are cold.
-    /// Inode order is exactly what sorting the full candidate range and
-    /// truncating to `max` used to produce.
+    /// The call pops the knodes whose stamps crossed the cold cutoff
+    /// since the last query off the inactive heap (each crosses at most
+    /// once per cold spell) onto the back of the cold queue, then takes
+    /// the batch off its front — O(crossings + batch + stale entries
+    /// passed) knode reads, independent of how many knodes are cold. A
+    /// member-less entry is dropped: a knode gains members only through
+    /// an allocation, which touches it out of the cold set.
     pub fn cold_inodes_with_members(&mut self, min_age: u32, max: usize, out: &mut Vec<InodeId>) {
         // A knode is cold iff its stamp <= epoch - min_age; nothing
         // qualifies while fewer than min_age epochs have elapsed.
@@ -536,17 +615,22 @@ impl Kmap {
         };
         if self.cold_threshold != Some(min_age) {
             // First query (or a new threshold): return every cold knode
-            // to the heap, then pop against the new watermark below; the
-            // bitset stays incremental from here on.
+            // to the heap and forget the queued crossings, then pop
+            // against the new watermark below; the bitset and queue stay
+            // incremental from here on.
             let cold: Vec<InodeId> = self.cold_idx.iter().collect();
             for inode in cold {
                 #[expect(clippy::expect_used, reason = "the cold bitset tracks live knodes")]
-                let knode = self.get(inode).expect("cold bit names a mapped knode");
-                self.inactive_idx
-                    .push(Reverse((knode.inactive_stamp(), inode)));
+                let slot = self.slot_of(inode).expect("cold bit names a mapped knode");
+                if let Some(knode) = self.knode_at_mut(slot) {
+                    knode.set_cold_ticket(0);
+                    let stamp = knode.inactive_stamp();
+                    self.inactive_idx.push(Reverse((stamp, inode)));
+                }
             }
             self.heap_live += self.cold_idx.len();
             self.cold_idx = InodeBits::default();
+            self.cold_queue.clear();
             self.cold_threshold = Some(min_age);
         }
         self.cold_watermark = max_stamp;
@@ -555,23 +639,50 @@ impl Kmap {
                 break;
             }
             self.inactive_idx.pop();
-            if self.heap_entry_live(stamp, inode) {
-                self.cold_idx.insert(inode);
+            if let Some(slot) = self.heap_entry_slot(stamp, inode) {
                 self.heap_live -= 1;
+                self.enter_cold(inode, slot);
             }
         }
         self.bound_heap();
-        for inode in self.cold_idx.iter() {
-            if out.len() == max {
+        let start = out.len();
+        while out.len() - start < max {
+            let Some((ticket, inode)) = self.cold_queue.pop_front() else {
                 break;
-            }
+            };
+            self.popped_ticket = ticket;
             self.note_examined(1);
-            #[expect(clippy::expect_used, reason = "the cold bitset tracks live knodes")]
-            let slot = self.slot_of(inode).expect("index entry has knode");
-            if self.at(slot).member_count() > 0 {
+            if self
+                .get(inode)
+                .is_some_and(|k| k.cold_ticket() == ticket && k.member_count() > 0)
+            {
                 out.push(inode);
             }
         }
+        out[start..].sort_unstable();
+    }
+
+    /// Queues `inode`'s knode again at the back of the cold queue if it
+    /// is still cold, superseding any entry it still has queued: for an
+    /// en-masse demotion that a failed migration left incomplete, so the
+    /// knode is retried after every crossing queued before it, not on
+    /// every tick.
+    pub fn requeue_cold(&mut self, inode: InodeId) {
+        if !self.cold_idx.contains(inode) {
+            return;
+        }
+        if let Some(slot) = self.index_get(inode) {
+            self.queue_crossing(inode, slot);
+            self.bound_queue();
+        }
+    }
+
+    /// The cold set, in inode order: every inactive knode whose stamp is
+    /// at or below the last cold query's cutoff, handed out or not. A
+    /// read-only view for tests and oracles; it leaves the examined
+    /// probe alone.
+    pub fn cold_set(&self) -> impl Iterator<Item = InodeId> + '_ {
+        self.cold_idx.iter()
     }
 
     /// Returns up to `n` LRU knode inodes (`get_LRU_knodes` in Table 2):
@@ -622,7 +733,11 @@ impl Kmap {
     /// holds exactly the in-use knodes, the cold bitset exactly the
     /// inactive ones at or below the watermark, and every other inactive
     /// knode has a heap entry at its current stamp), the heap's live
-    /// count and bound, and each knode's internal frame refcounts.
+    /// count and bound, the cold queue against the cold bitset (a knode
+    /// holds a crossing ticket exactly while it is cold, each crossing
+    /// not yet handed out is queued, and the queue holds each ticket
+    /// once, oldest first, none already handed out), the queue's bound,
+    /// and each knode's internal frame refcounts.
     /// Observation only — in particular the `examined` scan probe is
     /// never touched, so a run audited by ksan reports the same counters
     /// as an unaudited one.
@@ -631,6 +746,7 @@ impl Kmap {
 
         use kloc_mem::ksan::Violation;
         let heap: BTreeSet<(u64, InodeId)> = self.inactive_idx.iter().map(|e| e.0).collect();
+        let queued: BTreeSet<(u64, InodeId)> = self.cold_queue.iter().copied().collect();
         let mut above_watermark = 0usize;
         let occupied = self.slots.iter().filter(|s| s.is_some()).count();
         if occupied != self.mapped {
@@ -693,6 +809,25 @@ impl Kmap {
             let stamp = knode.inactive_stamp();
             let in_active = self.active_idx.contains(inode);
             let in_cold = self.cold_idx.contains(inode);
+            let ticket = knode.cold_ticket();
+            if (ticket != 0) != in_cold || ticket > self.last_ticket {
+                out.push(Violation::new(
+                    "Knode.cold_ticket <-> Kmap.cold_idx",
+                    format!("{inode}"),
+                    "a knode holds an issued crossing ticket exactly while it is cold",
+                    format!("cold = {in_cold}, ticket <= {}", self.last_ticket),
+                    format!("ticket = {ticket}"),
+                ));
+            }
+            if in_cold && ticket > self.popped_ticket && !queued.contains(&(ticket, inode)) {
+                out.push(Violation::new(
+                    "Kmap.cold_queue <-> Kmap.cold_idx",
+                    format!("{inode}"),
+                    "a cold knode whose crossing was not handed out yet has it queued",
+                    format!("queue entry ({ticket}, {inode})"),
+                    "no entry".to_owned(),
+                ));
+            }
             if knode.inuse() && (!in_active || in_cold) {
                 out.push(Violation::new(
                     "Knode.inuse <-> Kmap activation indexes",
@@ -787,7 +922,7 @@ impl Kmap {
         // entries partition the mapped knodes.
         let heap_live_entries = heap
             .iter()
-            .filter(|&&(stamp, inode)| self.heap_entry_live(stamp, inode))
+            .filter(|&&(stamp, inode)| self.heap_entry_slot(stamp, inode).is_some())
             .count();
         if self.active_idx.len() + self.cold_idx.len() + heap_live_entries != self.mapped {
             out.push(Violation::new(
@@ -800,6 +935,30 @@ impl Kmap {
                     self.active_idx.len(),
                     self.cold_idx.len(),
                 ),
+            ));
+        }
+        // Tickets strictly ascending: each crossing is queued once, in
+        // order, and none was already taken off the front.
+        let mut prev = self.popped_ticket;
+        for &(ticket, inode) in &self.cold_queue {
+            if ticket <= prev || ticket > self.last_ticket {
+                out.push(Violation::new(
+                    "Kmap.cold_queue order",
+                    format!("{inode}"),
+                    "queue tickets rise strictly, past the last one handed out",
+                    format!("ticket in ({prev}, {}]", self.last_ticket),
+                    format!("ticket = {ticket}"),
+                ));
+            }
+            prev = prev.max(ticket);
+        }
+        if self.cold_queue.len() > 2 * self.cold_idx.len() + HEAP_SLACK {
+            out.push(Violation::new(
+                "Kmap.cold_queue <-> Kmap.cold_idx",
+                "kmap",
+                "stale queue entries never outnumber the cold knodes by more than the slack",
+                format!("<= {} entries", 2 * self.cold_idx.len() + HEAP_SLACK),
+                format!("{} entries", self.cold_queue.len()),
             ));
         }
         if self.inactive_idx.len() > 2 * self.heap_live + HEAP_SLACK {
@@ -838,6 +997,14 @@ impl Kmap {
             self.cold_threshold.get_or_insert(1);
             self.cold_idx.insert(InodeId(self.index.len() as u64));
         }
+    }
+
+    /// Corruption hook for sanitizer self-tests: drops the newest
+    /// cold-queue entry while its knode stays cold, losing a crossing
+    /// that was never handed out.
+    #[doc(hidden)]
+    pub fn ksan_break_cold_queue(&mut self) {
+        self.cold_queue.pop_back();
     }
 
     /// Corruption hook for sanitizer self-tests: stamps the first mapped
@@ -971,11 +1138,35 @@ mod tests {
         assert!(m.inactive_knodes().is_empty());
     }
 
+    fn audit_clean(m: &Kmap) {
+        let mut out = Vec::new();
+        m.ksan_audit(&mut out);
+        assert!(out.is_empty(), "{out:#?}");
+    }
+
+    fn cold_batch(m: &mut Kmap, max: usize) -> Vec<InodeId> {
+        let mut out = Vec::new();
+        m.cold_inodes_with_members(5, max, &mut out);
+        audit_clean(m);
+        out
+    }
+
+    fn touch(m: &mut Kmap, ino: u64) {
+        m.with_knode_mut(InodeId(ino), |k, ep| {
+            k.touch_at(CpuId(0), Nanos::from_micros(ep), ep);
+        });
+    }
+
+    fn advance(m: &mut Kmap, epochs: u32) {
+        for _ in 0..epochs {
+            m.advance_epoch();
+        }
+    }
+
     #[test]
     fn cold_selection_scans_candidates_only() {
         let mut m = Kmap::new();
-        // Three inactive knodes; only 1 and 2 have members; 3 is old but
-        // empty; 4 is recent; 5 is active.
+        // Four inactive knodes; 3 has no members; 5 is active.
         for ino in 1..=4 {
             let mut k = knode_at(ino, 0, false);
             if ino != 3 {
@@ -987,40 +1178,98 @@ mod tests {
             m.map_knode(k);
         }
         m.map_knode(knode_at(5, 0, true));
-        for _ in 0..10 {
-            m.advance_epoch();
-        }
+        advance(&mut m, 10);
         // Re-stamp 4 at the current epoch (age 0).
-        m.with_knode_mut(InodeId(4), |k, ep| {
-            k.touch_at(CpuId(0), Nanos::from_micros(1), ep);
-        });
-        let mut cold = Vec::new();
-        m.cold_inodes_with_members(5, usize::MAX, &mut cold);
-        assert_eq!(cold, vec![InodeId(1), InodeId(2)]);
-        // The cold-index read examined the three old entries, not knode
-        // 4 or the active knode 5.
+        touch(&mut m, 4);
+        // 1, 2 and 3 cross; member-less 3 is dropped. The query examined
+        // those three crossings, not knode 4 or the active knode 5.
         let before = m.knodes_examined();
-        let mut again = Vec::new();
-        m.cold_inodes_with_members(5, usize::MAX, &mut again);
+        assert_eq!(cold_batch(&mut m, usize::MAX), [InodeId(1), InodeId(2)]);
         assert_eq!(m.knodes_examined() - before, 3);
-        // The batch limit stops the read early: one candidate wanted,
-        // one entry examined.
+        let cold: Vec<InodeId> = m.cold_set().collect();
+        assert_eq!(cold, [InodeId(1), InodeId(2), InodeId(3)]);
+        // Each crossing is handed out once: while 1 and 2 stay cold, a
+        // second query hands out nothing and examines no knode.
         let before = m.knodes_examined();
-        let mut one = Vec::new();
-        m.cold_inodes_with_members(5, 1, &mut one);
-        assert_eq!(one, vec![InodeId(1)]);
+        assert!(cold_batch(&mut m, usize::MAX).is_empty());
+        assert_eq!(m.knodes_examined(), before);
+        // A touch ends 1's cold spell. 4 (stamped at epoch 10) crosses
+        // before 1 (stamped at 12), so the oldest crossing leads the
+        // queue although 1 has the lower inode, and the batch limit
+        // stops the read early: one knode wanted, one entry examined.
+        advance(&mut m, 2);
+        touch(&mut m, 1);
+        advance(&mut m, 5);
+        let before = m.knodes_examined();
+        assert_eq!(cold_batch(&mut m, 1), [InodeId(4)]);
         assert_eq!(m.knodes_examined() - before, 1);
-        // A touch while cold drops the knode from the cold index.
-        m.with_knode_mut(InodeId(1), |k, ep| {
-            k.touch_at(CpuId(0), Nanos::from_micros(2), ep);
-        });
-        let mut after_touch = Vec::new();
-        m.cold_inodes_with_members(5, usize::MAX, &mut after_touch);
-        assert_eq!(after_touch, vec![InodeId(2)]);
+        assert_eq!(cold_batch(&mut m, 1), [InodeId(1)]);
+        // A knode touched after it crossed but before it was handed out
+        // leaves a stale entry, which the next batch drops.
+        touch(&mut m, 2);
+        touch(&mut m, 4);
+        advance(&mut m, 5);
+        assert!(cold_batch(&mut m, 0).is_empty(), "2 and 4 queued");
+        touch(&mut m, 2);
+        let before = m.knodes_examined();
+        assert_eq!(cold_batch(&mut m, usize::MAX), [InodeId(4)]);
+        assert_eq!(m.knodes_examined() - before, 2);
+        // A cold knode queued again comes back once; a knode outside the
+        // cold set cannot be queued.
+        m.requeue_cold(InodeId(1));
+        m.requeue_cold(InodeId(2));
+        assert_eq!(cold_batch(&mut m, usize::MAX), [InodeId(1)]);
+        assert!(cold_batch(&mut m, usize::MAX).is_empty());
         // Nothing qualifies before enough epochs have elapsed.
         let mut none = Vec::new();
-        m.cold_inodes_with_members(11, usize::MAX, &mut none);
+        m.cold_inodes_with_members(30, usize::MAX, &mut none);
         assert!(none.is_empty());
+    }
+
+    #[test]
+    fn a_knode_that_crosses_back_at_its_old_stamp_is_handed_out_again() {
+        // Reactivated without a touch and closed again, a knode keeps its
+        // stamp, so only its ticket tells the two cold spells apart.
+        let mut m = Kmap::new();
+        let mut k = knode_at(1, 0, false);
+        k.add_obj(
+            kloc_kernel::KernelObjectType::PageCache,
+            kloc_mem::FrameId(1),
+        );
+        m.map_knode(k);
+        advance(&mut m, 6);
+        m.with_knode_mut(InodeId(1), |k, ep| k.set_inuse_at(true, ep));
+        // Closed while queued: the old entry is still in the queue.
+        m.with_knode_mut(InodeId(1), |k, ep| k.set_inuse_at(false, ep));
+        assert!(cold_batch(&mut m, 0).is_empty());
+        m.with_knode_mut(InodeId(1), |k, ep| k.set_inuse_at(true, ep));
+        m.with_knode_mut(InodeId(1), |k, ep| k.set_inuse_at(false, ep));
+        assert_eq!(cold_batch(&mut m, usize::MAX), [InodeId(1)]);
+        assert!(cold_batch(&mut m, usize::MAX).is_empty());
+        // A new spell at the same stamp after the hand-out queues anew.
+        m.with_knode_mut(InodeId(1), |k, ep| k.set_inuse_at(true, ep));
+        m.with_knode_mut(InodeId(1), |k, ep| k.set_inuse_at(false, ep));
+        assert_eq!(cold_batch(&mut m, usize::MAX), [InodeId(1)]);
+    }
+
+    #[test]
+    fn churn_keeps_the_cold_queue_bounded() {
+        // Every touch of a queued cold knode leaves a stale entry; the
+        // queue compacts itself instead of growing with the churn.
+        let mut m = Kmap::new();
+        for ino in 1..=4 {
+            m.map_knode(knode_at(ino, 0, false));
+        }
+        advance(&mut m, 5);
+        for round in 0..500 {
+            advance(&mut m, 1);
+            touch(&mut m, 1 + round % 4);
+            // At threshold 0 the touched knode crosses again at once.
+            let mut out = Vec::new();
+            m.cold_inodes_with_members(0, 0, &mut out);
+            audit_clean(&m);
+        }
+        assert!(m.cold_queue.len() <= 2 * 4 + HEAP_SLACK);
     }
 
     #[test]

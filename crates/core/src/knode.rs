@@ -21,9 +21,7 @@
 //! KLOCs age "as a side effect of events" rather than by scanning
 //! (§4.3).
 
-use std::cell::Cell;
-
-use kloc_mem::{FrameId, Nanos, TenantId, TierId};
+use kloc_mem::{FrameId, Nanos, TenantId};
 
 use kloc_kernel::hooks::CpuId;
 use kloc_kernel::vfs::InodeId;
@@ -64,6 +62,10 @@ pub struct Knode {
     last_cpu: CpuId,
     /// Whether the inode is currently open/active.
     inuse: bool,
+    /// The kmap's ticket for this knode's latest crossing into the cold
+    /// set, held while it stays cold; 0 otherwise. Names the knode's
+    /// live cold-queue entry (see the `kmap` module docs).
+    cold_ticket: u64,
     /// Number of page-backed members (`rbtree-cache`).
     cache: usize,
     /// Number of slab-class members (`rbtree-slab`).
@@ -73,16 +75,6 @@ pub struct Knode {
     /// (the report-visible migration order), so the migration walks
     /// iterate it in place.
     frames: FrameRefs,
-    /// Memoized outcome of a *settled* en-masse migration walk:
-    /// `(target tier, ping-pong skips the walk charges, external
-    /// migration epoch)`. While valid, a repeat walk toward the same
-    /// tier can move nothing and charges exactly the cached skip count,
-    /// so the registry answers it in O(1) instead of re-probing every
-    /// member frame. Cleared whenever the distinct frame set changes or
-    /// frames are promoted back (registry paths), and keyed to the
-    /// registry's external-migration epoch so app-LRU migrations of
-    /// member frames invalidate it too.
-    enmasse_cache: Cell<Option<(TierId, u64, u64)>>,
 }
 
 impl Knode {
@@ -96,10 +88,10 @@ impl Knode {
             synced_epoch: 0,
             last_cpu: CpuId(0),
             last_active: now,
+            cold_ticket: 0,
             cache: 0,
             slab: 0,
             frames: FrameRefs::default(),
-            enmasse_cache: Cell::new(None),
         }
     }
 
@@ -159,6 +151,16 @@ impl Knode {
         }
     }
 
+    /// The knode's cold-crossing ticket (0 while it is not cold).
+    pub(crate) fn cold_ticket(&self) -> u64 {
+        self.cold_ticket
+    }
+
+    /// Records the knode's cold-crossing ticket (kmap index repair only).
+    pub(crate) fn set_cold_ticket(&mut self, ticket: u64) {
+        self.cold_ticket = ticket;
+    }
+
     /// CPU that last accessed the knode (paper's `find_cpu`).
     pub fn last_cpu(&self) -> CpuId {
         self.last_cpu
@@ -195,9 +197,7 @@ impl Knode {
                 MemberTree::Slab
             }
         };
-        if self.frames.add(frame) {
-            self.clear_enmasse_cache();
-        }
+        self.frames.add(frame);
         tree
     }
 
@@ -219,9 +219,7 @@ impl Knode {
             return false;
         };
         *count = left;
-        if self.frames.unref(frame) {
-            self.clear_enmasse_cache();
-        }
+        self.frames.unref(frame);
         true
     }
 
@@ -267,24 +265,6 @@ impl Knode {
     #[cfg(test)]
     pub(crate) fn parked_count(&self, mask: crate::members::Mask) -> usize {
         self.frames.parked(mask)
-    }
-
-    /// Drops the memoized en-masse walk outcome. Called whenever the
-    /// distinct frame set changes or member frames gain fast-tier
-    /// residency.
-    pub(crate) fn clear_enmasse_cache(&self) {
-        self.enmasse_cache.set(None);
-    }
-
-    /// The memoized settled en-masse walk outcome, if any.
-    pub(crate) fn enmasse_cache(&self) -> Option<(TierId, u64, u64)> {
-        self.enmasse_cache.get()
-    }
-
-    /// Memoizes a settled en-masse walk toward `to`: nothing movable
-    /// remains and a repeat walk charges exactly `pingpong_skips`.
-    pub(crate) fn set_enmasse_cache(&self, to: TierId, pingpong_skips: u64, epoch: u64) {
-        self.enmasse_cache.set(Some((to, pingpong_skips, epoch)));
     }
 }
 

@@ -130,12 +130,6 @@ pub struct KlocRegistry {
     kmap: Kmap,
     percpu: PerCpuKnodeLists,
     stats: KlocStats,
-    /// Bumped on every promotion event — by the registry's own walks
-    /// and by [`KlocRegistry::note_external_promotions`]. Keys the
-    /// en-masse settled cache: any promotion can hand fast-tier
-    /// residency to a frame shared with *other* knodes (slab pages), so
-    /// a per-knode invalidation would be unsound.
-    promotion_epoch: u64,
     /// Keys the member-demotion chunk bounds (see the `members` module
     /// docs): bumped by the promotions without a hotness check that can
     /// reach other knodes' frames — foreign ones and en-masse promotions
@@ -145,11 +139,6 @@ pub struct KlocRegistry {
     /// [`KlocRegistry::promote_hot_members`]: the cap on every chunk
     /// bound assumes no hotness-checked promotion reaches further back.
     hot_window: Nanos,
-    /// Count of foreign demotions; with `promotion_epoch` it keys the
-    /// en-masse settled cache, whose ping-pong charge a foreign tier
-    /// change can alter. (The registry's own demotions never touch
-    /// frames a settled walk could still move, so they don't key it.)
-    extern_demotions: u64,
     /// Per-tenant count of knode accesses that crossed a tenant
     /// boundary (accessor != knode owner), dense by the *accessor's*
     /// [`TenantId::index`] — the shared-inode / shared-socket
@@ -181,10 +170,8 @@ impl KlocRegistry {
             percpu,
             kmap: Kmap::new(),
             stats: KlocStats::default(),
-            promotion_epoch: 0,
             bound_epoch: 0,
             hot_window: Nanos::ZERO,
-            extern_demotions: 0,
             shared_accesses: Vec::new(),
             park_window: Nanos::new(u64::MAX),
             parks: 0,
@@ -498,10 +485,11 @@ impl KlocRegistry {
             .collect()
     }
 
-    /// Appends to `out` the first `max` inodes, in inode order, of
-    /// inactive knodes aged at least `min_age` that still track members
-    /// — the per-tick demotion batch, read off the kmap's incrementally
-    /// maintained cold index in O(batch).
+    /// Appends to `out` the next per-tick demotion batch: up to `max`
+    /// inactive knodes aged at least `min_age` that still track members,
+    /// oldest crossing into the cold set first, sorted by inode — each
+    /// handed out once per cold spell, off the kmap's cold queue (see
+    /// [`Kmap::cold_inodes_with_members`]).
     pub fn cold_member_candidates(&mut self, min_age: u32, max: usize, out: &mut Vec<InodeId>) {
         self.kmap.cold_inodes_with_members(min_age, max, out);
     }
@@ -519,24 +507,17 @@ impl KlocRegistry {
     /// correctness whenever member frames can change tier outside
     /// [`KlocRegistry::migrate_knode`] /
     /// [`KlocRegistry::promote_hot_members`] — it invalidates the
-    /// demotion-walk memoizations and chunk bounds, which otherwise
-    /// assume they see every route into fast memory.
+    /// demotion walk's chunk bounds, which otherwise assume they see
+    /// every route into fast memory.
     pub fn note_external_promotions(&mut self) {
-        self.promotion_epoch += 1;
         self.bound_epoch += 1;
-    }
-
-    /// Records foreign demotions (see
-    /// [`KlocRegistry::note_external_promotions`]); these can change the
-    /// ping-pong charge a settled en-masse walk memoized.
-    pub fn note_external_demotions(&mut self) {
-        self.extern_demotions += 1;
     }
 
     /// Migrates every member frame of `inode`'s knode to `to` — the
     /// en-masse mechanism (paper §4.4). Pinned frames and frames that
-    /// exceeded the anti-ping-pong counter are skipped. Returns pages
-    /// moved.
+    /// exceeded the anti-ping-pong counter are skipped. A demotion that
+    /// a failed migration leaves incomplete queues a cold knode again
+    /// ([`Kmap::requeue_cold`]). Returns pages moved.
     pub fn migrate_knode(&mut self, inode: InodeId, mem: &mut MemorySystem, to: TierId) -> u64 {
         self.migrate_knode_inner(inode, mem, to, u64::MAX).1
     }
@@ -577,32 +558,13 @@ impl KlocRegistry {
         };
         let staged = k.member_frame_count() as u64;
         let demoting = to != TierId::FAST;
-        let epoch = self.promotion_epoch + self.extern_demotions;
         let max_migrations = self.config.max_migrations;
-        if demoting {
-            // A settled walk left nothing movable toward `to`; a repeat
-            // walk charges exactly the memoized ping-pong skips and
-            // moves nothing, so answer it without re-probing frames.
-            if let Some((cached_to, skips, cached_epoch)) = k.enmasse_cache() {
-                if cached_to == to && cached_epoch == epoch {
-                    if kloc_mem::ksan::armed() {
-                        ksan_check_memo(k, mem, "enmasse_cache", max_pages, skips, |f| {
-                            (f.tier != to && !f.pinned).then_some(f.migrations < max_migrations)
-                        });
-                    }
-                    self.stats.pingpong_skips += skips;
-                    return (staged, 0);
-                }
-            }
-        }
         let mut pingpong_skips = 0;
         let mut moved = 0;
-        let mut settled = true;
+        let mut failed = false;
         let mut promoted_shared = false;
         for frame in k.member_frames() {
             if moved >= max_pages {
-                // Budget break: movable frames may remain.
-                settled = false;
                 break;
             }
             // Tier-only probe first: frames already on the target
@@ -626,27 +588,27 @@ impl KlocRegistry {
                 moved += 1;
                 promoted_shared |= !demoting && frame_is_shared(f.kind);
             } else {
-                // The frame stays movable; the walk is not settled.
-                settled = false;
+                // The frame stays movable.
+                failed = true;
             }
         }
-        if demoting && settled {
-            k.set_enmasse_cache(to, pingpong_skips, epoch);
-        } else if !demoting && moved > 0 {
+        if !demoting && moved > 0 {
             // No hotness check: a promoted frame may already be cold, so
-            // the demotion chunk bounds are stale along with the
-            // en-masse memo.
+            // the demotion chunk bounds are stale.
             if promoted_shared {
                 // Packed frames are shared with other knodes, so every
-                // knode's memoizations are stale.
-                self.promotion_epoch += 1;
+                // knode's bounds are stale.
                 self.bound_epoch += 1;
             } else {
                 // Single-owner frames gained fast residency: only this
-                // knode's memoizations are stale.
-                k.clear_enmasse_cache();
+                // knode's bounds are stale.
                 k.frame_refs_mut().reset_bounds();
             }
+        }
+        if demoting && failed {
+            // A cold knode the walk could not finish goes back on the
+            // cold queue, behind every crossing queued before it.
+            self.kmap.requeue_cold(inode);
         }
         self.stats.pingpong_skips += pingpong_skips;
         if moved > 0 {
@@ -795,7 +757,6 @@ impl KlocRegistry {
         let park_window = self.park_window;
         let mut moved = 0;
         let mut parked = 0;
-        let mut promoted_shared = false;
         // Cold-parked members are slow-resident but idle beyond this
         // window, and hot-parked ones fast-resident, so the walk visits
         // neither. A single-owner member found or left fast-resident is
@@ -824,7 +785,6 @@ impl KlocRegistry {
                     return Walk::Skip;
                 }
                 moved += 1;
-                promoted_shared |= shared;
             }
             if !shared && mem.watch_migrations(frame, slot) {
                 Walk::Park(Mask::Hot)
@@ -836,14 +796,7 @@ impl KlocRegistry {
         if moved > 0 {
             // The promoted frames were touched within `newer_than`, so
             // the demotion chunk bounds, capped by `hot_window`, still
-            // hold; only the en-masse memo is stale.
-            if promoted_shared {
-                // Packed frames are shared with other knodes: every
-                // knode's en-masse memo is stale.
-                self.promotion_epoch += 1;
-            } else {
-                k.clear_enmasse_cache();
-            }
+            // hold.
             self.stats.pages_promoted += moved;
             self.emit_kloc_migrate(inode, mem, "promote", "members", moved);
         }
@@ -943,45 +896,6 @@ fn emit_knode_state(inode: InodeId, now: Nanos, state: &'static str) {
         ino: inode.0,
         state: state.to_owned(),
     });
-}
-
-/// KSAN oracle for the migration-walk memos: on a memo hit where KSAN is
-/// armed, re-probes `k`'s member frames read-only and panics with a
-/// violation report unless the uncached walk would move nothing and
-/// charge exactly the memoized `skips` ping-pong skips. `classify` mirrors the walk's
-/// per-frame decision: `Some(true)` = it would migrate the frame,
-/// `Some(false)` = it would charge a skip, `None` = it passes over it.
-/// Observation only: the memo's answer is still the one returned.
-fn ksan_check_memo(
-    k: &Knode,
-    mem: &MemorySystem,
-    memo: &str,
-    max_pages: u64,
-    skips: u64,
-    classify: impl Fn(&kloc_mem::FrameMeta) -> Option<bool>,
-) {
-    let (mut movable, mut walk_skips) = (Vec::new(), 0u64);
-    // With nothing movable, the walk's budget break can only fire before
-    // the first frame.
-    if max_pages > 0 {
-        for frame in k.member_frames() {
-            match mem.frame_meta(frame).and_then(|f| classify(&f)) {
-                Some(true) => movable.push(frame),
-                Some(false) => walk_skips += 1,
-                None => {}
-            }
-        }
-    }
-    if !movable.is_empty() || walk_skips != skips {
-        let v = kloc_mem::ksan::Violation::new(
-            format!("Knode.{memo} <-> member frames"),
-            format!("{}", k.inode()),
-            "a memo hit answers what the uncached walk would: no move, same ping-pong skips",
-            format!("movable [], skips {skips}"),
-            format!("movable {movable:?}, skips {walk_skips}"),
-        );
-        kloc_mem::ksan::enforce("walk memo oracle", &[v]);
-    }
 }
 
 /// KSAN oracle for parked members, run where KSAN is armed by each
@@ -1369,10 +1283,11 @@ mod tests {
 
     /// Runs `walk` twice over inode 1, whose members are one page-cache
     /// frame per tier in `tiers`; between the walks the first frame is
-    /// promoted behind the registry's back (no `note_external_*`), so
-    /// the second walk's memo hit must trip the KSAN oracle. The walks
-    /// run their oracles only where KSAN is armed, which a release test
-    /// build is not, hence `debug_assertions` here and below.
+    /// promoted behind the registry's back (no
+    /// `note_external_promotions`), so the second walk's chunk-bound
+    /// skip must trip the KSAN oracle. The walks run their oracles only
+    /// where KSAN is armed, which a release test build is not, hence
+    /// `debug_assertions` here and below.
     #[cfg(debug_assertions)]
     fn walk_around_unannounced_promotion(
         tiers: &[TierId],
@@ -1397,15 +1312,6 @@ mod tests {
             mem.migrate(frames[0], TierId::FAST).unwrap();
         }
         walk(&mut r, &mut mem);
-    }
-
-    #[cfg(debug_assertions)]
-    #[test]
-    #[should_panic(expected = "Knode.enmasse_cache <-> member frames")]
-    fn unannounced_promotion_trips_the_enmasse_memo_oracle() {
-        walk_around_unannounced_promotion(&[TierId::FAST], |r, mem| {
-            r.migrate_knode(InodeId(1), mem, TierId::SLOW);
-        });
     }
 
     #[cfg(debug_assertions)]

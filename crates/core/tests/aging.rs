@@ -7,7 +7,8 @@
 //! knode on every epoch, the implementation the rewrite replaced —
 //! through identical seeded op streams and require them to agree on
 //! every observable: per-knode age and activity, the inactive ordering,
-//! cold-set selection, and LRU ranking.
+//! the cold set, every cold batch (exact contents, handed out in
+//! crossing order, once per cold spell), and LRU ranking.
 
 use std::collections::BTreeMap;
 
@@ -19,11 +20,22 @@ use kloc_mem::rng::SplitMix64;
 use kloc_mem::{FrameId, Nanos, TenantId};
 
 /// The scan-based reference: one record per knode, aged by walking the
-/// whole population on every epoch.
+/// whole population on every epoch. Its cold set follows the events
+/// directly: a knode crosses into it when a cold query's cutoff passes
+/// its inactivity stamp, or when it goes inactive (or is restamped)
+/// already past the last cutoff, and leaves it when touched or
+/// reopened. Each crossing takes the next sequence number, and a cold
+/// query hands out pending crossings in sequence order.
 #[derive(Debug, Default)]
 struct EagerModel {
     knodes: BTreeMap<InodeId, EagerKnode>,
     epoch: u64,
+    /// Threshold of the last cold query (none before the first).
+    threshold: Option<u32>,
+    /// Inactivity stamps at or below this are cold.
+    watermark: u64,
+    /// Sequence number of the next crossing.
+    next_crossing: u64,
 }
 
 #[derive(Debug)]
@@ -32,6 +44,9 @@ struct EagerKnode {
     age: u32,
     last_active: Nanos,
     members: BTreeMap<ObjectId, FrameId>,
+    cold: bool,
+    /// The crossing of the current cold spell, until it is handed out.
+    pending: Option<u64>,
 }
 
 impl EagerModel {
@@ -43,8 +58,28 @@ impl EagerModel {
                 age: 0,
                 last_active: now,
                 members: BTreeMap::new(),
+                cold: false,
+                pending: None,
             },
         );
+    }
+
+    /// The epoch an inactive knode has been inactive since.
+    fn stamp(&self, k: &EagerKnode) -> u64 {
+        self.epoch - u64::from(k.age)
+    }
+
+    fn past_cutoff(&self, stamp: u64) -> bool {
+        self.threshold.is_some() && stamp <= self.watermark
+    }
+
+    fn cross(&mut self, inode: InodeId) {
+        let seq = self.next_crossing;
+        self.next_crossing += 1;
+        if let Some(k) = self.knodes.get_mut(&inode) {
+            k.cold = true;
+            k.pending = Some(seq);
+        }
     }
 
     fn open(&mut self, inode: InodeId, now: Nanos) {
@@ -52,12 +87,23 @@ impl EagerModel {
             k.inuse = true;
             k.age = 0;
             k.last_active = now;
+            k.cold = false;
+            k.pending = None;
         }
     }
 
     fn close(&mut self, inode: InodeId) {
-        if let Some(k) = self.knodes.get_mut(&inode) {
-            k.inuse = false;
+        let epoch = self.epoch;
+        let Some(k) = self.knodes.get_mut(&inode) else {
+            return;
+        };
+        if !k.inuse {
+            return;
+        }
+        k.inuse = false;
+        let stamp = epoch - u64::from(k.age);
+        if self.past_cutoff(stamp) {
+            self.cross(inode);
         }
     }
 
@@ -65,19 +111,88 @@ impl EagerModel {
         self.knodes.remove(&inode);
     }
 
+    /// A touch resets the age; an inactive knode whose stamp moves
+    /// leaves the cold set, and crosses back at once if its new stamp
+    /// is already past the cutoff.
     fn touch(&mut self, inode: InodeId, now: Nanos) {
-        if let Some(k) = self.knodes.get_mut(&inode) {
-            k.age = 0;
-            k.last_active = now;
+        let epoch = self.epoch;
+        let Some(k) = self.knodes.get_mut(&inode) else {
+            return;
+        };
+        let restamped = !k.inuse && k.age != 0;
+        k.age = 0;
+        k.last_active = now;
+        if restamped {
+            k.cold = false;
+            k.pending = None;
+            if self.past_cutoff(epoch) {
+                self.cross(inode);
+            }
         }
     }
 
     fn add_obj(&mut self, inode: InodeId, obj: ObjectId, frame: FrameId, now: Nanos) {
         if let Some(k) = self.knodes.get_mut(&inode) {
             k.members.insert(obj, frame);
-            k.age = 0;
-            k.last_active = now;
         }
+        self.touch(inode, now);
+    }
+
+    /// The cold query: a new threshold empties the cold set; then every
+    /// inactive knode past the new cutoff crosses, oldest stamp first
+    /// (inode order breaks ties), and up to `max` pending crossings with
+    /// members are handed out in crossing order (member-less ones are
+    /// dropped on the way), the batch sorted by inode.
+    fn cold_query(&mut self, min_age: u32, max: usize) -> Vec<InodeId> {
+        let Some(watermark) = self.epoch.checked_sub(u64::from(min_age)) else {
+            return Vec::new();
+        };
+        if self.threshold != Some(min_age) {
+            for k in self.knodes.values_mut() {
+                k.cold = false;
+                k.pending = None;
+            }
+            self.threshold = Some(min_age);
+        }
+        self.watermark = watermark;
+        let mut crossing: Vec<(u64, InodeId)> = self
+            .knodes
+            .iter()
+            .filter(|(_, k)| !k.inuse && !k.cold && self.stamp(k) <= watermark)
+            .map(|(&i, k)| (self.stamp(k), i))
+            .collect();
+        crossing.sort_unstable();
+        for (_, inode) in crossing {
+            self.cross(inode);
+        }
+        let mut pending: Vec<(u64, InodeId)> = self
+            .knodes
+            .iter()
+            .filter_map(|(&i, k)| k.pending.map(|seq| (seq, i)))
+            .collect();
+        pending.sort_unstable();
+        let mut batch = Vec::new();
+        for (_, inode) in pending {
+            if batch.len() == max {
+                break;
+            }
+            let k = self.knodes.get_mut(&inode).expect("pending knode exists");
+            k.pending = None;
+            if !k.members.is_empty() {
+                batch.push(inode);
+            }
+        }
+        batch.sort_unstable();
+        batch
+    }
+
+    /// The cold set, in inode order.
+    fn cold_set(&self) -> Vec<InodeId> {
+        self.knodes
+            .iter()
+            .filter(|(_, k)| k.cold)
+            .map(|(&i, _)| i)
+            .collect()
     }
 
     fn remove_obj(&mut self, inode: InodeId, obj: ObjectId) {
@@ -110,16 +225,6 @@ impl EagerModel {
         v.into_iter().map(|(_, i)| i).collect()
     }
 
-    /// Cold candidates: inactive, age >= min_age, non-empty; inode
-    /// order (the registry's cold-index contract).
-    fn cold_with_members(&self, min_age: u32) -> Vec<InodeId> {
-        self.knodes
-            .iter()
-            .filter(|(_, k)| !k.inuse && k.age >= min_age && !k.members.is_empty())
-            .map(|(&i, _)| i)
-            .collect()
-    }
-
     /// LRU ranking: inactive before active, oldest activity first.
     fn lru(&self, n: usize) -> Vec<InodeId> {
         let mut v: Vec<(bool, Nanos, InodeId)> = self
@@ -141,7 +246,7 @@ fn info(inode: InodeId) -> ObjectInfo {
     }
 }
 
-fn assert_equivalent(r: &mut KlocRegistry, m: &EagerModel, seed: u64, step: usize) {
+fn assert_equivalent(r: &KlocRegistry, m: &EagerModel, seed: u64, step: usize) {
     let ctx = |what: &str| format!("seed {seed}, step {step}: {what}");
     assert_eq!(r.kmap().len(), m.knodes.len(), "{}", ctx("population"));
     for (&inode, k) in &m.knodes {
@@ -164,26 +269,12 @@ fn assert_equivalent(r: &mut KlocRegistry, m: &EagerModel, seed: u64, step: usiz
         "{}",
         ctx("inactive ordering")
     );
-    for min_age in [0, 1, 3, 8] {
-        let expected = m.cold_with_members(min_age);
-        let mut cold = Vec::new();
-        r.cold_member_candidates(min_age, usize::MAX, &mut cold);
-        assert_eq!(
-            cold,
-            expected,
-            "{}",
-            ctx(&format!("cold set at min_age {min_age}"))
-        );
-        // The batch limit takes a prefix of the same ordering.
-        let mut batch = Vec::new();
-        r.cold_member_candidates(min_age, 2, &mut batch);
-        assert_eq!(
-            batch,
-            expected[..expected.len().min(2)],
-            "{}",
-            ctx(&format!("cold batch at min_age {min_age}"))
-        );
-    }
+    assert_eq!(
+        r.kmap().cold_set().collect::<Vec<_>>(),
+        m.cold_set(),
+        "{}",
+        ctx("cold set")
+    );
     for n in [1, 4, usize::MAX] {
         assert_eq!(
             r.kmap().lru_knodes(n.min(m.knodes.len() + 1)),
@@ -192,6 +283,23 @@ fn assert_equivalent(r: &mut KlocRegistry, m: &EagerModel, seed: u64, step: usiz
             ctx(&format!("lru ranking at n {n}"))
         );
     }
+}
+
+/// Runs one cold query on both models and requires the same batch.
+fn assert_cold_batch(
+    r: &mut KlocRegistry,
+    m: &mut EagerModel,
+    min_age: u32,
+    max: usize,
+    ctx: &str,
+) {
+    let want = m.cold_query(min_age, max);
+    let mut got = Vec::new();
+    r.cold_member_candidates(min_age, max, &mut got);
+    assert_eq!(
+        got, want,
+        "{ctx}: cold batch at min_age {min_age}, max {max}"
+    );
 }
 
 /// Drives both models through `steps` random ops from `seed` and checks
@@ -203,6 +311,7 @@ fn run_stream(seed: u64, steps: usize) {
     let mut next_inode = 1u64;
     let mut next_obj = 0u64;
     let mut live: Vec<InodeId> = Vec::new();
+    let mut threshold = 1u32;
 
     for step in 0..steps {
         let now = Nanos::from_micros(step as u64);
@@ -261,12 +370,21 @@ fn run_stream(seed: u64, steps: usize) {
                 m.touch(inode, now);
             }
             // Aging epoch — O(1) lazy vs O(n) eager.
-            _ => {
+            80..=89 => {
                 r.age_epoch();
                 m.age_epoch();
             }
+            // Cold query; the threshold changes now and then.
+            _ => {
+                if rng.gen_below(8) == 0 {
+                    threshold = [0, 1, 3, 8][rng.gen_below(4) as usize];
+                }
+                let max = [1, 2, usize::MAX][rng.gen_below(3) as usize];
+                let ctx = format!("seed {seed}, step {step}");
+                assert_cold_batch(&mut r, &mut m, threshold, max, &ctx);
+            }
         }
-        assert_equivalent(&mut r, &m, seed, step);
+        assert_equivalent(&r, &m, seed, step);
     }
 }
 
@@ -285,8 +403,11 @@ fn long_idle_stretches_match() {
     let mut m = EagerModel::default();
     for ino in 1..=20u64 {
         let now = Nanos::from_micros(ino);
-        r.inode_created(InodeId(ino), CpuId(0), now);
-        m.create(InodeId(ino), now);
+        let inode = InodeId(ino);
+        r.inode_created(inode, CpuId(0), now);
+        m.create(inode, now);
+        r.object_allocated(ObjectId(ino), &info(inode), FrameId(ino), CpuId(0), now);
+        m.add_obj(inode, ObjectId(ino), FrameId(ino), now);
     }
     let mut rng = SplitMix64::seed_from_u64(7);
     for round in 0..50 {
@@ -304,7 +425,8 @@ fn long_idle_stretches_match() {
         let now = Nanos::from_micros(1000 + round);
         r.inode_opened(ino, CpuId(1), now);
         m.open(ino, now);
-        assert_equivalent(&mut r, &m, 7, round as usize);
+        assert_cold_batch(&mut r, &mut m, 8, 2, &format!("round {round}"));
+        assert_equivalent(&r, &m, 7, round as usize);
     }
 }
 
@@ -346,11 +468,104 @@ fn audit_clean(r: &KlocRegistry, ctx: &str) {
     assert!(out.is_empty(), "{ctx}: {out:#?}");
 }
 
+/// The cold crossings, derived from brute-force snapshots of every
+/// knode taken after each registry call: a knode is cold while it is
+/// inactive with its stamp at or below the last cold query's cutoff,
+/// and a snapshot that finds it cold for the first time, or at a new
+/// stamp, records a new crossing. One registry call other than a cold
+/// query moves at most one knode into or out of the cold set, so no
+/// crossing falls between two snapshots.
+#[derive(Debug, Default)]
+struct CrossingTracker {
+    threshold: Option<u32>,
+    watermark: u64,
+    /// Per cold knode: its stamp, and its crossing's sequence number
+    /// until the crossing is handed out.
+    cold: BTreeMap<InodeId, (u64, Option<u64>)>,
+    next_crossing: u64,
+}
+
+impl CrossingTracker {
+    /// Re-derives the cold set from every knode; new crossings take
+    /// sequence numbers oldest stamp first, inode order breaking ties.
+    fn fold(&mut self, r: &KlocRegistry) {
+        let Some(_) = self.threshold else { return };
+        let epoch = r.kmap().epoch();
+        let mut past: Vec<(u64, InodeId)> = r
+            .kmap()
+            .iter()
+            .filter(|k| !k.inuse())
+            .map(|k| (epoch - u64::from(k.age_at(epoch)), k.inode()))
+            .filter(|&(stamp, _)| stamp <= self.watermark)
+            .collect();
+        past.sort_unstable();
+        let mut cold = BTreeMap::new();
+        for (stamp, inode) in past {
+            let spell = match self.cold.get(&inode) {
+                Some(&(s, pending)) if s == stamp => (s, pending),
+                _ => {
+                    self.next_crossing += 1;
+                    (stamp, Some(self.next_crossing))
+                }
+            };
+            cold.insert(inode, spell);
+        }
+        self.cold = cold;
+    }
+
+    /// Folds the snapshot after a registry call and checks the kmap's
+    /// cold set against it.
+    fn observe(&mut self, r: &KlocRegistry, ctx: &str) {
+        self.fold(r);
+        let want: Vec<InodeId> = self.cold.keys().copied().collect();
+        let got: Vec<InodeId> = r.kmap().cold_set().collect();
+        assert_eq!(got, want, "{ctx}: cold set");
+    }
+
+    /// The batch the cold query `(min_age, max)` must hand out from the
+    /// registry's current state: a new threshold empties the cold set,
+    /// the knodes past the new cutoff cross, and up to `max` pending
+    /// crossings with members are handed out in crossing order, each
+    /// once (member-less ones are dropped on the way), sorted by inode.
+    fn query(&mut self, r: &KlocRegistry, min_age: u32, max: usize) -> Vec<InodeId> {
+        let Some(watermark) = r.kmap().epoch().checked_sub(u64::from(min_age)) else {
+            return Vec::new();
+        };
+        if self.threshold != Some(min_age) {
+            self.cold.clear();
+            self.threshold = Some(min_age);
+        }
+        self.watermark = watermark;
+        self.fold(r);
+        let mut pending: Vec<(u64, InodeId)> = self
+            .cold
+            .iter()
+            .filter_map(|(&inode, &(_, seq))| seq.map(|seq| (seq, inode)))
+            .collect();
+        pending.sort_unstable();
+        let mut batch = Vec::new();
+        for (_, inode) in pending {
+            if batch.len() == max {
+                break;
+            }
+            if let Some(spell) = self.cold.get_mut(&inode) {
+                spell.1 = None;
+            }
+            if r.kmap().get(inode).is_some_and(|k| k.member_count() > 0) {
+                batch.push(inode);
+            }
+        }
+        batch.sort_unstable();
+        batch
+    }
+}
+
 /// Drives open/close churn — including close/reopen/close bursts inside
-/// one epoch, which leave stale and duplicate heap entries — member
-/// adds and frees, aging, destroys and cold queries whose age threshold
+/// one epoch, which leave stale and duplicate heap entries and, at
+/// threshold 0, cross a knode back at an unchanged stamp — member adds
+/// and frees, aging, destroys and cold queries whose age threshold
 /// changes now and then, and checks every indexed view against its
-/// brute-force recomputation after each step.
+/// brute-force recomputation after each call.
 #[test]
 fn kmap_indexes_match_brute_force() {
     for seed in [3u64, 0xB175, 0xC01D] {
@@ -361,6 +576,7 @@ fn kmap_indexes_match_brute_force() {
         let mut next_inode = 1u64;
         let mut next_obj = 0u64;
         let mut threshold = 2u32;
+        let mut tracker = CrossingTracker::default();
         for step in 0..1500usize {
             let ctx = format!("seed {seed} step {step}");
             let now = Nanos::from_micros(step as u64);
@@ -380,7 +596,9 @@ fn kmap_indexes_match_brute_force() {
                 45..=54 => {
                     let inode = pick(&mut rng, &live);
                     r.inode_closed(inode, now);
+                    tracker.observe(&r, &ctx);
                     r.inode_opened(inode, cpu, now);
+                    tracker.observe(&r, &ctx);
                     r.inode_closed(inode, now);
                 }
                 55..=64 => {
@@ -410,15 +628,17 @@ fn kmap_indexes_match_brute_force() {
                     if rng.gen_below(8) == 0 {
                         threshold = [0, 1, 2, 5][rng.gen_below(4) as usize];
                     }
-                    let want = brute_cold(&r, threshold);
-                    let mut batch = Vec::new();
-                    r.cold_member_candidates(threshold, 3, &mut batch);
-                    assert_eq!(batch, want[..want.len().min(3)], "{ctx}: cold batch");
-                    let mut all = Vec::new();
-                    r.cold_member_candidates(threshold, usize::MAX, &mut all);
-                    assert_eq!(all, want, "{ctx}: cold set at {threshold}");
+                    // A bounded batch, then the rest of the queue.
+                    for max in [[1, 3][rng.gen_below(2) as usize], usize::MAX] {
+                        let want = tracker.query(&r, threshold, max);
+                        let mut batch = Vec::new();
+                        r.cold_member_candidates(threshold, max, &mut batch);
+                        assert_eq!(batch, want, "{ctx}: cold batch of {max} at {threshold}");
+                        tracker.observe(&r, &ctx);
+                    }
                 }
             }
+            tracker.observe(&r, &ctx);
             let active: Vec<InodeId> = r.kmap().active_knodes().map(|k| k.inode()).collect();
             assert_eq!(active, brute_active(&r), "{ctx}: active knodes");
             assert_eq!(

@@ -1,7 +1,7 @@
 //! Corruption-injection tests for the KLOC-layer sanitizer: desync the
-//! kmap's activation indexes, a knode's epoch, its frame refcounts
-//! against the kernel's object table, a membership bit, its frame order
-//! and its parked mask, and assert the audit reports the specific
+//! kmap's activation indexes and cold queue, a knode's epoch, its frame
+//! refcounts against the kernel's object table, a membership bit, its
+//! frame order and its parked mask, and assert the audit reports the specific
 //! structure pair; park a member that breaks the park invariant and
 //! assert the member walk's oracle catches it (debug builds, where
 //! KSAN is always armed).
@@ -320,6 +320,34 @@ fn cold_index_desync_is_caught() {
     assert!(
         out.iter()
             .any(|v| v.structures == "Kmap.cold_idx <-> Kmap.inactive_idx"),
+        "{out:#?}"
+    );
+}
+
+#[test]
+fn a_lost_cold_crossing_is_caught() {
+    use kloc_kernel::KernelObjectType;
+    use kloc_mem::FrameId;
+
+    let mut kmap = kmap_with(&[], &[6, 7]);
+    for ino in [6, 7] {
+        kmap.with_knode_mut(InodeId(ino), |k, _| {
+            k.add_obj(KernelObjectType::PageCache, FrameId(ino));
+        });
+    }
+    kmap.advance_epoch();
+    kmap.advance_epoch();
+    // Both cross; a batch of one hands out inode6 and leaves inode7's
+    // crossing queued. Dropping that entry loses a cold knode.
+    let mut batch = Vec::new();
+    kmap.cold_inodes_with_members(1, 1, &mut batch);
+    assert_eq!(batch, [InodeId(6)]);
+    assert_eq!(audited(&kmap), vec![]);
+    kmap.ksan_break_cold_queue();
+    let out = audited(&kmap);
+    assert!(
+        out.iter()
+            .any(|v| v.structures == "Kmap.cold_queue <-> Kmap.cold_idx" && v.object == "inode7"),
         "{out:#?}"
     );
 }

@@ -205,10 +205,10 @@ impl KlocPolicy {
         // Demote inactive knodes whose age confirms coldness. The
         // inactive index hands back exactly the cold candidates — no
         // page-table scans and no walk over the warm population (§4.4).
+        // Each cold knode is handed out once, as soon as a batch has
+        // room after its crossing (oldest crossing first, each batch
+        // sorted by inode), so it is demoted once per cold spell.
         scratch.clear();
-        // The cold index yields candidates in inode order — the batch
-        // has always been the first `demote_batch` candidates in inode
-        // order, previously produced by sorting the full range.
         self.registry
             .cold_member_candidates(self.cold_age, self.demote_batch, scratch);
         for &ino in scratch.iter() {
@@ -513,17 +513,13 @@ impl Policy for KlocPolicy {
         self.ticks = self.ticks.wrapping_add(1);
         if self.ticks.is_multiple_of(self.app_tick_divider) {
             let before_promoted = self.app.stats().promoted;
-            let before_demoted = self.app.stats().demoted;
             self.app.tick(mem);
             // Page-backed kernel objects share the Nimble scan
-            // machinery, so its migrations move member frames behind
-            // the registry's back — tell it, so the knode demotion
-            // memoizations are re-derived.
+            // machinery, so its promotions move member frames into fast
+            // memory behind the registry's back — tell it, so the member
+            // demotion walk's chunk bounds are re-derived.
             if self.app.stats().promoted != before_promoted {
                 self.registry.note_external_promotions();
-            }
-            if self.app.stats().demoted != before_demoted {
-                self.registry.note_external_demotions();
             }
         }
         // Knode aging (scans that skip a knode bump its age, §4.3):
@@ -884,13 +880,55 @@ mod tests {
             p.kloc_registry().stats().knode_demotions >= 40,
             "cold candidates were demoted"
         );
-        // demote_batch (64) cold-range entries plus two bounded passes
+        // demote_batch (64) queued cold crossings plus two bounded passes
         // over the (two) active knodes — far below the 542 knodes an
         // eager scan would have examined, repeatedly.
         assert!(
             examined <= 64 + 8,
             "tick examined {examined} knodes; cold selection must be scan-free"
         );
+    }
+
+    #[test]
+    fn every_cold_knode_demotes_within_a_few_batches() {
+        // 200 closed knodes with one fast member each all turn cold on
+        // the same tick. Batches of demote_batch (64) hand each out once,
+        // oldest crossing first, so all 200 are demoted within
+        // ceil(200 / 64) = 4 ticks.
+        let mut mem = MemorySystem::two_tier(4096 * PAGE_SIZE, 8);
+        let kernel = Kernel::new(Default::default());
+        let mut p = KlocPolicy::new();
+        let mut frames = Vec::new();
+        for ino in 1..=200u64 {
+            p.on_inode_create(InodeId(ino), CpuId(0), TenantId::DEFAULT, &mut mem);
+            // Kvma frames stay out of the page-granular scan machinery,
+            // so only the knode path moves them.
+            let f = mem.allocate(TierId::FAST, PageKind::KernelVma).unwrap();
+            let info = ObjectInfo {
+                ty: KernelObjectType::Dentry,
+                size: KernelObjectType::Dentry.size(),
+                inode: Some(InodeId(ino)),
+            };
+            p.on_object_alloc(ObjectId(ino), &info, f, CpuId(0), &mut mem);
+            p.on_inode_close(InodeId(ino), &mut mem);
+            frames.push(f);
+        }
+        // Age them to one tick short of cold_age (12) without pressure,
+        // then fill fast memory: even with every member demoted it stays
+        // above the 90 % pressure gate.
+        for _ in 0..11 {
+            p.tick(&kernel, &mut mem);
+        }
+        while mem.allocate(TierId::FAST, PageKind::AppData).is_ok() {}
+        let demoted = |p: &KlocPolicy| p.kloc_registry().stats().knode_demotions;
+        assert_eq!(demoted(&p), 0);
+        for (tick, want) in [64, 128, 192, 200].into_iter().enumerate() {
+            p.tick(&kernel, &mut mem);
+            assert_eq!(demoted(&p), want, "after cold tick {tick}");
+        }
+        for (ino, f) in (1u64..).zip(&frames) {
+            assert_eq!(mem.tier_of(*f), TierId::SLOW, "inode{ino} demoted");
+        }
     }
 
     #[test]

@@ -149,4 +149,35 @@ mod tests {
         let t = table(&rows);
         assert_eq!(t.len(), rows.len());
     }
+
+    /// The RocksDB cell of `repro fig4 --scale large`: KLOCs must beat
+    /// Nimble++ by at least 5 %, which takes every cold knode being
+    /// demoted once it turns cold.
+    #[test]
+    fn kloc_beats_nimblepp_on_rocksdb_at_large_scale() {
+        let scale = Scale::large();
+        let cell = |policy| RunConfig {
+            workload: WorkloadKind::RocksDb,
+            policy,
+            scale: scale.clone(),
+            platform: Platform::TwoTier {
+                fast_bytes: scale.fast_bytes,
+                bw_ratio: 8,
+            },
+            kernel_params: None,
+            faults: None,
+            budgets: Vec::new(),
+        };
+        let reports = Runner::new(2)
+            .run_all(vec![
+                cell(PolicyKind::Kloc),
+                cell(PolicyKind::NimblePlusPlus),
+            ])
+            .unwrap();
+        let (kloc, nimblepp) = (reports[0].throughput(), reports[1].throughput());
+        assert!(
+            kloc >= 1.05 * nimblepp,
+            "RocksDB at Large: KLOCs {kloc:.0} ops/s must beat Nimble++ {nimblepp:.0} by 5 %"
+        );
+    }
 }

@@ -218,7 +218,7 @@ fn slow_diverts_total_is_pinned() {
         vec![cell(WorkloadKind::Spark, PolicyKind::Kloc)],
     );
     let events = Event::parse_all(&trace).expect("trace parses");
-    assert_eq!(ktrace::counter_totals(&events).slow_diverts, 5311);
+    assert_eq!(ktrace::counter_totals(&events).slow_diverts, 5418);
 }
 
 /// Each crash point of a sweep is one run slice holding exactly one
